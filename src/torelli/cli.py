@@ -205,14 +205,13 @@ def _cmd_quad_refine(args) -> Envelope:
 def _cmd_invariant_oracle(args) -> Envelope:
     kind = GammaType(args.type)
     copies = GradedVCopies(args.g, _parse_int_list(args.degrees))
-    dim, history = brute_force_invariant_dim(
-        kind, copies, args.deg, args.seed, return_history=True
-    )
+    result = brute_force_invariant_dim(kind, copies, args.deg)
     table = [
         {
-            "dimension": dim,
+            "dimension": result.dimension,
             "piece": piece_dimension(copies, args.deg),
-            "history": " ".join(str(h) for h in history),
+            "history": " ".join(str(h) for h in result.history),
+            "route": result.route,
         }
     ]
     return _envelope(
@@ -230,9 +229,7 @@ def _cmd_invariant_oracle(args) -> Envelope:
 
 
 def _cmd_crosscheck_sec6(args) -> Envelope:
-    report = invariant_crosscheck(
-        args.n, args.g, args.maxdeg, with_oracle=args.oracle, seed=args.seed
-    )
+    report = invariant_crosscheck(args.n, args.g, args.maxdeg, with_oracle=args.oracle)
     table = [
         {
             "degree": row.degree,
@@ -262,6 +259,12 @@ def _cmd_crosscheck_sec6(args) -> Envelope:
 
 
 # -- plumbing ----------------------------------------------------------------
+
+
+_SEED_HELP = (
+    "echoed in the parameters only; the oracle is exact and draws no samples, "
+    "so the count does not depend on it"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "invariant-oracle",
         parents=[common],
-        help="exact invariant dimension in a graded piece, by group sampling",
+        help="exact invariant dimension in a graded piece, as the joint kernel "
+        "of the group generators",
     )
     p.add_argument("--type", choices=("sp", "o"), required=True)
     p.add_argument("--g", type=int, required=True, help="genus")
@@ -379,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degrees", required=True, help="comma-separated copy degrees, e.g. 2,4"
     )
     p.add_argument("--deg", type=int, required=True, help="target degree")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help=_SEED_HELP)
     p.set_defaults(handler=_cmd_invariant_oracle)
 
     p = sub.add_parser(
@@ -391,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True, help="genus")
     p.add_argument("--maxdeg", type=int, required=True, help="truncation degree")
     p.add_argument("--oracle", action="store_true", help="also run the group oracle")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(handler=_cmd_crosscheck_sec6)
 
     return parser

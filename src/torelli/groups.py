@@ -118,12 +118,16 @@ def preserves_quadratic(a: Matrix, n: int, g: int) -> bool:
     form = GroupForm(g, 1 if n % 2 == 0 else -1)
     if not is_in_group(a, form):
         raise ValueError("matrix does not preserve the pairing")
-    modulus = quadratic_modulus(n)
-    for col in range(2 * g):
-        image = [a[row][col] for row in range(2 * g)]
-        if _reduce(sum(image[i] * image[g + i] for i in range(g)), modulus) != 0:
-            return False
-    return True
+    return _columns_refine_to_zero(a, g, quadratic_modulus(n))
+
+
+def _columns_refine_to_zero(a: Matrix, g: int, modulus: QuadraticModulus) -> bool:
+    """True when every column of A, the image of a hyperbolic basis vector,
+    has refinement 0 modulo the subgroup."""
+    return all(
+        _reduce(sum(a[i][col] * a[g + i][col] for i in range(g)), modulus) == 0
+        for col in range(2 * g)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def group_generators(kind: GammaType, g: int) -> tuple[tuple[tuple[int, ...], ..
             gens = [
                 m
                 for m in gens + squares
-                if _passes_mod2_filter(m, g)
+                if _columns_refine_to_zero(m, g, QuadraticModulus.MOD2)
             ]
     else:
         for i in range(g):
@@ -205,14 +209,6 @@ def group_generators(kind: GammaType, g: int) -> tuple[tuple[tuple[int, ...], ..
         if not is_in_group(m, form):
             raise AssertionError("generator fails the defining equation")
     return tuple(tuple(tuple(row) for row in m) for m in gens)
-
-
-def _passes_mod2_filter(a: Matrix, g: int) -> bool:
-    for col in range(2 * g):
-        image = [a[row][col] for row in range(2 * g)]
-        if sum(image[i] * image[g + i] for i in range(g)) % 2 != 0:
-            return False
-    return True
 
 
 def sample_group_element(

@@ -1,4 +1,4 @@
-"""Invariant-dimension counts: closed forms and a brute-force group oracle.
+"""Invariant-dimension counts: closed forms and an exact group oracle.
 
 The free model for the Torelli-type cohomology is S[V (x) P], where V is the
 2g-dimensional defining representation and P has one generator in each
@@ -6,32 +6,57 @@ positive degree 4m - n; the arithmetic-invariant counterpart is a polynomial
 ring on classes omega_{x,y} indexed by unordered pairs of those degrees.
 
 The oracle computes, exactly, the dimension of the subspace of a degree-d
-graded piece fixed by pseudo-random elements of the arithmetic group:
-symmetric powers on even copies, exterior powers on odd copies, intersecting
-kernels ker(M - 1) until the dimension survives three consecutive samples.
-It is an upper bound for the algebraic-group invariants and reaches it with
-probability one whenever the integer points are Zariski dense.
+graded piece (symmetric powers on even copies, exterior powers on odd
+copies) fixed by the group that `group_generators` generates.  A vector is
+fixed by that group exactly when every generator fixes it, so the count is
+the dimension of the joint kernel of rho(s) - 1 over the fixed generator
+list: no sampling, no seed and no stopping rule.  The group preserves each
+allocation block (one exponent per copy), so the kernel is taken block by
+block and no block-diagonal matrix is built.
 
-Every sample is a word in `group_generators`, so what the oracle counts is the
-invariants of the group those generators generate.  For the orthogonal kind
-at g = 1 that group is the finite O_{1,1}(Z) = {+-I, +-swap}, not a
-Zariski-dense lattice, and its counts exceed the stable ones: Sym^2 V has the
-two invariants xy and x^2 + y^2 rather than the form alone.
+Within a block, each generator's matrix is built as sparse columns (the
+symmetric or exterior power of the generator on each copy, Kronecker-combined
+across copies), and the rows of rho(s) - 1 go, one generator at a time, into
+a sparse echelon form modulo the prime PRIME.  The count is certified over Q
+from both sides:
+
+- upper bound: a rank modulo p is at most the rank over Q, so the rational
+  kernel is no larger than the kernel modulo p;
+- lower bound: each kernel vector modulo p has a unit entry on its own free
+  column and zeros on the other free columns; it is lifted to Q by rational
+  reconstruction and checked exactly, over the integers, to be fixed by every
+  generator.  Lifted vectors that pass are independent rational invariants.
+
+When a lift fails, the block is recounted exactly from the fraction-free
+(Bareiss) echelon form of its stacked integer rows, and the answer reports
+route "bareiss" instead of "modp".
+
+For the orthogonal kind at g = 1 the generated group is the finite
+O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
+exceed the stable ones: Sym^2 V has the two invariants xy and x^2 + y^2
+rather than the form alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .graded import Generator, HilbertSeries, free_graded_commutative_series
-from .groups import GammaType, form_for_kind, is_in_group, sample_group_element
-from .linalg import kernel_basis
+from .groups import GammaType, group_generators
+from .linalg import independent_rows
+
+# not used by the oracle, which samples nothing; kept importable here because
+# bench/layers.py traces calls at these names
+from .groups import is_in_group, sample_group_element  # noqa: F401
+from .linalg import kernel_basis  # noqa: F401
+
+# the oracle's modulus, 2^31 - 1; rational reconstruction recovers entries
+# n/d with |n|, d <= 32767
+PRIME = 2_147_483_647
 
 
 class BasisCapExceeded(ValueError):
@@ -123,7 +148,7 @@ def matchings_count(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# exact generator-kernel oracle
 
 
 @dataclass(frozen=True)
@@ -162,173 +187,257 @@ def _allocations(copies: GradedVCopies, degree: int):
     yield from rec(0, degree, ())
 
 
-def _sym_power_matrix(a: Sequence[Sequence[int]], m: int) -> np.ndarray:
-    dim = len(a)
-    basis = list(itertools.combinations_with_replacement(range(dim), m))
-    index = {b: i for i, b in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=object)
-    for csrc, src in enumerate(basis):
-        expansion: dict[tuple[int, ...], int] = {(): 1}
-        for j in src:
-            nxt: dict[tuple[int, ...], int] = {}
-            for mono, c in expansion.items():
-                for i in range(dim):
-                    if a[i][j]:
-                        key = tuple(sorted(mono + (i,)))
-                        nxt[key] = nxt.get(key, 0) + c * a[i][j]
-            expansion = nxt
-        for mono, c in expansion.items():
-            out[index[mono], csrc] = c
-    return out
-
-
-def _ext_power_matrix(a: Sequence[Sequence[int]], m: int) -> np.ndarray:
-    dim = len(a)
-    basis = list(itertools.combinations(range(dim), m))
-    index = {b: i for i, b in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=object)
-    for csrc, src in enumerate(basis):
-        expansion: dict[tuple[int, ...], int] = {(): 1}
-        for j in src:
-            nxt: dict[tuple[int, ...], int] = {}
-            for mono, c in expansion.items():
-                for i in range(dim):
-                    if a[i][j] and i not in mono:
-                        pos = sum(1 for t in mono if t < i)
-                        sign = -1 if (len(mono) - pos) % 2 else 1
-                        key = tuple(sorted(mono + (i,)))
-                        nxt[key] = nxt.get(key, 0) + sign * c * a[i][j]
-            expansion = nxt
-        for mono, c in expansion.items():
-            out[index[mono], csrc] = c
-    return out
-
-
 def piece_dimension(copies: GradedVCopies, degree: int) -> int:
     dim = 2 * copies.g
     total = 0
     for alloc in _allocations(copies, degree):
         block = 1
         for m, d in zip(alloc, copies.copy_degrees):
-            if d % 2 == 1:
-                block *= len(list(itertools.combinations(range(dim), m)))
-            else:
-                block *= len(
-                    list(itertools.combinations_with_replacement(range(dim), m))
-                )
+            block *= math.comb(dim, m) if d % 2 == 1 else math.comb(dim + m - 1, m)
         total += block
     return total
 
 
-def _piece_matrix(a: Sequence[Sequence[int]], copies: GradedVCopies, degree: int) -> np.ndarray:
-    blocks = []
-    for alloc in _allocations(copies, degree):
-        factor = np.array([[1]], dtype=object)
-        for m, d in zip(alloc, copies.copy_degrees):
-            if m == 0:
-                continue
-            part = (
-                _ext_power_matrix(a, m) if d % 2 == 1 else _sym_power_matrix(a, m)
-            )
-            factor = np.kron(factor, part)
-        blocks.append(factor)
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size), dtype=object)
-    at = 0
-    for b in blocks:
-        w = b.shape[0]
-        out[at : at + w, at : at + w] = b
-        at += w
-    return out
+Column = dict[int, int]  # sparse column: row index -> nonzero entry
 
 
-def fixed_subspace_dimension(matrices: Sequence[np.ndarray]) -> int:
-    """Dimension of the joint eigenvalue-1 eigenspace, over Q, exactly."""
-    basis: np.ndarray | None = None
-    for m in matrices:
-        size = m.shape[0]
-        mi = m - np.eye(size, dtype=object)
-        if basis is None:
-            vectors = kernel_basis([[int(x) for x in row] for row in mi])
-            basis = np.array(vectors, dtype=object).T if vectors else np.zeros((size, 0), dtype=object)
+def _power_columns(a: Sequence[Sequence[int]], m: int, exterior: bool) -> list[Column]:
+    """Sparse columns of Lambda^m(a) (exterior) or Sym^m(a), on the basis of
+    sorted index tuples in lexicographic order."""
+    dim = len(a)
+    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
+    basis = list(combos(range(dim), m))
+    index = {b: i for i, b in enumerate(basis)}
+    nonzero = [[(i, a[i][j]) for i in range(dim) if a[i][j]] for j in range(dim)]
+    columns = []
+    for src in basis:
+        expansion: dict[tuple[int, ...], int] = {(): 1}
+        for j in src:
+            nxt: dict[tuple[int, ...], int] = {}
+            for mono, c in expansion.items():
+                for i, x in nonzero[j]:
+                    if exterior:
+                        if i in mono:
+                            continue
+                        # sorting e_i into place passes every larger index
+                        if sum(1 for t in mono if t > i) % 2:
+                            x = -x
+                    key = tuple(sorted(mono + (i,)))
+                    nxt[key] = nxt.get(key, 0) + c * x
+            expansion = nxt
+        columns.append({index[mono]: c for mono, c in expansion.items() if c})
+    return columns
+
+
+def _kron_columns(factors: Sequence[Sequence[Column]]) -> list[Column]:
+    """Sparse columns of the Kronecker product, the first factor outermost."""
+    columns: list[Column] = [{0: 1}]
+    for part in factors:
+        size = len(part)
+        columns = [
+            {r * size + s: x * y for r, x in left.items() for s, y in right.items()}
+            for left in columns
+            for right in part
+        ]
+    return columns
+
+
+def _rows_minus_identity(columns: Sequence[Column]) -> list[Column]:
+    """The nonzero rows of M - 1, as sparse rows, for M given by its columns."""
+    rows: list[Column] = [{} for _ in columns]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][c] = x
+    for r, row in enumerate(rows):
+        x = row.get(r, 0) - 1
+        if x:
+            row[r] = x
         else:
-            if basis.shape[1] == 0:
-                return 0
-            restricted = mi.dot(basis)
-            vectors = kernel_basis([list(row) for row in restricted])
-            if not vectors:
-                basis = np.zeros((size, 0), dtype=object)
-            else:
-                basis = basis.dot(np.array(vectors, dtype=object).T)
-    return 0 if basis is None else basis.shape[1]
+            row.pop(r, None)
+    return [row for row in rows if row]
+
+
+def rational_reconstruction(a: int, p: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= sqrt(p / 2) and n = a * d mod p, or
+    None when there is none (it is unique when it exists)."""
+    bound = math.isqrt(p // 2)
+    r0, r1 = p, a % p
+    t0, t1 = 0, 1
+    # invariant: r_i = t_i * a mod p
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _insert_mod_p(pivots: dict[int, Column], row: Column, p: int) -> None:
+    """Reduce a row modulo p against the pivot rows (each monic in its pivot
+    column, with no entry to the left of it) and keep it as a new pivot row
+    if anything is left.  Entries are reduced mod p only once they lead."""
+    row = dict(row)
+    while row:
+        c = min(row)
+        f = row.pop(c) % p
+        if not f:
+            continue
+        pivot_row = pivots.get(c)
+        if pivot_row is None:
+            inverse = pow(f, -1, p)
+            new = {c: 1}
+            for k, x in row.items():
+                x = x * inverse % p
+                if x:
+                    new[k] = x
+            pivots[c] = new
+            return
+        get = row.get
+        for k, y in pivot_row.items():
+            if k != c:
+                row[k] = get(k, 0) - f * y
+
+
+def _kernel_mod_p(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
+    """One kernel vector per free column: 1 there, 0 on the other free
+    columns, read off the reduced echelon form."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        # the pivot rows to the right are already reduced: own pivot plus free columns
+        for k in [k for k in row if k != c and k in pivots]:
+            f = row.pop(k)
+            for j, y in pivots[k].items():
+                if j != k:
+                    x = (row.get(j, 0) - f * y) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+    vectors = {f: {f: 1} for f in range(size) if f not in pivots}
+    for c, row in pivots.items():
+        for k, x in row.items():
+            if k != c:
+                vectors[k][c] = -x % p
+    return list(vectors.values())
+
+
+def _lift(vector: Column, p: int) -> Column | None:
+    """An integer vector congruent, up to a unit, to the mod-p vector, by
+    rational reconstruction of each entry; None if an entry has no lift."""
+    lifted = {}
+    for k, x in vector.items():
+        q = rational_reconstruction(x, p)
+        if q is None:
+            return None
+        lifted[k] = q
+    scale = math.lcm(*(q.denominator for q in lifted.values()))
+    return {k: int(q * scale) for k, q in lifted.items()}
+
+
+def _is_fixed(columns: Sequence[Column], vector: Column) -> bool:
+    """Exact check of M v = v for M given by its columns."""
+    image: Column = {}
+    for c, x in vector.items():
+        for r, y in columns[c].items():
+            image[r] = image.get(r, 0) + x * y
+    return {r: x for r, x in image.items() if x} == vector
+
+
+def _block_kernel_history(generator_columns: Sequence[Sequence[Column]]) -> tuple[list[int], str]:
+    """Joint-kernel dimension of M - 1 after each generator M of one block,
+    and the route that certified it ("modp" or "bareiss")."""
+    size = len(generator_columns[0])
+    p = PRIME
+    pivots: dict[int, Column] = {}
+    history = []
+    for columns in generator_columns:
+        if len(pivots) < size:
+            for row in _rows_minus_identity(columns):
+                _insert_mod_p(pivots, row, p)
+        history.append(size - len(pivots))
+    # the rank mod p is at most the rank over Q, so history[-1] bounds the
+    # rational kernel from above; verified lifts bound it from below
+    if history[-1] == 0:
+        return history, "modp"
+    for vector in _kernel_mod_p(pivots, size, p):
+        lifted = _lift(vector, p)
+        if lifted is None or not all(_is_fixed(columns, lifted) for columns in generator_columns):
+            return _bareiss_history(generator_columns), "bareiss"
+    return history, "modp"
+
+
+def _bareiss_history(generator_columns: Sequence[Sequence[Column]]) -> list[int]:
+    """The same history exactly over Q, from the fraction-free echelon form of
+    the stacked integer rows of M - 1, generator by generator."""
+    size = len(generator_columns[0])
+    stacked: list[list[int]] = []
+    owner: list[int] = []
+    for k, columns in enumerate(generator_columns):
+        for row in _rows_minus_identity(columns):
+            stacked.append([row.get(c, 0) for c in range(size)])
+            owner.append(k)
+    ranks = [0] * len(generator_columns)
+    for i in independent_rows(stacked):
+        ranks[owner[i]] += 1
+    return [size - r for r in itertools.accumulate(ranks)]
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """A certified invariant dimension.
+
+    history[k] is the dimension, summed over allocation blocks, of the joint
+    kernel of rho(s) - 1 over the first k + 1 generators s.  A block on route
+    "modp" contributes its kernel modulo PRIME, an upper bound on the rational
+    one that the certificate makes exact at the last generator; a block on
+    route "bareiss" contributes the rational kernel.  route is "bareiss" when
+    some block needed the exact echelon, else "modp".
+    """
+
+    dimension: int
+    history: tuple[int, ...]
+    route: str
 
 
 def brute_force_invariant_dim(
     kind: GammaType,
     copies: GradedVCopies,
     degree: int,
-    seed: int,
-    max_samples: int = 24,
-    word_length: int = 10,
     basis_cap: int = 4096,
-    return_history: bool = False,
-):
-    """Exact dimension of the sampled-group invariants in the degree piece.
+) -> OracleResult:
+    """Exact dimension of the invariants, in the degree piece, of the group
+    that `group_generators(kind, copies.g)` generates.
 
-    Samples group elements deterministically from the seed and intersects
-    their fixed subspaces until the dimension is unchanged for three
-    consecutive samples (or max_samples is hit, in which case the current
-    upper bound is returned).
-
-    The samples are words in `group_generators(kind, copies.g)`, so the limit
-    is the invariant dimension of the group they generate.  For the
-    orthogonal kind at g = 1 that is the finite O_{1,1}(Z) of order 4, whose
-    Sym^2 V invariants are 2-dimensional, not the stable count 1.
+    For the orthogonal kind at g = 1 that is the finite O_{1,1}(Z) of order
+    4, whose Sym^2 V invariants are 2-dimensional, not the stable count 1.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if kind is GammaType.THETA:
-        raise ValueError("the oracle samples the symplectic or orthogonal group")
+        raise ValueError("the oracle covers the symplectic or orthogonal group")
     size = piece_dimension(copies, degree)
     if size > basis_cap:
         raise BasisCapExceeded(f"graded piece has dimension {size} > cap {basis_cap}")
-    if size == 0:
-        return (0, []) if return_history else 0
-    rng = random.Random(seed)
-    form = form_for_kind(kind, copies.g)
-    basis: np.ndarray | None = None
-    history: list[int] = []
-    stable_streak = 0
-    dim = size
-    for _ in range(max_samples):
-        a = sample_group_element(kind, copies.g, rng.getrandbits(64), word_length)
-        assert is_in_group(a, form)
-        m = _piece_matrix(a, copies, degree)
-        if basis is None:
-            vectors = kernel_basis(
-                [[int(x) for x in row] for row in (m - np.eye(size, dtype=object))]
+    generators = group_generators(kind, copies.g)
+    history = [0] * len(generators) if size else []
+    route = "modp"
+    powers: dict[tuple[int, int, bool], list[Column]] = {}
+    for alloc in _allocations(copies, degree):
+        factors = [(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m]
+        generator_columns = []
+        for k, a in enumerate(generators):
+            for m, exterior in factors:
+                if (k, m, exterior) not in powers:
+                    powers[k, m, exterior] = _power_columns(a, m, exterior)
+            generator_columns.append(
+                _kron_columns([powers[k, m, exterior] for m, exterior in factors])
             )
-            basis = (
-                np.array(vectors, dtype=object).T
-                if vectors
-                else np.zeros((size, 0), dtype=object)
-            )
-        else:
-            mi = m - np.eye(size, dtype=object)
-            restricted = mi.dot(basis)
-            vectors = kernel_basis([list(row) for row in restricted])
-            basis = (
-                basis.dot(np.array(vectors, dtype=object).T)
-                if vectors
-                else np.zeros((size, 0), dtype=object)
-            )
-        new_dim = basis.shape[1]
-        history.append(new_dim)
-        stable_streak = stable_streak + 1 if new_dim == dim else 1
-        dim = new_dim
-        if stable_streak >= 3 or dim == 0:
-            break
-    return (dim, history) if return_history else dim
+        block_history, block_route = _block_kernel_history(generator_columns)
+        history = [h + b for h, b in zip(history, block_history)]
+        if block_route == "bareiss":
+            route = "bareiss"
+    return OracleResult(history[-1] if history else 0, tuple(history), route)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +475,6 @@ def invariant_crosscheck(
     g: int,
     max_degree: int,
     with_oracle: bool = False,
-    seed: int = 0,
     basis_cap: int = 4096,
 ) -> InvariantReport:
     """Per-degree comparison of the stable invariant count, the pair-class
@@ -386,8 +494,8 @@ def invariant_crosscheck(
         oracle = None
         if with_oracle:
             oracle = brute_force_invariant_dim(
-                kind, copies, d, seed=seed + d, basis_cap=basis_cap
-            )
+                kind, copies, d, basis_cap=basis_cap
+            ).dimension
         rows.append(ReportRow(d, stable[d], ring[d], oracle))
     note = (
         "stable and pair-ring counts agree identically at every truncation; "
@@ -398,5 +506,5 @@ def invariant_crosscheck(
 
 
 def gamma_kind_for_oracle(n: int) -> GammaType:
-    """The sampled group: orthogonal for n even, symplectic for n odd."""
+    """The oracle's group: orthogonal for n even, symplectic for n odd."""
     return GammaType.ORTHOGONAL if n % 2 == 0 else GammaType.SYMPLECTIC

@@ -2,8 +2,7 @@
 
 Matrices are lists (or tuples) of rows.  Kernels are computed fraction-free
 (Bareiss), so every intermediate entry is an integer minor and every division
-is exact; numpy object arrays are used only as containers for vectorized row
-updates.
+is exact.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 Matrix = Sequence[Sequence[int]]
 
@@ -64,25 +61,26 @@ def invert_fraction_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fractio
     return [row[n:] for row in aug]
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Fraction-free row echelon form; returns (array, pivot (row, col) list)."""
-    a = np.array(rows, dtype=object)
-    nrows, ncols = a.shape
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Fraction-free row echelon form; returns (rows, pivot (row, col) list)."""
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0])
     prev = 1
     r = 0
     pivots: list[tuple[int, int]] = []
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i, c] != 0), None)
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if pr is None:
             continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        piv = a[r, c]
-        if r + 1 < nrows:
-            block = a[r + 1 :]
-            colv = block[:, c].reshape(-1, 1)
-            # Bareiss update: the division by the previous pivot is exact
-            a[r + 1 :] = (block * piv - colv * a[r].reshape(1, -1)) // prev
+        a[r], a[pr] = a[pr], a[r]
+        top = a[r]
+        piv = top[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            # Bareiss update: the division by the previous pivot is exact;
+            # the columns before c are already zero below the pivot row
+            a[i] = row[:c] + [(x * piv - f * y) // prev for x, y in zip(row[c:], top[c:])]
         prev = piv
         pivots.append((r, c))
         r += 1
@@ -108,7 +106,7 @@ def kernel_basis(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
     if not rows:
         raise ValueError("kernel of an empty matrix is undefined")
     a, pivots = _bareiss_echelon(rows)
-    ncols = a.shape[1]
+    ncols = len(a[0])
     pivot_cols = {c for _, c in pivots}
     basis: list[list[Fraction]] = []
     for f in range(ncols):
@@ -119,11 +117,11 @@ def kernel_basis(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
         for i, pc in reversed(pivots):
             s = Fraction(0)
             for j, c2 in pivots:
-                if c2 > pc and a[i, c2] and x[c2]:
-                    s += Fraction(int(a[i, c2])) * x[c2]
-            if f > pc and a[i, f]:
-                s += Fraction(int(a[i, f]))
-            x[pc] = -s / Fraction(int(a[i, pc]))
+                if c2 > pc and a[i][c2] and x[c2]:
+                    s += a[i][c2] * x[c2]
+            if f > pc and a[i][f]:
+                s += a[i][f]
+            x[pc] = -s / a[i][pc]
         basis.append(x)
     return basis
 
@@ -134,3 +132,13 @@ def rank(m: Sequence[Sequence[int | Fraction]]) -> int:
         return 0
     _, pivots = _bareiss_echelon(rows)
     return len(pivots)
+
+
+def independent_rows(m: Sequence[Sequence[int | Fraction]]) -> list[int]:
+    """Indices of the rows that lie outside the span of the rows before them,
+    over Q: the pivot columns of the echelon form of the transpose."""
+    rows = _clear_denominators(m)
+    if not rows:
+        return []
+    _, pivots = _bareiss_echelon(mat_transpose(rows))
+    return [c for _, c in pivots]

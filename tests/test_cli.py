@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import torelli
 from torelli.cli import SHIPPED_INVOCATIONS, main, run
 
 
@@ -140,3 +144,19 @@ def test_console_script_matches_in_process():
     _, out, _ = _capture(argv)
     assert proc.returncode == 0
     assert proc.stdout == out
+
+
+def test_import_loads_no_numpy():
+    src = str(pathlib.Path(torelli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, torelli.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project.get("dependencies", []) == []
