@@ -7,14 +7,22 @@ The constant attached to a weight mu is the largest q <= qmax such that
 rho - mu - eta is a nonzero nonnegative combination of simple roots for every
 sum eta of q distinct positive roots; the constant of the k-th tensor power
 of the defining representation is the minimum over its weights.
+
+The sums eta are not enumerated.  The simple-root coordinates f_r are linear,
+so f_r(rho - mu - eta) >= 0 for every eta exactly when f_r(rho - mu) is at
+least the sum of the q largest values of f_r on the positive roots.  Once
+every coordinate passes, rho - mu - eta can vanish only when the height of
+rho - mu equals the sum of the q largest root heights, and only then are the
+sums eta listed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import invert_fraction_matrix
@@ -34,6 +42,15 @@ def _sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _dot(u: Vector, v: Vector) -> Fraction:
+    return sum((a * b for a, b in zip(u, v) if b), Fraction(0))
+
+
+def _top_sums(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """t[q] = the sum of the q largest values, for q = 0 .. len(values)."""
+    return tuple(itertools.accumulate(sorted(values, reverse=True), initial=Fraction(0)))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     family: str  # "C" | "D"
@@ -41,6 +58,34 @@ class RootSystem:
     positive_roots: tuple[Vector, ...]
     simple_roots: tuple[Vector, ...]
     rho: Vector
+
+    @cached_property
+    def coordinate_rows(self) -> tuple[Vector, ...]:
+        """Rows f_r of the inverse simple-root matrix: f_r(v) is the
+        coefficient of the r-th simple root in v."""
+        columns = [[root[i] for root in self.simple_roots] for i in range(self.g)]
+        return tuple(tuple(row) for row in invert_fraction_matrix(columns))
+
+    @cached_property
+    def rho_coordinates(self) -> Vector:
+        return tuple(_dot(row, self.rho) for row in self.coordinate_rows)
+
+    @cached_property
+    def top_sums(self) -> tuple[tuple[Fraction, ...], ...]:
+        """top_sums[r][q]: the largest value of f_r on a sum of q distinct
+        positive roots, which is the sum of its q largest values on them."""
+        return tuple(
+            _top_sums(_dot(row, root) for root in self.positive_roots)
+            for row in self.coordinate_rows
+        )
+
+    @cached_property
+    def top_heights(self) -> tuple[Fraction, ...]:
+        """The same for the height, the sum of all the coordinates f_r."""
+        return _top_sums(
+            sum(_dot(row, root) for row in self.coordinate_rows)
+            for root in self.positive_roots
+        )
 
 
 @lru_cache(maxsize=None)
@@ -92,24 +137,13 @@ def root_system(family: str, g: int) -> RootSystem:
     return rs
 
 
-@lru_cache(maxsize=None)
-def _simple_inverse(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    columns = [[root[i] for root in rs.simple_roots] for i in range(rs.g)]
-    return tuple(tuple(row) for row in invert_fraction_matrix(columns))
-
-
 def is_positive_combination(v: Sequence[int | Fraction], rs: RootSystem) -> bool:
     """True when v is nonzero and a nonnegative rational combination of the
     simple roots."""
     vec = _vec(v)
     if all(x == 0 for x in vec):
         return False
-    inv = _simple_inverse(rs)
-    for row in inv:
-        t = sum(a * b for a, b in zip(row, vec))
-        if t < 0:
-            return False
-    return True
+    return all(_dot(row, vec) >= 0 for row in rs.coordinate_rows)
 
 
 def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
@@ -126,21 +160,35 @@ def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
 
 
 def weights_of_tensor_power(rs: RootSystem, k: int) -> list[Vector]:
-    """Deduplicated sums of k elements of {+-a_1, ..., +-a_g}."""
+    """Deduplicated sums of k elements of {+-a_1, ..., +-a_g}: the integer
+    vectors whose absolute values sum to at most k, with the parity of k.
+    Listed coordinate by coordinate, so the work is linear in their number."""
     if k < 0:
         raise ValueError("tensor power degree must be nonnegative")
-    step: list[Vector] = []
-    for i in range(rs.g):
-        v = [Fraction(0)] * rs.g
-        v[i] = Fraction(1)
-        step.append(tuple(v))
-        v2 = v[:]
-        v2[i] = Fraction(-1)
-        step.append(tuple(v2))
-    frontier = {tuple([Fraction(0)] * rs.g)}
-    for _ in range(k):
-        frontier = {_add(w, s) for w in frontier for s in step}
-    return sorted(frontier)
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (prefix, its |.|_1)
+    for _ in range(rs.g - 1):
+        partial = [
+            (prefix + (x,), used + abs(x))
+            for prefix, used in partial
+            for x in range(used - k, k - used + 1)
+        ]
+    weights = []
+    for prefix, used in partial:
+        left = k - used  # the last entry takes |x| <= left with |x| = left mod 2
+        weights.extend(_vec(prefix + (x,)) for x in range(-left, left + 1, 2))
+    return sorted(weights)
+
+
+def tensor_weight_count(g: int, k: int) -> int:
+    """The number of weights `weights_of_tensor_power` lists at rank g,
+    without listing them.  They are the v in Z^g with |v_1| + ... + |v_g| at
+    most k and of the parity of k, counted by the coefficient of x^k in
+    (1 + x)^(g-1) / (1 - x)^(g+1)."""
+    if g < 1 or k < 0:
+        raise ValueError("need g >= 1 and k >= 0")
+    return sum(
+        math.comb(g - 1, j) * math.comb(k - j + g, g) for j in range(min(g - 1, k) + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -160,21 +208,29 @@ def borel_constant_mu(rs: RootSystem, mu: Sequence[int | Fraction], qmax: int) -
     """Largest q <= qmax such that every q' <= q passes the cone test for all
     eta summing q' distinct positive roots.
 
+    Degree q passes when every coordinate f_r of rho - mu reaches the sum of
+    the q largest values of f_r on the positive roots and rho - mu is none of
+    the sums eta; those are listed only when the height of rho - mu is the sum
+    of the q largest root heights, the one case where it can be one of them.
     The scan ascends and stops at the first failing q': above the positive
     root count the per-degree test is vacuously true, so a descending scan
     would skip over genuine failures.
     """
     if qmax < 0:
         raise ValueError("qmax must be nonnegative")
-    base = _sub(rs.rho, _vec(mu))
+    mu = _vec(mu)
+    # a weight of a tensor power has few nonzero entries, and _dot skips zeros
+    values = [r - _dot(row, mu) for r, row in zip(rs.rho_coordinates, rs.coordinate_rows)]
+    height = sum(values)
     best: int | None = None
-    for q in range(qmax + 1):
-        if not all(
-            is_positive_combination(_sub(base, eta), rs)
-            for eta in weights_of_exterior_power(rs, q)
-        ):
+    for q in range(min(qmax, len(rs.positive_roots)) + 1):
+        if any(v < top[q] for v, top in zip(values, rs.top_sums)):
+            break
+        if height == rs.top_heights[q] and _sub(rs.rho, mu) in weights_of_exterior_power(rs, q):
             break
         best = q
+    else:  # the degrees above the positive root count pass vacuously
+        best = qmax
     if best is None:
         return BorelConstant(None)
     return BorelConstant(best, capped=(best == qmax))

@@ -23,6 +23,7 @@ from .borel import (
     lform_inequality_check,
     representation_bound,
     root_system,
+    tensor_weight_count,
 )
 from .graded import format_polynomial, format_rational
 from .groups import GammaType, quadratic_modulus, quadratic_refinement, sample_group_element
@@ -36,6 +37,11 @@ from .lclasses import l_hat_polynomial, l_polynomial, p_in_terms_of_l
 from .mt import kappa_ll_series, mt_series, stable_range, torelli_invariant_series
 
 Envelope = dict[str, Any]
+
+# a-priori cost caps, checked before any work; a request above one exits 3
+UPTO_CAP = 12  # l-class and p-from-l: p_12 in L-classes takes about 0.4 s
+BOREL_RANK_CAP = 32  # the root system and its coordinate tables: ~g^4 work
+BOREL_SIZE_CAP = 500_000  # g * (qmax + 1) * the number of weights of V^{(x)k}
 
 # one invocation per subcommand; the determinism suite replays these
 SHIPPED_INVOCATIONS: tuple[tuple[str, ...], ...] = (
@@ -90,9 +96,15 @@ def _cmd_stable_range(args) -> Envelope:
     )
 
 
+def _check_upto(upto: int) -> None:
+    if upto > UPTO_CAP:
+        raise ValueError(f"--upto {upto} is above the cap {UPTO_CAP}")
+
+
 def _cmd_l_class(args) -> Envelope:
     if args.upto < 0:
         raise ValueError("--upto must be nonnegative")
+    _check_upto(args.upto)
     poly = l_hat_polynomial if args.hat else l_polynomial
     table = [
         {"i": i, "class": format_polynomial(poly(i))} for i in range(args.upto + 1)
@@ -106,6 +118,7 @@ def _cmd_l_class(args) -> Envelope:
 def _cmd_p_from_l(args) -> Envelope:
     if args.upto < 1:
         raise ValueError("--upto must be at least 1")
+    _check_upto(args.upto)
     table = [
         {"i": i, "polynomial": format_polynomial(p_in_terms_of_l(i))}
         for i in range(1, args.upto + 1)
@@ -146,6 +159,14 @@ def _cmd_theorem_b_series(args) -> Envelope:
 
 
 def _cmd_borel_constant(args) -> Envelope:
+    if args.g > BOREL_RANK_CAP:
+        raise ValueError(f"rank --g {args.g} is above the cap {BOREL_RANK_CAP}")
+    size = args.g * (args.qmax + 1) * tensor_weight_count(args.g, args.k)
+    if size > BOREL_SIZE_CAP:
+        raise ValueError(
+            f"g * (qmax + 1) * (weights of the tensor power) = {size} is above "
+            f"the cap {BOREL_SIZE_CAP}"
+        )
     rs = root_system(args.family, args.g)
     constant = borel_constant_rep(rs, args.k, args.qmax)
     bound = representation_bound(args.family, args.g, args.k)
@@ -291,14 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "l-class", parents=[common], help="Hirzebruch L-classes in Pontryagin classes"
     )
-    p.add_argument("--upto", type=int, required=True, help="largest index i")
+    p.add_argument(
+        "--upto", type=int, required=True, help=f"largest index i, at most {UPTO_CAP}"
+    )
     p.add_argument("--hat", action="store_true", help="half-weight normalized variant")
     p.set_defaults(handler=_cmd_l_class)
 
     p = sub.add_parser(
         "p-from-l", parents=[common], help="Pontryagin classes in terms of L-classes"
     )
-    p.add_argument("--upto", type=int, required=True, help="largest index i")
+    p.add_argument(
+        "--upto", type=int, required=True, help=f"largest index i, at most {UPTO_CAP}"
+    )
     p.set_defaults(handler=_cmd_p_from_l)
 
     p = sub.add_parser(
@@ -334,9 +359,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stability constant of a tensor power, with its proved bound",
     )
     p.add_argument("--family", choices=("C", "D"), required=True)
-    p.add_argument("--g", type=int, required=True, help="rank")
+    p.add_argument("--g", type=int, required=True, help=f"rank, at most {BOREL_RANK_CAP}")
     p.add_argument("--k", type=int, required=True, help="tensor power")
-    p.add_argument("--qmax", type=int, required=True, help="search cap")
+    p.add_argument(
+        "--qmax",
+        type=int,
+        required=True,
+        help=f"search cap; g * (qmax + 1) * (weights of V^(x)k) is at most {BOREL_SIZE_CAP}",
+    )
     p.set_defaults(handler=_cmd_borel_constant)
 
     p = sub.add_parser(

@@ -1,10 +1,13 @@
 """Hirzebruch multiplicative sequences and the L-class generator algebra.
 
-The multiplicative sequence attached to an even power series f(x) is computed
-by the Chern-root construction: expand prod_k f(x_k) over formal roots,
-rewrite the weight-4i symmetric part in the elementary symmetric functions of
-the x_k^2 by leading-monomial elimination, and identify those with the
-Pontryagin variables p_j (weight 4j).  Everything is exact.
+The multiplicative sequence attached to an even power series f(x) is the
+weight-4i part K_i of prod_k f(x_k) over formal roots, written in the
+elementary symmetric functions p_j of the u_k = x_k^2 (weight 4j).  It is
+computed without the roots: with log f = sum_m c_m u^m, the product is
+exp(sum_m c_m P_m), where the power sums P_m of the u_k come from Newton's
+identities in the p_j, and the exponential is taken one weight at a time.
+The work grows with the number of partitions of i, not with the monomials in
+i roots.  Everything is exact.
 
 Two independent routes to the coefficients of x/tanh(x) are kept: the
 Bernoulli-number recurrence (used by the construction) and direct power
@@ -13,13 +16,17 @@ series division (an oracle the test suite compares against).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import HilbertSeries, WeightedPolynomial
+from .graded import (
+    Generator,
+    HilbertSeries,
+    WeightedPolynomial,
+    free_graded_commutative_series,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,66 +84,12 @@ def x_over_tanh_by_division(order: int) -> tuple[Fraction, ...]:
 # multiplicative sequences
 
 
-def _conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
-    nonzero = [p for p in parts if p]
-    if not nonzero:
-        return ()
-    return tuple(
-        sum(1 for p in nonzero if p >= j) for j in range(1, nonzero[0] + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _elementary_expansion(nvars: int, level: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomial expansion of e_level in nvars variables (0/1 exponent vectors)."""
-    rows = []
-    for subset in itertools.combinations(range(nvars), level):
-        exps = [0] * nvars
-        for k in subset:
-            exps[k] = 1
-        rows.append((tuple(exps), 1))
-    return tuple(rows)
-
-
-def _expand_elementary_product(parts: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
-    prod: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
-    for level in parts:
-        nxt: dict[tuple[int, ...], int] = {}
-        for exps, c in prod.items():
-            for inc, _ in _elementary_expansion(nvars, level):
-                key = tuple(a + b for a, b in zip(exps, inc))
-                nxt[key] = nxt.get(key, 0) + c
-        prod = nxt
-    return prod
-
-
-def _to_elementary(part: dict[tuple[int, ...], Fraction], nvars: int) -> dict[tuple[int, ...], Fraction]:
-    """Rewrite a symmetric polynomial as a polynomial in e_1..e_nvars.
-
-    Keys of the result are exponent vectors over (e_1, ..., e_nvars).
-    Leading-monomial elimination: the lex-largest exponent vector of a
-    symmetric polynomial is a partition, and it is the leading term of the
-    elementary product indexed by its conjugate.
-    """
-    work = {k: v for k, v in part.items() if v}
-    out: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        lead = max(work)
-        coeff = work[lead]
-        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
-            raise AssertionError("leading monomial of a symmetric polynomial must be a partition")
-        conj = _conjugate_partition(lead)
-        key = [0] * nvars
-        for p in conj:
-            key[p - 1] += 1
-        out[tuple(key)] = out.get(tuple(key), Fraction(0)) + coeff
-        for exps, c in _expand_elementary_product(conj, nvars).items():
-            got = work.get(exps, Fraction(0)) - coeff * c
-            if got:
-                work[exps] = got
-            else:
-                work.pop(exps, None)
-    return {k: v for k, v in out.items() if v}
+def _series_log(a: list[Fraction]) -> list[Fraction]:
+    """c with log(sum_j a_j u^j) = sum_{m>=1} c_m u^m, truncated at len(a); a_0 = 1."""
+    c = [Fraction(0)] * len(a)
+    for m in range(1, len(a)):
+        c[m] = a[m] - sum((k * c[k] * a[m - k] for k in range(1, m)), Fraction(0)) / m
+    return c
 
 
 def multiplicative_sequence(
@@ -151,40 +104,28 @@ def multiplicative_sequence(
         raise ValueError("count must be nonnegative")
     if not coefficients or coefficients[0] != 1:
         raise ValueError("the series must have constant term 1")
-    n = count
-    if n == 0:
-        return [WeightedPolynomial.constant(1)]
-    # product over n formal roots, truncated to total degree n in the u_k
-    prod: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
-    for k in range(n):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in prod.items():
-            total = sum(exps)
-            for j, aj in enumerate(coefficients[: n + 1]):
-                if total + j > n:
-                    break
-                if aj == 0:
-                    continue
-                key = exps[:k] + (j,) + exps[k + 1 :]
-                got = nxt.get(key, Fraction(0)) + c * aj
-                if got:
-                    nxt[key] = got
-                else:
-                    nxt.pop(key, None)
-        prod = nxt
-    variables = tuple((f"p_{j}", 4 * j) for j in range(1, n + 1))
+    a = list(coefficients[: count + 1])
+    a += [Fraction(0)] * (count + 1 - len(a))
+    c = _series_log(a)
+    # power sums P_m of the formal roots u_k = x_k^2 in their elementary
+    # symmetric functions e_j = p_j, by Newton's identities:
+    # P_m = e_1 P_{m-1} - e_2 P_{m-2} + ... + (-1)^{m-1} m e_m
+    e = [None] + [WeightedPolynomial.variable(f"p_{j}", 4 * j) for j in range(1, count + 1)]
+    power_sums = [WeightedPolynomial.zero()]
+    for m in range(1, count + 1):
+        acc = e[m] * ((-1) ** (m - 1) * m)
+        for j in range(1, m):
+            acc = acc + e[j] * power_sums[m - j] * (-1) ** (j - 1)
+        power_sums.append(acc)
+    # prod_k f(u_k) = exp(S) with S = sum_m c_m P_m; its weight-4i part K_i
+    # satisfies i K_i = sum_{m <= i} m c_m P_m K_{i-m}
     sequence = [WeightedPolynomial.constant(1)]
-    for i in range(1, n + 1):
-        layer = {
-            exps: c for exps, c in prod.items() if sum(exps) == i
-        }
-        in_e = _to_elementary(layer, n)
-        terms = {}
-        for key, c in in_e.items():
-            if any(key[j] for j in range(i, n)):
-                raise AssertionError("weight-i part uses only e_1..e_i")
-            terms[key] = c
-        sequence.append(WeightedPolynomial(variables, terms))
+    for i in range(1, count + 1):
+        acc = WeightedPolynomial.zero()
+        for m in range(1, i + 1):
+            if c[m]:
+                acc = acc + power_sums[m] * sequence[i - m] * (m * c[m] / i)
+        sequence.append(acc)
     return sequence
 
 
@@ -235,19 +176,13 @@ def cover_generator_index_set(n: int) -> range:
 def bso_cover_series(n: int, max_degree: int) -> HilbertSeries:
     """Series of the free module on L_i (i in the cover index set) and one
     Euler-type generator of degree 2n whose square is decomposable."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    c = [0] * (max_degree + 1)
-    c[0] = 1
-    for j in cover_generator_index_set(n):
-        d = 4 * j
-        for t in range(d, max_degree + 1):
-            c[t] += c[t - d]
+    polynomial = free_graded_commutative_series(
+        (Generator.of(f"L_{j}", 4 * j) for j in cover_generator_index_set(n)),
+        max_degree,
+    )
     # rank-two module over the polynomial part: 1 and the Euler-type class
-    d = 2 * n
-    for t in range(max_degree, d - 1, -1):
-        c[t] += c[t - d]
-    return HilbertSeries(tuple(c))
+    euler = [int(t == 0 or t == 2 * n) for t in range(max_degree + 1)]
+    return polynomial * HilbertSeries(tuple(euler))
 
 
 def ko_target_series(n: int, max_degree: int) -> HilbertSeries:
@@ -258,16 +193,11 @@ def ko_target_series(n: int, max_degree: int) -> HilbertSeries:
     """
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
-    c = [0] * (max_degree + 1)
-    c[0] = 1
-    degree = 4 if n % 2 == 0 else 2
-    step = 4
-    d = degree
-    while d <= max_degree:
-        for t in range(d, max_degree + 1):
-            c[t] += c[t - d]
-        d += step
-    return HilbertSeries(tuple(c))
+    first = 4 if n % 2 == 0 else 2
+    return free_graded_commutative_series(
+        (Generator.of(f"g_{d}", d) for d in range(first, max_degree + 1, 4)),
+        max_degree,
+    )
 
 
 @dataclass(frozen=True)

@@ -101,28 +101,37 @@ def _clear_denominators(m: Sequence[Sequence[int | Fraction]]) -> list[list[int]
 
 
 def kernel_basis(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q, one vector per free column."""
+    """Basis of the right kernel over Q, one vector per free column.
+
+    The vector of free column f has a 1 at f and 0 at the other free columns.
+    By Cramer's rule it is integral once scaled by the last Bareiss pivot D,
+    the determinant of the pivot minor, so the back-substitution runs on the
+    integers D*x, every division exact, and divides by D only at the end.
+    """
     rows = _clear_denominators(m)
     if not rows:
         raise ValueError("kernel of an empty matrix is undefined")
     a, pivots = _bareiss_echelon(rows)
     ncols = len(a[0])
     pivot_cols = {c for _, c in pivots}
+    d = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
     basis: list[list[Fraction]] = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for i, pc in reversed(pivots):
-            s = Fraction(0)
-            for j, c2 in pivots:
-                if c2 > pc and a[i][c2] and x[c2]:
-                    s += a[i][c2] * x[c2]
-            if f > pc and a[i][f]:
-                s += a[i][f]
-            x[pc] = -s / a[i][pc]
-        basis.append(x)
+        y = [0] * ncols
+        y[f] = d
+        for k in range(len(pivots) - 1, -1, -1):
+            i, pc = pivots[k]
+            row = a[i]
+            s = row[f] * d
+            for _, c2 in pivots[k + 1 :]:
+                if row[c2] and y[c2]:
+                    s += row[c2] * y[c2]
+            y[pc], rem = divmod(-s, row[pc])
+            if rem:
+                raise AssertionError("Cramer's rule makes the scaled kernel vector integral")
+        basis.append([Fraction(v, d) for v in y])
     return basis
 
 

@@ -1,9 +1,17 @@
-"""Root systems, cone membership, stability constants."""
+"""Root systems, cone membership, stability constants.
+
+The library decides each degree q by the q largest values of every
+simple-root coordinate on the positive roots.  The oracle here is the
+exhaustive route: test the cone membership of rho - mu - eta for every sum
+eta of q distinct positive roots.
+"""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import torelli.borel
 from torelli.borel import (
     BorelConstant,
     borel_constant_mu,
@@ -12,6 +20,7 @@ from torelli.borel import (
     lform_inequality_check,
     representation_bound,
     root_system,
+    tensor_weight_count,
     weights_of_exterior_power,
     weights_of_tensor_power,
 )
@@ -172,3 +181,94 @@ def test_rep_constant_non_increasing_in_k():
         values = [borel_constant_rep(rs, k, 4).value for k in (0, 2)]
         assert values[1] is not None
         assert values[1] <= values[0]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the exhaustive scan over sums of q distinct positive roots
+
+
+@lru_cache(maxsize=None)
+def _root_sums(rs, q):
+    # the distinct values; many q-subsets share a sum
+    return frozenset(weights_of_exterior_power(rs, q))
+
+
+@lru_cache(maxsize=None)
+def _degree_passes(rs, base, q):
+    return all(
+        is_positive_combination(tuple(b - e for b, e in zip(base, eta)), rs)
+        for eta in _root_sums(rs, q)
+    )
+
+
+def constant_by_scan(rs, mu, qmax):
+    """borel_constant_mu by testing every eta of every degree q <= qmax."""
+    base = tuple(r - Fraction(m) for r, m in zip(rs.rho, mu))
+    best = None
+    for q in range(qmax + 1):
+        if not _degree_passes(rs, base, q):
+            break
+        best = q
+    if best is None:
+        return BorelConstant(None)
+    return BorelConstant(best, capped=(best == qmax))
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_top_q_test_matches_the_scan(family, g):
+    # 2 families x 3 ranks x k <= 2 x qmax <= 4: 90 cases, each compared at
+    # every weight of the tensor power and for the minimum over them
+    rs = root_system(family, g)
+    for k in range(3):
+        for qmax in range(5):
+            scanned = [constant_by_scan(rs, mu, qmax) for mu in weights_of_tensor_power(rs, k)]
+            for mu, expected in zip(weights_of_tensor_power(rs, k), scanned):
+                assert borel_constant_mu(rs, mu, qmax) == expected, (k, qmax, mu)
+            got = borel_constant_rep(rs, k, qmax)
+            if any(c.value is None for c in scanned):
+                assert got == BorelConstant(None)
+            else:
+                low = min(c.value for c in scanned)
+                assert got == BorelConstant(low, capped=all(c.capped for c in scanned) and low == qmax)
+
+
+@pytest.mark.parametrize("family, g", [("C", 2), ("C", 4), ("D", 3), ("D", 4)])
+def test_boundary_case_lists_the_root_sums(family, g, monkeypatch):
+    # mu = rho - theta, theta the highest root: theta maximises every
+    # simple-root coordinate, so at q = 1 every row is tight and eta = theta
+    # leaves rho - mu - eta = 0; only the listed sums can show it
+    rs = root_system(family, g)
+    theta = [Fraction(0)] * g
+    if family == "C":
+        theta[0] = Fraction(2)
+    else:
+        theta[0] = theta[1] = Fraction(1)
+    assert tuple(theta) in rs.positive_roots
+    mu = tuple(r - t for r, t in zip(rs.rho, theta))
+    listed = []
+
+    def recording(rs_, q):
+        listed.append(q)
+        return weights_of_exterior_power(rs_, q)
+
+    monkeypatch.setattr(torelli.borel, "weights_of_exterior_power", recording)
+    assert borel_constant_mu(rs, mu, 3) == BorelConstant(0)
+    assert listed == [1]
+    monkeypatch.undo()
+    assert constant_by_scan(rs, mu, 3) == BorelConstant(0)
+
+
+def test_degrees_past_the_root_count_pass_vacuously():
+    # D_2 has the 2 positive roots a_1 +- a_2; rho - mu = 4 a_1 stays in the
+    # cone after subtracting both, and every degree above 2 has no eta
+    rs = root_system("D", 2)
+    mu = (Fraction(-3), Fraction(0))
+    assert borel_constant_mu(rs, mu, 7) == BorelConstant(7, capped=True)
+    assert constant_by_scan(rs, mu, 7) == BorelConstant(7, capped=True)
+
+
+@pytest.mark.parametrize("g", range(2, 6))
+def test_tensor_weight_count_matches_the_list(g):
+    for k in range(5):
+        assert tensor_weight_count(g, k) == len(weights_of_tensor_power(root_system("C", g), k))

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,34 @@ def test_range_errors_exit_3():
     )
     assert code == 3
     assert "cap" in err
+
+
+def test_cost_caps_exit_3_before_any_work():
+    for argv in (["l-class", "--upto", "1000000"], ["p-from-l", "--upto", "1000000"]):
+        started = time.perf_counter()
+        code, out, err = _capture(argv)
+        assert time.perf_counter() - started < 0.5
+        assert code == 3 and out == ""
+        assert "1000000" in err and "cap 12" in err
+    # the largest indices below the cap still run
+    code, _, _ = _capture(["p-from-l", "--upto", "12"])
+    assert code == 0
+    code, out, err = _capture(
+        ["borel-constant", "--family", "C", "--g", "1000000", "--k", "0", "--qmax", "1"]
+    )
+    assert code == 3 and out == ""
+    assert "1000000" in err and "cap 32" in err
+    # g * (qmax + 1) * weights = 20 * 18 * 10720, refused before the weights
+    # are listed; at k = 2 the same rank and degree run
+    code, out, err = _capture(
+        ["borel-constant", "--family", "C", "--g", "20", "--k", "3", "--qmax", "17"]
+    )
+    assert code == 3 and out == ""
+    assert str(20 * 18 * 10720) in err and "cap 500000" in err
+    code, _, err = _capture(
+        ["borel-constant", "--family", "C", "--g", "4", "--k", "1000000", "--qmax", "1"]
+    )
+    assert code == 3 and "cap 500000" in err
 
 
 def test_vector_parse_error_exits_3():

@@ -1,13 +1,15 @@
 """L-class engine tests.
 
-The library builds multiplicative sequences by expanding a product over
-formal even roots and eliminating through elementary symmetric functions.
-The oracle here takes a different route entirely: formal log of the
-coefficient series, Newton's identities for power sums, then exp.  Agreement
-of the two routes is the main correctness check; frozen values pin the
-classical low-degree classes.
+The library builds multiplicative sequences from power sums: the log of the
+coefficient series, Newton's identities, then exp.  The oracle here takes the
+classical route instead: expand the product over formal even roots and
+eliminate through elementary symmetric functions.  Its cost grows about
+sevenfold per index, so it stops at index 7; beyond it the classes are
+checked by evaluation at the elementary symmetric functions of rational
+roots.  Frozen values pin the classical low-degree classes.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,55 +32,84 @@ from torelli.lclasses import (
 
 
 # ---------------------------------------------------------------------------
-# oracle: log/exp through Newton power sums
+# oracle: expansion over formal roots
+
+CHERN_ROOT_LIMIT = 7
 
 
-def _series_log(a):
-    # c with log(sum a_j u^j) = sum_{m>=1} c_m u^m; needs a_0 = 1
-    assert a[0] == 1
-    n = len(a) - 1
-    c = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        s = Fraction(m) * a[m]
-        for k in range(1, m):
-            s -= k * c[k] * a[m - k]
-        c[m] = s / m
-    return c
+def _conjugate_partition(parts):
+    nonzero = [p for p in parts if p]
+    if not nonzero:
+        return ()
+    return tuple(
+        sum(1 for p in nonzero if p >= j) for j in range(1, nonzero[0] + 1)
+    )
 
 
-def _power_sums(count):
-    # Newton: P_m = e_1 P_{m-1} - e_2 P_{m-2} + ... + (-1)^{m-1} m e_m,
-    # with e_j read as the variable p_j of weight 4j
-    e = [None] + [
-        WeightedPolynomial.variable(f"p_{j}", 4 * j) for j in range(1, count + 1)
-    ]
-    ps = [WeightedPolynomial.constant(count)]
-    for m in range(1, count + 1):
-        acc = WeightedPolynomial.zero()
-        for j in range(1, m):
-            term = e[j] * ps[m - j]
-            acc = acc + (term if j % 2 == 1 else -term)
-        term = e[m] * m
-        acc = acc + (term if m % 2 == 1 else -term)
-        ps.append(acc)
-    return ps
+def _expand_elementary_product(parts, nvars):
+    # monomials of e_{parts[0]} e_{parts[1]} ... in nvars variables
+    prod = {(0,) * nvars: 1}
+    for level in parts:
+        nxt = {}
+        for exps, c in prod.items():
+            for subset in itertools.combinations(range(nvars), level):
+                key = list(exps)
+                for k in subset:
+                    key[k] += 1
+                key = tuple(key)
+                nxt[key] = nxt.get(key, 0) + c
+        prod = nxt
+    return prod
 
 
-def sequence_by_newton(coefficients, count):
-    """K_0..K_count of the even series, via exp(sum c_m P_m)."""
-    a = list(coefficients[: count + 1])
-    a += [Fraction(0)] * (count + 1 - len(a))
-    c = _series_log(a)
-    ps = _power_sums(count)
-    s = WeightedPolynomial.zero()
-    for m in range(1, count + 1):
-        s = s + ps[m] * c[m]
-    total = WeightedPolynomial.constant(1)
-    term = WeightedPolynomial.constant(1)
-    for r in range(1, count + 1):
-        term = term.mul(s, max_weight=4 * count) * Fraction(1, r)
-        total = total + term
-    return [total.homogeneous_part(4 * i) for i in range(count + 1)]
+def _to_elementary(part, nvars):
+    """A symmetric polynomial as a polynomial in e_1..e_nvars, by
+    leading-monomial elimination: the lex-largest exponent vector of a
+    symmetric polynomial is a partition, and it is the leading term of the
+    elementary product indexed by its conjugate."""
+    work = {k: v for k, v in part.items() if v}
+    out = {}
+    while work:
+        lead = max(work)
+        coeff = work[lead]
+        assert all(lead[i] >= lead[i + 1] for i in range(len(lead) - 1))
+        conj = _conjugate_partition(lead)
+        key = [0] * nvars
+        for p in conj:
+            key[p - 1] += 1
+        out[tuple(key)] = out.get(tuple(key), Fraction(0)) + coeff
+        for exps, c in _expand_elementary_product(conj, nvars).items():
+            got = work.get(exps, Fraction(0)) - coeff * c
+            if got:
+                work[exps] = got
+            else:
+                work.pop(exps, None)
+    return {k: v for k, v in out.items() if v}
+
+
+def sequence_by_chern_roots(coefficients, count):
+    """K_0..K_count of the even series, by expanding prod_k f(x_k) over count
+    formal roots; the weight-i part in the u_k = x_k^2 is rewritten in the
+    elementary symmetric functions p_j."""
+    assert count <= CHERN_ROOT_LIMIT, "the root expansion grows about 7x per index"
+    n = count
+    prod = {(0,) * n: Fraction(1)}
+    for k in range(n):
+        nxt = {}
+        for exps, c in prod.items():
+            total = sum(exps)
+            for j, aj in enumerate(coefficients[: n + 1]):
+                if total + j > n:
+                    break
+                key = exps[:k] + (j,) + exps[k + 1 :]
+                nxt[key] = nxt.get(key, Fraction(0)) + c * aj
+        prod = {e: c for e, c in nxt.items() if c}
+    variables = tuple((f"p_{j}", 4 * j) for j in range(1, n + 1))
+    sequence = [WeightedPolynomial.constant(1)]
+    for i in range(1, n + 1):
+        layer = {exps: c for exps, c in prod.items() if sum(exps) == i}
+        sequence.append(WeightedPolynomial(variables, _to_elementary(layer, n)))
+    return sequence
 
 
 def _p(i):
@@ -87,7 +118,7 @@ def _p(i):
 
 def test_two_routes_agree_up_to_six():
     coeffs = x_over_tanh_coefficients(6)
-    oracle = sequence_by_newton(coeffs, 6)
+    oracle = sequence_by_chern_roots(coeffs, 6)
     for i in range(7):
         assert l_polynomial(i) == oracle[i]
 
@@ -95,11 +126,56 @@ def test_two_routes_agree_up_to_six():
 def test_routes_agree_on_a_second_series():
     # a(u) = 1 + u has K_i = p_i on the nose, for both constructions
     coeffs = (Fraction(1), Fraction(1))
-    newton = sequence_by_newton(coeffs, 4)
-    product = multiplicative_sequence(coeffs, 4)
+    roots = sequence_by_chern_roots(coeffs, 4)
+    newton = multiplicative_sequence(coeffs, 4)
     for i in range(1, 5):
+        assert roots[i] == _p(i)
         assert newton[i] == _p(i)
-        assert product[i] == _p(i)
+
+
+def test_routes_agree_on_a_dense_series():
+    # every coefficient nonzero, so no term of either expansion drops out
+    coeffs = (Fraction(1),) + tuple(Fraction((-1) ** j * (j + 2), j + 1) for j in range(1, 6))
+    assert multiplicative_sequence(coeffs, 5) == sequence_by_chern_roots(coeffs, 5)
+
+
+def _evaluate(poly, values):
+    """poly at p_j = values[j]."""
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        term = c
+        for (name, _), e in zip(poly.variables, exps):
+            term *= values[int(name.split("_")[1])] ** e
+        total += term
+    return total
+
+
+def _product_coefficient(a, roots, i):
+    """The t^i coefficient of prod_k f(t u_k), f(u) = sum_j a_j u^j, as a
+    univariate series in t."""
+    prod = [Fraction(1)] + [Fraction(0)] * i
+    for u in roots:
+        factor = [a[j] * u ** j for j in range(i + 1)]
+        prod = [sum(prod[m] * factor[n - m] for m in range(n + 1)) for n in range(i + 1)]
+    return prod[i]
+
+
+@pytest.mark.parametrize("i", [10, 12])
+def test_classes_beyond_the_oracle_by_evaluation(i):
+    # p_j = e_j(u) at i rational roots u_k; K_i(e(u)) is then the weight-i
+    # part of prod_k f(u_k), the t^i coefficient of prod_k f(t u_k)
+    roots = [Fraction((-1) ** k * (k + 2), 2 * k + 3) for k in range(i)]
+    elementary = [Fraction(1)] + [Fraction(0)] * i
+    for u in roots:
+        elementary = [elementary[0]] + [
+            elementary[j] + u * elementary[j - 1] for j in range(1, i + 1)
+        ]
+    a = x_over_tanh_by_division(i)
+    a_hat = tuple(x / Fraction(4) ** j for j, x in enumerate(a))
+    assert _evaluate(l_polynomial(i), elementary) == _product_coefficient(a, roots, i)
+    assert _evaluate(l_hat_polynomial(i), elementary) == _product_coefficient(
+        a_hat, roots, i
+    )
 
 
 # ---------------------------------------------------------------------------
