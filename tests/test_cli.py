@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -40,6 +41,41 @@ def test_shipped_invocations_deterministic(argv):
     assert (
         json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n" == out1
     )
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv", SHIPPED_INVOCATIONS, ids=lambda a: a[0])
+def test_shipped_invocations_match_golden(argv):
+    code, out, _ = _capture(argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{argv[0]}.json").read_bytes()
+
+
+# sha256 of the stdout of the series benchmark argvs, pinned while every
+# series was still built by one convolution pass per generator
+SERIES_DIGESTS = {
+    ("theoremB-series", "--n", "340", "--maxdeg", "1000"):
+        "221e2c35c79318ef6ff142c4497b9ec78450afb4e90086503e6a08bd8c064636",
+    ("crosscheck-sec6", "--n", "340", "--g", "2", "--maxdeg", "900"):
+        "2cb59a1b4088fdb8b131f772be4bf2288c9ce94ee22ce66f6af45c2ed4fc6aed",
+    ("torelli-series", "--n", "24", "--maxdeg", "220"):
+        "4c4a204b3f6fe900ce9d01976f351266c553f77ad7dc0623b687fdc5a7ef02ed",
+    ("torelli-series", "--n", "20", "--maxdeg", "180"):
+        "0aeb6e766df4a1f0fbbe1e069161910d3001c09757100335cfa95d640e309502",
+    ("mt-series", "--n", "24", "--maxdeg", "220"):
+        "1105cd9cfd52395b93c82e704c55020ed6818067e5e62936619b83e31551dd68",
+    ("mt-series", "--n", "40", "--maxdeg", "400"):
+        "70cad2f082850dc642f6704086e54d72c4cc9eb7d35c065c1065db48cc5e3eea",
+}
+
+
+@pytest.mark.parametrize("argv", SERIES_DIGESTS, ids=" ".join)
+def test_series_outputs_match_digests(argv):
+    code, out, _ = _capture(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[argv]
 
 
 def test_stable_range_golden():
