@@ -42,6 +42,9 @@ Envelope = dict[str, Any]
 UPTO_CAP = 12  # l-class and p-from-l: p_12 in L-classes takes about 0.4 s
 BOREL_RANK_CAP = 32  # the root system and its coordinate tables: ~g^4 work
 BOREL_SIZE_CAP = 500_000  # g * (qmax + 1) * the number of weights of V^{(x)k}
+# the series commands: maxdeg + 2n, the top L-weight they expand to; the
+# slowest requests at the cap take about 2 s
+SERIES_CAP = 6000
 
 # one invocation per subcommand; the determinism suite replays these
 SHIPPED_INVOCATIONS: tuple[tuple[str, ...], ...] = (
@@ -128,34 +131,30 @@ def _cmd_p_from_l(args) -> Envelope:
     )
 
 
+def _check_series_size(args) -> None:
+    size = args.maxdeg + 2 * args.n
+    if size > SERIES_CAP:
+        raise ValueError(
+            f"--maxdeg {args.maxdeg} + 2 * --n {args.n} = {size} is above the cap {SERIES_CAP}"
+        )
+
+
+def _series_envelope(args, command: str, series: Callable, provenance: str) -> Envelope:
+    _check_series_size(args)
+    table = _series_table(series(args.n, args.maxdeg))
+    return _envelope(command, {"maxdeg": args.maxdeg, "n": args.n}, table, [provenance])
+
+
 def _cmd_mt_series(args) -> Envelope:
-    series = mt_series(args.n, args.maxdeg)
-    return _envelope(
-        "mt-series",
-        {"maxdeg": args.maxdeg, "n": args.n},
-        _series_table(series),
-        ["block-diffeomorphism-stable-ring"],
-    )
+    return _series_envelope(args, "mt-series", mt_series, "block-diffeomorphism-stable-ring")
 
 
 def _cmd_torelli_series(args) -> Envelope:
-    series = torelli_invariant_series(args.n, args.maxdeg)
-    return _envelope(
-        "torelli-series",
-        {"maxdeg": args.maxdeg, "n": args.n},
-        _series_table(series),
-        ["torelli-invariant-ring"],
-    )
+    return _series_envelope(args, "torelli-series", torelli_invariant_series, "torelli-invariant-ring")
 
 
 def _cmd_theorem_b_series(args) -> Envelope:
-    series = kappa_ll_series(args.n, args.maxdeg)
-    return _envelope(
-        "theoremB-series",
-        {"maxdeg": args.maxdeg, "n": args.n},
-        _series_table(series),
-        ["kappa-ll-ring"],
-    )
+    return _series_envelope(args, "theoremB-series", kappa_ll_series, "kappa-ll-ring")
 
 
 def _cmd_borel_constant(args) -> Envelope:
@@ -250,6 +249,7 @@ def _cmd_invariant_oracle(args) -> Envelope:
 
 
 def _cmd_crosscheck_sec6(args) -> Envelope:
+    _check_series_size(args)
     report = invariant_crosscheck(args.n, args.g, args.maxdeg, with_oracle=args.oracle)
     table = [
         {
@@ -282,6 +282,7 @@ def _cmd_crosscheck_sec6(args) -> Envelope:
 # -- plumbing ----------------------------------------------------------------
 
 
+_MAXDEG_HELP = f"truncation degree; maxdeg + 2n is at most {SERIES_CAP}"
 _SEED_HELP = (
     "echoed in the parameters only; the oracle is exact and draws no samples, "
     "so the count does not depend on it"
@@ -326,32 +327,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_p_from_l)
 
-    p = sub.add_parser(
-        "mt-series",
-        parents=[common],
-        help="Hilbert series of the stable block-diffeomorphism ring",
-    )
-    p.add_argument("--n", type=int, required=True, help="half-dimension n")
-    p.add_argument("--maxdeg", type=int, required=True, help="truncation degree")
-    p.set_defaults(handler=_cmd_mt_series)
-
-    p = sub.add_parser(
-        "torelli-series",
-        parents=[common],
-        help="Hilbert series of the Torelli-invariant quotient ring",
-    )
-    p.add_argument("--n", type=int, required=True, help="half-dimension n")
-    p.add_argument("--maxdeg", type=int, required=True, help="truncation degree")
-    p.set_defaults(handler=_cmd_torelli_series)
-
-    p = sub.add_parser(
-        "theoremB-series",
-        parents=[common],
-        help="Hilbert series of the ring on kappa classes of L_a L_b",
-    )
-    p.add_argument("--n", type=int, required=True, help="half-dimension n")
-    p.add_argument("--maxdeg", type=int, required=True, help="truncation degree")
-    p.set_defaults(handler=_cmd_theorem_b_series)
+    for name, handler, ring in (
+        ("mt-series", _cmd_mt_series, "the stable block-diffeomorphism ring"),
+        ("torelli-series", _cmd_torelli_series, "the Torelli-invariant quotient ring"),
+        ("theoremB-series", _cmd_theorem_b_series, "the ring on kappa classes of L_a L_b"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=f"Hilbert series of {ring}")
+        p.add_argument("--n", type=int, required=True, help="half-dimension n")
+        p.add_argument("--maxdeg", type=int, required=True, help=_MAXDEG_HELP)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "borel-constant",
@@ -413,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degrees", required=True, help="comma-separated copy degrees, e.g. 2,4"
     )
     p.add_argument("--deg", type=int, required=True, help="target degree")
-    p.add_argument("--seed", type=int, required=True, help=_SEED_HELP)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(handler=_cmd_invariant_oracle)
 
     p = sub.add_parser(
@@ -423,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, help="half-dimension n, >= 8")
     p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--maxdeg", type=int, required=True, help="truncation degree")
+    p.add_argument("--maxdeg", type=int, required=True, help=_MAXDEG_HELP)
     p.add_argument("--oracle", action="store_true", help="also run the group oracle")
     p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(handler=_cmd_crosscheck_sec6)

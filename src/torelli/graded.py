@@ -2,9 +2,11 @@
 
 Everything here is exact: series coefficients are Python integers and
 polynomial coefficients are ``fractions.Fraction``.  A free graded-commutative
-algebra on a generator set contributes a factor 1/(1 - q^d) per even
-generator of degree d and (1 + q^d) per odd generator; series are always
-truncated at an explicit maximal degree.
+algebra contributes a factor 1/(1 - q^d) per even generator of degree d and
+(1 + q^d) per odd generator, so its series depends only on how many
+generators sit in each degree: callers pass those counts as (degree, count)
+pairs, never the generators themselves.  Series are always truncated at an
+explicit maximal degree.
 """
 
 from __future__ import annotations
@@ -14,28 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A graded generator.  Parity must match the degree (even iff degree even)."""
-
-    label: str
-    degree: int
-    parity: str  # "even" | "odd"
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"generator {self.label!r} must have degree >= 1")
-        expected = "even" if self.degree % 2 == 0 else "odd"
-        if self.parity != expected:
-            raise ValueError(
-                f"generator {self.label!r}: parity {self.parity!r} does not match degree {self.degree}"
-            )
-
-    @classmethod
-    def of(cls, label: str, degree: int) -> "Generator":
-        return cls(label, degree, "even" if degree % 2 == 0 else "odd")
 
 
 @dataclass(frozen=True)
@@ -80,26 +60,43 @@ class HilbertSeries:
 
 
 def free_graded_commutative_series(
-    generators: Iterable[Generator], max_degree: int
+    multiplicities: Iterable[tuple[int, int]], max_degree: int
 ) -> HilbertSeries:
-    """Hilbert series of the free graded-commutative algebra on ``generators``."""
+    """Hilbert series of the free graded-commutative algebra with ``count``
+    generators of degree ``degree`` for each ``(degree, count)`` pair.
+
+    The series is prod_d (1 - q^d)^(-m_d), expanded by the Euler transform
+    n s_n = sum_{k <= n} b_k s_{n-k} with b_k = sum_{d | k} d m_d.  An odd
+    degree d with count m adds m to m_d and -m to m_{2d}, because
+    1 + q^d = (1 - q^{2d}) / (1 - q^d).
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    c = [0] * (max_degree + 1)
-    c[0] = 1
-    for gen in generators:
-        d = gen.degree
-        if d < 1:
-            raise ValueError(f"generator {gen.label!r} has degree < 1")
-        if gen.parity == "even":
-            # geometric factor: in-place prefix convolution
-            for i in range(d, max_degree + 1):
-                c[i] += c[i - d]
-        else:
-            # square-zero factor: one-shot, descending to avoid reuse
-            for i in range(max_degree, d - 1, -1):
-                c[i] += c[i - d]
-    return HilbertSeries(tuple(c))
+    m = [0] * (max_degree + 1)
+    for degree, count in multiplicities:
+        if degree < 1 or count < 0:
+            raise ValueError(
+                f"need degree >= 1 and count >= 0, got degree {degree} and count {count}"
+            )
+        if degree <= max_degree:
+            m[degree] += count
+            if degree % 2 and 2 * degree <= max_degree:
+                m[2 * degree] -= count
+    b = [0] * (max_degree + 1)
+    for d in range(1, max_degree + 1):
+        if m[d]:
+            for k in range(d, max_degree + 1, d):
+                b[k] += d * m[d]
+    ks = [k for k in range(1, max_degree + 1) if b[k]]
+    s = [1] + [0] * max_degree
+    for n in range(1, max_degree + 1):
+        total = 0
+        for k in ks:
+            if k > n:
+                break
+            total += b[k] * s[n - k]
+        s[n] = total // n
+    return HilbertSeries(tuple(s))
 
 
 def series_pointwise_equal(a: HilbertSeries, b: HilbertSeries, up_to: int) -> bool:

@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graded import Generator, HilbertSeries, free_graded_commutative_series
+from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
 from .linalg import independent_rows
 
@@ -99,11 +100,9 @@ def torelli_model_series(n: int, g: int, max_degree: int) -> HilbertSeries:
     """Series of the free algebra on 2g copies of each shifted degree."""
     if g < 0:
         raise ValueError("g must be nonnegative")
-    gens = []
-    for d in go_shifted_degrees(n, max_degree):
-        for copy in range(2 * g):
-            gens.append(Generator.of(f"v{copy}_deg{d}", d))
-    return free_graded_commutative_series(gens, max_degree)
+    return free_graded_commutative_series(
+        ((d, 2 * g) for d in go_shifted_degrees(n, max_degree)), max_degree
+    )
 
 
 def stable_pair_degrees(n: int, max_degree: int) -> list[tuple[int, int]]:
@@ -123,11 +122,8 @@ def stable_invariant_series(n: int, max_degree: int) -> HilbertSeries:
     The diagonal generators omega_{x,x} are retained in the odd case: the
     symmetric square of an odd copy realizes the alternating pairing.
     """
-    gens = [
-        Generator.of(f"omega_{x}_{y}", x + y)
-        for x, y in stable_pair_degrees(n, max_degree)
-    ]
-    return free_graded_commutative_series(gens, max_degree)
+    counts = Counter(x + y for x, y in stable_pair_degrees(n, max_degree))
+    return free_graded_commutative_series(counts.items(), max_degree)
 
 
 def two_part_partitions(i: int) -> int:

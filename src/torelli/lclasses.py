@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import (
-    Generator,
-    HilbertSeries,
-    WeightedPolynomial,
-    free_graded_commutative_series,
-)
+from .graded import HilbertSeries, WeightedPolynomial, free_graded_commutative_series
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ def bso_cover_series(n: int, max_degree: int) -> HilbertSeries:
     """Series of the free module on L_i (i in the cover index set) and one
     Euler-type generator of degree 2n whose square is decomposable."""
     polynomial = free_graded_commutative_series(
-        (Generator.of(f"L_{j}", 4 * j) for j in cover_generator_index_set(n)),
+        ((4 * j, 1) for j in cover_generator_index_set(n)),
         max_degree,
     )
     # rank-two module over the polynomial part: 1 and the Euler-type class
@@ -195,7 +190,7 @@ def ko_target_series(n: int, max_degree: int) -> HilbertSeries:
         raise ValueError("need n >= 1 and max_degree >= 0")
     first = 4 if n % 2 == 0 else 2
     return free_graded_commutative_series(
-        (Generator.of(f"g_{d}", d) for d in range(first, max_degree + 1, 4)),
+        ((d, 1) for d in range(first, max_degree + 1, 4)),
         max_degree,
     )
 

@@ -188,6 +188,33 @@ def test_cost_caps_exit_3_before_any_work():
         ["borel-constant", "--family", "C", "--g", "4", "--k", "1000000", "--qmax", "1"]
     )
     assert code == 3 and "cap 500000" in err
+    # the series commands cap maxdeg + 2n, crosscheck-sec6 with or without
+    # the oracle
+    for argv, size in (
+        (["mt-series", "--n", "1000000", "--maxdeg", "4"], 2000004),
+        (["torelli-series", "--n", "4", "--maxdeg", "1000000"], 1000008),
+        (["theoremB-series", "--n", "2000", "--maxdeg", "2001"], 6001),
+        (["crosscheck-sec6", "--n", "1000000", "--g", "2", "--maxdeg", "4"], 2000004),
+        (["crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "6000", "--oracle"], 6016),
+    ):
+        started = time.perf_counter()
+        code, out, err = _capture(argv)
+        assert time.perf_counter() - started < 0.5
+        assert code == 3 and out == ""
+        assert f"= {size} is above the cap 6000" in err
+    for argv in (
+        ["mt-series", "--n", "2999", "--maxdeg", "2"],
+        ["theoremB-series", "--n", "2000", "--maxdeg", "2000"],
+    ):
+        code, _, _ = _capture(argv)
+        assert code == 0
+
+
+def test_oracle_seed_defaults_to_zero():
+    argv = ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "1,3", "--deg", "4"]
+    code, out, _ = _capture(argv)
+    assert code == 0
+    assert (code, out) == _capture(argv + ["--seed", "0"])[:2]
 
 
 def test_vector_parse_error_exits_3():

@@ -1,11 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torelli.graded import (
-    Generator,
     HilbertSeries,
     WeightedPolynomial,
     format_polynomial,
@@ -15,13 +14,16 @@ from torelli.graded import (
 )
 
 
-def test_generator_parity_checked():
-    Generator("a", 3, "odd")
+def test_free_series_rejects_bad_pairs():
     with pytest.raises(ValueError):
-        Generator("a", 3, "even")
+        free_graded_commutative_series([(0, 1)], 4)
     with pytest.raises(ValueError):
-        Generator("a", 0, "even")
-    assert Generator.of("b", 6).parity == "even"
+        free_graded_commutative_series([(3, -1)], 4)
+    # also past the truncation, where the pair adds nothing
+    with pytest.raises(ValueError):
+        free_graded_commutative_series([(9, -1)], 4)
+    with pytest.raises(ValueError):
+        free_graded_commutative_series([(2, 1)], -1)
 
 
 def test_series_validation():
@@ -41,29 +43,32 @@ def test_series_multiplication_truncates():
 
 def test_free_series_small_frozen():
     # one even generator of degree 2: 1/(1-q^2)
-    even = free_graded_commutative_series([Generator.of("x", 2)], 7)
+    even = free_graded_commutative_series([(2, 1)], 7)
     assert even.coefficients == (1, 0, 1, 0, 1, 0, 1, 0)
     # one odd generator of degree 3: 1 + q^3
-    odd = free_graded_commutative_series([Generator.of("y", 3)], 7)
+    odd = free_graded_commutative_series([(3, 1)], 7)
     assert odd.coefficients == (1, 0, 0, 1, 0, 0, 0, 0)
-    both = free_graded_commutative_series(
-        [Generator.of("x", 2), Generator.of("y", 3)], 7
-    )
+    both = free_graded_commutative_series([(2, 1), (3, 1)], 7)
     assert both.coefficients == (1, 0, 1, 1, 1, 1, 1, 1)
+    # two odd generators of degree 3: (1 + q^3)^2, and a count of 0
+    # adds nothing
+    twice = free_graded_commutative_series([(3, 2), (1, 0)], 7)
+    assert twice.coefficients == (1, 0, 0, 2, 0, 0, 1, 0)
 
 
-def _brute_force_series(degrees_parities, max_degree):
-    # direct monomial enumeration; odd generators are square-zero
+def _brute_force_series(degrees, max_degree):
+    # direct monomial enumeration, one generator per entry of degrees; odd
+    # generators are square-zero
     counts = [0] * (max_degree + 1)
 
     def rec(pos, total):
         if total > max_degree:
             return
-        if pos == len(degrees_parities):
+        if pos == len(degrees):
             counts[total] += 1
             return
-        d, parity = degrees_parities[pos]
-        top = 1 if parity == "odd" else max_degree
+        d = degrees[pos]
+        top = 1 if d % 2 else max_degree
         e = 0
         while total + e * d <= max_degree and e <= top:
             rec(pos + 1, total + e * d)
@@ -75,14 +80,20 @@ def _brute_force_series(degrees_parities, max_degree):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=5),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=3)),
+        min_size=0,
+        max_size=4,
+    ),
     st.integers(min_value=0, max_value=12),
 )
-def test_free_series_matches_enumeration(degrees, max_degree):
-    gens = [Generator.of(f"g{i}", d) for i, d in enumerate(degrees)]
-    series = free_graded_commutative_series(gens, max_degree)
-    spec = [(g.degree, g.parity) for g in gens]
-    assert series.coefficients == _brute_force_series(spec, max_degree)
+# odd degrees with 2d past the truncation, and a degree listed twice
+@example([(7, 2), (5, 3), (2, 2)], 12)
+@example([(3, 2), (3, 1), (4, 2)], 12)
+def test_free_series_matches_enumeration(pairs, max_degree):
+    series = free_graded_commutative_series(pairs, max_degree)
+    degrees = [d for d, count in pairs for _ in range(count)]
+    assert series.coefficients == _brute_force_series(degrees, max_degree)
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,16 +104,14 @@ def test_free_series_matches_enumeration(degrees, max_degree):
 def test_even_factor_cancels(degrees, extra):
     # adding an even generator of degree d then multiplying by (1 - q^d)
     # recovers the original series
-    gens = [Generator.of(f"g{i}", d) for i, d in enumerate(degrees)]
-    base = free_graded_commutative_series(gens, 12)
-    bigger = free_graded_commutative_series(
-        gens + [Generator.of("extra", 2 * extra)], 12
-    )
+    pairs = [(d, 1) for d in degrees]
+    base = free_graded_commutative_series(pairs, 12)
+    bigger = free_graded_commutative_series(pairs + [(2 * extra, 1)], 12)
     assert bigger.times_one_minus(2 * extra) == base
 
 
 def test_times_one_minus_rejects_non_divisible():
-    s = free_graded_commutative_series([Generator.of("y", 3)], 6)
+    s = free_graded_commutative_series([(3, 1)], 6)
     with pytest.raises(ValueError):
         s.times_one_minus(3)  # (1+q^3)(1-q^3) has a negative coefficient at 6
 

@@ -3,6 +3,7 @@
 import pytest
 
 from torelli.graded import series_pointwise_equal
+from torelli.invariants import stable_invariant_series, stable_pair_degrees
 from torelli.lclasses import cover_generator_index_set, index_generator_map
 from torelli.mt import (
     KappaGenerator,
@@ -65,6 +66,43 @@ def test_kappa_generator_validation():
         KappaGenerator(3, (1, 0), with_euler=True)  # wrong index set length
 
 
+def convolve_per_generator(degrees, max_degree):
+    """The free series one generator at a time: a geometric factor
+    1/(1 - q^d) for each even degree d, a factor 1 + q^d for each odd one."""
+    c = [1] + [0] * max_degree
+    for d in degrees:
+        if d % 2 == 0:
+            for i in range(d, max_degree + 1):
+                c[i] += c[i - d]
+        else:
+            for i in range(max_degree, d - 1, -1):
+                c[i] += c[i - d]
+    return tuple(c)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_series_match_the_per_generator_convolution(n):
+    # 10 and 16 are single-L degrees at n = 5 and n = 8
+    for max_degree in (0, 1, 7, 10, 16, 23, 40):
+        gens = mt_generators(n, max_degree)
+        assert mt_series(n, max_degree).coefficients == convolve_per_generator(
+            [g.degree for g in gens], max_degree
+        )
+        assert torelli_invariant_series(n, max_degree).coefficients == (
+            convolve_per_generator(
+                [g.degree for g in gens if g.with_euler or g.size >= 2], max_degree
+            )
+        )
+        pairs = kappa_ll_pairs(n, max_degree)
+        assert kappa_ll_series(n, max_degree).coefficients == convolve_per_generator(
+            [degree for _, _, degree in pairs], max_degree
+        )
+        omegas = stable_pair_degrees(n, max_degree)
+        assert stable_invariant_series(n, max_degree).coefficients == (
+            convolve_per_generator([x + y for x, y in omegas], max_degree)
+        )
+
+
 def test_mt_series_frozen():
     assert mt_series(3, 4).coefficients == (1, 0, 2, 0, 4)
     assert mt_series(2, 8).coefficients == (1, 0, 0, 0, 3, 0, 0, 0, 10)
@@ -105,6 +143,18 @@ def test_kappa_ll_pairs_stay_in_index_set():
         for a, b, degree in kappa_ll_pairs(n, 40):
             assert lo <= a <= b
             assert degree == 4 * (a + b) - 2 * n > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 13, 30])
+def test_kappa_ll_pairs_biject_onto_stable_pairs(n):
+    # past 4(ceil((n+1)/4) + n + 1) - 2n, the first degree with b > n
+    lo = cover_generator_index_set(n).start
+    max_degree = 4 * (lo + n + 1) - 2 * n + 12
+    pairs = kappa_ll_pairs(n, max_degree)
+    assert any(b > n for _, b, _ in pairs)
+    image = [(4 * a - n, 4 * b - n) for a, b, _ in pairs]
+    assert image == stable_pair_degrees(n, max_degree)
+    assert [degree for _, _, degree in pairs] == [x + y for x, y in image]
 
 
 def test_reconciliation_in_the_stable_window():
