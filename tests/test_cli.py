@@ -53,6 +53,28 @@ def test_shipped_invocations_match_golden(argv):
     assert out.encode() == (GOLDEN / f"{argv[0]}.json").read_bytes()
 
 
+# argparse output, pinned while every run built the parser for all the
+# subcommands: help on stdout, usage errors on stderr
+USAGE_GOLDEN = {
+    ("--help",): "torelli.txt",
+    **{(argv[0], "--help"): f"{argv[0]}.txt" for argv in SHIPPED_INVOCATIONS},
+    (): "error-empty.txt",
+    ("no-such-command",): "error-unknown.txt",
+    ("l-class",): "error-missing.txt",
+    ("l-class", "--upto", "3", "--bogus"): "error-unrecognized.txt",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_GOLDEN, ids=lambda a: " ".join(a) or "empty")
+def test_usage_output_matches_golden(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == (0 if "--help" in argv else 2)
+    shown = captured.out if code == 0 else captured.err
+    assert shown.encode() == (GOLDEN / "usage" / USAGE_GOLDEN[argv]).read_bytes()
+
+
 # sha256 of the stdout of the series benchmark argvs, pinned while every
 # series was still built by one convolution pass per generator
 SERIES_DIGESTS = {
