@@ -33,13 +33,17 @@ from .invariants import (
     invariant_crosscheck,
     piece_dimension,
 )
-from .lclasses import l_hat_polynomial, l_polynomial, p_in_terms_of_l
+from .lclasses import l_classes, p_classes_in_l
+
+# not called here, where each request takes its whole sequence at once; kept
+# importable because bench/layers.py traces calls at these names
+from .lclasses import l_hat_polynomial, l_polynomial, p_in_terms_of_l  # noqa: F401
 from .mt import kappa_ll_series, mt_series, stable_range, torelli_invariant_series
 
 Envelope = dict[str, Any]
 
 # a-priori cost caps, checked before any work; a request above one exits 3
-UPTO_CAP = 12  # l-class and p-from-l: p_12 in L-classes takes about 0.4 s
+UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take about 0.03 s
 BOREL_RANK_CAP = 32  # the root system and its coordinate tables: ~g^4 work
 BOREL_SIZE_CAP = 500_000  # g * (qmax + 1) * the number of weights of V^{(x)k}
 # the series commands: maxdeg + 2n, the top L-weight they expand to; the
@@ -108,10 +112,8 @@ def _cmd_l_class(args) -> Envelope:
     if args.upto < 0:
         raise ValueError("--upto must be nonnegative")
     _check_upto(args.upto)
-    poly = l_hat_polynomial if args.hat else l_polynomial
-    table = [
-        {"i": i, "class": format_polynomial(poly(i))} for i in range(args.upto + 1)
-    ]
+    classes = l_classes(args.upto, args.hat)
+    table = [{"i": i, "class": format_polynomial(k)} for i, k in enumerate(classes)]
     tag = "normalized-hirzebruch-l-class" if args.hat else "hirzebruch-l-class"
     return _envelope(
         "l-class", {"hat": args.hat, "upto": args.upto}, table, [tag]
@@ -122,8 +124,9 @@ def _cmd_p_from_l(args) -> Envelope:
     if args.upto < 1:
         raise ValueError("--upto must be at least 1")
     _check_upto(args.upto)
+    classes = p_classes_in_l(args.upto)
     table = [
-        {"i": i, "polynomial": format_polynomial(p_in_terms_of_l(i))}
+        {"i": i, "polynomial": format_polynomial(classes[i])}
         for i in range(1, args.upto + 1)
     ]
     return _envelope(
@@ -289,7 +292,124 @@ _SEED_HELP = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _required_int(help_text: str | None = None) -> dict:
+    return {"type": int, "required": True, "help": help_text}
+
+
+_SERIES_ARGUMENTS = (
+    ("--n", _required_int("half-dimension n")),
+    ("--maxdeg", _required_int(_MAXDEG_HELP)),
+)
+
+# name -> (handler, help, arguments), in the order the full help lists them
+_SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
+    "stable-range": (
+        _cmd_stable_range,
+        "stability range C for (g, n)",
+        (("--g", _required_int("genus")), ("--n", _required_int("half-dimension n"))),
+    ),
+    "l-class": (
+        _cmd_l_class,
+        "Hirzebruch L-classes in Pontryagin classes",
+        (
+            ("--upto", _required_int(f"largest index i, at most {UPTO_CAP}")),
+            ("--hat", {"action": "store_true", "help": "half-weight normalized variant"}),
+        ),
+    ),
+    "p-from-l": (
+        _cmd_p_from_l,
+        "Pontryagin classes in terms of L-classes",
+        (("--upto", _required_int(f"largest index i, at most {UPTO_CAP}")),),
+    ),
+    "mt-series": (
+        _cmd_mt_series,
+        "Hilbert series of the stable block-diffeomorphism ring",
+        _SERIES_ARGUMENTS,
+    ),
+    "torelli-series": (
+        _cmd_torelli_series,
+        "Hilbert series of the Torelli-invariant quotient ring",
+        _SERIES_ARGUMENTS,
+    ),
+    "theoremB-series": (
+        _cmd_theorem_b_series,
+        "Hilbert series of the ring on kappa classes of L_a L_b",
+        _SERIES_ARGUMENTS,
+    ),
+    "borel-constant": (
+        _cmd_borel_constant,
+        "stability constant of a tensor power, with its proved bound",
+        (
+            ("--family", {"choices": ("C", "D"), "required": True}),
+            ("--g", _required_int(f"rank, at most {BOREL_RANK_CAP}")),
+            ("--k", _required_int("tensor power")),
+            (
+                "--qmax",
+                _required_int(
+                    "search cap; g * (qmax + 1) * (weights of V^(x)k) is at most "
+                    f"{BOREL_SIZE_CAP}"
+                ),
+            ),
+        ),
+    ),
+    "lform-check": (
+        _cmd_lform_check,
+        "exact dominance certificate for the C-family linear form",
+        (
+            ("--g", _required_int("rank")),
+            ("--k", _required_int("tensor power")),
+            ("--q", _required_int("cohomological degree")),
+        ),
+    ),
+    "group-sample": (
+        _cmd_group_sample,
+        "deterministic pseudo-random element of an arithmetic group",
+        (
+            ("--type", {"choices": ("sp", "o", "theta"), "required": True}),
+            ("--g", _required_int("genus")),
+            ("--seed", _required_int()),
+            ("--len", _required_int("generator word length")),
+        ),
+    ),
+    "quad-refine": (
+        _cmd_quad_refine,
+        "quadratic refinement of a vector, reduced for the given n",
+        (
+            ("--n", _required_int("half-dimension n")),
+            ("--vector", {"required": True, "help": "comma-separated a_1,..,a_g,b_1,..,b_g"}),
+        ),
+    ),
+    "invariant-oracle": (
+        _cmd_invariant_oracle,
+        "exact invariant dimension in a graded piece, as the joint kernel "
+        "of the group generators",
+        (
+            ("--type", {"choices": ("sp", "o"), "required": True}),
+            ("--g", _required_int("genus")),
+            ("--degrees", {"required": True, "help": "comma-separated copy degrees, e.g. 2,4"}),
+            ("--deg", _required_int("target degree")),
+            ("--seed", {"type": int, "default": 0, "help": _SEED_HELP}),
+        ),
+    ),
+    "crosscheck-sec6": (
+        _cmd_crosscheck_sec6,
+        "per-degree comparison of stable invariant and kappa-ring counts",
+        (
+            ("--n", _required_int("half-dimension n, >= 8")),
+            ("--g", _required_int("genus")),
+            ("--maxdeg", _required_int(_MAXDEG_HELP)),
+            ("--oracle", {"action": "store_true", "help": "also run the group oracle"}),
+            ("--seed", {"type": int, "default": 0, "help": _SEED_HELP}),
+        ),
+    ),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for ``only`` that one.  The usage
+    line lists every subcommand either way; the metavar that makes it do so
+    is left unset on the full parser, where it would also replace the
+    subcommand's name in the missing-argument error."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
@@ -301,117 +421,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "2n-manifolds. All n flags take the half-dimension n, never 2n."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "stable-range", parents=[common], help="stability range C for (g, n)"
-    )
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--n", type=int, required=True, help="half-dimension n")
-    p.set_defaults(handler=_cmd_stable_range)
-
-    p = sub.add_parser(
-        "l-class", parents=[common], help="Hirzebruch L-classes in Pontryagin classes"
-    )
-    p.add_argument(
-        "--upto", type=int, required=True, help=f"largest index i, at most {UPTO_CAP}"
-    )
-    p.add_argument("--hat", action="store_true", help="half-weight normalized variant")
-    p.set_defaults(handler=_cmd_l_class)
-
-    p = sub.add_parser(
-        "p-from-l", parents=[common], help="Pontryagin classes in terms of L-classes"
-    )
-    p.add_argument(
-        "--upto", type=int, required=True, help=f"largest index i, at most {UPTO_CAP}"
-    )
-    p.set_defaults(handler=_cmd_p_from_l)
-
-    for name, handler, ring in (
-        ("mt-series", _cmd_mt_series, "the stable block-diffeomorphism ring"),
-        ("torelli-series", _cmd_torelli_series, "the Torelli-invariant quotient ring"),
-        ("theoremB-series", _cmd_theorem_b_series, "the ring on kappa classes of L_a L_b"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=f"Hilbert series of {ring}")
-        p.add_argument("--n", type=int, required=True, help="half-dimension n")
-        p.add_argument("--maxdeg", type=int, required=True, help=_MAXDEG_HELP)
+    listing = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=listing)
+    for name, (handler, help_text, arguments) in _SUBCOMMANDS.items():
+        if only is not None and name != only:
+            continue
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser(
-        "borel-constant",
-        parents=[common],
-        help="stability constant of a tensor power, with its proved bound",
-    )
-    p.add_argument("--family", choices=("C", "D"), required=True)
-    p.add_argument("--g", type=int, required=True, help=f"rank, at most {BOREL_RANK_CAP}")
-    p.add_argument("--k", type=int, required=True, help="tensor power")
-    p.add_argument(
-        "--qmax",
-        type=int,
-        required=True,
-        help=f"search cap; g * (qmax + 1) * (weights of V^(x)k) is at most {BOREL_SIZE_CAP}",
-    )
-    p.set_defaults(handler=_cmd_borel_constant)
-
-    p = sub.add_parser(
-        "lform-check",
-        parents=[common],
-        help="exact dominance certificate for the C-family linear form",
-    )
-    p.add_argument("--g", type=int, required=True, help="rank")
-    p.add_argument("--k", type=int, required=True, help="tensor power")
-    p.add_argument("--q", type=int, required=True, help="cohomological degree")
-    p.set_defaults(handler=_cmd_lform_check)
-
-    p = sub.add_parser(
-        "group-sample",
-        parents=[common],
-        help="deterministic pseudo-random element of an arithmetic group",
-    )
-    p.add_argument("--type", choices=("sp", "o", "theta"), required=True)
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--len", type=int, required=True, help="generator word length")
-    p.set_defaults(handler=_cmd_group_sample)
-
-    p = sub.add_parser(
-        "quad-refine",
-        parents=[common],
-        help="quadratic refinement of a vector, reduced for the given n",
-    )
-    p.add_argument("--n", type=int, required=True, help="half-dimension n")
-    p.add_argument(
-        "--vector", required=True, help="comma-separated a_1,..,a_g,b_1,..,b_g"
-    )
-    p.set_defaults(handler=_cmd_quad_refine)
-
-    p = sub.add_parser(
-        "invariant-oracle",
-        parents=[common],
-        help="exact invariant dimension in a graded piece, as the joint kernel "
-        "of the group generators",
-    )
-    p.add_argument("--type", choices=("sp", "o"), required=True)
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument(
-        "--degrees", required=True, help="comma-separated copy degrees, e.g. 2,4"
-    )
-    p.add_argument("--deg", type=int, required=True, help="target degree")
-    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    p.set_defaults(handler=_cmd_invariant_oracle)
-
-    p = sub.add_parser(
-        "crosscheck-sec6",
-        parents=[common],
-        help="per-degree comparison of stable invariant and kappa-ring counts",
-    )
-    p.add_argument("--n", type=int, required=True, help="half-dimension n, >= 8")
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--maxdeg", type=int, required=True, help=_MAXDEG_HELP)
-    p.add_argument("--oracle", action="store_true", help="also run the group oracle")
-    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    p.set_defaults(handler=_cmd_crosscheck_sec6)
-
     return parser
 
 
@@ -450,7 +468,10 @@ def _emit(envelope: Envelope, fmt: str, out) -> None:
 def run(argv: Sequence[str] | None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand's parser; help, an empty argv and an unknown
+    # name get the full one
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

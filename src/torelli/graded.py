@@ -11,6 +11,7 @@ explicit maximal degree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -159,6 +160,17 @@ class WeightedPolynomial:
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _aligned(
+        cls, variables: tuple[tuple[str, int], ...], terms: dict[tuple[int, ...], Fraction]
+    ) -> "WeightedPolynomial":
+        """Wrap terms already keyed on the sorted ``variables``, with nonzero
+        Fraction coefficients, without checking or realigning them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -173,6 +185,23 @@ class WeightedPolynomial:
     @classmethod
     def variable(cls, name: str, weight: int) -> "WeightedPolynomial":
         return cls(((name, weight),), {(1,): Fraction(1)})
+
+    @classmethod
+    def generators(
+        cls, variables: Sequence[tuple[str, int]]
+    ) -> list["WeightedPolynomial"]:
+        """The constant 1 and then each variable in the order given, all over
+        the one shared variable tuple, so that sums and products among them
+        need no realignment."""
+        one = cls(variables, {(0,) * len(variables): 1})
+        vs = one.variables
+        position = {name: k for k, (name, _) in enumerate(vs)}
+        out = [one]
+        for name, _ in variables:
+            exps = [0] * len(vs)
+            exps[position[name]] = 1
+            out.append(cls._aligned(vs, {tuple(exps): Fraction(1)}))
+        return out
 
     # -- structure ----------------------------------------------------
 
@@ -244,20 +273,24 @@ class WeightedPolynomial:
     def __add__(self, other) -> "WeightedPolynomial":
         if isinstance(other, (int, Fraction)):
             other = WeightedPolynomial.constant(other)
-        merged, amap, bmap = self._merge_variables(self, other)
-        terms = self._lift(merged, amap)
-        for key, c in other._lift(merged, bmap).items():
-            got = terms.get(key, Fraction(0)) + c
+        if self.variables == other.variables:
+            merged, terms, bterms = self.variables, dict(self.terms), other.terms
+        else:
+            merged, amap, bmap = self._merge_variables(self, other)
+            terms, bterms = self._lift(merged, amap), other._lift(merged, bmap)
+        for key, c in bterms.items():
+            got = terms.get(key)
+            got = c if got is None else got + c
             if got:
                 terms[key] = got
             else:
-                terms.pop(key, None)
-        return WeightedPolynomial(merged, terms)
+                del terms[key]
+        return WeightedPolynomial._aligned(merged, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "WeightedPolynomial":
-        return WeightedPolynomial(
+        return WeightedPolynomial._aligned(
             self.variables, {e: -c for e, c in self.terms.items()}
         )
 
@@ -273,26 +306,28 @@ class WeightedPolynomial:
         """Product, optionally discarding terms above ``max_weight``."""
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return WeightedPolynomial(
-                self.variables, {e: c * v for e, v in self.terms.items()}
-            )
-        merged, amap, bmap = self._merge_variables(self, other)
-        aterms = self._lift(merged, amap)
-        bterms = other._lift(merged, bmap)
-        weights = [w for _, w in merged]
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return WeightedPolynomial._aligned(self.variables, terms)
+        if self.variables == other.variables:
+            merged, aterms, bterms = self.variables, self.terms, other.terms
+        else:
+            merged, amap, bmap = self._merge_variables(self, other)
+            aterms, bterms = self._lift(merged, amap), other._lift(merged, bmap)
+        if max_weight is not None:
+            weights = [w for _, w in merged]
+            wa = {e: sum(map(operator.mul, e, weights)) for e in aterms}
+            wb = {e: sum(map(operator.mul, e, weights)) for e in bterms}
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in aterms.items():
             for eb, cb in bterms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                if max_weight is not None:
-                    if sum(e * w for e, w in zip(key, weights)) > max_weight:
-                        continue
-                got = out.get(key, Fraction(0)) + ca * cb
-                if got:
-                    out[key] = got
-                else:
-                    out.pop(key, None)
-        return WeightedPolynomial(merged, out)
+                if max_weight is not None and wa[ea] + wb[eb] > max_weight:
+                    continue
+                key = tuple(map(operator.add, ea, eb))
+                got = out.get(key)
+                out[key] = ca * cb if got is None else got + ca * cb
+        return WeightedPolynomial._aligned(
+            merged, {e: c for e, c in out.items() if c}
+        )
 
     def __mul__(self, other) -> "WeightedPolynomial":
         return self.mul(other)

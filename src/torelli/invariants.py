@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -49,6 +48,7 @@ from typing import Sequence
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
 from .linalg import independent_rows
+from .mt import pair_degree_counts
 
 # not used by the oracle, which samples nothing; kept importable here because
 # bench/layers.py traces calls at these names
@@ -122,8 +122,7 @@ def stable_invariant_series(n: int, max_degree: int) -> HilbertSeries:
     The diagonal generators omega_{x,x} are retained in the odd case: the
     symmetric square of an odd copy realizes the alternating pairing.
     """
-    counts = Counter(x + y for x, y in stable_pair_degrees(n, max_degree))
-    return free_graded_commutative_series(counts.items(), max_degree)
+    return free_graded_commutative_series(pair_degree_counts(n, max_degree), max_degree)
 
 
 def two_part_partitions(i: int) -> int:
@@ -479,7 +478,8 @@ def invariant_crosscheck(
         raise ValueError("the comparison window needs n >= 8")
     if g < 1 or max_degree < 0:
         raise ValueError("need g >= 1 and max_degree >= 0")
-    from .mt import kappa_ll_series  # local import to avoid a cycle
+    # looked up at call time, at the name bench/layers.py traces
+    from .mt import kappa_ll_series
 
     stable = stable_invariant_series(n, max_degree)
     ring = kappa_ll_series(n, max_degree)

@@ -7,7 +7,18 @@ computed without the roots: with log f = sum_m c_m u^m, the product is
 exp(sum_m c_m P_m), where the power sums P_m of the u_k come from Newton's
 identities in the p_j, and the exponential is taken one weight at a time.
 The work grows with the number of partitions of i, not with the monomials in
-i roots.  Everything is exact.
+i roots.  One call yields K_0..K_count, so a request for every class up to
+an index runs the recurrence once.  Everything is exact.
+
+The Pontryagin classes in terms of the L-classes run the same steps
+backwards.  The log of the total class 1 + L_1 + L_2 + ... is
+sum_m c_m P_m, and no c_m vanishes (c_m is a nonzero multiple of the
+Bernoulli number B_2m), so each power sum is P_m = l_m / c_m, where l_m is
+the weight-4m part of that log.  Newton's identities
+i p_i = sum_{m <= i} (-1)^{m-1} p_{i-m} P_m then give p_1..p_count in one
+pass, with no triangular inversion and no substitution.  All polynomials of
+one call share one variable tuple (p_1..p_count or L_1..L_count), so their
+sums and products need no realignment.
 
 Two independent routes to the coefficients of x/tanh(x) are kept: the
 Bernoulli-number recurrence (used by the construction) and direct power
@@ -87,13 +98,22 @@ def _series_log(a: list[Fraction]) -> list[Fraction]:
     return c
 
 
+def _weight_four_ring(symbol: str, count: int) -> list[WeightedPolynomial]:
+    """1 and symbol_1..symbol_count, symbol_j of weight 4j, over one shared
+    variable tuple."""
+    return WeightedPolynomial.generators(
+        [(f"{symbol}_{j}", 4 * j) for j in range(1, count + 1)]
+    )
+
+
 def multiplicative_sequence(
     coefficients: tuple[Fraction, ...], count: int
 ) -> list[WeightedPolynomial]:
     """K_0 .. K_count of the even series with the given u-coefficients.
 
     ``coefficients[j]`` is the u^j coefficient (u = x^2) and must start with 1.
-    K_i is returned in Pontryagin variables p_1..p_i, with p_j of weight 4j.
+    K_i is returned in Pontryagin variables p_1..p_count, with p_j of weight
+    4j; only p_1..p_i occur in it.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -102,59 +122,90 @@ def multiplicative_sequence(
     a = list(coefficients[: count + 1])
     a += [Fraction(0)] * (count + 1 - len(a))
     c = _series_log(a)
+    e = _weight_four_ring("p", count)
+    zero = e[0] * 0
     # power sums P_m of the formal roots u_k = x_k^2 in their elementary
     # symmetric functions e_j = p_j, by Newton's identities:
     # P_m = e_1 P_{m-1} - e_2 P_{m-2} + ... + (-1)^{m-1} m e_m
-    e = [None] + [WeightedPolynomial.variable(f"p_{j}", 4 * j) for j in range(1, count + 1)]
-    power_sums = [WeightedPolynomial.zero()]
+    power_sums = [zero]
     for m in range(1, count + 1):
         acc = e[m] * ((-1) ** (m - 1) * m)
         for j in range(1, m):
-            acc = acc + e[j] * power_sums[m - j] * (-1) ** (j - 1)
+            term = e[j] * power_sums[m - j]
+            acc = acc + term if j % 2 else acc - term
         power_sums.append(acc)
     # prod_k f(u_k) = exp(S) with S = sum_m c_m P_m; its weight-4i part K_i
     # satisfies i K_i = sum_{m <= i} m c_m P_m K_{i-m}
-    sequence = [WeightedPolynomial.constant(1)]
+    scaled = [power_sums[m] * (m * c[m]) for m in range(count + 1)]
+    sequence = [e[0]]
     for i in range(1, count + 1):
-        acc = WeightedPolynomial.zero()
+        acc = zero
         for m in range(1, i + 1):
             if c[m]:
-                acc = acc + power_sums[m] * sequence[i - m] * (m * c[m] / i)
-        sequence.append(acc)
+                acc = acc + scaled[m] * sequence[i - m]
+        sequence.append(acc * Fraction(1, i))
     return sequence
 
 
 @lru_cache(maxsize=None)
+def l_classes(count: int, hat: bool = False) -> tuple[WeightedPolynomial, ...]:
+    """L_0 .. L_count in p_1..p_count, from one multiplicative sequence; with
+    ``hat``, the classes of (x/2)/tanh(x/2), L-hat_i = 2^{-2i} L_i."""
+    coefficients = x_over_tanh_coefficients(count)
+    if hat:
+        coefficients = tuple(a / Fraction(4) ** j for j, a in enumerate(coefficients))
+    return tuple(multiplicative_sequence(coefficients, count))
+
+
+@lru_cache(maxsize=None)
+def p_classes_in_l(count: int) -> tuple[WeightedPolynomial, ...]:
+    """p_0 .. p_count in L_1..L_count, by the log of the total L-class.
+
+    log(1 + L_1 + L_2 + ...) = sum_m c_m P_m, with c the log of the x/tanh(x)
+    coefficients (no c_m is zero), so the power sums are P_m = l_m / c_m for
+    l_m the weight-4m part of the log.  Newton's identities
+    i p_i = sum_{m <= i} (-1)^{m-1} p_{i-m} P_m then give every p_i.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    c = _series_log(list(x_over_tanh_coefficients(count)))
+    big_l = _weight_four_ring("L", count)
+    zero = big_l[0] * 0
+    # D_m = m l_m, from the log derivative: D_m = m L_m - sum_{k<m} D_k L_{m-k}
+    logs = [zero]
+    for m in range(1, count + 1):
+        acc = big_l[m] * m
+        for k in range(1, m):
+            acc = acc - logs[k] * big_l[m - k]
+        logs.append(acc)
+    # (-1)^{m-1} P_m, the signed terms of Newton's identities
+    signed = [zero] + [
+        logs[m] * ((-1) ** (m - 1) / (m * c[m])) for m in range(1, count + 1)
+    ]
+    p = [big_l[0]]
+    for i in range(1, count + 1):
+        acc = zero
+        for m in range(1, i + 1):
+            acc = acc + p[i - m] * signed[m]
+        p.append(acc * Fraction(1, i))
+    return tuple(p)
+
+
 def l_polynomial(i: int) -> WeightedPolynomial:
     """Hirzebruch L_i, the weight-4i class of x/tanh(x), in p_1..p_i."""
-    return multiplicative_sequence(x_over_tanh_coefficients(i), i)[i]
+    return l_classes(i, False)[i]
 
 
-@lru_cache(maxsize=None)
 def l_hat_polynomial(i: int) -> WeightedPolynomial:
     """The weight-4i class of (x/2)/tanh(x/2); equals 2^{-2i} L_i."""
-    scaled = tuple(
-        a / Fraction(4) ** j for j, a in enumerate(x_over_tanh_coefficients(i))
-    )
-    return multiplicative_sequence(scaled, i)[i]
+    return l_classes(i, True)[i]
 
 
-@lru_cache(maxsize=None)
 def p_in_terms_of_l(i: int) -> WeightedPolynomial:
-    """p_i as a polynomial in L_1..L_i, by triangular inversion."""
+    """p_i as a polynomial in L_1..L_i."""
     if i < 1:
         raise ValueError("index must be positive")
-    lp = l_polynomial(i)
-    lead = lp.coefficient({f"p_{i}": 1})
-    if lead == 0:
-        raise AssertionError("L_i must contain p_i with nonzero coefficient")
-    p_i_var = WeightedPolynomial.variable(f"p_{i}", 4 * i)
-    rest = lp - lead * p_i_var  # polynomial in p_1..p_{i-1}
-    images = {f"p_{j}": p_in_terms_of_l(j) for j in range(1, i)}
-    images[f"p_{i}"] = WeightedPolynomial.zero()  # rest has no p_i, image unused
-    substituted = rest.substitute(images)
-    l_i_var = WeightedPolynomial.variable(f"L_{i}", 4 * i)
-    return (l_i_var - substituted) * (Fraction(1) / lead)
+    return p_classes_in_l(i)[i]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ tests compare the series with a convolution over that list.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graded import HilbertSeries, free_graded_commutative_series
@@ -151,10 +150,27 @@ def kappa_ll_pairs(n: int, max_degree: int) -> list[tuple[int, int, int]]:
     return pairs
 
 
+def pair_degree_counts(n: int, max_degree: int) -> list[tuple[int, int]]:
+    """(degree, count) for every degree in 1..max_degree that
+    `kappa_ll_pairs`, and so `stable_pair_degrees`, reach.
+
+    A degree d comes from the pairs a <= b with a + b = s = (d + 2n)/4 and
+    a >= floor(n/4) + 1, the first index of both lists; there are
+    floor(s/2) - floor(n/4) of them, when that is positive and s is an integer.
+    """
+    if n < 1 or max_degree < 0:
+        raise ValueError("need n >= 1 and max_degree >= 0")
+    counts = []
+    for d in range(-2 * n % 4 or 4, max_degree + 1, 4):
+        count = (d + 2 * n) // 8 - n // 4
+        if count > 0:
+            counts.append((d, count))
+    return counts
+
+
 def kappa_ll_series(n: int, max_degree: int) -> HilbertSeries:
     """Series of the polynomial ring on the kappa classes of L_a L_b."""
-    counts = Counter(degree for _, _, degree in kappa_ll_pairs(n, max_degree))
-    return free_graded_commutative_series(counts.items(), max_degree)
+    return free_graded_commutative_series(pair_degree_counts(n, max_degree), max_degree)
 
 
 def kappa_l_generator_degrees(n: int) -> list[int]:

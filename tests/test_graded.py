@@ -165,6 +165,53 @@ def test_truncating_mul_discards_heavy_terms():
     assert p == x * x + 2 * x.mul(y)
 
 
+def _poly(monomials, ring):
+    """sum of c * x^a y^b z^c over ring = (1, x, y, z)."""
+    one, x, y, z = ring
+    out = one * 0
+    for c, a, b, e in monomials:
+        out = out + x ** a * y ** b * z ** e * Fraction(c, 3)
+    return out
+
+
+_monomials = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomials, _monomials)
+@example([(1, 1, 0, 0), (1, 0, 1, 0)], [(1, 1, 0, 0), (-1, 0, 1, 0)])
+def test_shared_variable_tuple_matches_merged_route(left, right):
+    # generators() puts every operand on one variable tuple, so sums and
+    # products skip the merge; one variable at a time takes the merging route
+    shared = WeightedPolynomial.generators([("x", 2), ("y", 4), ("z", 6)])
+    merged = (WeightedPolynomial.constant(1),) + _xy() + (WeightedPolynomial.variable("z", 6),)
+    a, b = _poly(left, shared), _poly(right, shared)
+    a_m, b_m = _poly(left, merged), _poly(right, merged)
+    assert a.variables == shared[0].variables
+    for got, want in (
+        (a + b, a_m + b_m),
+        (a - b, a_m - b_m),
+        (a * b, a_m * b_m),
+        (a.mul(b, max_weight=8), a_m.mul(b_m, max_weight=8)),
+        (a.mul(b, max_weight=7), sum((a_m * b_m).homogeneous_part(w) for w in range(8))),
+        (a * 0, a_m * 0),
+    ):
+        assert got == want
+        assert format_polynomial(got) == format_polynomial(want)
+        assert got.variables == shared[0].variables
+        assert all(got.terms.values())  # cancelled terms are dropped
+
+
+def test_generators_order_and_weights():
+    one, y, x = WeightedPolynomial.generators([("y", 4), ("x", 2)])
+    assert one == 1
+    assert (x, y) == _xy()
+    assert one.variables == x.variables == y.variables == (("x", 2), ("y", 4))
+
+
 def test_weight_conflict_rejected():
     x = WeightedPolynomial.variable("x", 2)
     also_x = WeightedPolynomial.variable("x", 4)

@@ -7,10 +7,16 @@ eliminate through elementary symmetric functions.  Its cost grows about
 sevenfold per index, so it stops at index 7; beyond it the classes are
 checked by evaluation at the elementary symmetric functions of rational
 roots.  Frozen values pin the classical low-degree classes.
+
+The library inverts the L-classes by the log of the total class and Newton's
+identities; the oracle here is triangular inversion, solving L_i for its
+p_i term and substituting the lower p_j(L) into the rest.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -22,12 +28,15 @@ from torelli.lclasses import (
     cover_generator_index_set,
     index_generator_map,
     ko_target_series,
+    l_classes,
     l_hat_polynomial,
     l_polynomial,
     multiplicative_sequence,
+    p_classes_in_l,
     p_in_terms_of_l,
     x_over_tanh_by_division,
     x_over_tanh_coefficients,
+    _series_log,
 )
 
 
@@ -243,10 +252,57 @@ def test_hat_identity(i):
     assert l_polynomial(i) == l_hat_polynomial(i) * Fraction(4) ** i
 
 
-@pytest.mark.parametrize("i", range(1, 9))
+@pytest.mark.parametrize("i", range(1, 13))
 def test_top_coefficient_nonzero(i):
     # makes the triangular inversion well defined
     assert l_polynomial(i).coefficient({f"p_{i}": 1}) != 0
+
+
+@lru_cache(maxsize=None)
+def p_by_inversion(i):
+    """p_i in L_1..L_i by triangular inversion: L_i = lead * p_i + rest(p_1..p_{i-1}),
+    so p_i = (L_i - rest(p_1(L), .., p_{i-1}(L))) / lead."""
+    lp = l_polynomial(i)
+    lead = lp.coefficient({f"p_{i}": 1})
+    rest = lp - lead * _p(i)
+    images = {f"p_{j}": p_by_inversion(j) for j in range(1, i)}
+    images[f"p_{i}"] = WeightedPolynomial.zero()  # rest has no p_i
+    l_i = WeightedPolynomial.variable(f"L_{i}", 4 * i)
+    return (l_i - rest.substitute(images)) * (Fraction(1) / lead)
+
+
+@pytest.mark.parametrize("i", range(1, 13))
+def test_p_from_l_matches_triangular_inversion(i):
+    got = p_in_terms_of_l(i)
+    assert got == p_by_inversion(i)
+    assert format_polynomial(got) == format_polynomial(p_by_inversion(i))
+    assert p_classes_in_l(12)[i] == got
+
+
+def test_log_coefficients_closed_form():
+    # log(x/tanh x) = log cosh x - log(sinh x / x); the route divides by
+    # every c_m, and B_{2m} != 0 keeps them all nonzero
+    c = _series_log(list(x_over_tanh_coefficients(12)))
+    b = bernoulli_numbers(24)
+    for m in range(1, 13):
+        assert c[m] == Fraction(4**m * (4**m - 2)) * b[2 * m] / (2 * m * math.factorial(2 * m))
+        assert c[m] != 0
+
+
+@pytest.mark.parametrize("hat", [False, True])
+def test_one_sequence_per_request(hat):
+    # the tuple a request formats equals the top class of the sequence
+    # computed for that index alone
+    coefficients = x_over_tanh_coefficients(12)
+    if hat:
+        coefficients = tuple(a / Fraction(4) ** j for j, a in enumerate(coefficients))
+    classes = l_classes(12, hat)
+    assert len(classes) == 13
+    assert len({k.variables for k in classes}) == 1  # one shared tuple
+    for i in range(13):
+        alone = multiplicative_sequence(coefficients[: i + 1], i)[i]
+        assert classes[i] == alone
+        assert format_polynomial(classes[i]) == format_polynomial(alone)
 
 
 def test_p_from_l_frozen():

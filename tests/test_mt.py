@@ -1,5 +1,7 @@
 """Stable series bookkeeping: generator enumeration, quotients, ranges."""
 
+from collections import Counter
+
 import pytest
 
 from torelli.graded import series_pointwise_equal
@@ -12,6 +14,7 @@ from torelli.mt import (
     kappa_ll_series,
     mt_generators,
     mt_series,
+    pair_degree_counts,
     stable_range,
     torelli_invariant_series,
 )
@@ -101,6 +104,21 @@ def test_series_match_the_per_generator_convolution(n):
         assert stable_invariant_series(n, max_degree).coefficients == (
             convolve_per_generator([x + y for x, y in omegas], max_degree)
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 30, 340])
+def test_pair_degree_counts_match_both_pair_lists(n):
+    for max_degree in (0, 1, 2, 7, 40, 101, 1000):
+        counts = dict(pair_degree_counts(n, max_degree))
+        assert counts == Counter(degree for _, _, degree in kappa_ll_pairs(n, max_degree))
+        assert counts == Counter(x + y for x, y in stable_pair_degrees(n, max_degree))
+        assert sorted(counts) == [d for d, _ in pair_degree_counts(n, max_degree)]
+
+
+def test_pair_degree_counts_reject_bad_input():
+    for n, max_degree in ((0, 5), (3, -1)):
+        with pytest.raises(ValueError):
+            pair_degree_counts(n, max_degree)
 
 
 def test_mt_series_frozen():
