@@ -15,8 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from .borel import (
     borel_constant_rep,
@@ -25,7 +24,7 @@ from .borel import (
     root_system,
     tensor_weight_count,
 )
-from .graded import format_polynomial, format_rational
+from .graded import format_polynomial
 from .groups import GammaType, quadratic_modulus, quadratic_refinement, sample_group_element
 from .invariants import (
     GradedVCopies,
@@ -40,7 +39,8 @@ from .lclasses import l_classes, p_classes_in_l
 from .lclasses import l_hat_polynomial, l_polynomial, p_in_terms_of_l  # noqa: F401
 from .mt import kappa_ll_series, mt_series, stable_range, torelli_invariant_series
 
-Envelope = dict[str, Any]
+Table = list[dict]
+Provenance = list[str]
 
 # a-priori cost caps, checked before any work; a request above one exits 3
 UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take about 0.03 s
@@ -67,71 +67,9 @@ SHIPPED_INVOCATIONS: tuple[tuple[str, ...], ...] = (
 )
 
 
-def _envelope(command: str, parameters: dict, table: list[dict], provenance: list[str]) -> Envelope:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "table": table,
-        "provenance": provenance,
-    }
-
-
-def _series_table(series) -> list[dict]:
-    return [
-        {"degree": d, "coefficient": c} for d, c in enumerate(series.coefficients)
-    ]
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
-
-
-# -- handlers, one per subcommand -------------------------------------------
-
-
-def _cmd_stable_range(args) -> Envelope:
-    c = stable_range(args.g, args.n)
-    table = [{"C": c}] if c is not None else [{"C": None, "note": "outside stable range"}]
-    return _envelope(
-        "stable-range",
-        {"g": args.g, "n": args.n},
-        table,
-        ["cohomological-stability-range"],
-    )
-
-
-def _check_upto(upto: int) -> None:
-    if upto > UPTO_CAP:
-        raise ValueError(f"--upto {upto} is above the cap {UPTO_CAP}")
-
-
-def _cmd_l_class(args) -> Envelope:
-    if args.upto < 0:
-        raise ValueError("--upto must be nonnegative")
-    _check_upto(args.upto)
-    classes = l_classes(args.upto, args.hat)
-    table = [{"i": i, "class": format_polynomial(k)} for i, k in enumerate(classes)]
-    tag = "normalized-hirzebruch-l-class" if args.hat else "hirzebruch-l-class"
-    return _envelope(
-        "l-class", {"hat": args.hat, "upto": args.upto}, table, [tag]
-    )
-
-
-def _cmd_p_from_l(args) -> Envelope:
-    if args.upto < 1:
-        raise ValueError("--upto must be at least 1")
-    _check_upto(args.upto)
-    classes = p_classes_in_l(args.upto)
-    table = [
-        {"i": i, "polynomial": format_polynomial(classes[i])}
-        for i in range(1, args.upto + 1)
-    ]
-    return _envelope(
-        "p-from-l", {"upto": args.upto}, table, ["pontryagin-inversion"]
-    )
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{name} {value} is above the cap {cap}")
 
 
 def _check_series_size(args) -> None:
@@ -142,27 +80,65 @@ def _check_series_size(args) -> None:
         )
 
 
-def _series_envelope(args, command: str, series: Callable, provenance: str) -> Envelope:
+def _series_table(args, series: Callable) -> Table:
     _check_series_size(args)
-    table = _series_table(series(args.n, args.maxdeg))
-    return _envelope(command, {"maxdeg": args.maxdeg, "n": args.n}, table, [provenance])
+    return [
+        {"degree": d, "coefficient": c}
+        for d, c in enumerate(series(args.n, args.maxdeg).coefficients)
+    ]
 
 
-def _cmd_mt_series(args) -> Envelope:
-    return _series_envelope(args, "mt-series", mt_series, "block-diffeomorphism-stable-ring")
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _cmd_torelli_series(args) -> Envelope:
-    return _series_envelope(args, "torelli-series", torelli_invariant_series, "torelli-invariant-ring")
+# -- handlers, one per subcommand: each returns (table, provenance) ----------
 
 
-def _cmd_theorem_b_series(args) -> Envelope:
-    return _series_envelope(args, "theoremB-series", kappa_ll_series, "kappa-ll-ring")
+def _cmd_stable_range(args) -> tuple[Table, Provenance]:
+    c = stable_range(args.g, args.n)
+    table = [{"C": c}] if c is not None else [{"C": None, "note": "outside stable range"}]
+    return table, ["cohomological-stability-range"]
 
 
-def _cmd_borel_constant(args) -> Envelope:
-    if args.g > BOREL_RANK_CAP:
-        raise ValueError(f"rank --g {args.g} is above the cap {BOREL_RANK_CAP}")
+def _cmd_l_class(args) -> tuple[Table, Provenance]:
+    if args.upto < 0:
+        raise ValueError("--upto must be nonnegative")
+    _check_cap("--upto", args.upto, UPTO_CAP)
+    classes = l_classes(args.upto, args.hat)
+    table = [{"i": i, "class": format_polynomial(k)} for i, k in enumerate(classes)]
+    return table, ["normalized-hirzebruch-l-class" if args.hat else "hirzebruch-l-class"]
+
+
+def _cmd_p_from_l(args) -> tuple[Table, Provenance]:
+    if args.upto < 1:
+        raise ValueError("--upto must be at least 1")
+    _check_cap("--upto", args.upto, UPTO_CAP)
+    classes = p_classes_in_l(args.upto)
+    table = [
+        {"i": i, "polynomial": format_polynomial(classes[i])}
+        for i in range(1, args.upto + 1)
+    ]
+    return table, ["pontryagin-inversion"]
+
+
+def _cmd_mt_series(args) -> tuple[Table, Provenance]:
+    return _series_table(args, mt_series), ["block-diffeomorphism-stable-ring"]
+
+
+def _cmd_torelli_series(args) -> tuple[Table, Provenance]:
+    return _series_table(args, torelli_invariant_series), ["torelli-invariant-ring"]
+
+
+def _cmd_theorem_b_series(args) -> tuple[Table, Provenance]:
+    return _series_table(args, kappa_ll_series), ["kappa-ll-ring"]
+
+
+def _cmd_borel_constant(args) -> tuple[Table, Provenance]:
+    _check_cap("rank --g", args.g, BOREL_RANK_CAP)
     size = args.g * (args.qmax + 1) * tensor_weight_count(args.g, args.k)
     if size > BOREL_SIZE_CAP:
         raise ValueError(
@@ -180,55 +156,30 @@ def _cmd_borel_constant(args) -> Envelope:
             "bound_met": constant.meets(bound),
         }
     ]
-    return _envelope(
-        "borel-constant",
-        {"family": args.family, "g": args.g, "k": args.k, "qmax": args.qmax},
-        table,
-        ["borel-stability-constant", "tensor-power-bound"],
-    )
+    return table, ["borel-stability-constant", "tensor-power-bound"]
 
 
-def _cmd_lform_check(args) -> Envelope:
-    holds = lform_inequality_check(args.g, args.k, args.q)
-    return _envelope(
-        "lform-check",
-        {"g": args.g, "k": args.k, "q": args.q},
-        [{"holds": holds}],
-        ["dominance-linear-form"],
-    )
+def _cmd_lform_check(args) -> tuple[Table, Provenance]:
+    return [{"holds": lform_inequality_check(args.g, args.k, args.q)}], ["dominance-linear-form"]
 
 
-def _cmd_group_sample(args) -> Envelope:
-    kind = GammaType(args.type)
-    matrix = sample_group_element(kind, args.g, args.seed, args.len)
+def _cmd_group_sample(args) -> tuple[Table, Provenance]:
+    matrix = sample_group_element(GammaType(args.type), args.g, args.seed, args.len)
     table = [
         {"row": r, "entries": " ".join(str(x) for x in row)}
         for r, row in enumerate(matrix)
     ]
-    return _envelope(
-        "group-sample",
-        {"g": args.g, "len": args.len, "seed": args.seed, "type": args.type},
-        table,
-        ["arithmetic-group-generators"],
-    )
+    return table, ["arithmetic-group-generators"]
 
 
-def _cmd_quad_refine(args) -> Envelope:
-    vector = _parse_int_list(args.vector)
-    value = quadratic_refinement(vector, args.n)
-    table = [{"q": value, "modulus": quadratic_modulus(args.n).value}]
-    return _envelope(
-        "quad-refine",
-        {"n": args.n, "vector": args.vector},
-        table,
-        ["quadratic-refinement"],
-    )
+def _cmd_quad_refine(args) -> tuple[Table, Provenance]:
+    value = quadratic_refinement(_parse_int_list(args.vector), args.n)
+    return [{"q": value, "modulus": quadratic_modulus(args.n).value}], ["quadratic-refinement"]
 
 
-def _cmd_invariant_oracle(args) -> Envelope:
-    kind = GammaType(args.type)
+def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
     copies = GradedVCopies(args.g, _parse_int_list(args.degrees))
-    result = brute_force_invariant_dim(kind, copies, args.deg)
+    result = brute_force_invariant_dim(GammaType(args.type), copies, args.deg)
     table = [
         {
             "dimension": result.dimension,
@@ -237,21 +188,10 @@ def _cmd_invariant_oracle(args) -> Envelope:
             "route": result.route,
         }
     ]
-    return _envelope(
-        "invariant-oracle",
-        {
-            "deg": args.deg,
-            "degrees": args.degrees,
-            "g": args.g,
-            "seed": args.seed,
-            "type": args.type,
-        },
-        table,
-        ["invariant-dimension-oracle"],
-    )
+    return table, ["invariant-dimension-oracle"]
 
 
-def _cmd_crosscheck_sec6(args) -> Envelope:
+def _cmd_crosscheck_sec6(args) -> tuple[Table, Provenance]:
     _check_series_size(args)
     report = invariant_crosscheck(args.n, args.g, args.maxdeg, with_oracle=args.oracle)
     table = [
@@ -264,22 +204,11 @@ def _cmd_crosscheck_sec6(args) -> Envelope:
         }
         for row in report.rows
     ]
-    return _envelope(
-        "crosscheck-sec6",
-        {
-            "g": args.g,
-            "maxdeg": args.maxdeg,
-            "n": args.n,
-            "oracle": args.oracle,
-            "seed": args.seed,
-        },
-        table,
-        [
-            "stable-invariant-ring",
-            "kappa-ll-ring",
-            "observed-exact-agreement-at-all-truncations",
-        ],
-    )
+    return table, [
+        "stable-invariant-ring",
+        "kappa-ll-ring",
+        "observed-exact-agreement-at-all-truncations",
+    ]
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -423,25 +352,13 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     listing = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=listing)
-    for name, (handler, help_text, arguments) in _SUBCOMMANDS.items():
+    for name, (_, help_text, arguments) in _SUBCOMMANDS.items():
         if only is not None and name != only:
             continue
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
     return parser
-
-
-def _canonical(value):
-    """Rationals to num/den strings, recursively; everything else untouched."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
 
 
 def _csv_cell(value) -> str:
@@ -452,9 +369,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(envelope: Envelope, fmt: str, out) -> None:
+def _emit(envelope: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(_canonical(envelope), sort_keys=True, separators=(",", ":")))
+        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
         out.write("\n")
         return
     rows = envelope["table"]
@@ -462,7 +379,7 @@ def _emit(envelope: Envelope, fmt: str, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(_canonical(row.get(col))) for col in columns])
+        writer.writerow([_csv_cell(row.get(col)) for col in columns])
 
 
 def run(argv: Sequence[str] | None, out=None, err=None) -> int:
@@ -477,12 +394,19 @@ def run(argv: Sequence[str] | None, out=None, err=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    handler: Callable = args.handler
     try:
-        envelope = handler(args)
+        table, provenance = _SUBCOMMANDS[args.subcommand][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 3
+    # every subcommand's parameters are exactly its own flags
+    parameters = {k: v for k, v in vars(args).items() if k not in ("format", "subcommand")}
+    envelope = {
+        "command": args.subcommand,
+        "parameters": parameters,
+        "table": table,
+        "provenance": provenance,
+    }
     _emit(envelope, args.format, out)
     return 0
 

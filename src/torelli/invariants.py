@@ -27,9 +27,9 @@ from both sides:
   reconstruction and checked exactly, over the integers, to be fixed by every
   generator.  Lifted vectors that pass are independent rational invariants.
 
-When a lift fails, the block is recounted exactly from the fraction-free
-(Bareiss) echelon form of its stacked integer rows, and the answer reports
-route "bareiss" instead of "modp".
+When a lift fails, or a lifted vector fails its check, the same sparse
+elimination runs again over Q, where it is exact by construction, and the
+answer reports route "rational" instead of "modp".
 
 For the orthogonal kind at g = 1 the generated group is the finite
 O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
@@ -47,7 +47,6 @@ from typing import Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
-from .linalg import independent_rows
 from .mt import pair_degree_counts
 
 # not used by the oracle, which samples nothing; kept importable here because
@@ -268,22 +267,23 @@ def rational_reconstruction(a: int, p: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _insert_mod_p(pivots: dict[int, Column], row: Column, p: int) -> None:
-    """Reduce a row modulo p against the pivot rows (each monic in its pivot
-    column, with no entry to the left of it) and keep it as a new pivot row
-    if anything is left.  Entries are reduced mod p only once they lead."""
+def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
+    """Reduce a row against the pivot rows (each monic in its pivot column,
+    with no entry to the left of it) and keep it as a new pivot row if
+    anything is left: modulo p, or over Q when p is 0.  Modulo p, entries are
+    reduced only once they lead."""
     row = dict(row)
     while row:
         c = min(row)
-        f = row.pop(c) % p
+        f = row.pop(c) % p if p else row.pop(c)
         if not f:
             continue
         pivot_row = pivots.get(c)
         if pivot_row is None:
-            inverse = pow(f, -1, p)
+            inverse = pow(f, -1, p) if p else 1 / Fraction(f)
             new = {c: 1}
             for k, x in row.items():
-                x = x * inverse % p
+                x = x * inverse % p if p else x * inverse
                 if x:
                     new[k] = x
             pivots[c] = new
@@ -339,43 +339,36 @@ def _is_fixed(columns: Sequence[Column], vector: Column) -> bool:
     return {r: x for r, x in image.items() if x} == vector
 
 
-def _block_kernel_history(generator_columns: Sequence[Sequence[Column]]) -> tuple[list[int], str]:
+def _echelon_history(
+    generator_columns: Sequence[Sequence[Column]], p: int
+) -> tuple[list[int], dict[int, Column]]:
     """Joint-kernel dimension of M - 1 after each generator M of one block,
-    and the route that certified it ("modp" or "bareiss")."""
+    modulo p or, when p is 0, over Q; and the echelon form it ends with."""
     size = len(generator_columns[0])
-    p = PRIME
     pivots: dict[int, Column] = {}
     history = []
     for columns in generator_columns:
         if len(pivots) < size:
             for row in _rows_minus_identity(columns):
-                _insert_mod_p(pivots, row, p)
+                _insert_row(pivots, row, p)
         history.append(size - len(pivots))
+    return history, pivots
+
+
+def _block_kernel_history(generator_columns: Sequence[Sequence[Column]]) -> tuple[list[int], str]:
+    """Joint-kernel dimension of M - 1 after each generator M of one block,
+    and the route that certified it ("modp" or "rational")."""
+    p = PRIME
+    history, pivots = _echelon_history(generator_columns, p)
     # the rank mod p is at most the rank over Q, so history[-1] bounds the
     # rational kernel from above; verified lifts bound it from below
     if history[-1] == 0:
         return history, "modp"
-    for vector in _kernel_mod_p(pivots, size, p):
+    for vector in _kernel_mod_p(pivots, len(generator_columns[0]), p):
         lifted = _lift(vector, p)
         if lifted is None or not all(_is_fixed(columns, lifted) for columns in generator_columns):
-            return _bareiss_history(generator_columns), "bareiss"
+            return _echelon_history(generator_columns, 0)[0], "rational"
     return history, "modp"
-
-
-def _bareiss_history(generator_columns: Sequence[Sequence[Column]]) -> list[int]:
-    """The same history exactly over Q, from the fraction-free echelon form of
-    the stacked integer rows of M - 1, generator by generator."""
-    size = len(generator_columns[0])
-    stacked: list[list[int]] = []
-    owner: list[int] = []
-    for k, columns in enumerate(generator_columns):
-        for row in _rows_minus_identity(columns):
-            stacked.append([row.get(c, 0) for c in range(size)])
-            owner.append(k)
-    ranks = [0] * len(generator_columns)
-    for i in independent_rows(stacked):
-        ranks[owner[i]] += 1
-    return [size - r for r in itertools.accumulate(ranks)]
 
 
 @dataclass(frozen=True)
@@ -386,8 +379,9 @@ class OracleResult:
     kernel of rho(s) - 1 over the first k + 1 generators s.  A block on route
     "modp" contributes its kernel modulo PRIME, an upper bound on the rational
     one that the certificate makes exact at the last generator; a block on
-    route "bareiss" contributes the rational kernel.  route is "bareiss" when
-    some block needed the exact echelon, else "modp".
+    route "rational" contributes the kernel over Q.  route is "rational" when
+    some block failed the certificate and was eliminated again over Q, else
+    "modp".
     """
 
     dimension: int
@@ -430,8 +424,8 @@ def brute_force_invariant_dim(
             )
         block_history, block_route = _block_kernel_history(generator_columns)
         history = [h + b for h, b in zip(history, block_history)]
-        if block_route == "bareiss":
-            route = "bareiss"
+        if block_route == "rational":
+            route = "rational"
     return OracleResult(history[-1] if history else 0, tuple(history), route)
 
 

@@ -142,12 +142,3 @@ def rank(m: Sequence[Sequence[int | Fraction]]) -> int:
     _, pivots = _bareiss_echelon(rows)
     return len(pivots)
 
-
-def independent_rows(m: Sequence[Sequence[int | Fraction]]) -> list[int]:
-    """Indices of the rows that lie outside the span of the rows before them,
-    over Q: the pivot columns of the echelon form of the transpose."""
-    rows = _clear_denominators(m)
-    if not rows:
-        return []
-    _, pivots = _bareiss_echelon(mat_transpose(rows))
-    return [c for _, c in pivots]

@@ -354,19 +354,29 @@ CRITERION_6_PIECES = (
 )
 
 
-def test_tiny_prime_falls_back_to_bareiss(monkeypatch):
+def test_tiny_prime_falls_back_to_rational(monkeypatch):
     exact = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
     assert all(result.route == "modp" for result in exact.values())
     # modulo 2 only 0 and 1 lift, so every invariant with a -1 entry fails
     # its exact check: the symplectic tensor powers below
     monkeypatch.setattr(invariants, "PRIME", 2)
     fallback = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
-    assert {piece for piece, result in fallback.items() if result.route == "bareiss"} == set(CRITERION_6_PIECES[5:])
+    assert {piece for piece, result in fallback.items() if result.route == "rational"} == set(CRITERION_6_PIECES[5:])
     for piece, result in fallback.items():
         assert result.dimension == exact[piece].dimension
-        if result.route == "bareiss":
-            # the exact echelon's history is over Q
+        if result.route == "rational":
+            # the elimination over Q gives the exact history
             assert result.history == exact[piece].history
+
+
+def test_failed_lift_falls_back_to_rational(monkeypatch):
+    # one generator M with M - 1 = [[1, -3], [0, 0]]: its kernel is spanned
+    # by (3, 1), and modulo 5 no fraction n/d with |n|, d <= 1 is 3
+    columns = [{0: 2}, {0: -3, 1: 1}]
+    assert invariants._block_kernel_history([columns]) == ([1], "modp")
+    monkeypatch.setattr(invariants, "PRIME", 5)
+    assert invariants.rational_reconstruction(3, 5) is None
+    assert invariants._block_kernel_history([columns]) == ([1], "rational")
 
 
 def test_oracle_rejects_bad_requests():

@@ -6,7 +6,6 @@ import pytest
 from torelli.linalg import (
     identity_matrix,
     invert_fraction_matrix,
-    independent_rows,
     kernel_basis,
     mat_equal,
     mat_mul,
@@ -85,14 +84,3 @@ def test_kernel_rejects_empty():
     with pytest.raises(ValueError):
         kernel_basis([])
 
-
-def test_independent_rows():
-    assert independent_rows([[1, 2], [2, 4], [0, 1], [1, 3]]) == [0, 2]
-    assert independent_rows([]) == []
-    # the rows kept before each prefix end span that prefix: prefix ranks
-    rng = random.Random(20261018)
-    for _ in range(25):
-        m = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(rng.randrange(1, 7))]
-        kept = independent_rows(m)
-        for k in range(1, len(m) + 1):
-            assert sum(1 for i in kept if i < k) == rank(m[:k])
