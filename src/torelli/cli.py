@@ -44,11 +44,23 @@ Provenance = list[str]
 
 # a-priori cost caps, checked before any work; a request above one exits 3
 UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take about 0.03 s
-BOREL_RANK_CAP = 32  # the root system and its coordinate tables: ~g^4 work
+# borel-constant and lform-check: the root system and its coordinate tables
+# take ~g^4 work, the linear form's exact sum ~g^3 digits
+BOREL_RANK_CAP = 32
 BOREL_SIZE_CAP = 500_000  # g * (qmax + 1) * the number of weights of V^{(x)k}
 # the series commands: maxdeg + 2n, the top L-weight they expand to; the
 # slowest requests at the cap take about 2 s
 SERIES_CAP = 6000
+# group-sample and the oracle: building and checking the O(g^2) generators
+# at O(g^3) each takes about 0.4 s at the cap
+GENUS_CAP = 10
+# group-sample: --len products of 2g x 2g big-integer matrices; 1.0-1.5 s
+# at both caps
+WORD_CAP = 1000
+# invariant-oracle: counting the piece fills a row of deg + 1 integers per
+# copy, in 2g passes each; about 1.2 s at these caps and GENUS_CAP
+ORACLE_DEGREE_CAP = 2000
+ORACLE_COPIES_CAP = 64
 
 # one invocation per subcommand; the determinism suite replays these
 SHIPPED_INVOCATIONS: tuple[tuple[str, ...], ...] = (
@@ -160,10 +172,13 @@ def _cmd_borel_constant(args) -> tuple[Table, Provenance]:
 
 
 def _cmd_lform_check(args) -> tuple[Table, Provenance]:
+    _check_cap("rank --g", args.g, BOREL_RANK_CAP)
     return [{"holds": lform_inequality_check(args.g, args.k, args.q)}], ["dominance-linear-form"]
 
 
 def _cmd_group_sample(args) -> tuple[Table, Provenance]:
+    _check_cap("--g", args.g, GENUS_CAP)
+    _check_cap("--len", args.len, WORD_CAP)
     matrix = sample_group_element(GammaType(args.type), args.g, args.seed, args.len)
     table = [
         {"row": r, "entries": " ".join(str(x) for x in row)}
@@ -178,7 +193,11 @@ def _cmd_quad_refine(args) -> tuple[Table, Provenance]:
 
 
 def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
-    copies = GradedVCopies(args.g, _parse_int_list(args.degrees))
+    degrees = _parse_int_list(args.degrees)
+    _check_cap("--g", args.g, GENUS_CAP)
+    _check_cap("--deg", args.deg, ORACLE_DEGREE_CAP)
+    _check_cap("--degrees count", len(degrees), ORACLE_COPIES_CAP)
+    copies = GradedVCopies(args.g, degrees)
     result = brute_force_invariant_dim(GammaType(args.type), copies, args.deg)
     table = [
         {
@@ -193,6 +212,8 @@ def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
 
 def _cmd_crosscheck_sec6(args) -> tuple[Table, Provenance]:
     _check_series_size(args)
+    if args.oracle:
+        _check_cap("--g", args.g, GENUS_CAP)
     report = invariant_crosscheck(args.n, args.g, args.maxdeg, with_oracle=args.oracle)
     table = [
         {

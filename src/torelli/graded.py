@@ -50,15 +50,6 @@ class HilbertSeries:
                 out[i + j] += a * other.coefficients[j]
         return HilbertSeries(tuple(out))
 
-    def times_one_minus(self, degree: int) -> "HilbertSeries":
-        """Multiply by the polynomial (1 - q^degree), truncated."""
-        c = list(self.coefficients)
-        for i in range(len(c) - 1, degree - 1, -1):
-            c[i] -= c[i - degree]
-        if any(x < 0 for x in c):
-            raise ValueError("series is not divisible by the requested factor")
-        return HilbertSeries(tuple(c))
-
 
 def free_graded_commutative_series(
     multiplicities: Iterable[tuple[int, int]], max_degree: int

@@ -160,36 +160,53 @@ class GradedVCopies:
             raise ValueError("copy degrees must be positive")
 
 
+def _tail_dimensions(copies: GradedVCopies, degree: int) -> list[list[int]]:
+    """tails[i][e]: the dimension of the degree-e piece on the copies from
+    the i-th on, for e <= degree (the last entry: 1 in degree 0 only).  A copy
+    of odd degree d multiplies the series by (1 + q^d)^{2g}, its exterior
+    powers, and one of even degree d by 1/(1 - q^d)^{2g}, its symmetric
+    powers: 2g passes of a running sum with step d, taken downwards for the
+    product and upwards for the quotient."""
+    tail = [1] + [0] * degree
+    tails = [tail]
+    for d in reversed(copies.copy_degrees):
+        if d <= degree:
+            tail = list(tail)
+            steps = range(degree, d - 1, -1) if d % 2 else range(d, degree + 1)
+            for _ in range(2 * copies.g):
+                for e in steps:
+                    tail[e] += tail[e - d]
+        tails.append(tail)
+    return tails[::-1]
+
+
 def _allocations(copies: GradedVCopies, degree: int):
-    """Exponent tuples m with sum m_i * d_i = degree; exterior copies are
-    capped at dimension 2g."""
+    """Exponent tuples m with sum m_i * d_i = degree, in lexicographic order;
+    exterior copies are capped at dimension 2g.  A prefix is extended only
+    when the copies after it can make up the rest of the degree, so every
+    prefix visited completes; once nothing remains, only zeros do."""
     dim = 2 * copies.g
     degs = copies.copy_degrees
-
-    def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
-        if pos == len(degs):
-            if remaining == 0:
-                yield prefix
-            return
+    tails = _tail_dimensions(copies, degree)
+    stack = [((), degree)] if tails[0][degree] else []
+    while stack:
+        prefix, remaining = stack.pop()
+        pos = len(prefix)
+        if not remaining:
+            yield prefix + (0,) * (len(degs) - pos)
+            continue
         d = degs[pos]
-        cap = remaining // d
-        if d % 2 == 1:
-            cap = min(cap, dim)
-        for m in range(cap + 1):
-            yield from rec(pos + 1, remaining - m * d, prefix + (m,))
-
-    yield from rec(0, degree, ())
+        top = min(remaining // d, dim) if d % 2 else remaining // d
+        # pushed largest first, so popped smallest first
+        stack.extend(
+            (prefix + (m,), remaining - m * d)
+            for m in range(top, -1, -1)
+            if tails[pos + 1][remaining - m * d]
+        )
 
 
 def piece_dimension(copies: GradedVCopies, degree: int) -> int:
-    dim = 2 * copies.g
-    total = 0
-    for alloc in _allocations(copies, degree):
-        block = 1
-        for m, d in zip(alloc, copies.copy_degrees):
-            block *= math.comb(dim, m) if d % 2 == 1 else math.comb(dim + m - 1, m)
-        total += block
-    return total
+    return _tail_dimensions(copies, degree)[0][degree] if degree >= 0 else 0
 
 
 Column = dict[int, int]  # sparse column: row index -> nonzero entry

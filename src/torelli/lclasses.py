@@ -20,9 +20,8 @@ pass, with no triangular inversion and no substitution.  All polynomials of
 one call share one variable tuple (p_1..p_count or L_1..L_count), so their
 sums and products need no realignment.
 
-Two independent routes to the coefficients of x/tanh(x) are kept: the
-Bernoulli-number recurrence (used by the construction) and direct power
-series division (an oracle the test suite compares against).
+The coefficients of x/tanh(x) come from the Bernoulli-number recurrence;
+the test suite checks them against sinh/cosh power-series division.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .graded import HilbertSeries, WeightedPolynomial, free_graded_commutative_s
 
 
 # ---------------------------------------------------------------------------
-# coefficient routes for x/tanh(x)
+# coefficients of x/tanh(x)
 
 
 @lru_cache(maxsize=None)
@@ -63,27 +62,6 @@ def x_over_tanh_coefficients(order: int) -> tuple[Fraction, ...]:
         bern[2 * j] * Fraction(4) ** j / math.factorial(2 * j)
         for j in range(order + 1)
     )
-
-
-def _series_divide(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    if den[0] == 0:
-        raise ValueError("division by a series with zero constant term")
-    out: list[Fraction] = []
-    for n in range(len(num)):
-        acc = num[n]
-        for k in range(n):
-            acc -= out[k] * den[n - k]
-        out.append(acc / den[0])
-    return out
-
-
-def x_over_tanh_by_division(order: int) -> tuple[Fraction, ...]:
-    """Same coefficients via sinh/cosh power series division only."""
-    sinh_over_x = [Fraction(1, math.factorial(2 * j + 1)) for j in range(order + 1)]
-    cosh = [Fraction(1, math.factorial(2 * j)) for j in range(order + 1)]
-    tanh_over_x = _series_divide(sinh_over_x, cosh)
-    one = [Fraction(int(j == 0)) for j in range(order + 1)]
-    return tuple(_series_divide(one, tanh_over_x))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ CASES = {
     ("l-class", "--upto", "3"): "lclasses.sequence",
     ("p-from-l", "--upto", "3"): "graded.poly_mul",
     ("theoremB-series", "--n", "8", "--maxdeg", "12"): "mt.series",
+    ("mt-series", "--n", "3", "--maxdeg", "4"): "mt.series",
+    ("torelli-series", "--n", "4", "--maxdeg", "10"): "mt.series",
+    ("borel-constant", "--family", "C", "--g", "2", "--k", "0", "--qmax", "4"): "borel.constant",
+    ("crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "8", "--oracle"): "invariants.crosscheck",
     ("invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "1,3", "--deg", "4"): "invariants.oracle",
 }
 

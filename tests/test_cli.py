@@ -230,6 +230,35 @@ def test_cost_caps_exit_3_before_any_work():
     ):
         code, _, _ = _capture(argv)
         assert code == 0
+    # the genus and word length of group-sample and the oracle, the rank of
+    # lform-check, and the degree and copy count of invariant-oracle
+    for argv, named in (
+        (["group-sample", "--type", "o", "--g", "30", "--seed", "1", "--len", "3"], "--g 30 is above the cap 10"),
+        (["group-sample", "--type", "sp", "--g", "2", "--seed", "1", "--len", "200000"], "--len 200000 is above the cap 1000"),
+        (["lform-check", "--g", "500", "--k", "2", "--q", "3"], "--g 500 is above the cap 32"),
+        (["invariant-oracle", "--type", "o", "--g", "30", "--degrees", "1", "--deg", "1"], "--g 30 is above the cap 10"),
+        (["crosscheck-sec6", "--n", "8", "--g", "30", "--maxdeg", "8", "--oracle"], "--g 30 is above the cap 10"),
+        (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2,4", "--deg", "200000000"], "--deg 200000000 is above the cap 2000"),
+        (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["9"] * 65), "--deg", "1"], "--degrees count 65 is above the cap 64"),
+        # the piece is counted before any allocation is listed
+        (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "dimension 86493225 > cap 4096"),
+    ):
+        started = time.perf_counter()
+        code, out, err = _capture(argv)
+        assert time.perf_counter() - started < 0.5
+        assert code == 3 and out == ""
+        assert named in err
+    # the largest sizes below the caps still run; the oracle's 2-dimensional
+    # piece sits behind 3^20 prefixes that cannot complete
+    for argv in (
+        ["group-sample", "--type", "sp", "--g", "2", "--seed", "1", "--len", "1000"],
+        ["lform-check", "--g", "32", "--k", "2", "--q", "3"],
+        ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", ",".join(["1"] * 20 + ["1000"]), "--deg", "1000"],
+    ):
+        started = time.perf_counter()
+        code, _, _ = _capture(argv)
+        assert time.perf_counter() - started < 1
+        assert code == 0
 
 
 def test_oracle_seed_defaults_to_zero():

@@ -14,6 +14,16 @@ from torelli.graded import (
 )
 
 
+def times_one_minus(series, degree):
+    """series times the polynomial 1 - q^degree, truncated; a negative
+    coefficient, where the factor does not divide, is refused by
+    HilbertSeries."""
+    c = list(series.coefficients)
+    for i in range(len(c) - 1, degree - 1, -1):
+        c[i] -= c[i - degree]
+    return HilbertSeries(tuple(c))
+
+
 def test_free_series_rejects_bad_pairs():
     with pytest.raises(ValueError):
         free_graded_commutative_series([(0, 1)], 4)
@@ -107,13 +117,13 @@ def test_even_factor_cancels(degrees, extra):
     pairs = [(d, 1) for d in degrees]
     base = free_graded_commutative_series(pairs, 12)
     bigger = free_graded_commutative_series(pairs + [(2 * extra, 1)], 12)
-    assert bigger.times_one_minus(2 * extra) == base
+    assert times_one_minus(bigger, 2 * extra) == base
 
 
 def test_times_one_minus_rejects_non_divisible():
     s = free_graded_commutative_series([(3, 1)], 6)
     with pytest.raises(ValueError):
-        s.times_one_minus(3)  # (1+q^3)(1-q^3) has a negative coefficient at 6
+        times_one_minus(s, 3)  # (1+q^3)(1-q^3) has a negative coefficient at 6
 
 
 def test_pointwise_equal_range_checked():

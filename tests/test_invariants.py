@@ -22,6 +22,7 @@ import pytest
 
 from torelli import invariants
 from torelli.cli import run
+from torelli.graded import free_graded_commutative_series
 from torelli.groups import GammaType, sample_group_element
 from torelli.invariants import (
     BasisCapExceeded,
@@ -122,6 +123,53 @@ def test_piece_dimensions():
     assert piece_dimension(odd, 5) == 0  # exterior power past the dimension
     mixed = GradedVCopies(1, (1, 3))
     assert piece_dimension(mixed, 4) == 4  # V tensor V
+
+
+def allocations_by_recursion(copies, degree):
+    """Every exponent tuple with sum m_i * d_i = degree, by a plain recursion
+    over the copies that visits every prefix, completing or not."""
+    dim = 2 * copies.g
+    degs = copies.copy_degrees
+
+    def rec(pos, remaining, prefix):
+        if pos == len(degs):
+            if remaining == 0:
+                yield prefix
+            return
+        d = degs[pos]
+        top = min(remaining // d, dim) if d % 2 else remaining // d
+        for m in range(top + 1):
+            yield from rec(pos + 1, remaining - m * d, prefix + (m,))
+
+    yield from rec(0, degree, ())
+
+
+def test_pruned_allocations_match_the_full_enumeration():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        g = rng.randint(1, 3)
+        copies = GradedVCopies(g, tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 5))))
+        series = free_graded_commutative_series(((d, 2 * g) for d in copies.copy_degrees), 24)
+        for degree in range(25):
+            expected = list(allocations_by_recursion(copies, degree))
+            assert list(_allocations(copies, degree)) == expected
+            blocks = sum(
+                math.prod(
+                    math.comb(2 * g, m) if d % 2 else math.comb(2 * g + m - 1, m)
+                    for m, d in zip(alloc, copies.copy_degrees)
+                )
+                for alloc in expected
+            )
+            assert piece_dimension(copies, degree) == blocks == series[degree]
+
+
+def test_allocations_over_many_copies():
+    # 1500 copies, as in crosscheck-sec6 --n 8 --maxdeg 6000: deeper than
+    # the interpreter's recursion limit
+    copies = GradedVCopies(1, tuple(range(4, 6004, 4)))
+    allocs = list(_allocations(copies, 8))
+    assert allocs == [(0, 1) + (0,) * 1498, (2,) + (0,) * 1499]
+    assert piece_dimension(copies, 8) == 2 + 3
 
 
 def _dim(kind, g, degrees, degree):

@@ -34,10 +34,35 @@ from torelli.lclasses import (
     multiplicative_sequence,
     p_classes_in_l,
     p_in_terms_of_l,
-    x_over_tanh_by_division,
     x_over_tanh_coefficients,
     _series_log,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracle: x/tanh(x) by power-series division
+
+
+def _series_divide(num, den):
+    if den[0] == 0:
+        raise ValueError("division by a series with zero constant term")
+    out = []
+    for n in range(len(num)):
+        acc = num[n]
+        for k in range(n):
+            acc -= out[k] * den[n - k]
+        out.append(acc / den[0])
+    return out
+
+
+def x_over_tanh_by_division(order):
+    """The coefficients of u^j in x/tanh(x), u = x^2, by sinh/cosh
+    power-series division only."""
+    sinh_over_x = [Fraction(1, math.factorial(2 * j + 1)) for j in range(order + 1)]
+    cosh = [Fraction(1, math.factorial(2 * j)) for j in range(order + 1)]
+    tanh_over_x = _series_divide(sinh_over_x, cosh)
+    one = [Fraction(int(j == 0)) for j in range(order + 1)]
+    return tuple(_series_divide(one, tanh_over_x))
 
 
 # ---------------------------------------------------------------------------
