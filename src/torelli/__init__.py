@@ -3,160 +3,8 @@ Hirzebruch L-polynomials, kappa-class rings, arithmetic groups preserving
 (skew-)symmetric forms, Borel-type vanishing constants, and a brute-force
 invariant-dimension oracle. All arithmetic is exact: over Q via
 fractions.Fraction, or modulo a prime where a certificate lifts the answer to Q.
+Import each name from its module, e.g. ``from torelli.lclasses import
+l_polynomial``; importing the package alone loads no module.
 """
 
-from .borel import (
-    BorelConstant,
-    RootSystem,
-    borel_constant_mu,
-    borel_constant_rep,
-    is_positive_combination,
-    lform_inequality_check,
-    representation_bound,
-    root_system,
-    weights_of_exterior_power,
-    weights_of_tensor_power,
-)
-from .graded import (
-    HilbertSeries,
-    WeightedPolynomial,
-    format_polynomial,
-    format_rational,
-    free_graded_commutative_series,
-    series_pointwise_equal,
-)
-from .groups import (
-    GammaType,
-    GroupForm,
-    QuadraticModulus,
-    form_for_kind,
-    gamma_type,
-    group_generators,
-    intersection_pairing,
-    is_in_group,
-    preserves_quadratic,
-    quadratic_modulus,
-    quadratic_refinement,
-    sample_group_element,
-    transvection,
-)
-from .invariants import (
-    BasisCapExceeded,
-    GradedVCopies,
-    InvariantReport,
-    OracleResult,
-    ReportRow,
-    brute_force_invariant_dim,
-    gamma_kind_for_oracle,
-    go_homotopy_rank,
-    go_shifted_degrees,
-    invariant_crosscheck,
-    mapping_space_homotopy,
-    matchings_count,
-    piece_dimension,
-    stable_invariant_series,
-    stable_pair_degrees,
-    torelli_model_series,
-    two_part_partitions,
-)
-from .lclasses import (
-    IndexGeneratorMap,
-    IndexMapEntry,
-    bernoulli_numbers,
-    bso_cover_series,
-    cover_generator_index_set,
-    index_generator_map,
-    ko_target_series,
-    l_classes,
-    l_hat_polynomial,
-    l_polynomial,
-    multiplicative_sequence,
-    p_classes_in_l,
-    p_in_terms_of_l,
-    x_over_tanh_coefficients,
-)
-from .mt import (
-    KappaGenerator,
-    kappa_l_generator_degrees,
-    kappa_ll_pairs,
-    kappa_ll_series,
-    mt_generators,
-    mt_series,
-    pair_degree_counts,
-    stable_range,
-    torelli_invariant_series,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BasisCapExceeded",
-    "BorelConstant",
-    "GammaType",
-    "GradedVCopies",
-    "GroupForm",
-    "HilbertSeries",
-    "IndexGeneratorMap",
-    "IndexMapEntry",
-    "InvariantReport",
-    "KappaGenerator",
-    "OracleResult",
-    "QuadraticModulus",
-    "ReportRow",
-    "RootSystem",
-    "WeightedPolynomial",
-    "bernoulli_numbers",
-    "borel_constant_mu",
-    "borel_constant_rep",
-    "brute_force_invariant_dim",
-    "bso_cover_series",
-    "cover_generator_index_set",
-    "form_for_kind",
-    "format_polynomial",
-    "format_rational",
-    "free_graded_commutative_series",
-    "gamma_kind_for_oracle",
-    "gamma_type",
-    "go_homotopy_rank",
-    "go_shifted_degrees",
-    "group_generators",
-    "index_generator_map",
-    "intersection_pairing",
-    "invariant_crosscheck",
-    "is_in_group",
-    "is_positive_combination",
-    "kappa_l_generator_degrees",
-    "kappa_ll_pairs",
-    "kappa_ll_series",
-    "ko_target_series",
-    "l_classes",
-    "l_hat_polynomial",
-    "l_polynomial",
-    "lform_inequality_check",
-    "mapping_space_homotopy",
-    "matchings_count",
-    "mt_generators",
-    "mt_series",
-    "multiplicative_sequence",
-    "p_classes_in_l",
-    "p_in_terms_of_l",
-    "pair_degree_counts",
-    "piece_dimension",
-    "preserves_quadratic",
-    "quadratic_modulus",
-    "quadratic_refinement",
-    "representation_bound",
-    "root_system",
-    "sample_group_element",
-    "series_pointwise_equal",
-    "stable_invariant_series",
-    "stable_pair_degrees",
-    "stable_range",
-    "torelli_invariant_series",
-    "torelli_model_series",
-    "transvection",
-    "two_part_partitions",
-    "weights_of_exterior_power",
-    "weights_of_tensor_power",
-    "x_over_tanh_coefficients",
-]

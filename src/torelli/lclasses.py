@@ -3,22 +3,21 @@
 The multiplicative sequence attached to an even power series f(x) is the
 weight-4i part K_i of prod_k f(x_k) over formal roots, written in the
 elementary symmetric functions p_j of the u_k = x_k^2 (weight 4j).  It is
-computed without the roots: with log f = sum_m c_m u^m, the product is
-exp(sum_m c_m P_m), where the power sums P_m of the u_k come from Newton's
-identities in the p_j, and the exponential is taken one weight at a time.
-The work grows with the number of partitions of i, not with the monomials in
-i roots.  One call yields K_0..K_count, so a request for every class up to
-an index runs the recurrence once.  Everything is exact.
+computed without the roots, from one identity used both ways: the log
+derivative D of A = 1 + a_1 t + a_2 t^2 + ... (t A'/A = sum_m D_m t^m) turns
+products into sums, and the exp step i a_i = sum_{m <= i} D_m a_{i-m}
+recovers A.  With log f = sum_m c_m u^m, the product has log derivative
+m c_m P_m, where (-1)^{m-1} P_m, the power sums of the u_k up to sign, is
+the log derivative of the total class 1 + p_1 t + p_2 t^2 + ... (Newton's
+identities).  The work grows with the number of partitions of i, not with
+the monomials in i roots, and one call yields K_0..K_count.
 
 The Pontryagin classes in terms of the L-classes run the same steps
-backwards.  The log of the total class 1 + L_1 + L_2 + ... is
-sum_m c_m P_m, and no c_m vanishes (c_m is a nonzero multiple of the
-Bernoulli number B_2m), so each power sum is P_m = l_m / c_m, where l_m is
-the weight-4m part of that log.  Newton's identities
-i p_i = sum_{m <= i} (-1)^{m-1} p_{i-m} P_m then give p_1..p_count in one
-pass, with no triangular inversion and no substitution.  All polynomials of
-one call share one variable tuple (p_1..p_count or L_1..L_count), so their
-sums and products need no realignment.
+backwards: the log derivative of 1 + L_1 t + L_2 t^2 + ..., divided by
+m c_m (a nonzero multiple of the Bernoulli number B_2m), is that of the
+total Pontryagin class, with no triangular inversion and no substitution.
+All polynomials of one call share one variable tuple (p_1..p_count or
+L_1..L_count), so their sums and products need no realignment.
 
 The coefficients of x/tanh(x) come from the Bernoulli-number recurrence;
 the test suite checks them against sinh/cosh power-series division.
@@ -68,12 +67,29 @@ def x_over_tanh_coefficients(order: int) -> tuple[Fraction, ...]:
 # multiplicative sequences
 
 
-def _series_log(a: list[Fraction]) -> list[Fraction]:
-    """c with log(sum_j a_j u^j) = sum_{m>=1} c_m u^m, truncated at len(a); a_0 = 1."""
-    c = [Fraction(0)] * len(a)
+def _log_derivative(a: list) -> list:
+    """D with t (log A)' = sum_m D_m t^m for A = sum_j a_j t^j, a_0 = 1:
+    D_0 = 0 and D_m = m a_m - sum_{0<k<m} D_k a_{m-k}.  The a_j are Fractions
+    or polynomials over one shared variable tuple."""
+    d = [a[0] * 0]
     for m in range(1, len(a)):
-        c[m] = a[m] - sum((k * c[k] * a[m - k] for k in range(1, m)), Fraction(0)) / m
-    return c
+        acc = a[m] * m
+        for k in range(1, m):
+            acc = acc - d[k] * a[m - k]
+        d.append(acc)
+    return d
+
+
+def _exp_from_derivative(d: list, one) -> list:
+    """a with a_0 = one and t (log A)' = sum_m d_m t^m, from
+    i a_i = sum_{0<m<=i} d_m a_{i-m}; the inverse of `_log_derivative`."""
+    a = [one]
+    for i in range(1, len(d)):
+        acc = one * 0
+        for m in range(1, i + 1):
+            acc = acc + d[m] * a[i - m]
+        a.append(acc * Fraction(1, i))
+    return a
 
 
 def _weight_four_ring(symbol: str, count: int) -> list[WeightedPolynomial]:
@@ -91,7 +107,9 @@ def multiplicative_sequence(
 
     ``coefficients[j]`` is the u^j coefficient (u = x^2) and must start with 1.
     K_i is returned in Pontryagin variables p_1..p_count, with p_j of weight
-    4j; only p_1..p_i occur in it.
+    4j; only p_1..p_i occur in it.  K is the exp of the termwise product of
+    two log derivatives, m c_m of the coefficients and (-1)^{m-1} P_m of the
+    total class.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -99,30 +117,13 @@ def multiplicative_sequence(
         raise ValueError("the series must have constant term 1")
     a = list(coefficients[: count + 1])
     a += [Fraction(0)] * (count + 1 - len(a))
-    c = _series_log(a)
+    dc = _log_derivative(a)
     e = _weight_four_ring("p", count)
-    zero = e[0] * 0
-    # power sums P_m of the formal roots u_k = x_k^2 in their elementary
-    # symmetric functions e_j = p_j, by Newton's identities:
-    # P_m = e_1 P_{m-1} - e_2 P_{m-2} + ... + (-1)^{m-1} m e_m
-    power_sums = [zero]
-    for m in range(1, count + 1):
-        acc = e[m] * ((-1) ** (m - 1) * m)
-        for j in range(1, m):
-            term = e[j] * power_sums[m - j]
-            acc = acc + term if j % 2 else acc - term
-        power_sums.append(acc)
-    # prod_k f(u_k) = exp(S) with S = sum_m c_m P_m; its weight-4i part K_i
-    # satisfies i K_i = sum_{m <= i} m c_m P_m K_{i-m}
-    scaled = [power_sums[m] * (m * c[m]) for m in range(count + 1)]
-    sequence = [e[0]]
-    for i in range(1, count + 1):
-        acc = zero
-        for m in range(1, i + 1):
-            if c[m]:
-                acc = acc + scaled[m] * sequence[i - m]
-        sequence.append(acc * Fraction(1, i))
-    return sequence
+    de = _log_derivative(e)
+    return _exp_from_derivative(
+        [de[0]] + [de[m] * ((-1) ** (m - 1) * dc[m]) for m in range(1, count + 1)],
+        e[0],
+    )
 
 
 @lru_cache(maxsize=None)
@@ -137,36 +138,20 @@ def l_classes(count: int, hat: bool = False) -> tuple[WeightedPolynomial, ...]:
 
 @lru_cache(maxsize=None)
 def p_classes_in_l(count: int) -> tuple[WeightedPolynomial, ...]:
-    """p_0 .. p_count in L_1..L_count, by the log of the total L-class.
-
-    log(1 + L_1 + L_2 + ...) = sum_m c_m P_m, with c the log of the x/tanh(x)
-    coefficients (no c_m is zero), so the power sums are P_m = l_m / c_m for
-    l_m the weight-4m part of the log.  Newton's identities
-    i p_i = sum_{m <= i} (-1)^{m-1} p_{i-m} P_m then give every p_i.
-    """
+    """p_0 .. p_count in L_1..L_count: `multiplicative_sequence` backwards,
+    the exp of the log derivative m c_m P_m of the total L-class times
+    (-1)^{m-1} / (m c_m)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    c = _series_log(list(x_over_tanh_coefficients(count)))
+    dc = _log_derivative(list(x_over_tanh_coefficients(count)))
     big_l = _weight_four_ring("L", count)
-    zero = big_l[0] * 0
-    # D_m = m l_m, from the log derivative: D_m = m L_m - sum_{k<m} D_k L_{m-k}
-    logs = [zero]
-    for m in range(1, count + 1):
-        acc = big_l[m] * m
-        for k in range(1, m):
-            acc = acc - logs[k] * big_l[m - k]
-        logs.append(acc)
-    # (-1)^{m-1} P_m, the signed terms of Newton's identities
-    signed = [zero] + [
-        logs[m] * ((-1) ** (m - 1) / (m * c[m])) for m in range(1, count + 1)
-    ]
-    p = [big_l[0]]
-    for i in range(1, count + 1):
-        acc = zero
-        for m in range(1, i + 1):
-            acc = acc + p[i - m] * signed[m]
-        p.append(acc * Fraction(1, i))
-    return tuple(p)
+    dl = _log_derivative(big_l)
+    return tuple(
+        _exp_from_derivative(
+            [dl[0]] + [dl[m] * ((-1) ** (m - 1) / dc[m]) for m in range(1, count + 1)],
+            big_l[0],
+        )
+    )
 
 
 def l_polynomial(i: int) -> WeightedPolynomial:

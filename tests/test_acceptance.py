@@ -22,40 +22,47 @@ from test_groups import orthogonal_rank_one_group
 from test_invariants import sampled_invariant_dim
 from test_lclasses import sequence_by_chern_roots
 
-from torelli import (
-    GammaType,
-    GradedVCopies,
-    QuadraticModulus,
-    WeightedPolynomial,
+from torelli.borel import (
     borel_constant_rep,
-    brute_force_invariant_dim,
+    lform_inequality_check,
+    representation_bound,
+    root_system,
+)
+from torelli.cli import SHIPPED_INVOCATIONS, run
+from torelli.graded import WeightedPolynomial, series_pointwise_equal
+from torelli.groups import (
+    GammaType,
+    QuadraticModulus,
     form_for_kind,
-    index_generator_map,
     intersection_pairing,
     is_in_group,
-    kappa_l_generator_degrees,
-    kappa_ll_series,
-    l_hat_polynomial,
-    l_polynomial,
-    lform_inequality_check,
-    matchings_count,
-    p_in_terms_of_l,
     preserves_quadratic,
     quadratic_modulus,
     quadratic_refinement,
-    representation_bound,
-    root_system,
     sample_group_element,
-    series_pointwise_equal,
+    transvection,
+)
+from torelli.invariants import (
+    GradedVCopies,
+    brute_force_invariant_dim,
+    matchings_count,
     stable_invariant_series,
     stable_pair_degrees,
-    stable_range,
-    torelli_invariant_series,
-    transvection,
     two_part_partitions,
+)
+from torelli.lclasses import (
+    index_generator_map,
+    l_hat_polynomial,
+    l_polynomial,
+    p_in_terms_of_l,
     x_over_tanh_coefficients,
 )
-from torelli.cli import SHIPPED_INVOCATIONS, run
+from torelli.mt import (
+    kappa_l_generator_degrees,
+    kappa_ll_series,
+    stable_range,
+    torelli_invariant_series,
+)
 
 
 def _finish(num, name, failures, started, budget):

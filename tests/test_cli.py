@@ -242,6 +242,14 @@ def test_cost_caps_exit_3_before_any_work():
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["9"] * 65), "--deg", "1"], "--degrees count 65 is above the cap 64"),
         # the piece is counted before any allocation is listed
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "dimension 86493225 > cap 4096"),
+        # the largest symmetric exponent, inside the basis cap (3654 and 501
+        # dimensions)
+        (["invariant-oracle", "--type", "sp", "--g", "2", "--degrees", "2", "--deg", "52"], "52 // 2 = 26 > cap 16"),
+        (["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "2", "--deg", "1000"], "1000 // 2 = 500 > cap 16"),
+        # every crosscheck piece is counted before either series is built;
+        # the first above the cap is in degree 114
+        (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "5000", "--oracle"], "dimension 4884 > cap 4096"),
+        (["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "40", "--oracle"], "40 // 2 = 20 > cap 16"),
     ):
         started = time.perf_counter()
         code, out, err = _capture(argv)
@@ -296,6 +304,17 @@ def test_import_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_package_root_loads_no_submodule():
+    # each name is imported from the module that defines it; the package
+    # root holds only its docstring and version
+    src = str(pathlib.Path(torelli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, torelli; print(sorted(m for m in sys.modules if m.startswith('torelli.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_no_runtime_dependencies():

@@ -172,6 +172,43 @@ def test_orthogonal_rank_one_generators_give_the_whole_group():
     assert closure == group
 
 
+def _closure_mod(gens, p):
+    """The image modulo p of the group the integer matrices ``gens`` generate,
+    by breadth-first closure under right multiplication; matrices are
+    flattened row by row."""
+    size = len(gens[0])
+    flat = [tuple(x % p for row in m for x in row) for m in gens]
+    # the nonzero entries of each generator's columns
+    columns = [
+        [[(k, s[k * size + j]) for k in range(size) if s[k * size + j]] for j in range(size)]
+        for s in flat
+    ]
+    seen = set(flat)
+    frontier = list(seen)
+    while frontier:
+        found = []
+        for x in frontier:
+            rows = [x[i * size:(i + 1) * size] for i in range(size)]
+            for cols in columns:
+                y = tuple(sum(r[k] * v for k, v in c) % p for r in rows for c in cols)
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        frontier = found
+    return seen
+
+
+@pytest.mark.parametrize("p, index", [(3, 1), (5, 2)])
+def test_split_orthogonal_generators_modulo_p(p, index):
+    # the split O_4(F_q) has order 2 q^2 (q^2 - 1)^2.  Modulo 3 the O_{2,2}
+    # generators reach all of it; modulo 5 half of it, as the spinor norm
+    # predicts: an integral automorphism has spinor norm +-1 modulo
+    # squares, and -1 is a square modulo 5.  Neither proves or refutes
+    # generation of O_{2,2}(Z) (O'Meara, Introduction to Quadratic Forms).
+    order = 2 * p**2 * (p**2 - 1) ** 2
+    assert len(_closure_mod(group_generators(GammaType.ORTHOGONAL, 2), p)) == order // index
+
+
 def test_theta_generators_preserve_refinement():
     for g in (1, 2, 3):
         for m in group_generators(GammaType.THETA, g):

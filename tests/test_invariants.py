@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,8 @@ from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
 from torelli.groups import GammaType, sample_group_element
 from torelli.invariants import (
-    BasisCapExceeded,
+    EXPONENT_CAP,
+    OracleCapExceeded,
     GradedVCopies,
     _allocations,
     brute_force_invariant_dim,
@@ -433,8 +435,26 @@ def test_oracle_rejects_bad_requests():
         brute_force_invariant_dim(GammaType.THETA, copies, 4)
     with pytest.raises(ValueError):
         brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, -1)
-    with pytest.raises(BasisCapExceeded):
-        brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 40, basis_cap=100)
+    # Sym^15 of a 6-dimensional copy: 15504 > 4096
+    with pytest.raises(OracleCapExceeded, match="dimension 15504 > cap 4096"):
+        brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 30)
+
+
+def test_oracle_caps_the_symmetric_exponent():
+    # Sym^17 V at g = 2 has 1140 < 4096 dimensions, but its power columns
+    # alone outgrow the piece
+    with pytest.raises(OracleCapExceeded, match=r"34 // 2 = 17 > cap 16"):
+        brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(2, (2,)), 34)
+    # a piece above both caps names the basis cap
+    with pytest.raises(OracleCapExceeded, match="dimension 53130 > cap 4096"):
+        brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 40)
+    # the cap itself still runs: Sym^16 V under O_{1,1}(Z) = {+-I, +-swap}
+    # has one invariant per orbit {x^a y^b, x^b y^a}; and odd copies carry
+    # no symmetric power
+    copies = GradedVCopies(1, (2,))
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 2 * EXPONENT_CAP).dimension == 9
+    odd = GradedVCopies(1, (1, 3, 9, 27, 81, 243))
+    assert brute_force_invariant_dim(GammaType.SYMPLECTIC, odd, 364).dimension == 5
 
 
 def test_oracle_kind_by_parity():
@@ -460,6 +480,26 @@ def test_crosscheck_with_oracle_small():
     assert report.all_agree
     assert report.rows[0].oracle_count == 1
     assert report.rows[4].oracle_count == 0
+
+
+def test_crosscheck_checks_every_piece_before_any_work():
+    # n = 9: odd copies, no symmetric exponent, and the first piece above
+    # the basis cap in degree 114; n = 10, g = 1: copies 2, 6, 10, ..., the
+    # exponent cap from degree 34 on and the basis cap from degree 48 on,
+    # where the basis cap is named first
+    assert piece_dimension(GradedVCopies(1, tuple(go_shifted_degrees(9, 114))), 114) == 4884
+    for n, g, maxdeg, message in (
+        (9, 1, 5000, "dimension 4884 > cap 4096"),
+        (8, 3, 6000, "dimension 6372 > cap 4096"),
+        (10, 1, 40, "40 // 2 = 20 > cap 16"),
+        (10, 1, 48, "dimension 4175 > cap 4096"),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(OracleCapExceeded, match=message):
+            invariant_crosscheck(n, g, maxdeg, with_oracle=True)
+        assert time.perf_counter() - started < 0.5
+        # without the oracle there is no cap to meet
+        assert invariant_crosscheck(n, g, min(maxdeg, 200)).all_agree
 
 
 def test_crosscheck_window_requires_large_n():

@@ -1,15 +1,15 @@
 """L-class engine tests.
 
-The library builds multiplicative sequences from power sums: the log of the
-coefficient series, Newton's identities, then exp.  The oracle here takes the
+The library builds multiplicative sequences from one log derivative and one
+exp: the log derivative of the product is that of the coefficient series
+times that of the total Pontryagin class (Newton's identities).  The oracle here takes the
 classical route instead: expand the product over formal even roots and
 eliminate through elementary symmetric functions.  Its cost grows about
 sevenfold per index, so it stops at index 7; beyond it the classes are
 checked by evaluation at the elementary symmetric functions of rational
 roots.  Frozen values pin the classical low-degree classes.
 
-The library inverts the L-classes by the log of the total class and Newton's
-identities; the oracle here is triangular inversion, solving L_i for its
+The library inverts the L-classes by the same two steps backwards; the oracle here is triangular inversion, solving L_i for its
 p_i term and substituting the lower p_j(L) into the rest.
 """
 
@@ -35,7 +35,8 @@ from torelli.lclasses import (
     p_classes_in_l,
     p_in_terms_of_l,
     x_over_tanh_coefficients,
-    _series_log,
+    _exp_from_derivative,
+    _log_derivative,
 )
 
 
@@ -305,13 +306,29 @@ def test_p_from_l_matches_triangular_inversion(i):
 
 
 def test_log_coefficients_closed_form():
-    # log(x/tanh x) = log cosh x - log(sinh x / x); the route divides by
-    # every c_m, and B_{2m} != 0 keeps them all nonzero
-    c = _series_log(list(x_over_tanh_coefficients(12)))
+    # log(x/tanh x) = log cosh x - log(sinh x / x) = sum c_m u^m; the log
+    # derivative is m c_m, the inversion divides by every one of them, and
+    # B_{2m} != 0 keeps them all nonzero
+    d = _log_derivative(list(x_over_tanh_coefficients(12)))
     b = bernoulli_numbers(24)
+    assert d[0] == 0
     for m in range(1, 13):
-        assert c[m] == Fraction(4**m * (4**m - 2)) * b[2 * m] / (2 * m * math.factorial(2 * m))
-        assert c[m] != 0
+        assert d[m] == Fraction(4**m * (4**m - 2)) * b[2 * m] / (2 * math.factorial(2 * m))
+        assert d[m] != 0
+
+
+def test_log_derivative_and_exp_are_inverse():
+    # scalars: exp of u is sum u^i / i!, whose log derivative is u
+    assert _log_derivative([Fraction(1, math.factorial(i)) for i in range(8)]) == [0, 1] + [0] * 6
+    assert _exp_from_derivative([0, 1] + [0] * 6, Fraction(1)) == [
+        Fraction(1, math.factorial(i)) for i in range(8)
+    ]
+    # polynomials over one shared tuple: 1 + e_1 t + e_2 t^2 + ... round trips
+    e = WeightedPolynomial.generators([(f"e_{j}", j) for j in range(1, 7)])
+    d = _log_derivative(e)
+    assert d[0].is_zero() and d[1] == e[1]
+    assert d[2] == e[2] * 2 - e[1] * e[1]  # -P_2 = 2 e_2 - e_1^2
+    assert _exp_from_derivative(d, e[0]) == e
 
 
 @pytest.mark.parametrize("hat", [False, True])
