@@ -53,6 +53,13 @@ def test_shipped_invocations_match_golden(argv):
     assert out.encode() == (GOLDEN / f"{argv[0]}.json").read_bytes()
 
 
+@pytest.mark.parametrize("argv", SHIPPED_INVOCATIONS, ids=lambda a: a[0])
+def test_shipped_invocations_match_csv_golden(argv):
+    code, out, _ = _capture([*argv, "--format", "csv"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "csv" / f"{argv[0]}.csv").read_bytes()
+
+
 # argparse output, pinned while every run built the parser for all the
 # subcommands: help on stdout, usage errors on stderr
 USAGE_GOLDEN = {
