@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import invert_fraction_matrix
 
@@ -51,13 +50,27 @@ def _top_sums(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
     return tuple(itertools.accumulate(sorted(values, reverse=True), initial=Fraction(0)))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: str  # "C" | "D"
-    g: int
-    positive_roots: tuple[Vector, ...]
-    simple_roots: tuple[Vector, ...]
-    rho: Vector
+class RootSystem(
+    NamedTuple(
+        "RootSystem",
+        [
+            ("family", str),  # "C" | "D"
+            ("g", int),
+            ("positive_roots", tuple[Vector, ...]),
+            ("simple_roots", tuple[Vector, ...]),
+            ("rho", Vector),
+        ],
+    )
+):
+    """A root system and its coordinate tables.  No ``__slots__``: each table
+    is computed once per instance and kept in the instance ``__dict__``,
+    which is all that can be set on it."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def coordinate_rows(self) -> tuple[Vector, ...]:
@@ -191,8 +204,7 @@ def tensor_weight_count(g: int, k: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class BorelConstant:
+class BorelConstant(NamedTuple):
     """value=None: the cone test fails even with no roots subtracted.
     capped=True: the test still passed at the search cap, so the true
     constant is at least value."""

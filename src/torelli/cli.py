@@ -12,7 +12,6 @@ n always means the half-dimension (a 2n-manifold is specified by n).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Callable, Sequence
@@ -395,6 +394,8 @@ def _emit(envelope: dict, fmt: str, out) -> None:
         out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
         out.write("\n")
         return
+    import csv  # only here, so that a JSON request never loads it
+
     rows = envelope["table"]
     columns = sorted(rows[0]) if rows else []
     writer = csv.writer(out, lineterminator="\n")

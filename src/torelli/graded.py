@@ -12,26 +12,46 @@ explicit maximal degree.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class HilbertSeries:
-    """Coefficients of a truncated Hilbert series, indices 0..max_degree."""
+    """Coefficients of a truncated Hilbert series, indices 0..max_degree.
 
-    coefficients: tuple[int, ...]
+    An immutable value: equal coefficients compare and hash equal.  Not a
+    tuple, because indexing and ``*`` mean degree lookup and the truncated
+    product here."""
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        if not coefficients:
             raise ValueError("series needs at least the degree-0 coefficient")
-        if any(c < 0 for c in self.coefficients):
+        if any(c < 0 for c in coefficients):
             raise ValueError("series coefficients must be nonnegative")
-        if self.coefficients[0] != 1:
+        if coefficients[0] != 1:
             raise ValueError("an algebra series starts with coefficient 1")
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients,))
+
+    def __repr__(self) -> str:
+        return f"HilbertSeries(coefficients={self.coefficients!r})"
 
     @property
     def max_degree(self) -> int:

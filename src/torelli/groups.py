@@ -11,10 +11,9 @@ even, all of Z for n in {1, 3, 7}, and 2Z otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import identity_matrix, mat_equal, mat_mul, mat_transpose
 
@@ -33,16 +32,17 @@ class QuadraticModulus(Enum):
     MOD2 = "2Z"  # subgroup 2Z: values live in Z/2
 
 
-@dataclass(frozen=True)
-class GroupForm:
-    g: int
-    sign: int  # +1 orthogonal, -1 symplectic
+class GroupForm(NamedTuple("GroupForm", [("g", int), ("sign", int)])):
+    """The form J of genus g; sign +1 is orthogonal, -1 symplectic."""
 
-    def __post_init__(self) -> None:
-        if self.g < 1:
+    __slots__ = ()
+
+    def __new__(cls, g: int, sign: int) -> GroupForm:
+        if g < 1:
             raise ValueError("genus must be positive")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, g, sign)
 
     @property
     def matrix(self) -> list[list[int]]:

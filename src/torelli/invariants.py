@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
@@ -151,19 +150,20 @@ def matchings_count(k: int) -> int:
 # exact generator-kernel oracle
 
 
-@dataclass(frozen=True)
-class GradedVCopies:
+class GradedVCopies(
+    NamedTuple("GradedVCopies", [("g", int), ("copy_degrees", tuple[int, ...])])
+):
     """2g-dimensional copies of the defining representation, one per listed
     degree; parity of a copy is the parity of its degree."""
 
-    g: int
-    copy_degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 1:
+    def __new__(cls, g: int, copy_degrees: tuple[int, ...]) -> GradedVCopies:
+        if g < 1:
             raise ValueError("g must be positive")
-        if any(d < 1 for d in self.copy_degrees):
+        if any(d < 1 for d in copy_degrees):
             raise ValueError("copy degrees must be positive")
+        return super().__new__(cls, g, copy_degrees)
 
 
 def _tail_dimensions(copies: GradedVCopies, degree: int) -> list[list[int]]:
@@ -408,8 +408,7 @@ def _block_kernel_history(generator_columns: Sequence[Sequence[Column]]) -> tupl
     return history, "modp"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """A certified invariant dimension.
 
     history[k] is the dimension, summed over allocation blocks, of the joint
@@ -469,8 +468,7 @@ def brute_force_invariant_dim(
 # crosscheck report
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     degree: int
     stable_count: int
     ring_count: int
@@ -483,8 +481,7 @@ class ReportRow:
         return self.oracle_count is None or self.oracle_count == self.stable_count
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     n: int
     g: int
     rows: tuple[ReportRow, ...]

@@ -26,9 +26,9 @@ the test suite checks them against sinh/cosh power-series division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graded import HilbertSeries, WeightedPolynomial, free_graded_commutative_series
 
@@ -209,21 +209,36 @@ def ko_target_series(n: int, max_degree: int) -> HilbertSeries:
     )
 
 
-@dataclass(frozen=True)
-class IndexMapEntry:
-    source_label: str
-    source_degree: int
-    scalar: Fraction
-    target_label: str
-    target_degree: int
+class IndexMapEntry(
+    NamedTuple(
+        "IndexMapEntry",
+        [
+            ("source_label", str),
+            ("source_degree", int),
+            ("scalar", Fraction),
+            ("target_label", str),
+            ("target_degree", int),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.source_degree != self.target_degree:
+    def __new__(
+        cls,
+        source_label: str,
+        source_degree: int,
+        scalar: Fraction,
+        target_label: str,
+        target_degree: int,
+    ) -> IndexMapEntry:
+        if source_degree != target_degree:
             raise ValueError("index map entries must preserve degree")
+        return super().__new__(
+            cls, source_label, source_degree, scalar, target_label, target_degree
+        )
 
 
-@dataclass(frozen=True)
-class IndexGeneratorMap:
+class IndexGeneratorMap(NamedTuple):
     n: int
     parity: str  # "even" | "odd"
     entries: tuple[IndexMapEntry, ...]

@@ -13,31 +13,39 @@ tests compare the series with a convolution over that list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .lclasses import cover_generator_index_set
 
 
-@dataclass(frozen=True)
-class KappaGenerator:
+class KappaGenerator(
+    NamedTuple(
+        "KappaGenerator",
+        [
+            ("n", int),
+            ("exponents", tuple[int, ...]),  # aligned with cover_generator_index_set(n)
+            ("with_euler", bool),  # True for mu-generators (Euler-twisted), False for lambda
+        ],
+    )
+):
     """A lambda- or mu-generator indexed by a multi-index over the cover set."""
 
-    n: int
-    exponents: tuple[int, ...]  # aligned with cover_generator_index_set(n)
-    with_euler: bool  # True for mu-generators (Euler-twisted), False for lambda
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.exponents) != len(cover_generator_index_set(self.n)):
+    def __new__(cls, n: int, exponents: tuple[int, ...], with_euler: bool) -> KappaGenerator:
+        self = super().__new__(cls, n, exponents, with_euler)
+        if len(exponents) != len(cover_generator_index_set(n)):
             raise ValueError("exponent vector does not match the index set")
-        if any(e < 0 for e in self.exponents):
+        if any(e < 0 for e in exponents):
             raise ValueError("negative exponent")
-        if self.with_euler:
+        if with_euler:
             if self.weight() <= 0:
                 raise ValueError("mu-generators need positive weight")
         else:
-            if self.weight() <= 2 * self.n:
+            if self.weight() <= 2 * n:
                 raise ValueError("lambda-generators need weight above 2n")
+        return self
 
     def weight(self) -> int:
         return 4 * sum(

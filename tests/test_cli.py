@@ -304,13 +304,18 @@ def test_console_script_matches_in_process():
     assert proc.stdout == out
 
 
-def test_import_loads_no_numpy():
-    src = str(pathlib.Path(torelli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, torelli.cli; print('numpy' in sys.modules)"
+def test_cli_import_leaves_heavy_modules_out():
+    # numpy is test-side only; dataclasses pulls in inspect, ast, dis and
+    # tokenize, which the records do without as named tuples; csv is loaded
+    # by --format csv alone
+    package = pathlib.Path(torelli.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    heavy = ("numpy", "dataclasses", "inspect", "csv")
+    code = f"import sys, torelli.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+    assert [p.name for p in package.glob("*.py") if "dataclass" in p.read_text()] == []
 
 
 def test_package_root_loads_no_submodule():

@@ -209,6 +209,65 @@ def test_split_orthogonal_generators_modulo_p(p, index):
     assert len(_closure_mod(group_generators(GammaType.ORTHOGONAL, 2), p)) == order // index
 
 
+def _echelon_mod(matrix, p):
+    """Pivot columns of a matrix over F_p, and its determinant when it is
+    square (0 when singular), by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in matrix]
+    pivots, det = [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            det = 0
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            det = -det
+        det = det * rows[r][c] % p
+        inverse = pow(rows[r][c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inverse % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, det % p
+
+
+def _spinor_norm_is_square(a, p):
+    """Whether the spinor norm of the O_{g,g} matrix a, reduced modulo the
+    odd prime p, is a square in F_p.
+
+    Zassenhaus's formula: the spinor norm is the discriminant of the Wall
+    form [u, v] = B(x, v), u = (1 - a)x, on im(1 - a), where B(x, y) = x^T J y;
+    a reflection in v then has spinor norm Q(v) = B(v, v) / 2.  The images
+    u_k of the pivot columns c_k of 1 - a span im(1 - a), and
+    [u_k, u_l] = (J (1 - a))[c_k][c_l]."""
+    size = len(a)
+    one_minus_a = [[int(r == c) - a[r][c] for c in range(size)] for r in range(size)]
+    pivots, _ = _echelon_mod(one_minus_a, p)
+    j_one_minus_a = _product(GroupForm(size // 2, 1).matrix, one_minus_a)
+    _, discriminant = _echelon_mod([[j_one_minus_a[c][d] for d in pivots] for c in pivots], p)
+    assert discriminant, "the Wall form is nondegenerate"
+    return pow(discriminant, (p - 1) // 2, p) == 1
+
+
+@pytest.mark.parametrize("p, all_square", [(3, False), (5, True)])
+def test_spinor_norms_of_split_orthogonal_generators_modulo_p(p, all_square):
+    # the spinor norm of an integral automorphism is +-1 modulo squares.
+    # -1 = 2^2 modulo 5, so every generator lies in the index-2 kernel of
+    # the spinor norm, and so does the image above (14400 of 28800).  -1 is
+    # no square modulo 3: the swap e_1 <-> f_1 is the reflection in
+    # e_1 - f_1, of spinor norm Q(e_1 - f_1) = -1, and the image is all of
+    # O_4(F_3)
+    gens = group_generators(GammaType.ORTHOGONAL, 2)
+    squares = [_spinor_norm_is_square(a, p) for a in gens]
+    assert all(squares) is all_square
+    assert squares[0] is all_square  # the swap e_1 <-> f_1
+    # the formula is a homomorphism to F_p^* modulo squares
+    for a, a_square in zip(gens, squares):
+        for b, b_square in zip(gens, squares):
+            assert _spinor_norm_is_square(_product(a, b), p) is (a_square == b_square)
+
+
 def test_theta_generators_preserve_refinement():
     for g in (1, 2, 3):
         for m in group_generators(GammaType.THETA, g):
