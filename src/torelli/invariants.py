@@ -7,29 +7,35 @@ ring on classes omega_{x,y} indexed by unordered pairs of those degrees.
 
 The oracle computes, exactly, the dimension of the subspace of a degree-d
 graded piece (symmetric powers on even copies, exterior powers on odd
-copies) fixed by the group that `group_generators` generates.  A vector is
-fixed by that group exactly when every generator fixes it, so the count is
-the dimension of the joint kernel of rho(s) - 1 over the fixed generator
-list: no sampling, no seed and no stopping rule.  The group preserves each
-allocation block (one exponent per copy), so the kernel is taken block by
-block and no block-diagonal matrix is built.
-
-Within a block, each generator's matrix is built as sparse columns (the
-symmetric or exterior power of the generator on each copy, Kronecker-combined
-across copies), and the rows of rho(s) - 1 go, one generator at a time, into
-a sparse echelon form modulo the prime PRIME.  The count is certified over Q
-from both sides:
+copies) fixed by the group that `group_generators` generates: no sampling,
+no seed and no stopping rule.  The group preserves each allocation block (one
+exponent per copy), so the count is taken block by block, and certified over
+Q from both sides:
 
 - upper bound: a rank modulo p is at most the rank over Q, so the rational
   kernel is no larger than the kernel modulo p;
 - lower bound: each kernel vector modulo p has a unit entry on its own free
   column and zeros on the other free columns; it is lifted to Q by rational
   reconstruction and checked exactly, over the integers, to be fixed by every
-  generator.  Lifted vectors that pass are independent rational invariants.
+  listed generator.  Lifted vectors that pass are independent invariants.
 
-When a lift fails, or a lifted vector fails its check, the same sparse
-elimination runs again over Q, where it is exact by construction, and the
-answer reports route "rational" instead of "modp".
+When a lift fails, or a lifted vector fails its check, the same elimination
+runs again over Q, and the route reads "rational" or "orbit-rational".
+
+The symplectic kind's route ("modp") feeds the rows of rho(s) - 1, one
+generator s at a time, into a sparse echelon form modulo PRIME; each
+generator's sparse columns on the block are its symmetric or exterior power
+on each copy, Kronecker-combined across copies.
+
+The orthogonal kind's route ("orbit") uses orbit sums, as in the Reynolds
+operator method of Derksen-Kemper and Sturmfels.  The listed signed
+permutations (swaps, sign flips, pair permutations) generate a finite group
+H that permutes the block's basis up to sign, so V^H is spanned by the sums
+of the orbits that no element of H negates.  Every other generator is
+H-conjugate to s, the first of them, so the invariants are V^H & ker(s - 1).
+s - 1 squares to 0, so it is log s: the derivation it induces has the kernel
+of s - 1 over Q, and its rows on the orbit sums are the ones eliminated.  A
+wrong conjugacy claim would fail the certificate, not change the count.
 
 For the orthogonal kind at g = 1 the generated group is the finite
 O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
@@ -42,7 +48,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
@@ -57,11 +64,14 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the oracle's a-priori caps: the piece dimension, and the largest symmetric
-# exponent deg // d at the least even copy degree d, whose power columns alone
-# outgrow the piece (Sym^16 V at g = 2 takes about 1.5 s, Sym^26 V 36 s)
+# the symplectic route's a-priori caps: the piece dimension, and the largest
+# symmetric exponent deg // d at the least even copy degree d, whose power
+# columns alone outgrow the piece (Sym^16 V at g = 2 takes about 1 s)
 BASIS_CAP = 4096
 EXPONENT_CAP = 16
+# the orbit route's a-priori cap on `_orbit_work`; the slowest pieces inside
+# it take about 3.3 s (Sym^12 V at g = 4)
+WORK_CAP = 2_500_000
 
 
 class OracleCapExceeded(ValueError):
@@ -186,6 +196,24 @@ def _tail_dimensions(copies: GradedVCopies, degree: int) -> list[list[int]]:
     return tails[::-1]
 
 
+def _orbit_work(copies: GradedVCopies, degree: int) -> list[int]:
+    """The orbit route's work in each degree up to degree, counted a priori:
+    the monomials visited, 2g exponents by each of the g + 1 moves, plus the
+    nonzeros of the images under s, which the exact check touches.  s moves
+    x_1 to x_1 + x_2 and y_2 to y_2 - y_1, so on an even copy x_1^a y_2^b has
+    (a + 1)(b + 1) terms, counted by 1/(1 - q^d)^{2g+2}, and an odd copy is
+    bounded by (1 + 2q^d)^2 (1 + q^d)^{2g-2}.  At g = 1 there is no s."""
+    g = copies.g
+    images = [int(g > 1)] + [0] * degree
+    for d in copies.copy_degrees:
+        steps = range(degree, d - 1, -1) if d % 2 else range(d, degree + 1)
+        for weight in [2, 2] + [1] * (2 * g - 2) if d % 2 else [1] * (2 * g + 2):
+            for e in steps:
+                images[e] += weight * images[e - d]
+    pieces = _tail_dimensions(copies, degree)[0]
+    return [2 * g * (g + 1) * x + y for x, y in zip(pieces, images)]
+
+
 def _allocations(copies: GradedVCopies, degree: int):
     """Exponent tuples m with sum m_i * d_i = degree, in lexicographic order;
     exterior copies are capped at dimension 2g.  A prefix is extended only
@@ -229,35 +257,74 @@ def _check_exponent_cap(copies: GradedVCopies, degree: int) -> None:
         )
 
 
+def _check_work_cap(work: int) -> None:
+    if work > WORK_CAP:
+        raise OracleCapExceeded(f"orbit-route work {work} > cap {WORK_CAP}")
+
+
 Column = dict[int, int]  # sparse column: row index -> nonzero entry
+
+
+def _sparse_columns(a: Sequence[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzero entries (i, x) of each column of a."""
+    return [tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(a))]
+
+
+@lru_cache(maxsize=64)
+def _exponent_vectors(dim: int, m: int, exterior: bool) -> tuple[tuple[int, ...], ...]:
+    """The basis of Sym^m, or (exterior) Lambda^m, of a dim-dimensional space
+    as exponent vectors, in the order of their sorted index tuples."""
+    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
+    return tuple(tuple(map(b.count, range(dim))) for b in combos(range(dim), m))
+
+
+@lru_cache(maxsize=4096)
+def _shares(column: tuple[tuple[int, int], ...], k: int) -> list[tuple[tuple, int]]:
+    """The terms of (sum x e_i)^k over a column's entries (i, x): the pairs
+    (i, t > 0) of each way of sharing k among them, and its coefficient."""
+    (i, x), rest = column[0], column[1:]
+    if not rest:
+        return [(((i, k),) * (k > 0), x**k)]
+    return [
+        (((i, t),) * (t > 0) + shares, math.comb(k, t) * x**t * c)
+        for t in range(k + 1)
+        for shares, c in _shares(rest, k - t)
+    ]
+
+
+def _monomial_image(a, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
+    """The image of a basis element of Sym^m, or (exterior) Lambda^m, given
+    by its exponent vector, under the matrix with sparse columns a: e_j^k
+    goes to the k-th power of column j, and a wedge factor sorted into place
+    passes every larger index."""
+    expansion = {(0,) * len(mono): 1}
+    for j, k in enumerate(mono):
+        if not k:
+            continue
+        nxt: dict[tuple[int, ...], int] = {}
+        for shares, y in _shares(a[j], k):
+            for term, c in expansion.items():
+                key = list(term)
+                c *= y
+                for i, t in shares:
+                    if exterior and key[i]:
+                        c = 0
+                    elif exterior and sum(key[i + 1 :]) % 2:
+                        c = -c
+                    key[i] += t
+                if c:
+                    nxt[tuple(key)] = nxt.get(tuple(key), 0) + c
+        expansion = nxt
+    return {term: c for term, c in expansion.items() if c}
 
 
 def _power_columns(a: Sequence[Sequence[int]], m: int, exterior: bool) -> list[Column]:
     """Sparse columns of Lambda^m(a) (exterior) or Sym^m(a), on the basis of
-    sorted index tuples in lexicographic order."""
-    dim = len(a)
-    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
-    basis = list(combos(range(dim), m))
+    `_exponent_vectors`."""
+    basis = _exponent_vectors(len(a), m, exterior)
     index = {b: i for i, b in enumerate(basis)}
-    nonzero = [[(i, a[i][j]) for i in range(dim) if a[i][j]] for j in range(dim)]
-    columns = []
-    for src in basis:
-        expansion: dict[tuple[int, ...], int] = {(): 1}
-        for j in src:
-            nxt: dict[tuple[int, ...], int] = {}
-            for mono, c in expansion.items():
-                for i, x in nonzero[j]:
-                    if exterior:
-                        if i in mono:
-                            continue
-                        # sorting e_i into place passes every larger index
-                        if sum(1 for t in mono if t > i) % 2:
-                            x = -x
-                    key = tuple(sorted(mono + (i,)))
-                    nxt[key] = nxt.get(key, 0) + c * x
-            expansion = nxt
-        columns.append({index[mono]: c for mono, c in expansion.items() if c})
-    return columns
+    columns = _sparse_columns(a)
+    return [{index[b]: c for b, c in _monomial_image(columns, src, exterior).items()} for src in basis]
 
 
 def _kron_columns(factors: Sequence[Sequence[Column]]) -> list[Column]:
@@ -271,6 +338,18 @@ def _kron_columns(factors: Sequence[Sequence[Column]]) -> list[Column]:
             for right in part
         ]
     return columns
+
+
+def _signed_kron(factors: Sequence[Sequence[Column]]) -> tuple[list[int], list[int]]:
+    """The Kronecker product of signed permutations, each given by its sparse
+    columns of one entry: the image and the sign of each basis element, the
+    first factor outermost."""
+    image, sign = [0], [1]
+    for part in factors:
+        pairs = [next(iter(column.items())) for column in part]
+        image = [r * len(part) + s for r in image for s, _ in pairs]
+        sign = [x * y for x in sign for _, y in pairs]
+    return image, sign
 
 
 def _rows_minus_identity(columns: Sequence[Column]) -> list[Column]:
@@ -367,62 +446,207 @@ def _lift(vector: Column, p: int) -> Column | None:
     return {k: int(q * scale) for k, q in lifted.items()}
 
 
-def _is_fixed(columns: Sequence[Column], vector: Column) -> bool:
-    """Exact check of M v = v for M given by its columns."""
-    image: Column = {}
+def _is_fixed(column: Callable[..., dict], vector: dict) -> bool:
+    """Exact check of M v = v for M given by column(c), its column c."""
+    image: dict = {}
     for c, x in vector.items():
-        for r, y in columns[c].items():
+        for r, y in column(c).items():
             image[r] = image.get(r, 0) + x * y
     return {r: x for r, x in image.items() if x} == vector
 
 
-def _echelon_history(
-    generator_columns: Sequence[Sequence[Column]], p: int
-) -> tuple[list[int], dict[int, Column]]:
-    """Joint-kernel dimension of M - 1 after each generator M of one block,
-    modulo p or, when p is 0, over Q; and the echelon form it ends with."""
-    size = len(generator_columns[0])
+def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list[int], dict]:
+    """The kernel dimension, on size columns, after the rows_of(group) of
+    each group, modulo p or, when p is 0, over Q; and the echelon form."""
     pivots: dict[int, Column] = {}
     history = []
-    for columns in generator_columns:
+    for group in groups:
         if len(pivots) < size:
-            for row in _rows_minus_identity(columns):
+            for row in rows_of(group):
                 _insert_row(pivots, row, p)
         history.append(size - len(pivots))
     return history, pivots
 
 
+def _certified_history(groups, rows_of, size: int, fixed: Callable) -> tuple[list[int], bool]:
+    """`_echelon_history` modulo PRIME, when every kernel vector lifts to one
+    that fixed accepts, and else over Q; and whether it took the rerun.  The
+    rank mod p is at most the rank over Q, so the last entry bounds the
+    rational kernel from above; verified lifts bound it from below."""
+    p = PRIME
+    history, pivots = _echelon_history(groups, rows_of, size, p)
+    for vector in _kernel_mod_p(pivots, size, p) if history[-1] else ():
+        lifted = _lift(vector, p)
+        if lifted is None or not fixed(lifted):
+            return _echelon_history(groups, rows_of, size, 0)[0], True
+    return history, False
+
+
+def _fixed_by_columns(generator_columns, vector: Column) -> bool:
+    return all(_is_fixed(columns.__getitem__, vector) for columns in generator_columns)
+
+
 def _block_kernel_history(generator_columns: Sequence[Sequence[Column]]) -> tuple[list[int], str]:
     """Joint-kernel dimension of M - 1 after each generator M of one block,
     and the route that certified it ("modp" or "rational")."""
-    p = PRIME
-    history, pivots = _echelon_history(generator_columns, p)
-    # the rank mod p is at most the rank over Q, so history[-1] bounds the
-    # rational kernel from above; verified lifts bound it from below
-    if history[-1] == 0:
-        return history, "modp"
-    for vector in _kernel_mod_p(pivots, len(generator_columns[0]), p):
-        lifted = _lift(vector, p)
-        if lifted is None or not all(_is_fixed(columns, lifted) for columns in generator_columns):
-            return _echelon_history(generator_columns, 0)[0], "rational"
-    return history, "modp"
+    history, rational = _certified_history(
+        generator_columns,
+        _rows_minus_identity,
+        len(generator_columns[0]),
+        partial(_fixed_by_columns, generator_columns),
+    )
+    return history, "rational" if rational else "modp"
 
 
 class OracleResult(NamedTuple):
     """A certified invariant dimension.
 
-    history[k] is the dimension, summed over allocation blocks, of the joint
-    kernel of rho(s) - 1 over the first k + 1 generators s.  A block on route
-    "modp" contributes its kernel modulo PRIME, an upper bound on the rational
-    one that the certificate makes exact at the last generator; a block on
-    route "rational" contributes the kernel over Q.  route is "rational" when
-    some block failed the certificate and was eliminated again over Q, else
-    "modp".
+    On the symplectic route, history[k] is the dimension, summed over
+    allocation blocks, of the joint kernel of rho(s) - 1 over the first k + 1
+    generators s; on the orbit route it is (dim V^H, dim V^H & ker(s - 1)),
+    or (dim V^H) at g = 1.  A block contributes its kernel modulo PRIME, an
+    upper bound that the certificate makes exact at the last entry, on route
+    "modp" or "orbit"; route is "rational" or "orbit-rational" when some
+    block failed the certificate and was eliminated again over Q.
     """
 
     dimension: int
     history: tuple[int, ...]
     route: str
+
+
+def _block_columns(generators, factors, powers: dict, kron: Callable = _kron_columns) -> list:
+    """Each generator on the block of the factors (m, exterior), the kron of
+    its power columns on them, which powers caches."""
+    for k, a in enumerate(generators):
+        for m, exterior in factors:
+            if (k, m, exterior) not in powers:
+                powers[k, m, exterior] = _power_columns(a, m, exterior)
+    return [kron([powers[k, m, exterior] for m, exterior in factors]) for k in range(len(generators))]
+
+
+def _count(copies: GradedVCopies, degree: int, history: list[int], exact: str, solve) -> OracleResult:
+    """The histories that solve(factors) gives on each allocation block,
+    added to history; the route is exact unless some block's is not."""
+    route = exact
+    for alloc in _allocations(copies, degree):
+        block_history, block_route = solve([(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m])
+        history = [h + b for h, b in zip(history, block_history)]
+        if block_route != exact:
+            route = block_route
+    return OracleResult(history[-1] if history else 0, tuple(history), route)
+
+
+def _kernel_block(generators, powers: dict, factors) -> tuple[list[int], str]:
+    return _block_kernel_history(_block_columns(generators, factors, powers))
+
+
+def _kernel_invariant_dim(kind: GammaType, copies: GradedVCopies, degree: int) -> OracleResult:
+    """The count as the joint kernel of rho(s) - 1 over every listed s."""
+    size = piece_dimension(copies, degree)
+    _check_basis_cap(size)
+    _check_exponent_cap(copies, degree)
+    generators = group_generators(kind, copies.g)
+    solve = partial(_kernel_block, generators, {})
+    return _count(copies, degree, [0] * len(generators) if size else [], "modp", solve)
+
+
+def _block_image(action, factors, element) -> dict:
+    """The image of a block element, one exponent vector per factor, under
+    action = (a generator's sparse columns, its cached monomial images on
+    symmetric and on exterior factors)."""
+    a, cache = action
+    image: dict = {(): 1}
+    for (m, exterior), mono in zip(factors, element):
+        if mono not in cache[exterior]:
+            cache[exterior][mono] = _monomial_image(a, mono, exterior)
+        image = {key + (b,): c * x for key, c in image.items() for b, x in cache[exterior][mono].items()}
+    return image
+
+
+def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
+    """The image of a basis element of Sym^m, or (exterior) Lambda^m, given
+    by its exponent vector, under the derivation that the matrix with sparse
+    columns n induces: each e_j in turn goes to n e_j."""
+    image: dict[tuple[int, ...], int] = {}
+    for j, k in enumerate(mono):
+        for i, x in n[j] if k else ():
+            if exterior and mono[i] and i != j:
+                continue
+            # e_i takes the place of e_j and passes the wedge factors between
+            if exterior and sum(mono[min(i, j) + 1 : max(i, j)]) % 2:
+                x = -x
+            key = mono[:j] + (k - 1,) + mono[j + 1 :]
+            key = key[:i] + (key[i] + 1,) + key[i + 1 :]
+            image[key] = image.get(key, 0) + k * x
+    return {key: c for key, c in image.items() if c}
+
+
+def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
+    """A basis of the block vectors that the signed permutations moves, given
+    as (image, sign) lists, fix: the sums of the orbits, up to sign, of the
+    basis elements that reach none with both signs, which some element of
+    the group they generate would negate."""
+    sign = [0] * size
+    sums = []
+    for root in range(size):
+        if sign[root]:
+            continue
+        sign[root], orbit, live = 1, [root], True
+        for b in orbit:
+            for image, move_sign in moves:
+                c, x = image[b], move_sign[b] * sign[b]
+                if not sign[c]:
+                    sign[c] = x
+                    orbit.append(c)
+                live = live and sign[c] == x
+        if live:
+            sums.append({b: sign[b] for b in orbit})
+    return sums
+
+
+def _orbit_block(g: int, moves, actions, n, powers: dict, factors) -> tuple[list[int], str]:
+    """[dim V^H, dim V^H & ker(s - 1)] on the block of the factors, or
+    [dim V^H] when n, the sparse columns of s - 1, is None; and the route."""
+    elements = list(itertools.product(*[_exponent_vectors(2 * g, *factor) for factor in factors]))
+    sums = _orbit_sums(len(elements), _block_columns(moves, factors, powers, _signed_kron))
+    if n is None:
+        return [len(sums)], "orbit"
+    rows: dict = {}  # block element -> {orbit index: entry}
+    for k, orbit in enumerate(sums):
+        for b, e in orbit.items():
+            element = elements[b]
+            for f, (m, exterior) in enumerate(factors):
+                for image, x in _derivation_image(n, element[f], exterior).items():
+                    row = rows.setdefault(element[:f] + (image,) + element[f + 1 :], {})
+                    row[k] = row.get(k, 0) + e * x
+
+    def fixed(lifted: Column) -> bool:
+        vector = {elements[b]: c * e for k, c in lifted.items() for b, e in sums[k].items()}
+        return all(_is_fixed(partial(_block_image, action, factors), vector) for action in actions)
+
+    history, rational = _certified_history([rows], dict.values, len(sums), fixed)
+    return [len(sums)] + history, "orbit-rational" if rational else "orbit"
+
+
+def _orbit_invariant_dim(copies: GradedVCopies, degree: int) -> OracleResult:
+    """The orthogonal kind's count by orbit sums.  The moves, the listed
+    signed permutations that move x_1, generate H: their pair permutations
+    conjugate the first pair's swap and flip to every other pair's.  The
+    rows are those of the derivation n = s - 1 on the orbit sums; at g = 1
+    there is no s and every generator is a move."""
+    _check_work_cap(_orbit_work(copies, degree)[degree])
+    generators = group_generators(GammaType.ORTHOGONAL, copies.g)
+    signed = [a for a in generators if all(sum(map(bool, row)) == 1 for row in a)]
+    moves = [a for a in signed if a[0][0] != 1]
+    s = next((a for a in generators if a not in signed), None)
+    n = None
+    if s is not None:
+        n = _sparse_columns([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(s)])
+    actions = [(_sparse_columns(a), ({}, {})) for a in generators]
+    history = [0] * (1 if s is None else 2) if piece_dimension(copies, degree) else []
+    solve = partial(_orbit_block, copies.g, moves, actions, n, {})
+    return _count(copies, degree, history, "orbit", solve)
 
 
 def brute_force_invariant_dim(
@@ -440,28 +664,9 @@ def brute_force_invariant_dim(
         raise ValueError("degree must be nonnegative")
     if kind is GammaType.THETA:
         raise ValueError("the oracle covers the symplectic or orthogonal group")
-    size = piece_dimension(copies, degree)
-    _check_basis_cap(size)
-    _check_exponent_cap(copies, degree)
-    generators = group_generators(kind, copies.g)
-    history = [0] * len(generators) if size else []
-    route = "modp"
-    powers: dict[tuple[int, int, bool], list[Column]] = {}
-    for alloc in _allocations(copies, degree):
-        factors = [(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m]
-        generator_columns = []
-        for k, a in enumerate(generators):
-            for m, exterior in factors:
-                if (k, m, exterior) not in powers:
-                    powers[k, m, exterior] = _power_columns(a, m, exterior)
-            generator_columns.append(
-                _kron_columns([powers[k, m, exterior] for m, exterior in factors])
-            )
-        block_history, block_route = _block_kernel_history(generator_columns)
-        history = [h + b for h, b in zip(history, block_history)]
-        if block_route == "rational":
-            route = "rational"
-    return OracleResult(history[-1] if history else 0, tuple(history), route)
+    if kind is GammaType.ORTHOGONAL:
+        return _orbit_invariant_dim(copies, degree)
+    return _kernel_invariant_dim(kind, copies, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +704,7 @@ def invariant_crosscheck(
 ) -> InvariantReport:
     """Per-degree comparison of the stable invariant count, the pair-class
     ring count, and (optionally) the oracle on the free model, whose caps
-    every piece meets before any work: first the basis cap, then the
-    exponent cap, which is largest in the top degree."""
+    every piece meets before any work."""
     if n < 8:
         raise ValueError("the comparison window needs n >= 8")
     if g < 1 or max_degree < 0:
@@ -509,21 +713,25 @@ def invariant_crosscheck(
     from .mt import kappa_ll_series
 
     copies = GradedVCopies(g, tuple(go_shifted_degrees(n, max_degree)))
+    kind = gamma_kind_for_oracle(n)
     if with_oracle:
         # a count up to a lower degree agrees with the whole request's, so
         # a window that doubles meets the first piece above the cap at about
-        # the cost of counting up to it
+        # the cost of counting up to it; for n odd every copy is odd, so the
+        # symplectic route's exponent cap cannot bind
         top = 64
         while True:
-            for size in _tail_dimensions(copies, min(top, max_degree))[0]:
-                _check_basis_cap(size)
+            if kind is GammaType.ORTHOGONAL:
+                for work in _orbit_work(copies, min(top, max_degree)):
+                    _check_work_cap(work)
+            else:
+                for size in _tail_dimensions(copies, min(top, max_degree))[0]:
+                    _check_basis_cap(size)
             if top >= max_degree:
                 break
             top *= 2
-        _check_exponent_cap(copies, max_degree)
     stable = stable_invariant_series(n, max_degree)
     ring = kappa_ll_series(n, max_degree)
-    kind = gamma_kind_for_oracle(n)
     rows = []
     for d in range(max_degree + 1):
         oracle = None

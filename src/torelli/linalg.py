@@ -32,10 +32,6 @@ def mat_transpose(a: Matrix) -> list[list[int]]:
     return [list(col) for col in zip(*a)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> list[list[int]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_equal(a: Matrix, b: Matrix) -> bool:
     return [list(r) for r in a] == [list(r) for r in b]
 
@@ -133,12 +129,4 @@ def kernel_basis(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
                 raise AssertionError("Cramer's rule makes the scaled kernel vector integral")
         basis.append([Fraction(v, d) for v in y])
     return basis
-
-
-def rank(m: Sequence[Sequence[int | Fraction]]) -> int:
-    rows = _clear_denominators(m)
-    if not rows:
-        return 0
-    _, pivots = _bareiss_echelon(rows)
-    return len(pivots)
 

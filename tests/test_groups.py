@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from torelli.cli import GENUS_CAP
 from torelli.groups import (
     GammaType,
     GroupForm,
@@ -18,6 +19,7 @@ from torelli.groups import (
     sample_group_element,
     transvection,
 )
+from torelli.linalg import mat_mul
 
 
 def test_form_matrices():
@@ -170,6 +172,59 @@ def test_orthogonal_rank_one_generators_give_the_whole_group():
         frontier = {_product(x, s) for x in frontier for s in gens} - closure
         closure |= frontier
     assert closure == group
+
+
+def _matrix_of_images(images, signs=None):
+    """The matrix sending basis vector c to signs[c] times basis vector images[c]."""
+    m = [[0] * len(images) for _ in images]
+    for c, r in enumerate(images):
+        m[r][c] = signs[c] if signs else 1
+    return m
+
+
+@pytest.mark.parametrize("g", range(2, GENUS_CAP + 1))
+def test_orthogonal_generators_outside_h_are_conjugate_to_the_first(g):
+    # the orbit route of the invariant oracle rests on these facts: the
+    # signed permutations of the list are the swaps, sign flips and pair
+    # permutations, and those that move x_1 generate them; every other
+    # generator is h s h^-1 for s the first of them and h a product of
+    # listed pair permutations; and s - 1 squares to 0
+    size = 2 * g
+    gens = [[list(row) for row in a] for a in group_generators(GammaType.ORTHOGONAL, g)]
+    swaps, flips, pairs = {}, {}, {}
+    for i in range(g):
+        images = list(range(size))
+        images[i], images[g + i] = g + i, i
+        swaps[i] = _matrix_of_images(images)
+        flips[i] = _matrix_of_images(range(size), [-1 if c % g == i else 1 for c in range(size)])
+        for j in range(i + 1, g):
+            images = list(range(size))
+            images[i], images[j], images[g + i], images[g + j] = j, i, g + j, g + i
+            pairs[i, j] = pairs[j, i] = _matrix_of_images(images)
+    signed = [a for a in gens if all(sorted(map(abs, row)) == [0] * (size - 1) + [1] for row in a)]
+    expected = list(swaps.values()) + list(flips.values()) + [pairs[i, j] for i, j in pairs if i < j]
+    assert sorted(signed) == sorted(expected)
+    for i in range(1, g):
+        conj = pairs[0, i]
+        assert mat_mul(mat_mul(conj, swaps[0]), conj) == swaps[i]
+        assert mat_mul(mat_mul(conj, flips[0]), conj) == flips[i]
+        for j in range(i + 1, g):
+            assert mat_mul(mat_mul(conj, pairs[0, j]), conj) == pairs[i, j]
+    others = [a for a in gens if a not in signed]
+    assert len(others) == g * (g - 1)
+    s = others[0]
+    identity = [[int(r == c) for c in range(size)] for r in range(size)]
+    n = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(s, identity)]
+    assert mat_mul(n, n) == [[0] * size for _ in range(size)]
+    for a in others:
+        # x_i -> x_i + x_j and y_j -> y_j - y_i for the (j, i) entry 1
+        ((j, i),) = [(r, c) for r in range(g) for c in range(g) if r != c and a[r][c]]
+        # (0 i) sends pair 0 to i; (k j) then sends the image k of pair 1 to j
+        first = pairs[0, i] if i else identity
+        k = 0 if i == 1 else 1
+        second = pairs[k, j] if k != j else identity
+        h, h_inverse = mat_mul(second, first), mat_mul(first, second)
+        assert mat_mul(mat_mul(h, s), h_inverse) == a
 
 
 def _closure_mod(gens, p):

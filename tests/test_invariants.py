@@ -24,9 +24,10 @@ import pytest
 from torelli import invariants
 from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
-from torelli.groups import GammaType, sample_group_element
+from torelli.groups import GammaType, group_generators, sample_group_element
 from torelli.invariants import (
     EXPONENT_CAP,
+    WORK_CAP,
     OracleCapExceeded,
     GradedVCopies,
     _allocations,
@@ -43,7 +44,9 @@ from torelli.invariants import (
     torelli_model_series,
     two_part_partitions,
 )
-from torelli.linalg import identity_matrix, kernel_basis, mat_mul, mat_sub, mat_transpose
+from torelli.linalg import identity_matrix, kernel_basis, mat_mul, mat_transpose
+
+from test_linalg import mat_sub
 
 
 def test_go_homotopy_rank():
@@ -249,6 +252,50 @@ def _power_matrix(a, m, exterior):
     return out
 
 
+@pytest.mark.parametrize("kind", [GammaType.SYMPLECTIC, GammaType.ORTHOGONAL, GammaType.THETA])
+def test_power_columns_match_the_dense_powers(kind):
+    # every generator at g = 1..3, on Lambda^m and on Sym^m up to m = 5
+    for g in (1, 2, 3):
+        for a in group_generators(kind, g):
+            for m, exterior in [(m, True) for m in range(2 * g + 1)] + [(m, False) for m in range(6)]:
+                dense = _power_matrix(a, m, exterior)
+                columns = invariants._power_columns(a, m, exterior)
+                assert [{r: row[c] for r, row in enumerate(dense) if row[c]} for c in range(len(dense))] == columns
+
+
+def derivation_by_positions(n, mono, exterior):
+    """The derivation that the matrix n induces, on a basis element given by
+    its sorted index tuple: the sum over the positions of the tuple of the
+    tuple with that entry j replaced by each i, times n[i][j], sorted back,
+    with the sign of the sort on Lambda^m."""
+    image = {}
+    for pos, j in enumerate(mono):
+        for i, row in enumerate(n):
+            seq, x = mono[:pos] + (i,) + mono[pos + 1 :], row[j]
+            if x and exterior:
+                x = 0 if len(set(seq)) < len(seq) else x * (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
+            if x:
+                key = tuple(sorted(seq))
+                image[key] = image.get(key, 0) + x
+    return {key: c for key, c in image.items() if c}
+
+
+def test_derivation_image_matches_the_positions():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        dim = rng.choice((4, 6))
+        n = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)] for _ in range(dim)]
+        for exterior, top in ((True, dim), (False, 4)):
+            combos = itertools.combinations if exterior else itertools.combinations_with_replacement
+            for m in range(top + 1):
+                for mono in combos(range(dim), m):
+                    image = invariants._derivation_image(
+                        invariants._sparse_columns(n), tuple(map(mono.count, range(dim))), exterior
+                    )
+                    expected = derivation_by_positions(n, mono, exterior)
+                    assert image == {tuple(map(key.count, range(dim))): c for key, c in expected.items()}
+
+
 def piece_matrix(a, copies, degree):
     """The block-diagonal action of a on the degree piece, as a dense list."""
     blocks = []
@@ -366,7 +413,7 @@ def test_seed_independence():
         envelope = json.loads(out.getvalue())
         assert envelope["parameters"]["seed"] == int(seed)
         tables.append(envelope["table"])
-    assert tables[0] == tables[1] == [{"dimension": 0, "history": "0 0 0 0 0 0 0", "piece": 1, "route": "modp"}]
+    assert tables[0] == tables[1] == [{"dimension": 0, "history": "0 0", "piece": 1, "route": "orbit"}]
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +453,19 @@ CRITERION_6_PIECES = (
 
 def test_tiny_prime_falls_back_to_rational(monkeypatch):
     exact = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
-    assert all(result.route == "modp" for result in exact.values())
+    assert [result.route for result in exact.values()] == ["orbit"] * 3 + ["modp"] * 6
     # modulo 2 only 0 and 1 lift, so every invariant with a -1 entry fails
-    # its exact check: the symplectic tensor powers below
+    # its exact check: the symplectic tensor powers below; and the derivation
+    # takes x_1^2 + y_1^2 + x_2^2 + y_2^2 to 2 x_1 x_2 - 2 y_1 y_2, which
+    # vanishes modulo 2, so at g = 2 and 3 a sum of squares fails as well
     monkeypatch.setattr(invariants, "PRIME", 2)
     fallback = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
-    assert {piece for piece, result in fallback.items() if result.route == "rational"} == set(CRITERION_6_PIECES[5:])
+    assert {piece for piece, result in fallback.items() if result.route.endswith("rational")} == set(
+        CRITERION_6_PIECES[1:3] + CRITERION_6_PIECES[5:]
+    )
     for piece, result in fallback.items():
         assert result.dimension == exact[piece].dimension
-        if result.route == "rational":
+        if result.route.endswith("rational"):
             # the elimination over Q gives the exact history
             assert result.history == exact[piece].history
 
@@ -429,15 +480,97 @@ def test_failed_lift_falls_back_to_rational(monkeypatch):
     assert invariants._block_kernel_history([columns]) == ([1], "rational")
 
 
+# (g, copy degrees, degree) of the orthogonal pieces both routes count: those
+# of criterion 6, of `crosscheck-sec6 --n 8 --g 2 --maxdeg 16`, of O_{1,1}(Z)
+# in test_oracle_counts_the_finite_orthogonal_group, and Sym^m V at g = 2..4
+# inside the full-kernel route's caps
+ORTHOGONAL_PIECES = (
+    [piece[1:] for piece in CRITERION_6_PIECES if piece[0] is GammaType.ORTHOGONAL]
+    + [(2, tuple(go_shifted_degrees(8, 16)), degree) for degree in range(17)]
+    + [(1, (2,), 4), (1, (2, 4), 12), (1, (1, 3), 4)]
+    + [
+        (g, (2,), 2 * m)
+        for g in (2, 3, 4)
+        for m in range(EXPONENT_CAP + 1)
+        if math.comb(2 * g + m - 1, m) <= invariants.BASIS_CAP
+    ]
+)
+
+
+@pytest.mark.parametrize("g, degrees, degree", ORTHOGONAL_PIECES)
+def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
+    copies = GradedVCopies(g, degrees)
+    result = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
+    assert result.route == "orbit"
+    assert result.dimension == invariants._kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree).dimension
+    piece = piece_dimension(copies, degree)
+    assert len(result.history) == (0 if not piece else 1 if g == 1 else 2)
+    assert all(x >= y for x, y in zip((piece,) + result.history, result.history))
+    assert result.history[-1:] in ((), (result.dimension,))
+
+
+def test_orbit_certificate_falls_back_to_rational(monkeypatch):
+    # Sym^4 V at g = 2: its invariant q^2 has the entry 2 on x_1 y_1 x_2 y_2,
+    # which vanishes modulo 2
+    copies = GradedVCopies(2, (2,))
+    exact = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8)
+    assert exact == (1, (6, 1), "orbit")
+    monkeypatch.setattr(invariants, "PRIME", 2)
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (6, 1), "orbit-rational")
+
+
+def rank_one_molien_series(copy_degrees, top):
+    """Invariant counts of O_{1,1}(Z) = {+-I, +-swap} on the free model, up
+    to degree top, by Molien's formula: the average over the four elements
+    of prod 1/det(1 - q^d h) over even copies and prod det(1 + q^d h) over
+    odd ones.  The eigenvalues are (1, 1) for I, (-1, -1) for -I and (1, -1)
+    for either swap."""
+    total = [0] * (top + 1)
+    for eigenvalues, weight in (((1, 1), 1), ((-1, -1), 1), ((1, -1), 2)):
+        series = [1] + [0] * top
+        for d in copy_degrees:
+            for sign in eigenvalues:
+                if d % 2:  # times 1 + sign q^d
+                    for e in range(top, d - 1, -1):
+                        series[e] += sign * series[e - d]
+                else:  # divided by 1 - sign q^d
+                    for e in range(d, top + 1):
+                        series[e] += sign * series[e - d]
+        total = [t + weight * x for t, x in zip(total, series)]
+    assert all(t % 4 == 0 for t in total)
+    return [t // 4 for t in total]
+
+
+def test_orbit_route_reach():
+    # pieces the exponent and basis caps refused although they are quick
+    started = time.perf_counter()
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(1, (2,)), 40) == (11, (11,), "orbit")
+    report = invariant_crosscheck(10, 1, 40, with_oracle=True)
+    assert [row.oracle_count for row in report.rows] == rank_one_molien_series(go_shifted_degrees(10, 40), 40)
+    report = invariant_crosscheck(8, 2, 36, with_oracle=True)
+    assert report.all_agree and report.rows[36].oracle_count == 20
+    assert time.perf_counter() - started < 2
+    # n = 8, g = 3 up to degree 40 passes the pre-check alone: its top piece
+    # has 81816 dimensions and takes seconds to count
+    copies = GradedVCopies(3, tuple(go_shifted_degrees(8, 40)))
+    assert max(invariants._orbit_work(copies, 40)) == invariants._orbit_work(copies, 40)[40] <= WORK_CAP
+    assert piece_dimension(copies, 40) == 81816
+
+
 def test_oracle_rejects_bad_requests():
     copies = GradedVCopies(2, (2,))
     with pytest.raises(ValueError):
         brute_force_invariant_dim(GammaType.THETA, copies, 4)
     with pytest.raises(ValueError):
         brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, -1)
-    # Sym^15 of a 6-dimensional copy: 15504 > 4096
+    # Sym^15 of a 6-dimensional copy: 15504 > 4096 on the symplectic route;
+    # the orbit route counts 2g(g + 1) 15504 visits plus C(22, 7) = 170544
+    # image terms, inside its cap, and Sym^30 is above it
     with pytest.raises(OracleCapExceeded, match="dimension 15504 > cap 4096"):
-        brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 30)
+        brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 30)
+    assert invariants._orbit_work(GradedVCopies(3, (2,)), 30)[30] == 24 * 15504 + 170544
+    with pytest.raises(OracleCapExceeded, match=f"orbit-route work 18086640 > cap {WORK_CAP}"):
+        brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 60)
 
 
 def test_oracle_caps_the_symmetric_exponent():
@@ -484,15 +617,13 @@ def test_crosscheck_with_oracle_small():
 
 def test_crosscheck_checks_every_piece_before_any_work():
     # n = 9: odd copies, no symmetric exponent, and the first piece above
-    # the basis cap in degree 114; n = 10, g = 1: copies 2, 6, 10, ..., the
-    # exponent cap from degree 34 on and the basis cap from degree 48 on,
-    # where the basis cap is named first
+    # the basis cap in degree 114; n = 8 and 10: the orbit route, whose work
+    # is above its cap first in degree 44 at g = 3 and in degree 100 at g = 1
     assert piece_dimension(GradedVCopies(1, tuple(go_shifted_degrees(9, 114))), 114) == 4884
     for n, g, maxdeg, message in (
         (9, 1, 5000, "dimension 4884 > cap 4096"),
-        (8, 3, 6000, "dimension 6372 > cap 4096"),
-        (10, 1, 40, "40 // 2 = 20 > cap 16"),
-        (10, 1, 48, "dimension 4175 > cap 4096"),
+        (8, 3, 6000, f"orbit-route work 5311472 > cap {WORK_CAP}"),
+        (10, 1, 5000, f"orbit-route work 2542440 > cap {WORK_CAP}"),
     ):
         started = time.perf_counter()
         with pytest.raises(OracleCapExceeded, match=message):
