@@ -22,10 +22,14 @@ Q from both sides:
 When a lift fails, or a lifted vector fails its check, the same elimination
 runs again over Q, and the route reads "rational" or "orbit-rational".
 
-The symplectic kind's route ("modp") feeds the rows of rho(s) - 1, one
-generator s at a time, into a sparse echelon form modulo PRIME; each
-generator's sparse columns on the block are its symmetric or exterior power
-on each copy, Kronecker-combined across copies.
+The symplectic kind's route ("modp") feeds the rows of each listed
+generator s in turn into a sparse echelon form modulo PRIME, whose kernel
+is then the joint kernel of rho(s) - 1 so far.  J, a signed permutation,
+gives the two-entry rows of rho(J) - 1.  Every other s is a transvection:
+N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation D that N
+induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible over Q
+and modulo PRIME (D^j = 0 past the degree, at most 2000).  So s gives the
+rows of D, at most two terms per copy, where those of rho(s) - 1 fill in.
 
 The orthogonal kind's route ("orbit") uses orbit sums, as in the Reynolds
 operator method of Derksen-Kemper and Sturmfels.  The listed signed
@@ -49,7 +53,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
@@ -64,11 +68,10 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the symplectic route's a-priori caps: the piece dimension, and the largest
-# symmetric exponent deg // d at the least even copy degree d, whose power
-# columns alone outgrow the piece (Sym^16 V at g = 2 takes about 1 s)
+# the symplectic route's a-priori cap on the piece dimension, the number of
+# columns it eliminates on; the slowest pieces inside it take about 2 s
+# (Lambda^4 V at g = 9, under 90 transvections)
 BASIS_CAP = 4096
-EXPONENT_CAP = 16
 # the orbit route's a-priori cap on `_orbit_work`; the slowest pieces inside
 # it take about 3.3 s (Sym^12 V at g = 4)
 WORK_CAP = 2_500_000
@@ -248,15 +251,6 @@ def _check_basis_cap(size: int) -> None:
         raise OracleCapExceeded(f"graded piece has dimension {size} > cap {BASIS_CAP}")
 
 
-def _check_exponent_cap(copies: GradedVCopies, degree: int) -> None:
-    even = [d for d in copies.copy_degrees if d % 2 == 0]
-    if even and degree // min(even) > EXPONENT_CAP:
-        raise OracleCapExceeded(
-            f"symmetric exponent {degree} // {min(even)} = {degree // min(even)} "
-            f"> cap {EXPONENT_CAP}"
-        )
-
-
 def _check_work_cap(work: int) -> None:
     if work > WORK_CAP:
         raise OracleCapExceeded(f"orbit-route work {work} > cap {WORK_CAP}")
@@ -327,19 +321,6 @@ def _power_columns(a: Sequence[Sequence[int]], m: int, exterior: bool) -> list[C
     return [{index[b]: c for b, c in _monomial_image(columns, src, exterior).items()} for src in basis]
 
 
-def _kron_columns(factors: Sequence[Sequence[Column]]) -> list[Column]:
-    """Sparse columns of the Kronecker product, the first factor outermost."""
-    columns: list[Column] = [{0: 1}]
-    for part in factors:
-        size = len(part)
-        columns = [
-            {r * size + s: x * y for r, x in left.items() for s, y in right.items()}
-            for left in columns
-            for right in part
-        ]
-    return columns
-
-
 def _signed_kron(factors: Sequence[Sequence[Column]]) -> tuple[list[int], list[int]]:
     """The Kronecker product of signed permutations, each given by its sparse
     columns of one entry: the image and the sign of each basis element, the
@@ -350,21 +331,6 @@ def _signed_kron(factors: Sequence[Sequence[Column]]) -> tuple[list[int], list[i
         image = [r * len(part) + s for r in image for s, _ in pairs]
         sign = [x * y for x in sign for _, y in pairs]
     return image, sign
-
-
-def _rows_minus_identity(columns: Sequence[Column]) -> list[Column]:
-    """The nonzero rows of M - 1, as sparse rows, for M given by its columns."""
-    rows: list[Column] = [{} for _ in columns]
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            rows[r][c] = x
-    for r, row in enumerate(rows):
-        x = row.get(r, 0) - 1
-        if x:
-            row[r] = x
-        else:
-            row.pop(r, None)
-    return [row for row in rows if row]
 
 
 def rational_reconstruction(a: int, p: int) -> Fraction | None:
@@ -468,34 +434,21 @@ def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list
     return history, pivots
 
 
-def _certified_history(groups, rows_of, size: int, fixed: Callable) -> tuple[list[int], bool]:
-    """`_echelon_history` modulo PRIME, when every kernel vector lifts to one
-    that fixed accepts, and else over Q; and whether it took the rerun.  The
-    rank mod p is at most the rank over Q, so the last entry bounds the
-    rational kernel from above; verified lifts bound it from below."""
-    p = PRIME
+def _certified_history(groups, rows_of, elements, columns, factors, actions) -> tuple[list[int], bool]:
+    """`_echelon_history` on columns, sparse vectors on the block elements of
+    the factors, modulo PRIME when every kernel vector lifts to one whose
+    combination of columns every `_action` fixes, checked exactly on its
+    support, and else over Q; and whether it took the rerun.  The rank mod p
+    is at most the rank over Q, so the last entry bounds the rational kernel
+    from above; verified lifts bound it from below."""
+    p, size = PRIME, len(columns)
     history, pivots = _echelon_history(groups, rows_of, size, p)
     for vector in _kernel_mod_p(pivots, size, p) if history[-1] else ():
-        lifted = _lift(vector, p)
-        if lifted is None or not fixed(lifted):
+        lifted = _lift(vector, p)  # None when an entry has no lift
+        invariant = lifted and {elements[b]: c * e for k, c in lifted.items() for b, e in columns[k].items()}
+        if not invariant or not all(_is_fixed(partial(_block_image, a, factors), invariant) for a in actions):
             return _echelon_history(groups, rows_of, size, 0)[0], True
     return history, False
-
-
-def _fixed_by_columns(generator_columns, vector: Column) -> bool:
-    return all(_is_fixed(columns.__getitem__, vector) for columns in generator_columns)
-
-
-def _block_kernel_history(generator_columns: Sequence[Sequence[Column]]) -> tuple[list[int], str]:
-    """Joint-kernel dimension of M - 1 after each generator M of one block,
-    and the route that certified it ("modp" or "rational")."""
-    history, rational = _certified_history(
-        generator_columns,
-        _rows_minus_identity,
-        len(generator_columns[0]),
-        partial(_fixed_by_columns, generator_columns),
-    )
-    return history, "rational" if rational else "modp"
 
 
 class OracleResult(NamedTuple):
@@ -515,16 +468,6 @@ class OracleResult(NamedTuple):
     route: str
 
 
-def _block_columns(generators, factors, powers: dict, kron: Callable = _kron_columns) -> list:
-    """Each generator on the block of the factors (m, exterior), the kron of
-    its power columns on them, which powers caches."""
-    for k, a in enumerate(generators):
-        for m, exterior in factors:
-            if (k, m, exterior) not in powers:
-                powers[k, m, exterior] = _power_columns(a, m, exterior)
-    return [kron([powers[k, m, exterior] for m, exterior in factors]) for k in range(len(generators))]
-
-
 def _count(copies: GradedVCopies, degree: int, history: list[int], exact: str, solve) -> OracleResult:
     """The histories that solve(factors) gives on each allocation block,
     added to history; the route is exact unless some block's is not."""
@@ -537,24 +480,42 @@ def _count(copies: GradedVCopies, degree: int, history: list[int], exact: str, s
     return OracleResult(history[-1] if history else 0, tuple(history), route)
 
 
-def _kernel_block(generators, powers: dict, factors) -> tuple[list[int], str]:
-    return _block_kernel_history(_block_columns(generators, factors, powers))
+def _is_signed(a) -> bool:
+    return all(sum(map(bool, row)) == 1 for row in a)
 
 
-def _kernel_invariant_dim(kind: GammaType, copies: GradedVCopies, degree: int) -> OracleResult:
-    """The count as the joint kernel of rho(s) - 1 over every listed s."""
-    size = piece_dimension(copies, degree)
-    _check_basis_cap(size)
-    _check_exponent_cap(copies, degree)
-    generators = group_generators(kind, copies.g)
-    solve = partial(_kernel_block, generators, {})
-    return _count(copies, degree, [0] * len(generators) if size else [], "modp", solve)
+def _action(a) -> tuple:
+    """The matrix a by its sparse columns, with empty caches of its images
+    of symmetric and of exterior monomials."""
+    return _sparse_columns(a), ({}, {})
+
+
+def _derivation(a) -> tuple:
+    """`_action` of N = a - 1, its columns as (j, column) for the nonzero ones;
+    the derivation N induces is log a when N^2 = 0."""
+    n = _sparse_columns([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(a)])
+    return [(j, column) for j, column in enumerate(n) if column], ({}, {})
+
+
+def _block_elements(g: int, factors) -> list[tuple]:
+    """The basis of the block of the factors (m, exterior), one exponent
+    vector per factor, the first factor outermost."""
+    return list(itertools.product(*[_exponent_vectors(2 * g, *factor) for factor in factors]))
+
+
+def _signed_block(moves, factors, powers: dict) -> list[tuple[list[int], list[int]]]:
+    """Each signed permutation of moves on the block of the factors, as
+    image and sign lists (`_signed_kron`); powers caches its power columns."""
+    for k, a in enumerate(moves):
+        for m, exterior in factors:
+            if (k, m, exterior) not in powers:
+                powers[k, m, exterior] = _power_columns(a, m, exterior)
+    return [_signed_kron([powers[k, m, exterior] for m, exterior in factors]) for k in range(len(moves))]
 
 
 def _block_image(action, factors, element) -> dict:
     """The image of a block element, one exponent vector per factor, under
-    action = (a generator's sparse columns, its cached monomial images on
-    symmetric and on exterior factors)."""
+    an `_action`; its caches keep each monomial's image."""
     a, cache = action
     image: dict = {(): 1}
     for (m, exterior), mono in zip(factors, element):
@@ -566,11 +527,13 @@ def _block_image(action, factors, element) -> dict:
 
 def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
     """The image of a basis element of Sym^m, or (exterior) Lambda^m, given
-    by its exponent vector, under the derivation that the matrix with sparse
-    columns n induces: each e_j in turn goes to n e_j."""
+    by its exponent vector, under the derivation that a matrix induces, given
+    by sparse columns (j, column) that include its nonzero ones: each e_j in
+    turn goes to the matrix times e_j."""
     image: dict[tuple[int, ...], int] = {}
-    for j, k in enumerate(mono):
-        for i, x in n[j] if k else ():
+    for j, column in n:
+        k = mono[j]
+        for i, x in column if k else ():
             if exterior and mono[i] and i != j:
                 continue
             # e_i takes the place of e_j and passes the wedge factors between
@@ -580,6 +543,54 @@ def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[in
             key = key[:i] + (key[i] + 1,) + key[i + 1 :]
             image[key] = image.get(key, 0) + k * x
     return {key: c for key, c in image.items() if c}
+
+
+def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -> dict[tuple, Column]:
+    """The derivation of a `_derivation` on the block of the factors, on
+    columns, sparse vectors on its elements: each element's row {column
+    index: entry}; derivation caches each factor monomial's image."""
+    n, cache = derivation
+    rows: dict[tuple, Column] = {}
+    for k, column in enumerate(columns):
+        for b, e in column.items():
+            element = elements[b]
+            for f, (m, exterior) in enumerate(factors):
+                mono = element[f]
+                if mono not in cache[exterior]:
+                    cache[exterior][mono] = _derivation_image(n, mono, exterior)
+                for image, x in cache[exterior][mono].items():
+                    row = rows.setdefault(element[:f] + (image,) + element[f + 1 :], {})
+                    row[k] = row.get(k, 0) + e * x
+    return rows
+
+
+def _symplectic_block(g: int, generators, derivations, actions, powers: dict, factors) -> tuple[list[int], str]:
+    """The joint kernel of rho(s) - 1 on the block of the factors after each
+    listed generator s, and the route: the rows of derivations[k] for a
+    transvection, and for J (None there), which takes b to sign(b) e_pi(b),
+    the rows e_pi(b) - sign(b) e_b; powers caches J's power columns."""
+    elements = _block_elements(g, factors)
+    columns = [{b: 1} for b in range(len(elements))]
+
+    def rows_of(k: int) -> Iterable[Column]:
+        if derivations[k] is not None:
+            return _derivation_rows(factors, elements, columns, derivations[k]).values()
+        image, sign = _signed_block([generators[k]], factors, powers.setdefault(k, {}))[0]
+        return [{b: -x, c: 1} if c != b else {b: 1 - x} for b, (c, x) in enumerate(zip(image, sign))]
+
+    history, rational = _certified_history(range(len(generators)), rows_of, elements, columns, factors, actions)
+    return history, "rational" if rational else "modp"
+
+
+def _symplectic_invariant_dim(copies: GradedVCopies, degree: int) -> OracleResult:
+    """The symplectic kind's count, generator by generator."""
+    size = piece_dimension(copies, degree)
+    _check_basis_cap(size)
+    generators = group_generators(GammaType.SYMPLECTIC, copies.g)
+    derivations = [None if _is_signed(a) else _derivation(a) for a in generators]
+    actions = [_action(a) for a in generators]
+    solve = partial(_symplectic_block, copies.g, generators, derivations, actions, {})
+    return _count(copies, degree, [0] * len(generators) if size else [], "modp", solve)
 
 
 def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
@@ -605,27 +616,15 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, moves, actions, n, powers: dict, factors) -> tuple[list[int], str]:
+def _orbit_block(g: int, moves, actions, derivation, powers: dict, factors) -> tuple[list[int], str]:
     """[dim V^H, dim V^H & ker(s - 1)] on the block of the factors, or
-    [dim V^H] when n, the sparse columns of s - 1, is None; and the route."""
-    elements = list(itertools.product(*[_exponent_vectors(2 * g, *factor) for factor in factors]))
-    sums = _orbit_sums(len(elements), _block_columns(moves, factors, powers, _signed_kron))
-    if n is None:
+    [dim V^H] when derivation, that of s - 1, is None; and the route."""
+    elements = _block_elements(g, factors)
+    sums = _orbit_sums(len(elements), _signed_block(moves, factors, powers))
+    if derivation is None:
         return [len(sums)], "orbit"
-    rows: dict = {}  # block element -> {orbit index: entry}
-    for k, orbit in enumerate(sums):
-        for b, e in orbit.items():
-            element = elements[b]
-            for f, (m, exterior) in enumerate(factors):
-                for image, x in _derivation_image(n, element[f], exterior).items():
-                    row = rows.setdefault(element[:f] + (image,) + element[f + 1 :], {})
-                    row[k] = row.get(k, 0) + e * x
-
-    def fixed(lifted: Column) -> bool:
-        vector = {elements[b]: c * e for k, c in lifted.items() for b, e in sums[k].items()}
-        return all(_is_fixed(partial(_block_image, action, factors), vector) for action in actions)
-
-    history, rational = _certified_history([rows], dict.values, len(sums), fixed)
+    rows = _derivation_rows(factors, elements, sums, derivation)
+    history, rational = _certified_history([rows], dict.values, elements, sums, factors, actions)
     return [len(sums)] + history, "orbit-rational" if rational else "orbit"
 
 
@@ -633,19 +632,16 @@ def _orbit_invariant_dim(copies: GradedVCopies, degree: int) -> OracleResult:
     """The orthogonal kind's count by orbit sums.  The moves, the listed
     signed permutations that move x_1, generate H: their pair permutations
     conjugate the first pair's swap and flip to every other pair's.  The
-    rows are those of the derivation n = s - 1 on the orbit sums; at g = 1
+    rows are those of the derivation of s - 1 on the orbit sums; at g = 1
     there is no s and every generator is a move."""
     _check_work_cap(_orbit_work(copies, degree)[degree])
     generators = group_generators(GammaType.ORTHOGONAL, copies.g)
-    signed = [a for a in generators if all(sum(map(bool, row)) == 1 for row in a)]
+    signed = [a for a in generators if _is_signed(a)]
     moves = [a for a in signed if a[0][0] != 1]
     s = next((a for a in generators if a not in signed), None)
-    n = None
-    if s is not None:
-        n = _sparse_columns([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(s)])
-    actions = [(_sparse_columns(a), ({}, {})) for a in generators]
+    actions = [_action(a) for a in generators]
     history = [0] * (1 if s is None else 2) if piece_dimension(copies, degree) else []
-    solve = partial(_orbit_block, copies.g, moves, actions, n, {})
+    solve = partial(_orbit_block, copies.g, moves, actions, None if s is None else _derivation(s), {})
     return _count(copies, degree, history, "orbit", solve)
 
 
@@ -666,7 +662,7 @@ def brute_force_invariant_dim(
         raise ValueError("the oracle covers the symplectic or orthogonal group")
     if kind is GammaType.ORTHOGONAL:
         return _orbit_invariant_dim(copies, degree)
-    return _kernel_invariant_dim(kind, copies, degree)
+    return _symplectic_invariant_dim(copies, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +713,7 @@ def invariant_crosscheck(
     if with_oracle:
         # a count up to a lower degree agrees with the whole request's, so
         # a window that doubles meets the first piece above the cap at about
-        # the cost of counting up to it; for n odd every copy is odd, so the
-        # symplectic route's exponent cap cannot bind
+        # the cost of counting up to it
         top = 64
         while True:
             if kind is GammaType.ORTHOGONAL:

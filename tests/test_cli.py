@@ -250,10 +250,6 @@ def test_cost_caps_exit_3_before_any_work():
         # the piece and the work are counted before any allocation is listed
         (["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "dimension 86493225 > cap 4096"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "orbit-route work 345972900 > cap 2500000"),
-        # the largest symmetric exponent, inside the basis cap (3654 and 501
-        # dimensions)
-        (["invariant-oracle", "--type", "sp", "--g", "2", "--degrees", "2", "--deg", "52"], "52 // 2 = 26 > cap 16"),
-        (["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "2", "--deg", "1000"], "1000 // 2 = 500 > cap 16"),
         # every crosscheck piece is counted before either series is built;
         # the first above the cap is in degree 114 for n = 9 and 44 for n = 8
         (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "5000", "--oracle"], "dimension 4884 > cap 4096"),
@@ -270,7 +266,11 @@ def test_cost_caps_exit_3_before_any_work():
         ["group-sample", "--type", "sp", "--g", "2", "--seed", "1", "--len", "1000"],
         ["lform-check", "--g", "32", "--k", "2", "--q", "3"],
         ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", ",".join(["1"] * 20 + ["1000"]), "--deg", "1000"],
-        # the orbit route has no exponent cap, and no basis cap
+        # neither route caps the symmetric exponent: Sym^26 V at g = 2 and
+        # Sym^500 V at g = 1 (3654 and 501 dimensions)
+        ["invariant-oracle", "--type", "sp", "--g", "2", "--degrees", "2", "--deg", "52"],
+        ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "2", "--deg", "1000"],
+        # the orbit route has no basis cap either
         ["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2", "--deg", "2000"],
         ["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "40", "--oracle"],
         ["crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "36", "--oracle"],

@@ -18,6 +18,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -26,7 +27,6 @@ from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
 from torelli.groups import GammaType, group_generators, sample_group_element
 from torelli.invariants import (
-    EXPONENT_CAP,
     WORK_CAP,
     OracleCapExceeded,
     GradedVCopies,
@@ -290,7 +290,7 @@ def test_derivation_image_matches_the_positions():
             for m in range(top + 1):
                 for mono in combos(range(dim), m):
                     image = invariants._derivation_image(
-                        invariants._sparse_columns(n), tuple(map(mono.count, range(dim))), exterior
+                        list(enumerate(invariants._sparse_columns(n))), tuple(map(mono.count, range(dim))), exterior
                     )
                     expected = derivation_by_positions(n, mono, exterior)
                     assert image == {tuple(map(key.count, range(dim))): c for key, c in expected.items()}
@@ -417,6 +417,176 @@ def test_seed_independence():
 
 
 # ---------------------------------------------------------------------------
+# the full-kernel route: the rows of rho(s) - 1 for every listed s, an
+# independent reference for both kinds
+
+
+def _kron_columns(factors):
+    """Sparse columns of the Kronecker product, the first factor outermost."""
+    columns = [{0: 1}]
+    for part in factors:
+        size = len(part)
+        columns = [
+            {r * size + s: x * y for r, x in left.items() for s, y in right.items()}
+            for left in columns
+            for right in part
+        ]
+    return columns
+
+
+def _rows_minus_identity(columns):
+    """The nonzero rows of M - 1, as sparse rows, for M given by its columns."""
+    rows = [{} for _ in columns]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][c] = x
+    for r, row in enumerate(rows):
+        x = row.get(r, 0) - 1
+        if x:
+            row[r] = x
+        else:
+            row.pop(r, None)
+    return [row for row in rows if row]
+
+
+def _fixed_by_columns(generator_columns, vector):
+    return all(invariants._is_fixed(columns.__getitem__, vector) for columns in generator_columns)
+
+
+def _block_kernel_history(generator_columns):
+    """Joint-kernel dimension of M - 1 after each generator M of one block,
+    given by its sparse columns, and the route that certified it: "modp"
+    when every kernel vector modulo PRIME lifts to one every M fixes, else
+    "rational", with the elimination rerun over Q."""
+    size, p = len(generator_columns[0]), invariants.PRIME
+    history, pivots = invariants._echelon_history(generator_columns, _rows_minus_identity, size, p)
+    for vector in invariants._kernel_mod_p(pivots, size, p) if history[-1] else ():
+        lifted = invariants._lift(vector, p)
+        if lifted is None or not _fixed_by_columns(generator_columns, lifted):
+            return invariants._echelon_history(generator_columns, _rows_minus_identity, size, 0)[0], "rational"
+    return history, "modp"
+
+
+def _kernel_block(generators, powers, factors):
+    """`_block_kernel_history` on the block of the factors (m, exterior),
+    each generator's columns the kron of its power columns, which powers
+    caches."""
+    for k, a in enumerate(generators):
+        for m, exterior in factors:
+            if (k, m, exterior) not in powers:
+                powers[k, m, exterior] = invariants._power_columns(a, m, exterior)
+    return _block_kernel_history(
+        [_kron_columns([powers[k, m, exterior] for m, exterior in factors]) for k in range(len(generators))]
+    )
+
+
+def kernel_invariant_dim(kind, copies, degree):
+    """The count as the joint kernel of rho(s) - 1 over every listed s, block
+    by block, with the oracle's history and route."""
+    generators = group_generators(kind, copies.g)
+    history = [0] * len(generators) if piece_dimension(copies, degree) else []
+    return invariants._count(copies, degree, history, "modp", partial(_kernel_block, generators, {}))
+
+
+def _sparse_product(a, b):
+    """The product of sparse matrices given as {row: {column: entry}}."""
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: x for c, x in acc.items() if x}
+        if acc:
+            out[r] = acc
+    return out
+
+
+# blocks, as factors (m, exterior), on which a transvection's action is
+# compared with the exponential of its derivation: Sym^m, Lambda^m, mixed
+TRANSVECTION_BLOCKS = (
+    [[(m, False)] for m in range(6)]
+    + [[(m, True)] for m in range(1, 7)]
+    + [[(2, False), (1, True)], [(1, True), (2, False), (1, True)], [(1, False), (2, True)]]
+)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_transvections_act_as_the_exponential_of_their_derivation(g):
+    # every listed generator but J is a transvection T, N = T - 1 squares to
+    # 0, and rho(T) = exp(D_N), exactly: so rho(T) - 1 = D_N U with U = 1 +
+    # D_N/2! + ... invertible, and the symplectic route's rows of D_N have the
+    # kernel of rho(T) - 1
+    generators = group_generators(GammaType.SYMPLECTIC, g)
+    assert [a for a in generators if invariants._is_signed(a)] == [generators[-1]]
+    for a in generators[:-1]:
+        n = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert any(map(any, n)) and not any(map(any, mat_mul(n, n)))
+        derivation = invariants._derivation(a)
+        for factors in TRANSVECTION_BLOCKS:
+            if any(exterior and m > 2 * g for m, exterior in factors):
+                continue
+            elements = invariants._block_elements(g, factors)
+            index = {element: b for b, element in enumerate(elements)}
+            columns = [{b: 1} for b in range(len(elements))]
+            rows = invariants._derivation_rows(factors, elements, columns, derivation)
+            d = {index[element]: row for element, row in rows.items()}
+            exp, term, j = {}, {b: {b: Fraction(1)} for b in range(len(elements))}, 0
+            while term:
+                for r, row in term.items():
+                    for c, x in row.items():
+                        exp[r, c] = exp.get((r, c), 0) + x
+                j += 1
+                term = {r: {c: x / j for c, x in row.items()} for r, row in _sparse_product(d, term).items()}
+            rho = _kron_columns([invariants._power_columns(a, m, exterior) for m, exterior in factors])
+            assert {key: x for key, x in exp.items() if x} == {(r, c): x for c, col in enumerate(rho) for r, x in col.items()}
+
+
+def crosscheck_pieces(n, g):
+    """The pieces of `crosscheck-sec6 --n n --g g --oracle` at the largest
+    maxdeg it accepts, the degree below its first piece above the basis cap."""
+    top = 0
+    while piece_dimension(GradedVCopies(g, tuple(go_shifted_degrees(n, top + 1))), top + 1) <= invariants.BASIS_CAP:
+        top += 1
+    return [(g, tuple(go_shifted_degrees(n, top)), degree) for degree in range(top + 1)]
+
+
+# (kind, g, copy degrees, degree) of each piece acceptance criterion 6 checks
+CRITERION_6_PIECES = (
+    (GammaType.ORTHOGONAL, 1, (2,), 4),
+    (GammaType.ORTHOGONAL, 2, (2,), 4),
+    (GammaType.ORTHOGONAL, 3, (2,), 4),
+    (GammaType.SYMPLECTIC, 1, (1,), 2),
+    (GammaType.SYMPLECTIC, 2, (1,), 2),
+    (GammaType.SYMPLECTIC, 1, (1, 3), 4),
+    (GammaType.SYMPLECTIC, 2, (1, 5), 6),
+    (GammaType.SYMPLECTIC, 2, (1, 5, 25, 125), 156),
+    (GammaType.SYMPLECTIC, 1, (1, 3, 9, 27), 40),
+)
+
+
+# (g, copy degrees, degree) of the symplectic pieces both routes count: those
+# of criterion 6, of `crosscheck-sec6 --n 9` and `--n 11` at g = 1..3 up to
+# the basis cap, and pieces with even copies
+SYMPLECTIC_PIECES = (
+    [piece[1:] for piece in CRITERION_6_PIECES if piece[0] is GammaType.SYMPLECTIC]
+    + [piece for n in (9, 11) for g in (1, 2, 3) for piece in crosscheck_pieces(n, g)]
+    + [(1, (2, 4), degree) for degree in range(41)]
+    + [(2, (1, 2), degree) for degree in range(21)]
+)
+
+
+@pytest.mark.parametrize("g, degrees, degree", SYMPLECTIC_PIECES)
+def test_symplectic_route_matches_the_full_kernel(g, degrees, degree):
+    # the same dimension, history and route: rho(s) - 1 and the derivation
+    # of s - 1 have the same rows up to an invertible factor, modulo PRIME too
+    copies = GradedVCopies(g, degrees)
+    result = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
+    assert result == kernel_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
+    assert result.route == "modp"
+
+
+# ---------------------------------------------------------------------------
 # the certificate
 
 
@@ -435,20 +605,6 @@ def test_rational_reconstruction_none():
         Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2),
     ]
     assert [a for a in range(13) if invariants.rational_reconstruction(a, 13) is None] == [3, 4, 5, 8, 9, 10]
-
-
-# (kind, g, copy degrees, degree) of each piece acceptance criterion 6 checks
-CRITERION_6_PIECES = (
-    (GammaType.ORTHOGONAL, 1, (2,), 4),
-    (GammaType.ORTHOGONAL, 2, (2,), 4),
-    (GammaType.ORTHOGONAL, 3, (2,), 4),
-    (GammaType.SYMPLECTIC, 1, (1,), 2),
-    (GammaType.SYMPLECTIC, 2, (1,), 2),
-    (GammaType.SYMPLECTIC, 1, (1, 3), 4),
-    (GammaType.SYMPLECTIC, 2, (1, 5), 6),
-    (GammaType.SYMPLECTIC, 2, (1, 5, 25, 125), 156),
-    (GammaType.SYMPLECTIC, 1, (1, 3, 9, 27), 40),
-)
 
 
 def test_tiny_prime_falls_back_to_rational(monkeypatch):
@@ -474,16 +630,28 @@ def test_failed_lift_falls_back_to_rational(monkeypatch):
     # one generator M with M - 1 = [[1, -3], [0, 0]]: its kernel is spanned
     # by (3, 1), and modulo 5 no fraction n/d with |n|, d <= 1 is 3
     columns = [{0: 2}, {0: -3, 1: 1}]
-    assert invariants._block_kernel_history([columns]) == ([1], "modp")
+    assert _block_kernel_history([columns]) == ([1], "modp")
     monkeypatch.setattr(invariants, "PRIME", 5)
     assert invariants.rational_reconstruction(3, 5) is None
-    assert invariants._block_kernel_history([columns]) == ([1], "rational")
+    assert _block_kernel_history([columns]) == ([1], "rational")
+
+
+def test_symplectic_certificate_falls_back_to_rational(monkeypatch):
+    # Sym^2 V at g = 2: the derivations take x_i^2 to 2 x_i y_i and the like,
+    # which vanish modulo 2, so the kernel modulo 2 does not shrink to 0 and
+    # its vectors fail the exact check; the rerun over Q gives the exact
+    # history, where the elimination modulo 2 reads 7 5 4 4 4 4 2
+    copies = GradedVCopies(2, (2,))
+    exact = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4)
+    assert exact == (0, (6, 3, 1, 0, 0, 0, 0), "modp")
+    monkeypatch.setattr(invariants, "PRIME", 2)
+    assert brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4) == exact._replace(route="rational")
 
 
 # (g, copy degrees, degree) of the orthogonal pieces both routes count: those
 # of criterion 6, of `crosscheck-sec6 --n 8 --g 2 --maxdeg 16`, of O_{1,1}(Z)
 # in test_oracle_counts_the_finite_orthogonal_group, and Sym^m V at g = 2..4
-# inside the full-kernel route's caps
+# up to m = 16 inside the basis cap
 ORTHOGONAL_PIECES = (
     [piece[1:] for piece in CRITERION_6_PIECES if piece[0] is GammaType.ORTHOGONAL]
     + [(2, tuple(go_shifted_degrees(8, 16)), degree) for degree in range(17)]
@@ -491,7 +659,7 @@ ORTHOGONAL_PIECES = (
     + [
         (g, (2,), 2 * m)
         for g in (2, 3, 4)
-        for m in range(EXPONENT_CAP + 1)
+        for m in range(16 + 1)
         if math.comb(2 * g + m - 1, m) <= invariants.BASIS_CAP
     ]
 )
@@ -502,7 +670,7 @@ def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
     assert result.route == "orbit"
-    assert result.dimension == invariants._kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree).dimension
+    assert result.dimension == kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree).dimension
     piece = piece_dimension(copies, degree)
     assert len(result.history) == (0 if not piece else 1 if g == 1 else 2)
     assert all(x >= y for x, y in zip((piece,) + result.history, result.history))
@@ -573,19 +741,19 @@ def test_oracle_rejects_bad_requests():
         brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 60)
 
 
-def test_oracle_caps_the_symmetric_exponent():
-    # Sym^17 V at g = 2 has 1140 < 4096 dimensions, but its power columns
-    # alone outgrow the piece
-    with pytest.raises(OracleCapExceeded, match=r"34 // 2 = 17 > cap 16"):
-        brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(2, (2,)), 34)
-    # a piece above both caps names the basis cap
+def test_oracle_caps_the_piece_not_the_symmetric_exponent():
+    # the symplectic route builds no power of a transvection, so a high
+    # symmetric power inside the basis cap runs: Sym^17 and Sym^26 V at
+    # g = 2 (1140 and 3654 dimensions), Sym^500 V at g = 1
+    for g, degree in ((2, 34), (2, 52), (1, 1000)):
+        assert brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(g, (2,)), degree).dimension == 0
+    # a piece above the cap names it
     with pytest.raises(OracleCapExceeded, match="dimension 53130 > cap 4096"):
         brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 40)
-    # the cap itself still runs: Sym^16 V under O_{1,1}(Z) = {+-I, +-swap}
-    # has one invariant per orbit {x^a y^b, x^b y^a}; and odd copies carry
-    # no symmetric power
+    # Sym^16 V under O_{1,1}(Z) = {+-I, +-swap} has one invariant per orbit
+    # {x^a y^b, x^b y^a}; and odd copies carry no symmetric power
     copies = GradedVCopies(1, (2,))
-    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 2 * EXPONENT_CAP).dimension == 9
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 32).dimension == 9
     odd = GradedVCopies(1, (1, 3, 9, 27, 81, 243))
     assert brute_force_invariant_dim(GammaType.SYMPLECTIC, odd, 364).dimension == 5
 
@@ -616,9 +784,9 @@ def test_crosscheck_with_oracle_small():
 
 
 def test_crosscheck_checks_every_piece_before_any_work():
-    # n = 9: odd copies, no symmetric exponent, and the first piece above
-    # the basis cap in degree 114; n = 8 and 10: the orbit route, whose work
-    # is above its cap first in degree 44 at g = 3 and in degree 100 at g = 1
+    # n = 9: the first piece above the basis cap is in degree 114; n = 8 and
+    # 10: the orbit route, whose work is above its cap first in degree 44 at
+    # g = 3 and in degree 100 at g = 1
     assert piece_dimension(GradedVCopies(1, tuple(go_shifted_degrees(9, 114))), 114) == 4884
     for n, g, maxdeg, message in (
         (9, 1, 5000, "dimension 4884 > cap 4096"),
