@@ -11,10 +11,10 @@ n always means the half-dimension (a 2n-manifold is specified by n).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .borel import (
     borel_constant_rep,
@@ -37,6 +37,9 @@ from .lclasses import l_classes, p_classes_in_l
 # importable because bench/layers.py traces calls at these names
 from .lclasses import l_hat_polynomial, l_polynomial, p_in_terms_of_l  # noqa: F401
 from .mt import kappa_ll_series, mt_series, stable_range, torelli_invariant_series
+
+if TYPE_CHECKING:
+    import argparse
 
 Table = list[dict]
 Provenance = list[str]
@@ -354,15 +357,20 @@ _SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every subcommand, or for ``only`` that one.  The usage
-    line lists every subcommand either way; the metavar that makes it do so
-    is left unset on the full parser, where it would also replace the
-    subcommand's name in the missing-argument error."""
+# the one flag that every subcommand takes
+_FORMAT_ARGUMENT = (
+    "--format",
+    {"choices": ("json", "csv"), "default": "json", "help": "output format"},
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand; only help and usage errors need it."""
+    import argparse  # here, so that a plain request never loads it
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+    flag, options = _FORMAT_ARGUMENT
+    common.add_argument(flag, **options)
     parser = argparse.ArgumentParser(
         prog="torelli",
         description=(
@@ -370,15 +378,59 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
             "2n-manifolds. All n flags take the half-dimension n, never 2n."
         ),
     )
-    listing = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=listing)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text, arguments) in _SUBCOMMANDS.items():
-        if only is not None and name != only:
-            continue
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
+
+
+# the argument options that _read_plain understands; any other sends the
+# request to argparse
+_PLAIN_OPTIONS = frozenset({"type", "required", "help", "choices", "default", "action"})
+
+
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a plain request, defaults included,
+    read from the _SUBCOMMANDS table; None for anything else.  Plain: the
+    subcommand's name, then each of its flags at most once, spelled exactly,
+    either a store_true switch or followed by one value that does not start
+    with "-", converts by the flag's type and is among its choices, with
+    every required flag present.  Abbreviations, "--flag=value", repeats,
+    help and every error are argparse's."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    specs = dict((*_SUBCOMMANDS[argv[0]][2], _FORMAT_ARGUMENT))
+    if any(
+        not options.keys() <= _PLAIN_OPTIONS or options.get("action", "store_true") != "store_true"
+        for options in specs.values()
+    ):
+        return None
+    values = {"subcommand": argv[0]}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = specs.pop(flag, None)
+        if options is None:
+            return None
+        if "action" in options:
+            value = True
+        else:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+            try:
+                value = options.get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    for flag, options in specs.items():
+        if options.get("required"):
+            return None
+        values[flag[2:].replace("-", "_")] = options.get("default", False if "action" in options else None)
+    return SimpleNamespace(**values)
 
 
 def _csv_cell(value) -> str:
@@ -408,14 +460,13 @@ def run(argv: Sequence[str] | None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the named subcommand's parser; help, an empty argv and an unknown
-    # name get the full one
-    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         table, provenance = _SUBCOMMANDS[args.subcommand][0](args)
     except ValueError as exc:

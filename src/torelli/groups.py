@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .linalg import identity_matrix, mat_equal, mat_mul, mat_transpose
+from .linalg import identity_matrix, mat_mul
 
 Matrix = Sequence[Sequence[int]]
 
@@ -77,12 +77,23 @@ def form_for_kind(kind: GammaType, g: int) -> GroupForm:
 
 
 def is_in_group(a: Matrix, form: GroupForm) -> bool:
-    """Exact check of A^T J A = J."""
+    """Exact check of A^T J A = J.  J is a signed permutation, J[r][pi(r)]
+    = sigma(r), so row i of A^T J A is the sum, over the nonzeros A[r][i] of
+    column i of A, of sigma(r) * A[r][i] times row pi(r) of A."""
     size = 2 * form.g
     if len(a) != size or any(len(row) != size for row in a):
         raise ValueError("matrix size does not match the form")
     j = form.matrix
-    return mat_equal(mat_mul(mat_mul(mat_transpose(a), j), a), j)
+    signed = [next((c, x) for c, x in enumerate(row) if x) for row in j]
+    for i in range(size):
+        image = [0] * size
+        for r, row in enumerate(a):
+            if row[i]:
+                c, sign = signed[r]
+                image = [u + sign * row[i] * v for u, v in zip(image, a[c])]
+        if image != j[i]:
+            return False
+    return True
 
 
 def _reduce(value: int, modulus: QuadraticModulus) -> int:

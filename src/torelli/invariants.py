@@ -176,16 +176,20 @@ class GradedVCopies(
             raise ValueError("g must be positive")
         if any(d < 1 for d in copy_degrees):
             raise ValueError("copy degrees must be positive")
-        return super().__new__(cls, g, copy_degrees)
+        return super().__new__(cls, g, tuple(copy_degrees))
 
 
-def _tail_dimensions(copies: GradedVCopies, degree: int) -> list[list[int]]:
+# an oracle request reads the same table three or four times: its piece
+# dimension, its allocations, the CLI's piece column and the orbit work
+@lru_cache(maxsize=8)
+def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ...]:
     """tails[i][e]: the dimension of the degree-e piece on the copies from
     the i-th on, for e <= degree (the last entry: 1 in degree 0 only).  A copy
     of odd degree d multiplies the series by (1 + q^d)^{2g}, its exterior
     powers, and one of even degree d by 1/(1 - q^d)^{2g}, its symmetric
     powers: 2g passes of a running sum with step d, taken downwards for the
-    product and upwards for the quotient."""
+    product and upwards for the quotient.  Cached, so tuples that no caller
+    can change."""
     tail = [1] + [0] * degree
     tails = [tail]
     for d in reversed(copies.copy_degrees):
@@ -196,7 +200,7 @@ def _tail_dimensions(copies: GradedVCopies, degree: int) -> list[list[int]]:
                 for e in steps:
                     tail[e] += tail[e - d]
         tails.append(tail)
-    return tails[::-1]
+    return tuple(map(tuple, reversed(tails)))
 
 
 def _orbit_work(copies: GradedVCopies, degree: int) -> list[int]:

@@ -28,14 +28,6 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list[int]]:
     ]
 
 
-def mat_transpose(a: Matrix) -> list[list[int]]:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_equal(a: Matrix, b: Matrix) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
 def invert_fraction_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan; raises on a singular input."""
     n = len(a)

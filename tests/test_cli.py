@@ -9,9 +9,19 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torelli
-from torelli.cli import SHIPPED_INVOCATIONS, main, run
+from torelli.cli import (
+    _FORMAT_ARGUMENT,
+    _SUBCOMMANDS,
+    SHIPPED_INVOCATIONS,
+    _build_parser,
+    _read_plain,
+    main,
+    run,
+)
 
 
 def _capture(argv):
@@ -80,6 +90,104 @@ def test_usage_output_matches_golden(argv, monkeypatch, capsys):
     assert code == (0 if "--help" in argv else 2)
     shown = captured.out if code == 0 else captured.err
     assert shown.encode() == (GOLDEN / "usage" / USAGE_GOLDEN[argv]).read_bytes()
+
+
+# -- the plain-request reader, which argparse backs for everything else -----
+
+_PARSER = _build_parser()
+
+
+def _typed(namespace) -> dict:
+    # True == 1, so the types are compared too
+    return {k: (type(v), v) for k, v in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("argv", SHIPPED_INVOCATIONS, ids=lambda a: a[0])
+@pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["json", "csv"])
+def test_reader_takes_the_shipped_invocations(argv, fmt):
+    argv = [*argv, *fmt]
+    args = _read_plain(argv)
+    assert args is not None
+    assert _typed(args) == _typed(_PARSER.parse_args(argv))
+
+
+def _value(options):
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(0, 40).map(str)
+    return st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+        lambda parts: ",".join(map(str, parts))
+    )
+
+
+_HOSTILE = (
+    "-1", "", "-", "--", "-h", "--help", "--upto=3", "--up", "1_0", " 4", "+5", "\u0663",
+    # outside the choices of --format, --family and invariant-oracle's --type
+    "yaml", "E", "theta",
+    *sorted({flag for _, _, arguments in _SUBCOMMANDS.values() for flag, _ in arguments}),
+)
+
+
+@st.composite
+def _requests(draw) -> list[str]:
+    """A valid request: a subcommand's flags in any order, each optional
+    one possibly dropped."""
+    name = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    pairs = []
+    for flag, options in (*_SUBCOMMANDS[name][2], _FORMAT_ARGUMENT):
+        if options.get("required") or draw(st.booleans()):
+            pairs.append([flag] if "action" in options else [flag, draw(_value(options))])
+    return [name, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+
+
+@st.composite
+def _mutated_requests(draw) -> list[str]:
+    """A request with up to three tokens inserted, deleted, duplicated or
+    replaced by hostile ones."""
+    argv = draw(_requests())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "delete", "duplicate", "replace")))
+        token = draw(st.sampled_from(_HOSTILE))
+        if edit == "insert":
+            argv.insert(at, token)
+        elif edit == "duplicate":
+            argv[at:at] = argv[at:at + 2]  # a flag with its value, say
+        elif at < len(argv):
+            if edit == "delete":
+                del argv[at]
+            else:
+                argv[at] = token
+    return argv
+
+
+def _agrees_with_argparse(argv) -> None:
+    args = _read_plain(argv)
+    if args is None:
+        return  # argparse's to parse or refuse
+    try:
+        expected = _PARSER.parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the reader takes {argv!r}, which argparse refuses")
+    assert _typed(args) == _typed(expected)
+
+
+def test_reader_agrees_with_argparse_on_each_hostile_token():
+    # every hostile token in every place of every shipped request, in place
+    # of the token there and before it
+    for shipped in SHIPPED_INVOCATIONS:
+        for request in (list(shipped), [*shipped, "--format", "csv"]):
+            for at in range(len(request) + 1):
+                for token in _HOSTILE:
+                    _agrees_with_argparse([*request[:at], token, *request[at:]])
+                    _agrees_with_argparse([*request[:at], token, *request[at + 1:]])
+
+
+@settings(max_examples=600, deadline=None)
+@given(_mutated_requests())
+def test_reader_agrees_with_argparse(argv):
+    _agrees_with_argparse(argv)
 
 
 # sha256 of the stdout of the series benchmark argvs, pinned while every
@@ -298,6 +406,16 @@ def test_main_returns_exit_code():
     assert main(["stable-range", "--g", "25", "--n", "23"]) == 0
 
 
+# the environment of a fresh interpreter that imports this source tree
+SRC_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(torelli.__file__).resolve().parents[1]))
+
+
+def _fresh_interpreter(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_console_script_matches_in_process():
     exe = shutil.which("torelli")
     if exe is None:
@@ -314,24 +432,48 @@ def test_cli_import_leaves_heavy_modules_out():
     # tokenize, which the records do without as named tuples; csv is loaded
     # by --format csv alone
     package = pathlib.Path(torelli.__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=str(package.parent))
     heavy = ("numpy", "dataclasses", "inspect", "csv")
     code = f"import sys, torelli.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _fresh_interpreter(code) == "[]\n"
     assert [p.name for p in package.glob("*.py") if "dataclass" in p.read_text()] == []
+
+
+def test_plain_requests_leave_argparse_out():
+    # argparse, with the gettext and locale its first message loads, is
+    # built for help and usage errors only; site may import some of these
+    # itself (a .pth file loading shutil, say), so what counts is what the
+    # program adds
+    code = """
+import io, sys
+before = set(sys.modules)
+def added():
+    return [m for m in ("argparse", "gettext", "locale", "shutil") if m in set(sys.modules) - before]
+import torelli.cli
+after_import = added()
+for argv in torelli.cli.SHIPPED_INVOCATIONS:
+    for fmt in ((), ("--format", "csv")):
+        assert torelli.cli.run([*argv, *fmt], out=io.StringIO()) == 0
+after_runs = added()
+torelli.cli.run(["l-class", "--help"])  # the help goes to stdout
+print(after_import, after_runs, "argparse" in sys.modules)
+"""
+    assert _fresh_interpreter(code).splitlines()[-1] == "[] [] True"
+
+
+@pytest.mark.parametrize("argv", SHIPPED_INVOCATIONS, ids=lambda a: a[0])
+def test_module_entry_point_matches_golden(argv):
+    # `python -m torelli.cli`, each request in its own interpreter, as the
+    # console script runs it
+    proc = subprocess.run([sys.executable, "-m", "torelli.cli", *argv], capture_output=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{argv[0]}.json").read_bytes()
 
 
 def test_package_root_loads_no_submodule():
     # each name is imported from the module that defines it; the package
     # root holds only its docstring and version
-    src = str(pathlib.Path(torelli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, torelli; print(sorted(m for m in sys.modules if m.startswith('torelli.')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _fresh_interpreter(code) == "[]\n"
 
 
 def test_no_runtime_dependencies():

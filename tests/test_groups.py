@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli.cli import GENUS_CAP
 from torelli.groups import (
@@ -20,6 +22,8 @@ from torelli.groups import (
     transvection,
 )
 from torelli.linalg import mat_mul
+
+from test_linalg import mat_transpose
 
 
 def test_form_matrices():
@@ -46,6 +50,32 @@ def test_membership():
     assert not is_in_group(not_member, sp)
     with pytest.raises(ValueError):
         is_in_group(identity, GroupForm(3, -1))
+
+
+def dense_is_in_group(a, form):
+    """A^T J A = J by two dense products: the check that is_in_group's
+    sparse one replaced, kept as its oracle."""
+    j = form.matrix
+    return mat_mul(mat_mul(mat_transpose(a), j), a) == j
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_membership_matches_dense_products(data):
+    # group elements of either kind against either form, with or without
+    # one entry moved, and matrices of small random entries
+    g = data.draw(st.integers(1, 3))
+    form = GroupForm(g, data.draw(st.sampled_from((1, -1))))
+    kind = data.draw(st.sampled_from(list(GammaType)))
+    a = sample_group_element(kind, g, data.draw(st.integers(0, 99)), data.draw(st.integers(0, 6)))
+    edit = data.draw(st.sampled_from(("none", "entry", "random")))
+    if edit == "entry":
+        r, c = data.draw(st.integers(0, 2 * g - 1)), data.draw(st.integers(0, 2 * g - 1))
+        a[r][c] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    elif edit == "random":
+        row = st.lists(st.integers(-1, 1), min_size=2 * g, max_size=2 * g)
+        a = data.draw(st.lists(row, min_size=2 * g, max_size=2 * g))
+    assert is_in_group(a, form) == dense_is_in_group(a, form)
 
 
 def test_modulus_and_type_tables():

@@ -44,9 +44,9 @@ from torelli.invariants import (
     torelli_model_series,
     two_part_partitions,
 )
-from torelli.linalg import identity_matrix, kernel_basis, mat_mul, mat_transpose
+from torelli.linalg import identity_matrix, kernel_basis, mat_mul
 
-from test_linalg import mat_sub
+from test_linalg import mat_sub, mat_transpose
 
 
 def test_go_homotopy_rank():
@@ -128,6 +128,8 @@ def test_piece_dimensions():
     assert piece_dimension(odd, 5) == 0  # exterior power past the dimension
     mixed = GradedVCopies(1, (1, 3))
     assert piece_dimension(mixed, 4) == 4  # V tensor V
+    # degrees given as a list are kept as a tuple, which the cache can hash
+    assert piece_dimension(GradedVCopies(1, [2]), 4) == 3
 
 
 def allocations_by_recursion(copies, degree):
@@ -175,6 +177,19 @@ def test_allocations_over_many_copies():
     allocs = list(_allocations(copies, 8))
     assert allocs == [(0, 1) + (0,) * 1498, (2,) + (0,) * 1499]
     assert piece_dimension(copies, 8) == 2 + 3
+
+
+@pytest.mark.parametrize("kind", ["sp", "o"])
+def test_tail_dimensions_once_per_request(kind):
+    # the route's piece dimension, its allocations (and for the orthogonal
+    # kind its work count) and the CLI's piece column read one cached table,
+    # of tuples, so that none of them can change it for the others
+    invariants._tail_dimensions.cache_clear()
+    argv = ["invariant-oracle", "--type", kind, "--g", "1", "--degrees", "1,3,9,27", "--deg", "40"]
+    assert run(argv, out=io.StringIO()) == 0
+    assert invariants._tail_dimensions.cache_info().misses == 1
+    tails = invariants._tail_dimensions(GradedVCopies(1, (1, 3, 9, 27)), 40)
+    assert isinstance(tails, tuple) and all(isinstance(tail, tuple) for tail in tails)
 
 
 def _dim(kind, g, degrees, degree):

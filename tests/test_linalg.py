@@ -9,14 +9,20 @@ from torelli.linalg import (
     identity_matrix,
     invert_fraction_matrix,
     kernel_basis,
-    mat_equal,
     mat_mul,
-    mat_transpose,
 )
 
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_equal(a, b):
+    return [list(r) for r in a] == [list(r) for r in b]
 
 
 def rank(m):
