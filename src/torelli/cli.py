@@ -51,7 +51,8 @@ UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take about 0.03 s
 BOREL_RANK_CAP = 32
 BOREL_SIZE_CAP = 500_000  # g * (qmax + 1) * the number of weights of V^{(x)k}
 # the series commands: maxdeg + 2n, the top L-weight they expand to; the
-# slowest requests at the cap take about 2 s
+# slowest requests at the cap take about 1.1 s (mt-series and torelli-series
+# --n 7 --maxdeg 5986)
 SERIES_CAP = 6000
 # group-sample and the oracle: building and checking the O(g^2) generators
 # at O(g^3) each takes about 0.4 s at the cap

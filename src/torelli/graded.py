@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -77,10 +78,12 @@ def free_graded_commutative_series(
     """Hilbert series of the free graded-commutative algebra with ``count``
     generators of degree ``degree`` for each ``(degree, count)`` pair.
 
-    The series is prod_d (1 - q^d)^(-m_d), expanded by the Euler transform
-    n s_n = sum_{k <= n} b_k s_{n-k} with b_k = sum_{d | k} d m_d.  An odd
-    degree d with count m adds m to m_d and -m to m_{2d}, because
-    1 + q^d = (1 - q^{2d}) / (1 - q^d).
+    The series is prod_d (1 - q^d)^(-m_d).  An odd degree d with count m adds
+    m to m_d and -m to m_{2d}, because 1 + q^d = (1 - q^{2d}) / (1 - q^d).
+    With s the gcd of the degrees whose m_d is nonzero, the product is a
+    series in t = q^s, expanded by the Euler transform n a_n = sum_{k <= n}
+    b_k a_{n-k} with b_k = sum_{e | k} e m_{es}: O((D/s)^2) steps for
+    truncation D.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -94,20 +97,19 @@ def free_graded_commutative_series(
             m[degree] += count
             if degree % 2 and 2 * degree <= max_degree:
                 m[2 * degree] -= count
-    b = [0] * (max_degree + 1)
-    for d in range(1, max_degree + 1):
-        if m[d]:
-            for k in range(d, max_degree + 1, d):
-                b[k] += d * m[d]
-    ks = [k for k in range(1, max_degree + 1) if b[k]]
-    s = [1] + [0] * max_degree
-    for n in range(1, max_degree + 1):
-        total = 0
-        for k in ks:
-            if k > n:
-                break
-            total += b[k] * s[n - k]
-        s[n] = total // n
+    # with no generator below the truncation, a step past it leaves only a_0
+    step = gcd(*(d for d, c in enumerate(m) if c)) or max_degree + 1
+    top = max_degree // step
+    b = [0] * (top + 1)
+    for e in range(1, top + 1):
+        if m[e * step]:
+            for k in range(e, top + 1, e):
+                b[k] += e * m[e * step]
+    a = [1]
+    for n in range(1, top + 1):
+        a.append(sum(map(operator.mul, b[1 : n + 1], a[n - 1 :: -1])) // n)
+    s = [0] * (max_degree + 1)
+    s[::step] = a
     return HilbertSeries(tuple(s))
 
 

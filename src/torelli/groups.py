@@ -152,14 +152,18 @@ def _basis_vector(size: int, idx: int, sign: int = 1) -> list[int]:
 
 
 def transvection(v: Sequence[int], form: GroupForm) -> list[list[int]]:
-    """w -> w + <w, v> v; lands in the group for the symplectic form."""
-    size = 2 * form.g
-    j = form.matrix
-    cols = []
-    for c in range(size):
-        pairing = sum(j[c][k] * v[k] for k in range(size))
-        cols.append([int(c == r) + pairing * v[r] for r in range(size)])
-    return [[cols[c][r] for c in range(size)] for r in range(size)]
+    """w -> w + <w, v> v; lands in the group for the symplectic form.  Row c
+    of J has its one nonzero sigma(c) in column pi(c) = c +- g, so only the
+    columns c = pi^-1(k) over the nonzeros v_k of v move, by sigma(c) v_k v."""
+    g, size = form.g, 2 * form.g
+    out = identity_matrix(size)
+    support = [(k, x) for k, x in enumerate(v) if x]
+    for k, x in support:
+        c = (k + g) % size
+        pairing = x if c < g else form.sign * x
+        for r, y in support:
+            out[r][c] += pairing * y
+    return out
 
 
 @lru_cache(maxsize=None)

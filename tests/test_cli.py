@@ -362,6 +362,8 @@ def test_cost_caps_exit_3_before_any_work():
         # the first above the cap is in degree 114 for n = 9 and 44 for n = 8
         (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "5000", "--oracle"], "dimension 4884 > cap 4096"),
         (["crosscheck-sec6", "--n", "8", "--g", "3", "--maxdeg", "5000", "--oracle"], "orbit-route work 5311472 > cap 2500000"),
+        # and so is the orbit-route work summed over the pieces of a request
+        (["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "99", "--oracle"], "orbit-route work 13196312 summed up to degree 99 > cap 5000000"),
     ):
         started = time.perf_counter()
         code, out, err = _capture(argv)

@@ -12,6 +12,10 @@ from torelli.graded import (
     free_graded_commutative_series,
     series_pointwise_equal,
 )
+from torelli.invariants import go_shifted_degrees
+from torelli.mt import _kappa_degree_counts, pair_degree_counts
+
+from test_mt import convolve_per_generator
 
 
 def times_one_minus(series, degree):
@@ -100,10 +104,35 @@ def _brute_force_series(degrees, max_degree):
 # odd degrees with 2d past the truncation, and a degree listed twice
 @example([(7, 2), (5, 3), (2, 2)], 12)
 @example([(3, 2), (3, 1), (4, 2)], 12)
+# degrees sharing an odd factor, so that m_18 goes negative (step 3); sharing
+# the factor 2 (step 2); all past the truncation; all counts 0; truncation 0
+@example([(3, 1), (9, 2)], 30)
+@example([(2, 2), (6, 1), (10, 3)], 24)
+@example([(13, 2)], 12)
+@example([(4, 0), (6, 0)], 12)
+@example([(1, 2), (4, 1)], 0)
 def test_free_series_matches_enumeration(pairs, max_degree):
     series = free_graded_commutative_series(pairs, max_degree)
     degrees = [d for d, count in pairs for _ in range(count)]
     assert series.coefficients == _brute_force_series(degrees, max_degree)
+
+
+@pytest.mark.parametrize(
+    "counts, max_degree",
+    [
+        # the series of the theoremB job, the counts behind the torelli and
+        # mt jobs at n = 24 (both in multiples of 4), and the free model on
+        # the odd degrees 4m - 9, whose m_d are nonzero in every degree
+        (pair_degree_counts(340, 1000), 1000),
+        (sorted(_kappa_degree_counts(24, 220).items()), 220),
+        ([(d, 4) for d in go_shifted_degrees(9, 400)], 400),
+    ],
+)
+def test_free_series_matches_the_per_generator_convolution_at_bench_size(counts, max_degree):
+    degrees = [d for d, count in counts for _ in range(count)]
+    assert free_graded_commutative_series(counts, max_degree).coefficients == (
+        convolve_per_generator(degrees, max_degree)
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -132,6 +132,31 @@ def test_transvection_frozen():
     assert is_in_group(t, GroupForm(1, -1))
 
 
+def dense_transvection(v, form):
+    """w -> w + <w, v> v built column by column, each pairing a full sum
+    against the dense form matrix."""
+    size = 2 * form.g
+    j = form.matrix
+    cols = []
+    for c in range(size):
+        pairing = sum(j[c][k] * v[k] for k in range(size))
+        cols.append([int(c == r) + pairing * v[r] for r in range(size)])
+    return mat_transpose(cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_transvection_matches_the_dense_pairing(data):
+    # sparse vectors like the generators' and dense ones, against either form
+    g = data.draw(st.integers(1, 4))
+    form = GroupForm(g, data.draw(st.sampled_from((1, -1))))
+    v = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=2 * g, max_size=2 * g))
+    t = transvection(v, form)
+    assert t == dense_transvection(v, form)
+    if form.sign == -1:
+        assert is_in_group(t, form)
+
+
 def test_transvection_with_odd_refinement_preserves_mod2():
     # v = x_1 + y_1 has q(v) = 1; its transvection fixes q mod 2
     t = transvection((1, 1), GroupForm(1, -1))

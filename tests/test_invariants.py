@@ -27,6 +27,7 @@ from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
 from torelli.groups import GammaType, group_generators, sample_group_element
 from torelli.invariants import (
+    REQUEST_WORK_CAP,
     WORK_CAP,
     OracleCapExceeded,
     GradedVCopies,
@@ -734,9 +735,11 @@ def test_orbit_route_reach():
     assert report.all_agree and report.rows[36].oracle_count == 20
     assert time.perf_counter() - started < 2
     # n = 8, g = 3 up to degree 40 passes the pre-check alone: its top piece
-    # has 81816 dimensions and takes seconds to count
+    # has 81816 dimensions and takes seconds to count, and the request sums
+    # under the request cap
     copies = GradedVCopies(3, tuple(go_shifted_degrees(8, 40)))
     assert max(invariants._orbit_work(copies, 40)) == invariants._orbit_work(copies, 40)[40] <= WORK_CAP
+    assert sum(invariants._orbit_work(copies, 40)) == 4130104 <= REQUEST_WORK_CAP
     assert piece_dimension(copies, 40) == 81816
 
 
@@ -807,6 +810,9 @@ def test_crosscheck_checks_every_piece_before_any_work():
         (9, 1, 5000, "dimension 4884 > cap 4096"),
         (8, 3, 6000, f"orbit-route work 5311472 > cap {WORK_CAP}"),
         (10, 1, 5000, f"orbit-route work 2542440 > cap {WORK_CAP}"),
+        # every piece is under the cap, and the 100 of them sum above the
+        # request's
+        (10, 1, 99, f"orbit-route work 13196312 summed up to degree 99 > cap {REQUEST_WORK_CAP}"),
     ):
         started = time.perf_counter()
         with pytest.raises(OracleCapExceeded, match=message):
