@@ -14,6 +14,12 @@ least the sum of the q largest values of f_r on the positive roots.  Once
 every coordinate passes, rho - mu - eta can vanish only when the height of
 rho - mu equals the sum of the q largest root heights, and only then are the
 sums eta listed.
+
+All of it is integer arithmetic.  Roots, simple roots and rho are integer
+vectors, and the coordinate rows are the inverse simple-root matrix scaled
+by L, the lcm of its denominators.  So every coordinate, top sum and height
+is L times its rational value, an integer, and since L > 0 every comparison
+between them is the same as between the rational values.
 """
 
 from __future__ import annotations
@@ -26,28 +32,20 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import invert_fraction_matrix
 
-Vector = tuple[Fraction, ...]
-
-
-def _vec(entries: Iterable[int | Fraction]) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+Vector = tuple[int, ...]
 
 
 def _sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if b), Fraction(0))
+def _dot(u: Vector, v: Sequence[int | Fraction]) -> int | Fraction:
+    return sum(a * b for a, b in zip(u, v) if b)
 
 
-def _top_sums(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
+def _top_sums(values: Iterable[int]) -> tuple[int, ...]:
     """t[q] = the sum of the q largest values, for q = 0 .. len(values)."""
-    return tuple(itertools.accumulate(sorted(values, reverse=True), initial=Fraction(0)))
+    return tuple(itertools.accumulate(sorted(values, reverse=True), initial=0))
 
 
 class RootSystem(
@@ -74,17 +72,20 @@ class RootSystem(
 
     @cached_property
     def coordinate_rows(self) -> tuple[Vector, ...]:
-        """Rows f_r of the inverse simple-root matrix: f_r(v) is the
-        coefficient of the r-th simple root in v."""
+        """Rows f_r of the inverse simple-root matrix, scaled by L, the lcm
+        of its denominators: f_r(v) is L times the coefficient of the r-th
+        simple root in v."""
         columns = [[root[i] for root in self.simple_roots] for i in range(self.g)]
-        return tuple(tuple(row) for row in invert_fraction_matrix(columns))
+        inverse = invert_fraction_matrix(columns)
+        scale = math.lcm(*(x.denominator for row in inverse for x in row))
+        return tuple(tuple(int(x * scale) for x in row) for row in inverse)
 
     @cached_property
     def rho_coordinates(self) -> Vector:
         return tuple(_dot(row, self.rho) for row in self.coordinate_rows)
 
     @cached_property
-    def top_sums(self) -> tuple[tuple[Fraction, ...], ...]:
+    def top_sums(self) -> tuple[tuple[int, ...], ...]:
         """top_sums[r][q]: the largest value of f_r on a sum of q distinct
         positive roots, which is the sum of its q largest values on them."""
         return tuple(
@@ -93,7 +94,7 @@ class RootSystem(
         )
 
     @cached_property
-    def top_heights(self) -> tuple[Fraction, ...]:
+    def top_heights(self) -> tuple[int, ...]:
         """The same for the height, the sum of all the coordinates f_r."""
         return _top_sums(
             sum(_dot(row, root) for row in self.coordinate_rows)
@@ -105,43 +106,28 @@ class RootSystem(
 def root_system(family: str, g: int) -> RootSystem:
     if g < 2:
         raise ValueError("rank must be at least 2")
-    zero = [Fraction(0)] * g
-
-    def unit(i: int, scale: int = 1) -> Vector:
-        v = zero[:]
-        v[i] = Fraction(scale)
-        return tuple(v)
-
-    positive: list[Vector] = []
-    if family == "C":
-        for i in range(g):
-            for j in range(i + 1, g):
-                positive.append(_add(unit(i), unit(j)))
-                positive.append(_sub(unit(i), unit(j)))
-        for i in range(g):
-            positive.append(unit(i, 2))
-        simple = [_sub(unit(i), unit(i + 1)) for i in range(g - 1)] + [unit(g - 1, 2)]
-        rho = _vec(g - i for i in range(g))
-        expected = g * g
-    elif family == "D":
-        for i in range(g):
-            for j in range(i + 1, g):
-                positive.append(_add(unit(i), unit(j)))
-                positive.append(_sub(unit(i), unit(j)))
-        simple = [_sub(unit(i), unit(i + 1)) for i in range(g - 1)] + [
-            _add(unit(g - 2), unit(g - 1))
-        ]
-        rho = _vec(g - i - 1 for i in range(g))
-        expected = g * (g - 1)
-    else:
+    if family not in ("C", "D"):
         raise ValueError("family must be 'C' or 'D'")
+
+    def root(i: int, j: int, sign: int) -> Vector:
+        """a_i + sign a_j."""
+        return tuple((k == i) + sign * (k == j) for k in range(g))
+
+    positive = [root(i, j, sign) for i in range(g) for j in range(i + 1, g) for sign in (1, -1)]
+    simple = [root(i, i + 1, -1) for i in range(g - 1)]
+    if family == "C":
+        positive += [root(i, i, 1) for i in range(g)]
+        simple.append(root(g - 1, g - 1, 1))
+        rho = tuple(g - i for i in range(g))
+        expected = g * g
+    else:
+        simple.append(root(g - 2, g - 1, 1))
+        rho = tuple(g - i - 1 for i in range(g))
+        expected = g * (g - 1)
     if len(positive) != expected:
         raise AssertionError("positive root count mismatch")
     double_rho = tuple(2 * x for x in rho)
-    total = _vec([0] * g)
-    for root in positive:
-        total = _add(total, root)
-    if total != double_rho:
+    if tuple(map(sum, zip(*positive))) != double_rho:
         raise AssertionError("2*rho must equal the sum of the positive roots")
     rs = RootSystem(family, g, tuple(positive), tuple(simple), rho)
     for root in positive:
@@ -153,10 +139,9 @@ def root_system(family: str, g: int) -> RootSystem:
 def is_positive_combination(v: Sequence[int | Fraction], rs: RootSystem) -> bool:
     """True when v is nonzero and a nonnegative rational combination of the
     simple roots."""
-    vec = _vec(v)
-    if all(x == 0 for x in vec):
+    if not any(v):
         return False
-    return all(_dot(row, vec) >= 0 for row in rs.coordinate_rows)
+    return all(_dot(row, v) >= 0 for row in rs.coordinate_rows)
 
 
 def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
@@ -165,11 +150,9 @@ def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
         raise ValueError("exterior power degree must be nonnegative")
     if q > len(rs.positive_roots):
         return
+    zero = (0,) * rs.g
     for subset in itertools.combinations(rs.positive_roots, q):
-        total = _vec([0] * rs.g)
-        for root in subset:
-            total = _add(total, root)
-        yield total
+        yield tuple(map(sum, zip(*subset))) if subset else zero
 
 
 def weights_of_tensor_power(rs: RootSystem, k: int) -> list[Vector]:
@@ -188,7 +171,7 @@ def weights_of_tensor_power(rs: RootSystem, k: int) -> list[Vector]:
     weights = []
     for prefix, used in partial:
         left = k - used  # the last entry takes |x| <= left with |x| = left mod 2
-        weights.extend(_vec(prefix + (x,)) for x in range(-left, left + 1, 2))
+        weights.extend(prefix + (x,) for x in range(-left, left + 1, 2))
     return sorted(weights)
 
 
@@ -230,9 +213,12 @@ def borel_constant_mu(rs: RootSystem, mu: Sequence[int | Fraction], qmax: int) -
     """
     if qmax < 0:
         raise ValueError("qmax must be nonnegative")
-    mu = _vec(mu)
-    # a weight of a tensor power has few nonzero entries, and _dot skips zeros
-    values = [r - _dot(row, mu) for r, row in zip(rs.rho_coordinates, rs.coordinate_rows)]
+    # values[r] = f_r(rho - mu), one column per nonzero entry of mu, of which
+    # a weight of a tensor power has few
+    values = list(rs.rho_coordinates)
+    for i, m in enumerate(mu):
+        if m:
+            values = [v - m * row[i] for v, row in zip(values, rs.coordinate_rows)]
     height = sum(values)
     best: int | None = None
     for q in range(min(qmax, len(rs.positive_roots)) + 1):
@@ -277,13 +263,12 @@ def representation_bound(family: str, g: int, k: int) -> int:
 def lform_inequality_check(g: int, k: int, q: int) -> bool:
     """Exact evaluation of the dominance certificate
     (g-k-q-1) a_1 + sum_{i=2}^{g} (g-i+1) a_i - sum_{i=2}^{q} a_i > 0
-    at a_1 = R, a_j = R^{-j} with R = 2^{10g}."""
+    at a_1 = R, a_j = R^{-j} with R = 2^{10g}, times R^g so that every term
+    is an integer."""
     if g < 2 or k < 0 or not (0 <= q < g):
         raise ValueError("need g >= 2, k >= 0 and 0 <= q < g")
-    r = Fraction(2) ** (10 * g)
-    expr = (g - k - q - 1) * r
-    for i in range(2, g + 1):
-        expr += (g - i + 1) * r ** (-i)
-    for i in range(2, q + 1):
-        expr -= r ** (-i)
+    r = 2 ** (10 * g)
+    expr = (g - k - q - 1) * r ** (g + 1)
+    expr += sum((g - i + 1) * r ** (g - i) for i in range(2, g + 1))
+    expr -= sum(r ** (g - i) for i in range(2, q + 1))
     return expr > 0

@@ -45,11 +45,14 @@ Table = list[dict]
 Provenance = list[str]
 
 # a-priori cost caps, checked before any work; a request above one exits 3
-UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take about 0.03 s
+UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take 5-8 ms
 # borel-constant and lform-check: the root system and its coordinate tables
 # take ~g^4 work, the linear form's exact sum ~g^3 digits
 BOREL_RANK_CAP = 32
-BOREL_SIZE_CAP = 500_000  # g * (qmax + 1) * the number of weights of V^{(x)k}
+# g * (qmax + 1) * the number of weights of V^{(x)k}; the slowest requests at
+# the caps take about 0.6 s (borel-constant --g 24 --k 3 --qmax 0, either
+# family, 18496 weights), and --family C --g 32 --k 0 --qmax 15000 0.3 s
+BOREL_SIZE_CAP = 500_000
 # the series commands: maxdeg + 2n, the top L-weight they expand to; the
 # slowest requests at the cap take about 1.1 s (mt-series and torelli-series
 # --n 7 --maxdeg 5986)

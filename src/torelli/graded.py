@@ -199,23 +199,6 @@ class WeightedPolynomial:
     def variable(cls, name: str, weight: int) -> "WeightedPolynomial":
         return cls(((name, weight),), {(1,): Fraction(1)})
 
-    @classmethod
-    def generators(
-        cls, variables: Sequence[tuple[str, int]]
-    ) -> list["WeightedPolynomial"]:
-        """The constant 1 and then each variable in the order given, all over
-        the one shared variable tuple, so that sums and products among them
-        need no realignment."""
-        one = cls(variables, {(0,) * len(variables): 1})
-        vs = one.variables
-        position = {name: k for k, (name, _) in enumerate(vs)}
-        out = [one]
-        for name, _ in variables:
-            exps = [0] * len(vs)
-            exps[position[name]] = 1
-            out.append(cls._aligned(vs, {tuple(exps): Fraction(1)}))
-        return out
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:

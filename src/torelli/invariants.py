@@ -79,6 +79,10 @@ WORK_CAP = 2_500_000
 # request; the slowest requests inside it take about 2.7 s (crosscheck-sec6
 # --n 8 --g 1 --maxdeg 115, 4.8 million summed)
 REQUEST_WORK_CAP = 5_000_000
+# the same for the symplectic route's piece dimension; the slowest requests
+# inside it and BASIS_CAP take about 2.5 s (--n 9 --g 9 --maxdeg 14), and
+# about 1.8 s at g = 1 (--n 9 --g 1 --maxdeg 104, 38755 summed)
+REQUEST_BASIS_CAP = 40_000
 
 
 class OracleCapExceeded(ValueError):
@@ -708,8 +712,8 @@ def invariant_crosscheck(
 ) -> InvariantReport:
     """Per-degree comparison of the stable invariant count, the pair-class
     ring count, and (optionally) the oracle on the free model, whose caps
-    every piece, and for the orbit route the summed work of the request,
-    meet before any work."""
+    every piece and the sum over the pieces of the request meet before any
+    work."""
     if n < 8:
         raise ValueError("the comparison window needs n >= 8")
     if g < 1 or max_degree < 0:
@@ -722,18 +726,19 @@ def invariant_crosscheck(
         # the cost of counting up to it
         top = 64
         while True:
+            window = min(top, max_degree)
             if kind is GammaType.ORTHOGONAL:
-                works = _orbit_work(copies, min(top, max_degree))
-                for work in works:
-                    _check_work_cap(work)
-                if sum(works) > REQUEST_WORK_CAP:
-                    raise OracleCapExceeded(
-                        f"orbit-route work {sum(works)} summed up to degree "
-                        f"{min(top, max_degree)} > cap {REQUEST_WORK_CAP}"
-                    )
+                what, cap, check = "orbit-route work", REQUEST_WORK_CAP, _check_work_cap
+                sizes = _orbit_work(copies, window)
             else:
-                for size in _tail_dimensions(copies, min(top, max_degree))[0]:
-                    _check_basis_cap(size)
+                what, cap, check = "piece dimension", REQUEST_BASIS_CAP, _check_basis_cap
+                sizes = _tail_dimensions(copies, window)[0]
+            for size in sizes:
+                check(size)
+            if sum(sizes) > cap:
+                raise OracleCapExceeded(
+                    f"{what} {sum(sizes)} summed up to degree {window} > cap {cap}"
+                )
             if top >= max_degree:
                 break
             top *= 2

@@ -7,17 +7,22 @@ computed without the roots, from one identity used both ways: the log
 derivative D of A = 1 + a_1 t + a_2 t^2 + ... (t A'/A = sum_m D_m t^m) turns
 products into sums, and the exp step i a_i = sum_{m <= i} D_m a_{i-m}
 recovers A.  With log f = sum_m c_m u^m, the product has log derivative
-m c_m P_m, where (-1)^{m-1} P_m, the power sums of the u_k up to sign, is
-the log derivative of the total class 1 + p_1 t + p_2 t^2 + ... (Newton's
-identities).  The work grows with the number of partitions of i, not with
-the monomials in i roots, and one call yields K_0..K_count.
+r_m Q_m with r_m = (-1)^{m-1} m c_m, where Q_m = (-1)^{m-1} P_m, the power
+sums of the u_k up to sign, is the log derivative of the total class
+1 + p_1 t + p_2 t^2 + ... (Newton's identities).  The work grows with the
+number of partitions of i, not with the monomials in i roots, and one call
+yields K_0..K_count.
 
 The Pontryagin classes in terms of the L-classes run the same steps
 backwards: the log derivative of 1 + L_1 t + L_2 t^2 + ..., divided by
-m c_m (a nonzero multiple of the Bernoulli number B_2m), is that of the
-total Pontryagin class, with no triangular inversion and no substitution.
-All polynomials of one call share one variable tuple (p_1..p_count or
-L_1..L_count), so their sums and products need no realignment.
+r_m (a nonzero multiple of the Bernoulli number B_2m), is that of the total
+Pontryagin class, with no triangular inversion and no substitution.
+
+Both run on integers.  Q_m has integer coefficients, and each a_i is kept
+as an integer term dict over the one variable tuple (p_1..p_count or
+L_1..L_count) with one integer denominator, reduced by the gcd of its
+terms; only the scalars r_m are Fractions.  Each class becomes a
+`WeightedPolynomial` once, at the end.
 
 The coefficients of x/tanh(x) come from the Bernoulli-number recurrence;
 the test suite checks them against sinh/cosh power-series division.
@@ -39,19 +44,16 @@ from .graded import HilbertSeries, WeightedPolynomial, free_graded_commutative_s
 
 @lru_cache(maxsize=None)
 def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_count with B_1 = -1/2."""
+    """B_0 .. B_count with B_1 = -1/2, from sum_{j <= m} C(m+1, j) B_j = 0
+    run on the integers (m+1)! B_m: by von Staudt-Clausen the denominator of
+    B_m is a product of primes p <= m + 1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    b: list[Fraction] = []
-    for m in range(count + 1):
-        if m == 0:
-            b.append(Fraction(1))
-            continue
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return tuple(b)
+    beta = [1]  # beta[m] = (m+1)! B_m
+    for m in range(1, count + 1):
+        total = sum(math.comb(m + 1, j) * math.perm(m + 1, m - j) * b for j, b in enumerate(beta))
+        beta.append(-total // (m + 1))
+    return tuple(Fraction(b, math.factorial(m + 1)) for m, b in enumerate(beta))
 
 
 def x_over_tanh_coefficients(order: int) -> tuple[Fraction, ...]:
@@ -69,8 +71,7 @@ def x_over_tanh_coefficients(order: int) -> tuple[Fraction, ...]:
 
 def _log_derivative(a: list) -> list:
     """D with t (log A)' = sum_m D_m t^m for A = sum_j a_j t^j, a_0 = 1:
-    D_0 = 0 and D_m = m a_m - sum_{0<k<m} D_k a_{m-k}.  The a_j are Fractions
-    or polynomials over one shared variable tuple."""
+    D_0 = 0 and D_m = m a_m - sum_{0<k<m} D_k a_{m-k}."""
     d = [a[0] * 0]
     for m in range(1, len(a)):
         acc = a[m] * m
@@ -80,24 +81,54 @@ def _log_derivative(a: list) -> list:
     return d
 
 
-def _exp_from_derivative(d: list, one) -> list:
-    """a with a_0 = one and t (log A)' = sum_m d_m t^m, from
-    i a_i = sum_{0<m<=i} d_m a_{i-m}; the inverse of `_log_derivative`."""
-    a = [one]
-    for i in range(1, len(d)):
-        acc = one * 0
-        for m in range(1, i + 1):
-            acc = acc + d[m] * a[i - m]
-        a.append(acc * Fraction(1, i))
-    return a
-
-
-def _weight_four_ring(symbol: str, count: int) -> list[WeightedPolynomial]:
-    """1 and symbol_1..symbol_count, symbol_j of weight 4j, over one shared
-    variable tuple."""
-    return WeightedPolynomial.generators(
-        [(f"{symbol}_{j}", 4 * j) for j in range(1, count + 1)]
-    )
+def _exp_of_scaled_newton(symbol: str, scalars: list[Fraction]) -> list[WeightedPolynomial]:
+    """a_0 = 1, a_1 .. a_count with t (log A)' = sum_m r_m Q_m t^m for the
+    scalars r_1..r_count, Q_m the log derivative of 1 + symbol_1 t + ... .
+    Q_m = m e_m - sum_{0<k<m} Q_k e_{m-k}, and e_{m-k} is one variable, so
+    each product only shifts an exponent.  With D the lcm of the denominators
+    of the r_m / d_{i-m}, the exp step on numerators N_j = d_j a_j is
+    a_i = sum_m (D r_m / d_{i-m}) Q_m N_{i-m} / (i D).  An exponent vector e
+    is keyed as sum_k e_k B^k, B = count + 1: no exponent of a weight at most
+    4 count exceeds count, so a product adds keys without carries."""
+    count = len(scalars)
+    variables = tuple(sorted((f"{symbol}_{j}", 4 * j) for j in range(1, count + 1)))
+    base = count + 1
+    place = {name: base**k for k, (name, _) in enumerate(variables)}
+    unit = [0] + [place[f"{symbol}_{j}"] for j in range(1, count + 1)]
+    q: list[dict[int, int]] = [{}]
+    for m in range(1, count + 1):
+        acc = {unit[m]: m}
+        for k in range(1, m):
+            for key, c in q[k].items():
+                key += unit[m - k]
+                acc[key] = acc.get(key, 0) - c
+        q.append(acc)
+    numerators = [{0: 1}]
+    denominators = [1]
+    for i in range(1, count + 1):
+        weights = [scalars[m - 1] / denominators[i - m] for m in range(1, i + 1)]
+        common = math.lcm(*(w.denominator for w in weights))
+        acc = {}
+        for m, w in enumerate(weights, 1):
+            factor = w.numerator * (common // w.denominator)
+            for ka, ca in q[m].items():
+                ca *= factor
+                for kb, cb in numerators[i - m].items():
+                    acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
+        acc = {key: c for key, c in acc.items() if c}
+        divisor = math.gcd(i * common, *acc.values())
+        numerators.append({key: c // divisor for key, c in acc.items()})
+        denominators.append(i * common // divisor)
+    return [
+        WeightedPolynomial._aligned(
+            variables,
+            {
+                tuple(key // base**k % base for k in range(count)): Fraction(c, d)
+                for key, c in terms.items()
+            },
+        )
+        for terms, d in zip(numerators, denominators)
+    ]
 
 
 def multiplicative_sequence(
@@ -108,22 +139,17 @@ def multiplicative_sequence(
     ``coefficients[j]`` is the u^j coefficient (u = x^2) and must start with 1.
     K_i is returned in Pontryagin variables p_1..p_count, with p_j of weight
     4j; only p_1..p_i occur in it.  K is the exp of the termwise product of
-    two log derivatives, m c_m of the coefficients and (-1)^{m-1} P_m of the
-    total class.
+    two log derivatives, m c_m of the coefficients and Q_m of the total
+    class.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not coefficients or coefficients[0] != 1:
         raise ValueError("the series must have constant term 1")
-    a = list(coefficients[: count + 1])
+    a = [Fraction(x) for x in coefficients[: count + 1]]
     a += [Fraction(0)] * (count + 1 - len(a))
     dc = _log_derivative(a)
-    e = _weight_four_ring("p", count)
-    de = _log_derivative(e)
-    return _exp_from_derivative(
-        [de[0]] + [de[m] * ((-1) ** (m - 1) * dc[m]) for m in range(1, count + 1)],
-        e[0],
-    )
+    return _exp_of_scaled_newton("p", [(-1) ** (m - 1) * dc[m] for m in range(1, count + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -139,19 +165,12 @@ def l_classes(count: int, hat: bool = False) -> tuple[WeightedPolynomial, ...]:
 @lru_cache(maxsize=None)
 def p_classes_in_l(count: int) -> tuple[WeightedPolynomial, ...]:
     """p_0 .. p_count in L_1..L_count: `multiplicative_sequence` backwards,
-    the exp of the log derivative m c_m P_m of the total L-class times
+    the exp of the log derivative Q_m of the total L-class times
     (-1)^{m-1} / (m c_m)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     dc = _log_derivative(list(x_over_tanh_coefficients(count)))
-    big_l = _weight_four_ring("L", count)
-    dl = _log_derivative(big_l)
-    return tuple(
-        _exp_from_derivative(
-            [dl[0]] + [dl[m] * ((-1) ** (m - 1) / dc[m]) for m in range(1, count + 1)],
-            big_l[0],
-        )
-    )
+    return tuple(_exp_of_scaled_newton("L", [(-1) ** (m - 1) / dc[m] for m in range(1, count + 1)]))
 
 
 def l_polynomial(i: int) -> WeightedPolynomial:

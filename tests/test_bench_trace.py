@@ -22,7 +22,7 @@ SRC = pathlib.Path(torelli.__file__).resolve().parents[1]
 # argv -> a span the job must enter
 CASES = {
     ("l-class", "--upto", "3"): "lclasses.sequence",
-    ("p-from-l", "--upto", "3"): "graded.poly_mul",
+    ("p-from-l", "--upto", "3"): "graded.format",
     ("theoremB-series", "--n", "8", "--maxdeg", "12"): "mt.series",
     ("mt-series", "--n", "3", "--maxdeg", "4"): "mt.series",
     ("torelli-series", "--n", "4", "--maxdeg", "10"): "mt.series",

@@ -1,17 +1,20 @@
 """Root systems, cone membership, stability constants.
 
 The library decides each degree q by the q largest values of every
-simple-root coordinate on the positive roots.  The oracle here is the
-exhaustive route: test the cone membership of rho - mu - eta for every sum
-eta of q distinct positive roots.
+simple-root coordinate on the positive roots, all in integers scaled by the
+lcm of the inverse simple-root matrix's denominators.  The oracle here is
+the exhaustive route: test the cone membership of rho - mu - eta for every
+sum eta of q distinct positive roots, by the unscaled Fraction inverse.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 import torelli.borel
+from torelli.linalg import invert_fraction_matrix
 from torelli.borel import (
     BorelConstant,
     borel_constant_mu,
@@ -46,6 +49,47 @@ def test_d_family_data():
     assert rs.rho == _f(2, 1, 0)
     assert rs.simple_roots == (_f(1, -1, 0), _f(0, 1, -1), _f(0, 1, 1))
     assert len(root_system("D", 4).positive_roots) == 12
+
+
+@lru_cache(maxsize=None)
+def _fraction_inverse(rs):
+    """The inverse of the matrix whose columns are the simple roots, unscaled:
+    row r gives the coefficient of the r-th simple root."""
+    columns = [[Fraction(root[i]) for root in rs.simple_roots] for i in range(rs.g)]
+    return invert_fraction_matrix(columns)
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_coordinate_rows_are_the_scaled_inverse(family):
+    # f_r(simple root s) = L if r = s else 0, with L the lcm of the
+    # denominators of the unscaled inverse; L = 2 in both families
+    for g in range(2, 13):
+        rs = root_system(family, g)
+        scale = math.lcm(*(x.denominator for row in _fraction_inverse(rs) for x in row))
+        assert scale == 2
+        product = [
+            [sum(f * x for f, x in zip(row, root)) for root in rs.simple_roots]
+            for row in rs.coordinate_rows
+        ]
+        assert product == [[scale * (r == s) for s in range(g)] for r in range(g)]
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+@pytest.mark.parametrize("g", [2, 3, 7])
+def test_tables_hold_only_integers(family, g):
+    rs = root_system(family, g)
+    rows = (
+        *rs.positive_roots,
+        *rs.simple_roots,
+        rs.rho,
+        *rs.coordinate_rows,
+        rs.rho_coordinates,
+        *rs.top_sums,
+        rs.top_heights,
+        *weights_of_tensor_power(rs, 2),
+        *weights_of_exterior_power(rs, 2),
+    )
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_rho_is_half_sum():
@@ -193,12 +237,14 @@ def _root_sums(rs, q):
     return frozenset(weights_of_exterior_power(rs, q))
 
 
+def _in_cone(v, rs):
+    """v is nonzero and every simple-root coefficient of it is nonnegative."""
+    return any(v) and all(sum(f * x for f, x in zip(row, v)) >= 0 for row in _fraction_inverse(rs))
+
+
 @lru_cache(maxsize=None)
 def _degree_passes(rs, base, q):
-    return all(
-        is_positive_combination(tuple(b - e for b, e in zip(base, eta)), rs)
-        for eta in _root_sums(rs, q)
-    )
+    return all(_in_cone(tuple(b - e for b, e in zip(base, eta)), rs) for eta in _root_sums(rs, q))
 
 
 def constant_by_scan(rs, mu, qmax):

@@ -364,6 +364,8 @@ def test_cost_caps_exit_3_before_any_work():
         (["crosscheck-sec6", "--n", "8", "--g", "3", "--maxdeg", "5000", "--oracle"], "orbit-route work 5311472 > cap 2500000"),
         # and so is the orbit-route work summed over the pieces of a request
         (["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "99", "--oracle"], "orbit-route work 13196312 summed up to degree 99 > cap 5000000"),
+        # and the piece dimension summed over the pieces on the symplectic side
+        (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "113", "--oracle"], "piece dimension 65437 summed up to degree 113 > cap 40000"),
     ):
         started = time.perf_counter()
         code, out, err = _capture(argv)

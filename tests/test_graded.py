@@ -204,6 +204,17 @@ def test_truncating_mul_discards_heavy_terms():
     assert p == x * x + 2 * x.mul(y)
 
 
+def generators(variables):
+    """The constant 1 and then each variable in the order given, all over
+    the one shared variable tuple, so that sums and products among them
+    need no realignment."""
+    width = len(variables)
+    return [
+        WeightedPolynomial(variables, {tuple(int(k == j) for k in range(width)): 1})
+        for j in range(-1, width)
+    ]
+
+
 def _poly(monomials, ring):
     """sum of c * x^a y^b z^c over ring = (1, x, y, z)."""
     one, x, y, z = ring
@@ -225,7 +236,7 @@ _monomials = st.lists(
 def test_shared_variable_tuple_matches_merged_route(left, right):
     # generators() puts every operand on one variable tuple, so sums and
     # products skip the merge; one variable at a time takes the merging route
-    shared = WeightedPolynomial.generators([("x", 2), ("y", 4), ("z", 6)])
+    shared = generators([("x", 2), ("y", 4), ("z", 6)])
     merged = (WeightedPolynomial.constant(1),) + _xy() + (WeightedPolynomial.variable("z", 6),)
     a, b = _poly(left, shared), _poly(right, shared)
     a_m, b_m = _poly(left, merged), _poly(right, merged)
@@ -245,7 +256,7 @@ def test_shared_variable_tuple_matches_merged_route(left, right):
 
 
 def test_generators_order_and_weights():
-    one, y, x = WeightedPolynomial.generators([("y", 4), ("x", 2)])
+    one, y, x = generators([("y", 4), ("x", 2)])
     assert one == 1
     assert (x, y) == _xy()
     assert one.variables == x.variables == y.variables == (("x", 2), ("y", 4))

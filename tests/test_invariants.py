@@ -27,6 +27,7 @@ from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
 from torelli.groups import GammaType, group_generators, sample_group_element
 from torelli.invariants import (
+    REQUEST_BASIS_CAP,
     REQUEST_WORK_CAP,
     WORK_CAP,
     OracleCapExceeded,
@@ -741,6 +742,10 @@ def test_orbit_route_reach():
     assert max(invariants._orbit_work(copies, 40)) == invariants._orbit_work(copies, 40)[40] <= WORK_CAP
     assert sum(invariants._orbit_work(copies, 40)) == 4130104 <= REQUEST_WORK_CAP
     assert piece_dimension(copies, 40) == 81816
+    # the largest symplectic g = 1 request the summed cap accepts at n = 9
+    copies = GradedVCopies(1, tuple(go_shifted_degrees(9, 105)))
+    sizes = invariants._tail_dimensions(copies, 105)[0]
+    assert sum(sizes[:105]) == 38755 <= REQUEST_BASIS_CAP < sum(sizes) == 40735
 
 
 def test_oracle_rejects_bad_requests():
@@ -813,6 +818,9 @@ def test_crosscheck_checks_every_piece_before_any_work():
         # every piece is under the cap, and the 100 of them sum above the
         # request's
         (10, 1, 99, f"orbit-route work 13196312 summed up to degree 99 > cap {REQUEST_WORK_CAP}"),
+        # and the same for the piece dimension on the symplectic route
+        (9, 1, 113, f"piece dimension 65437 summed up to degree 113 > cap {REQUEST_BASIS_CAP}"),
+        (11, 1, 100, f"piece dimension 60365 summed up to degree 100 > cap {REQUEST_BASIS_CAP}"),
     ):
         started = time.perf_counter()
         with pytest.raises(OracleCapExceeded, match=message):

@@ -11,6 +11,10 @@ roots.  Frozen values pin the classical low-degree classes.
 
 The library inverts the L-classes by the same two steps backwards; the oracle here is triangular inversion, solving L_i for its
 p_i term and substituting the lower p_j(L) into the rest.
+
+The library runs both on integer numerators.  A third route runs the same
+log derivative and exp steps on `WeightedPolynomial` coefficients, in
+Fractions throughout, and must give equal classes at every count.
 """
 
 import itertools
@@ -35,9 +39,10 @@ from torelli.lclasses import (
     p_classes_in_l,
     p_in_terms_of_l,
     x_over_tanh_coefficients,
-    _exp_from_derivative,
     _log_derivative,
 )
+
+from test_graded import generators
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +322,77 @@ def test_log_coefficients_closed_form():
         assert d[m] != 0
 
 
+# ---------------------------------------------------------------------------
+# oracle: the log derivative and exp steps on polynomial coefficients
+
+
+def _exp_from_derivative(d, one):
+    """a with a_0 = one and t (log A)' = sum_m d_m t^m, from
+    i a_i = sum_{0<m<=i} d_m a_{i-m}; the inverse of `_log_derivative`."""
+    a = [one]
+    for i in range(1, len(d)):
+        acc = one * 0
+        for m in range(1, i + 1):
+            acc = acc + d[m] * a[i - m]
+        a.append(acc * Fraction(1, i))
+    return a
+
+
+def exp_of_scaled_log_derivative(symbol, scalars):
+    """1 + a_1 t + ... whose log derivative is scalars[m] times that of
+    1 + symbol_1 t + symbol_2 t^2 + ..., by polynomial products over one
+    shared variable tuple."""
+    count = len(scalars) - 1
+    e = generators([(f"{symbol}_{j}", 4 * j) for j in range(1, count + 1)])
+    de = _log_derivative(e)
+    return _exp_from_derivative([de[0]] + [de[m] * scalars[m] for m in range(1, count + 1)], e[0])
+
+
+def l_classes_by_polynomials(count, hat):
+    a = x_over_tanh_coefficients(count)
+    if hat:
+        a = tuple(x / Fraction(4) ** j for j, x in enumerate(a))
+    dc = _log_derivative(list(a))
+    return exp_of_scaled_log_derivative("p", [0] + [(-1) ** (m - 1) * dc[m] for m in range(1, count + 1)])
+
+
+def p_classes_by_polynomials(count):
+    dc = _log_derivative(list(x_over_tanh_coefficients(count)))
+    return exp_of_scaled_log_derivative("L", [0] + [(-1) ** (m - 1) / dc[m] for m in range(1, count + 1)])
+
+
+@pytest.mark.parametrize("count", range(13))
+def test_integer_route_matches_the_polynomial_route(count):
+    for got, want in (
+        (l_classes(count), l_classes_by_polynomials(count, False)),
+        (l_classes(count, True), l_classes_by_polynomials(count, True)),
+        (p_classes_in_l(count), p_classes_by_polynomials(count)),
+    ):
+        assert len(got) == len(want) == count + 1
+        for k, expected in zip(got, want):
+            assert k.variables == expected.variables
+            assert k == expected
+            assert format_polynomial(k) == format_polynomial(expected)
+            assert all(type(c) is Fraction for c in k.terms.values())
+
+
+def test_classes_need_no_polynomial_products(monkeypatch):
+    # the classes are built from integer term dicts, never by
+    # WeightedPolynomial.mul; clear the caches so that they are recomputed
+    want = (l_classes(12), l_classes(12, True), p_classes_in_l(12))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("WeightedPolynomial.mul called")
+
+    monkeypatch.setattr(WeightedPolynomial, "mul", refuse)
+    l_classes.cache_clear()
+    p_classes_in_l.cache_clear()
+    got = (l_classes(12), l_classes(12, True), p_classes_in_l(12))
+    for classes, expected in zip(got, want):
+        assert classes is not expected
+        assert list(classes) == list(expected)
+
+
 def test_log_derivative_and_exp_are_inverse():
     # scalars: exp of u is sum u^i / i!, whose log derivative is u
     assert _log_derivative([Fraction(1, math.factorial(i)) for i in range(8)]) == [0, 1] + [0] * 6
@@ -324,7 +400,7 @@ def test_log_derivative_and_exp_are_inverse():
         Fraction(1, math.factorial(i)) for i in range(8)
     ]
     # polynomials over one shared tuple: 1 + e_1 t + e_2 t^2 + ... round trips
-    e = WeightedPolynomial.generators([(f"e_{j}", j) for j in range(1, 7)])
+    e = generators([(f"e_{j}", j) for j in range(1, 7)])
     d = _log_derivative(e)
     assert d[0].is_zero() and d[1] == e[1]
     assert d[2] == e[2] * 2 - e[1] * e[1]  # -P_2 = 2 e_2 - e_1^2
