@@ -83,9 +83,9 @@ def _log_derivative(a: list) -> list:
 
 def _exp_of_scaled_newton(symbol: str, scalars: list[Fraction]) -> list[WeightedPolynomial]:
     """a_0 = 1, a_1 .. a_count with t (log A)' = sum_m r_m Q_m t^m for the
-    scalars r_1..r_count, Q_m the log derivative of 1 + symbol_1 t + ... .
-    Q_m = m e_m - sum_{0<k<m} Q_k e_{m-k}, and e_{m-k} is one variable, so
-    each product only shifts an exponent.  With D the lcm of the denominators
+    scalars r_1..r_count, Q_m the log derivative of 1 + e_1 t + e_2 t^2 + ...
+    with e_j = symbol_j: Q_m = m e_m - sum_{0<k<m} Q_k e_{m-k}, where each
+    product only shifts an exponent.  With D the lcm of the denominators
     of the r_m / d_{i-m}, the exp step on numerators N_j = d_j a_j is
     a_i = sum_m (D r_m / d_{i-m}) Q_m N_{i-m} / (i D).  An exponent vector e
     is keyed as sum_k e_k B^k, B = count + 1: no exponent of a weight at most
@@ -106,11 +106,11 @@ def _exp_of_scaled_newton(symbol: str, scalars: list[Fraction]) -> list[Weighted
     numerators = [{0: 1}]
     denominators = [1]
     for i in range(1, count + 1):
-        weights = [scalars[m - 1] / denominators[i - m] for m in range(1, i + 1)]
-        common = math.lcm(*(w.denominator for w in weights))
+        ratios = [scalars[m - 1] / denominators[i - m] for m in range(1, i + 1)]
+        common = math.lcm(*(r.denominator for r in ratios))
         acc = {}
-        for m, w in enumerate(weights, 1):
-            factor = w.numerator * (common // w.denominator)
+        for m, r in enumerate(ratios, 1):
+            factor = r.numerator * (common // r.denominator)
             for ka, ca in q[m].items():
                 ca *= factor
                 for kb, cb in numerators[i - m].items():
