@@ -157,6 +157,8 @@ def _cmd_theorem_b_series(args) -> tuple[Table, Provenance]:
 
 def _cmd_borel_constant(args) -> tuple[Table, Provenance]:
     _check_cap("rank --g", args.g, BOREL_RANK_CAP)
+    if args.qmax < 0:
+        raise ValueError("--qmax must be nonnegative")
     size = args.g * (args.qmax + 1) * tensor_weight_count(args.g, args.k)
     if size > BOREL_SIZE_CAP:
         raise ValueError(

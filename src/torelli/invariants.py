@@ -9,8 +9,23 @@ The oracle computes, exactly, the dimension of the subspace of a degree-d
 graded piece (symmetric powers on even copies, exterior powers on odd
 copies) fixed by the group that `group_generators` generates: no sampling,
 no seed and no stopping rule.  The group preserves each allocation block (one
-exponent per copy), so the count is taken block by block, and certified over
-Q from both sides:
+exponent per copy), so the count is taken block by block.
+
+Both kinds take one route, orbit sums as in the Reynolds operator method of
+Derksen-Kemper and Sturmfels, then derivation rows.  The listed signed
+permutations that move x_1 (J for the symplectic kind; swaps, sign flips
+and pair permutations for the orthogonal kind) generate a finite group H
+that permutes the block's basis up to sign, so V^H is spanned by the sums
+of the orbits that no element of H negates.  Every other listed generator s
+is unipotent: N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation
+D that N induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible
+over Q and modulo PRIME (D^j = 0 past the degree, at most 2000).  So the
+rows of D on the orbit sums, at most two terms per copy, have the kernel of
+rho(s) - 1, and they are eliminated modulo PRIME: those of every
+transvection for the symplectic kind, and for the orthogonal kind only
+those of the first such s, to which every other is H-conjugate.
+
+The count is certified over Q from both sides:
 
 - upper bound: a rank modulo p is at most the rank over Q, so the rational
   kernel is no larger than the kernel modulo p;
@@ -20,26 +35,9 @@ Q from both sides:
   listed generator.  Lifted vectors that pass are independent invariants.
 
 When a lift fails, or a lifted vector fails its check, the same elimination
-runs again over Q, and the route reads "rational" or "orbit-rational".
-
-The symplectic kind's route ("modp") feeds the rows of each listed
-generator s in turn into a sparse echelon form modulo PRIME, whose kernel
-is then the joint kernel of rho(s) - 1 so far.  J, a signed permutation,
-gives the two-entry rows of rho(J) - 1.  Every other s is a transvection:
-N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation D that N
-induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible over Q
-and modulo PRIME (D^j = 0 past the degree, at most 2000).  So s gives the
-rows of D, at most two terms per copy, where those of rho(s) - 1 fill in.
-
-The orthogonal kind's route ("orbit") uses orbit sums, as in the Reynolds
-operator method of Derksen-Kemper and Sturmfels.  The listed signed
-permutations (swaps, sign flips, pair permutations) generate a finite group
-H that permutes the block's basis up to sign, so V^H is spanned by the sums
-of the orbits that no element of H negates.  Every other generator is
-H-conjugate to s, the first of them, so the invariants are V^H & ker(s - 1).
-s - 1 squares to 0, so it is log s: the derivation it induces has the kernel
-of s - 1 over Q, and its rows on the orbit sums are the ones eliminated.  A
-wrong conjugacy claim would fail the certificate, not change the count.
+runs again over Q, and the route reads "rational".  Its kernel vectors are
+checked in the same way, so a wrong conjugacy claim raises AssertionError
+rather than change the count.
 
 For the orthogonal kind at g = 1 the generated group is the finite
 O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
@@ -53,7 +51,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators
@@ -68,20 +66,20 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the symplectic route's a-priori cap on the piece dimension, the number of
-# columns it eliminates on; the slowest pieces inside it take about 2 s
-# (Lambda^4 V at g = 9, under 90 transvections)
+# the symplectic kind's a-priori cap on the piece dimension; the slowest
+# pieces found inside it take 2.2-3.3 s, wedge powers at g = 9 under 90
+# transvections (Lambda^4 V, 3060 dimensions; --degrees 1,3 --deg 68, 3384)
 BASIS_CAP = 4096
-# the orbit route's a-priori cap on `_orbit_work`; the slowest pieces inside
+# the orthogonal kind's a-priori cap on `_orbit_work`; the slowest pieces inside
 # it take about 3.3 s (Sym^12 V at g = 4)
 WORK_CAP = 2_500_000
 # the cap on the orbit-route work summed over the pieces of one crosscheck
 # request; the slowest requests inside it take about 2.7 s (crosscheck-sec6
 # --n 8 --g 1 --maxdeg 115, 4.8 million summed)
 REQUEST_WORK_CAP = 5_000_000
-# the same for the symplectic route's piece dimension; the slowest requests
-# inside it and BASIS_CAP take about 2.5 s (--n 9 --g 9 --maxdeg 14), and
-# about 1.8 s at g = 1 (--n 9 --g 1 --maxdeg 104, 38755 summed)
+# the same for the symplectic kind's piece dimension; the slowest requests
+# found inside it and BASIS_CAP take about 2.8 s (--n 9 --g 9 --maxdeg 14),
+# and about 1.1 s at g = 1 (--n 9 --g 1 --maxdeg 104, 38755 summed)
 REQUEST_BASIS_CAP = 40_000
 
 
@@ -388,9 +386,10 @@ def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
                 row[k] = get(k, 0) - f * y
 
 
-def _kernel_mod_p(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
+def _kernel_vectors(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
     """One kernel vector per free column: 1 there, 0 on the other free
-    columns, read off the reduced echelon form."""
+    columns, read off the reduced echelon form, modulo p or over Q when p
+    is 0."""
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         # the pivot rows to the right are already reduced: own pivot plus free columns
@@ -398,7 +397,8 @@ def _kernel_mod_p(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
             f = row.pop(k)
             for j, y in pivots[k].items():
                 if j != k:
-                    x = (row.get(j, 0) - f * y) % p
+                    x = row.get(j, 0) - f * y
+                    x = x % p if p else x
                     if x:
                         row[j] = x
                     else:
@@ -407,7 +407,7 @@ def _kernel_mod_p(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
     for c, row in pivots.items():
         for k, x in row.items():
             if k != c:
-                vectors[k][c] = -x % p
+                vectors[k][c] = -x % p if p else -x
     return list(vectors.values())
 
 
@@ -450,29 +450,33 @@ def _certified_history(groups, rows_of, elements, columns, factors, actions) -> 
     """`_echelon_history` on columns, sparse vectors on the block elements of
     the factors, modulo PRIME when every kernel vector lifts to one whose
     combination of columns every `_action` fixes, checked exactly on its
-    support, and else over Q; and whether it took the rerun.  The rank mod p
-    is at most the rank over Q, so the last entry bounds the rational kernel
-    from above; verified lifts bound it from below."""
-    p, size = PRIME, len(columns)
-    history, pivots = _echelon_history(groups, rows_of, size, p)
-    for vector in _kernel_mod_p(pivots, size, p) if history[-1] else ():
-        lifted = _lift(vector, p)  # None when an entry has no lift
-        invariant = lifted and {elements[b]: c * e for k, c in lifted.items() for b, e in columns[k].items()}
-        if not invariant or not all(_is_fixed(partial(_block_image, a, factors), invariant) for a in actions):
-            return _echelon_history(groups, rows_of, size, 0)[0], True
-    return history, False
+    support, and else over Q, whose kernel vectors must pass the same check;
+    and whether it took the rerun.  The rank mod p is at most the rank over
+    Q, so the last entry bounds the rational kernel from above; verified
+    kernel vectors bound it from below."""
+    size = len(columns)
+    for p in (PRIME, 0):
+        history, pivots = _echelon_history(groups, rows_of, size, p)
+        for vector in _kernel_vectors(pivots, size, p) if history[-1] else ():
+            vector = _lift(vector, p) if p else vector  # None when an entry has no lift
+            invariant = vector and {elements[b]: c * e for k, c in vector.items() for b, e in columns[k].items()}
+            if not invariant or not all(_is_fixed(partial(_block_image, a, factors), invariant) for a in actions):
+                break
+        else:
+            return history, not p
+    raise AssertionError("a rational kernel vector is not fixed by every listed generator")
 
 
 class OracleResult(NamedTuple):
     """A certified invariant dimension.
 
-    On the symplectic route, history[k] is the dimension, summed over
-    allocation blocks, of the joint kernel of rho(s) - 1 over the first k + 1
-    generators s; on the orbit route it is (dim V^H, dim V^H & ker(s - 1)),
-    or (dim V^H) at g = 1.  A block contributes its kernel modulo PRIME, an
-    upper bound that the certificate makes exact at the last entry, on route
-    "modp" or "orbit"; route is "rational" or "orbit-rational" when some
-    block failed the certificate and was eliminated again over Q.
+    history[0] is dim V^H and history[k] the dimension of V^H & ker(s - 1)
+    jointly over the first k eliminated generators s, each summed over
+    allocation blocks: one entry per transvection for the symplectic kind,
+    one for s at g >= 2 for the orthogonal kind.  A block contributes its
+    kernel modulo PRIME, an upper bound that the certificate makes exact at
+    the last entry, on route "modp"; route is "rational" when some block
+    failed the certificate and was eliminated, and certified, again over Q.
     """
 
     dimension: int
@@ -480,16 +484,16 @@ class OracleResult(NamedTuple):
     route: str
 
 
-def _count(copies: GradedVCopies, degree: int, history: list[int], exact: str, solve) -> OracleResult:
+def _count(copies: GradedVCopies, degree: int, history: list[int], solve) -> OracleResult:
     """The histories that solve(factors) gives on each allocation block,
-    added to history; the route is exact unless some block's is not."""
-    route = exact
+    added to history; the route is "rational" when solve reran some block
+    over Q, and else "modp"."""
+    rational = False
     for alloc in _allocations(copies, degree):
-        block_history, block_route = solve([(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m])
+        block_history, block_rational = solve([(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m])
         history = [h + b for h, b in zip(history, block_history)]
-        if block_route != exact:
-            route = block_route
-    return OracleResult(history[-1] if history else 0, tuple(history), route)
+        rational |= block_rational
+    return OracleResult(history[-1] if history else 0, tuple(history), "rational" if rational else "modp")
 
 
 def _is_signed(a) -> bool:
@@ -576,35 +580,6 @@ def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -
     return rows
 
 
-def _symplectic_block(g: int, generators, derivations, actions, powers: dict, factors) -> tuple[list[int], str]:
-    """The joint kernel of rho(s) - 1 on the block of the factors after each
-    listed generator s, and the route: the rows of derivations[k] for a
-    transvection, and for J (None there), which takes b to sign(b) e_pi(b),
-    the rows e_pi(b) - sign(b) e_b; powers caches J's power columns."""
-    elements = _block_elements(g, factors)
-    columns = [{b: 1} for b in range(len(elements))]
-
-    def rows_of(k: int) -> Iterable[Column]:
-        if derivations[k] is not None:
-            return _derivation_rows(factors, elements, columns, derivations[k]).values()
-        image, sign = _signed_block([generators[k]], factors, powers.setdefault(k, {}))[0]
-        return [{b: -x, c: 1} if c != b else {b: 1 - x} for b, (c, x) in enumerate(zip(image, sign))]
-
-    history, rational = _certified_history(range(len(generators)), rows_of, elements, columns, factors, actions)
-    return history, "rational" if rational else "modp"
-
-
-def _symplectic_invariant_dim(copies: GradedVCopies, degree: int) -> OracleResult:
-    """The symplectic kind's count, generator by generator."""
-    size = piece_dimension(copies, degree)
-    _check_basis_cap(size)
-    generators = group_generators(GammaType.SYMPLECTIC, copies.g)
-    derivations = [None if _is_signed(a) else _derivation(a) for a in generators]
-    actions = [_action(a) for a in generators]
-    solve = partial(_symplectic_block, copies.g, generators, derivations, actions, {})
-    return _count(copies, degree, [0] * len(generators) if size else [], "modp", solve)
-
-
 def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
     """A basis of the block vectors that the signed permutations moves, given
     as (image, sign) lists, fix: the sums of the orbits, up to sign, of the
@@ -628,33 +603,17 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, moves, actions, derivation, powers: dict, factors) -> tuple[list[int], str]:
-    """[dim V^H, dim V^H & ker(s - 1)] on the block of the factors, or
-    [dim V^H] when derivation, that of s - 1, is None; and the route."""
+def _orbit_block(g: int, moves, actions, derivations, powers: dict, factors) -> tuple[list[int], bool]:
+    """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
+    derivation is listed] on the block of the factors, and whether it was
+    rerun over Q; powers caches the power columns of the moves."""
     elements = _block_elements(g, factors)
     sums = _orbit_sums(len(elements), _signed_block(moves, factors, powers))
-    if derivation is None:
-        return [len(sums)], "orbit"
-    rows = _derivation_rows(factors, elements, sums, derivation)
-    history, rational = _certified_history([rows], dict.values, elements, sums, factors, actions)
-    return [len(sums)] + history, "orbit-rational" if rational else "orbit"
-
-
-def _orbit_invariant_dim(copies: GradedVCopies, degree: int) -> OracleResult:
-    """The orthogonal kind's count by orbit sums.  The moves, the listed
-    signed permutations that move x_1, generate H: their pair permutations
-    conjugate the first pair's swap and flip to every other pair's.  The
-    rows are those of the derivation of s - 1 on the orbit sums; at g = 1
-    there is no s and every generator is a move."""
-    _check_work_cap(_orbit_work(copies, degree)[degree])
-    generators = group_generators(GammaType.ORTHOGONAL, copies.g)
-    signed = [a for a in generators if _is_signed(a)]
-    moves = [a for a in signed if a[0][0] != 1]
-    s = next((a for a in generators if a not in signed), None)
-    actions = [_action(a) for a in generators]
-    history = [0] * (1 if s is None else 2) if piece_dimension(copies, degree) else []
-    solve = partial(_orbit_block, copies.g, moves, actions, None if s is None else _derivation(s), {})
-    return _count(copies, degree, history, "orbit", solve)
+    if not derivations:
+        return [len(sums)], False
+    rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
+    history, rational = _certified_history(derivations, rows_of, elements, sums, factors, actions)
+    return [len(sums)] + history, rational
 
 
 def brute_force_invariant_dim(
@@ -663,7 +622,8 @@ def brute_force_invariant_dim(
     degree: int,
 ) -> OracleResult:
     """Exact dimension of the invariants, in the degree piece, of the group
-    that `group_generators(kind, copies.g)` generates.
+    that `group_generators(kind, copies.g)` generates, by orbit sums and
+    derivation rows (see the module docstring).
 
     For the orthogonal kind at g = 1 that is the finite O_{1,1}(Z) of order
     4, whose Sym^2 V invariants are 2-dimensional, not the stable count 1.
@@ -672,9 +632,21 @@ def brute_force_invariant_dim(
         raise ValueError("degree must be nonnegative")
     if kind is GammaType.THETA:
         raise ValueError("the oracle covers the symplectic or orthogonal group")
+    size = piece_dimension(copies, degree)
     if kind is GammaType.ORTHOGONAL:
-        return _orbit_invariant_dim(copies, degree)
-    return _symplectic_invariant_dim(copies, degree)
+        _check_work_cap(_orbit_work(copies, degree)[degree])
+    else:
+        _check_basis_cap(size)
+    generators = group_generators(kind, copies.g)
+    signed = [a for a in generators if _is_signed(a)]
+    moves = [a for a in signed if a[0][0] != 1]
+    unipotent = [a for a in generators if a not in signed]
+    if kind is GammaType.ORTHOGONAL:
+        unipotent = unipotent[:1]  # every other is H-conjugate to the first
+    derivations = [_derivation(a) for a in unipotent]
+    history = [0] * (1 + len(derivations)) if size else []
+    solve = partial(_orbit_block, copies.g, moves, [_action(a) for a in generators], derivations, {})
+    return _count(copies, degree, history, solve)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,8 @@ def test_cost_caps_exit_3_before_any_work():
         (["group-sample", "--type", "sp", "--g", "2", "--seed", "1", "--len", "200000"], "--len 200000 is above the cap 1000"),
         (["lform-check", "--g", "500", "--k", "2", "--q", "3"], "--g 500 is above the cap 32"),
         (["invariant-oracle", "--type", "o", "--g", "30", "--degrees", "1", "--deg", "1"], "--g 30 is above the cap 10"),
+        # a negative qmax would make the size product nonpositive
+        (["borel-constant", "--family", "C", "--g", "6", "--k", "14", "--qmax", "-1"], "--qmax must be nonnegative"),
         (["crosscheck-sec6", "--n", "8", "--g", "30", "--maxdeg", "8", "--oracle"], "--g 30 is above the cap 10"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2,4", "--deg", "200000000"], "--deg 200000000 is above the cap 2000"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["9"] * 65), "--deg", "1"], "--degrees count 65 is above the cap 64"),

@@ -430,7 +430,7 @@ def test_seed_independence():
         envelope = json.loads(out.getvalue())
         assert envelope["parameters"]["seed"] == int(seed)
         tables.append(envelope["table"])
-    assert tables[0] == tables[1] == [{"dimension": 0, "history": "0 0", "piece": 1, "route": "orbit"}]
+    assert tables[0] == tables[1] == [{"dimension": 0, "history": "0 0", "piece": 1, "route": "modp"}]
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +472,16 @@ def _fixed_by_columns(generator_columns, vector):
 
 def _block_kernel_history(generator_columns):
     """Joint-kernel dimension of M - 1 after each generator M of one block,
-    given by its sparse columns, and the route that certified it: "modp"
+    given by its sparse columns, and whether the certificate failed: False
     when every kernel vector modulo PRIME lifts to one every M fixes, else
-    "rational", with the elimination rerun over Q."""
+    True, with the elimination rerun over Q."""
     size, p = len(generator_columns[0]), invariants.PRIME
     history, pivots = invariants._echelon_history(generator_columns, _rows_minus_identity, size, p)
-    for vector in invariants._kernel_mod_p(pivots, size, p) if history[-1] else ():
+    for vector in invariants._kernel_vectors(pivots, size, p) if history[-1] else ():
         lifted = invariants._lift(vector, p)
         if lifted is None or not _fixed_by_columns(generator_columns, lifted):
-            return invariants._echelon_history(generator_columns, _rows_minus_identity, size, 0)[0], "rational"
-    return history, "modp"
+            return invariants._echelon_history(generator_columns, _rows_minus_identity, size, 0)[0], True
+    return history, False
 
 
 def _kernel_block(generators, powers, factors):
@@ -498,11 +498,12 @@ def _kernel_block(generators, powers, factors):
 
 
 def kernel_invariant_dim(kind, copies, degree):
-    """The count as the joint kernel of rho(s) - 1 over every listed s, block
-    by block, with the oracle's history and route."""
-    generators = group_generators(kind, copies.g)
+    """The count as the joint kernel of rho(s) - 1 over every listed s, the
+    signed permutations first, block by block, with the oracle's history and
+    route."""
+    generators = sorted(group_generators(kind, copies.g), key=lambda a: not invariants._is_signed(a))
     history = [0] * len(generators) if piece_dimension(copies, degree) else []
-    return invariants._count(copies, degree, history, "modp", partial(_kernel_block, generators, {}))
+    return invariants._count(copies, degree, history, partial(_kernel_block, generators, {}))
 
 
 def _sparse_product(a, b):
@@ -595,8 +596,9 @@ SYMPLECTIC_PIECES = (
 
 @pytest.mark.parametrize("g, degrees, degree", SYMPLECTIC_PIECES)
 def test_symplectic_route_matches_the_full_kernel(g, degrees, degree):
-    # the same dimension, history and route: rho(s) - 1 and the derivation
-    # of s - 1 have the same rows up to an invertible factor, modulo PRIME too
+    # the same dimension, history and route: the orbit sums under J span the
+    # kernel of rho(J) - 1, and rho(s) - 1 and the derivation of s - 1 have
+    # the same rows up to an invertible factor, modulo PRIME too
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
     assert result == kernel_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
@@ -626,19 +628,20 @@ def test_rational_reconstruction_none():
 
 def test_tiny_prime_falls_back_to_rational(monkeypatch):
     exact = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
-    assert [result.route for result in exact.values()] == ["orbit"] * 3 + ["modp"] * 6
-    # modulo 2 only 0 and 1 lift, so every invariant with a -1 entry fails
-    # its exact check: the symplectic tensor powers below; and the derivation
-    # takes x_1^2 + y_1^2 + x_2^2 + y_2^2 to 2 x_1 x_2 - 2 y_1 y_2, which
-    # vanishes modulo 2, so at g = 2 and 3 a sum of squares fails as well
+    assert [result.route for result in exact.values()] == ["modp"] * 9
+    # the derivation takes x_1^2 + y_1^2 + x_2^2 + y_2^2 to 2 x_1 x_2 -
+    # 2 y_1 y_2, which vanishes modulo 2, so at g = 2 and 3 a sum of squares
+    # fails its exact check; on the two largest symplectic tensor powers the
+    # kernel modulo 2 is larger than over Q.  The signs of an orbit sum are
+    # exact, so the smaller invariants lift even modulo 2
     monkeypatch.setattr(invariants, "PRIME", 2)
     fallback = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
-    assert {piece for piece, result in fallback.items() if result.route.endswith("rational")} == set(
-        CRITERION_6_PIECES[1:3] + CRITERION_6_PIECES[5:]
+    assert {piece for piece, result in fallback.items() if result.route == "rational"} == set(
+        CRITERION_6_PIECES[1:3] + CRITERION_6_PIECES[7:]
     )
     for piece, result in fallback.items():
         assert result.dimension == exact[piece].dimension
-        if result.route.endswith("rational"):
+        if result.route == "rational":
             # the elimination over Q gives the exact history
             assert result.history == exact[piece].history
 
@@ -647,20 +650,21 @@ def test_failed_lift_falls_back_to_rational(monkeypatch):
     # one generator M with M - 1 = [[1, -3], [0, 0]]: its kernel is spanned
     # by (3, 1), and modulo 5 no fraction n/d with |n|, d <= 1 is 3
     columns = [{0: 2}, {0: -3, 1: 1}]
-    assert _block_kernel_history([columns]) == ([1], "modp")
+    assert _block_kernel_history([columns]) == ([1], False)
     monkeypatch.setattr(invariants, "PRIME", 5)
     assert invariants.rational_reconstruction(3, 5) is None
-    assert _block_kernel_history([columns]) == ([1], "rational")
+    assert _block_kernel_history([columns]) == ([1], True)
 
 
 def test_symplectic_certificate_falls_back_to_rational(monkeypatch):
-    # Sym^2 V at g = 2: the derivations take x_i^2 to 2 x_i y_i and the like,
-    # which vanish modulo 2, so the kernel modulo 2 does not shrink to 0 and
-    # its vectors fail the exact check; the rerun over Q gives the exact
-    # history, where the elimination modulo 2 reads 7 5 4 4 4 4 2
+    # Sym^2 V at g = 2: the orbit sums under J span the 4 dimensions of V^J,
+    # and the derivations take x_i^2 to 2 x_i y_i and the like, which vanish
+    # modulo 2, so the kernel modulo 2 does not shrink to 0 and its vectors
+    # fail the exact check; the rerun over Q gives the exact history, where
+    # the elimination modulo 2 reads 4 2 2 2 2 2 2
     copies = GradedVCopies(2, (2,))
     exact = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4)
-    assert exact == (0, (6, 3, 1, 0, 0, 0, 0), "modp")
+    assert exact == (0, (4, 1, 0, 0, 0, 0, 0), "modp")
     monkeypatch.setattr(invariants, "PRIME", 2)
     assert brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4) == exact._replace(route="rational")
 
@@ -686,7 +690,7 @@ ORTHOGONAL_PIECES = (
 def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
-    assert result.route == "orbit"
+    assert result.route == "modp"
     assert result.dimension == kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree).dimension
     piece = piece_dimension(copies, degree)
     assert len(result.history) == (0 if not piece else 1 if g == 1 else 2)
@@ -694,14 +698,30 @@ def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
     assert result.history[-1:] in ((), (result.dimension,))
 
 
+@pytest.mark.parametrize(
+    "kind, count",
+    [(GammaType.ORTHOGONAL, (1, (2, 1), "modp")), (GammaType.SYMPLECTIC, (0, (4, 1, 0, 0, 0, 0, 0), "modp"))],
+    ids=["o", "sp"],
+)
+def test_rational_rerun_is_certified(monkeypatch, kind, count):
+    # Sym^2 V at g = 2 with no derivation rows: the kernel is all of V^H,
+    # whose orbit sums lift and fail the exact check, and fail it again over
+    # Q, where the count would otherwise read dim V^H
+    copies = GradedVCopies(2, (2,))
+    assert brute_force_invariant_dim(kind, copies, 4) == count
+    monkeypatch.setattr(invariants, "_derivation", lambda a: ([], ({}, {})))
+    with pytest.raises(AssertionError, match="not fixed by every listed generator"):
+        brute_force_invariant_dim(kind, copies, 4)
+
+
 def test_orbit_certificate_falls_back_to_rational(monkeypatch):
     # Sym^4 V at g = 2: its invariant q^2 has the entry 2 on x_1 y_1 x_2 y_2,
     # which vanishes modulo 2
     copies = GradedVCopies(2, (2,))
     exact = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8)
-    assert exact == (1, (6, 1), "orbit")
+    assert exact == (1, (6, 1), "modp")
     monkeypatch.setattr(invariants, "PRIME", 2)
-    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (6, 1), "orbit-rational")
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (6, 1), "rational")
 
 
 def rank_one_molien_series(copy_degrees, top):
@@ -729,7 +749,7 @@ def rank_one_molien_series(copy_degrees, top):
 def test_orbit_route_reach():
     # pieces the exponent and basis caps refused although they are quick
     started = time.perf_counter()
-    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(1, (2,)), 40) == (11, (11,), "orbit")
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(1, (2,)), 40) == (11, (11,), "modp")
     report = invariant_crosscheck(10, 1, 40, with_oracle=True)
     assert [row.oracle_count for row in report.rows] == rank_one_molien_series(go_shifted_degrees(10, 40), 40)
     report = invariant_crosscheck(8, 2, 36, with_oracle=True)
