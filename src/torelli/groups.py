@@ -226,6 +226,76 @@ def group_generators(kind: GammaType, g: int) -> tuple[tuple[tuple[int, ...], ..
     return tuple(tuple(tuple(row) for row in m) for m in gens)
 
 
+def signed_permutation(a: Matrix) -> tuple[tuple[int, int], ...] | None:
+    """The (image index, sign) of each basis vector under a, or None when a
+    is not a signed permutation."""
+    out = []
+    for column in zip(*a):
+        nonzero = [(r, x) for r, x in enumerate(column) if x]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            return None
+        out.append(nonzero[0])
+    return tuple(out) if len({r for r, _ in out}) == len(out) else None
+
+
+def move_words(g: int) -> list[tuple[tuple[int, int], ...]]:
+    """Words for R_1 and P_12, ..., P_1g in `group_generators(SYMPLECTIC, g)`:
+    pairs (generator index, exponent +-1), multiplied left to right.  R_1 =
+    T_x1 T_y1 T_x1 takes (x_1, y_1) to (y_1, -x_1); P_1j takes x_1 to y_j, y_j
+    to x_1, x_j to -y_1 and y_1 to -x_j.  Together they generate the monomial
+    subgroup (Z/4)^g x| S_g of Sp_2g(Z), which contains J."""
+
+    def pair(i: int, j: int) -> int:  # the index of T_{x_i + y_j}
+        return 2 * g + i * (g - 1) + j - (j > i)
+
+    return [((0, 1), (g, 1), (0, 1))] + [
+        ((0, 1), (g + j, 1), (pair(0, j), -1), (pair(j, 0), 1), (0, 1), (g + j, 1), (pair(j, 0), 1))
+        for j in range(1, g)
+    ]
+
+
+@lru_cache(maxsize=None)
+def monomial_moves(kind: GammaType, g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Signed permutations, as `signed_permutation` gives them, that generate
+    a monomial subgroup H of the group `group_generators(kind, g)` generates,
+    for the orthogonal or the symplectic kind.  For the orthogonal kind they are the listed ones that move x_1: the first
+    pair's swap and sign flip and the pair permutations that move it.  For
+    the symplectic kind they are the words of `move_words`, multiplied out
+    over the listed generators and their inverses (J^3 for J, 2 - T for a
+    transvection T, as (T - 1)^2 = 0) and asserted to be signed permutations,
+    so that H lies in the generated group."""
+    gens = group_generators(kind, g)
+    if kind is GammaType.ORTHOGONAL:
+        return tuple(move for a in gens if a[0][0] != 1 and (move := signed_permutation(a)))
+    letters: dict = {}  # the sparse columns of each letter
+    moves = []
+    for word in move_words(g):
+        # the sparse columns of the product of the letters read so far, from
+        # the right
+        columns = [{c: 1} for c in range(2 * g)]
+        for k, exponent in reversed(word):
+            if (k, exponent) not in letters:
+                a = gens[k]
+                if exponent < 0:
+                    a = mat_mul(mat_mul(a, a), a) if signed_permutation(a) else [
+                        [2 * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)
+                    ]
+                letters[k, exponent] = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*a)]
+            product = []
+            for column in columns:
+                image: dict = {}
+                for c, y in column.items():
+                    for r, x in letters[k, exponent][c]:
+                        image[r] = image.get(r, 0) + x * y
+                product.append({r: x for r, x in image.items() if x})
+            columns = product
+        move = signed_permutation([[column.get(r, 0) for column in columns] for r in range(2 * g)])
+        if move is None:
+            raise AssertionError("a move's word is not a signed permutation")
+        moves.append(move)
+    return tuple(moves)
+
+
 def sample_group_element(
     kind: GammaType, g: int, seed: int, word_length: int = 10
 ) -> list[list[int]]:

@@ -12,18 +12,20 @@ no seed and no stopping rule.  The group preserves each allocation block (one
 exponent per copy), so the count is taken block by block.
 
 Both kinds take one route, orbit sums as in the Reynolds operator method of
-Derksen-Kemper and Sturmfels, then derivation rows.  The listed signed
-permutations that move x_1 (J for the symplectic kind; swaps, sign flips
-and pair permutations for the orthogonal kind) generate a finite group H
-that permutes the block's basis up to sign, so V^H is spanned by the sums
+Derksen-Kemper and Sturmfels, then derivation rows.  The signed permutations
+of `monomial_moves` (for the orthogonal kind the listed ones that move x_1;
+for the symplectic kind R_1 and the P_1j, products of listed generators
+along fixed words) generate a finite group H inside the generated group,
+which permutes the block's basis up to sign, so V^H is spanned by the sums
 of the orbits that no element of H negates.  Every other listed generator s
 is unipotent: N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation
 D that N induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible
 over Q and modulo PRIME (D^j = 0 past the degree, at most 2000).  So the
 rows of D on the orbit sums, at most two terms per copy, have the kernel of
-rho(s) - 1, and they are eliminated modulo PRIME: those of every
-transvection for the symplectic kind, and for the orthogonal kind only
-those of the first such s, to which every other is H-conjugate.
+rho(s) - 1, and they are eliminated modulo PRIME for one s per H-conjugacy
+class, since h s h^-1 fixes an H-invariant vector exactly when s does: T_x1
+and T_{x1 + y2} (T_x1 alone at g = 1) for the symplectic kind, the first s
+for the orthogonal kind.
 
 The count is certified over Q from both sides:
 
@@ -32,7 +34,8 @@ The count is certified over Q from both sides:
 - lower bound: each kernel vector modulo p has a unit entry on its own free
   column and zeros on the other free columns; it is lifted to Q by rational
   reconstruction and checked exactly, over the integers, to be fixed by every
-  listed generator.  Lifted vectors that pass are independent invariants.
+  listed generator, applied one copy at a time.  Lifted vectors that pass
+  are independent invariants.
 
 When a lift fails, or a lifted vector fails its check, the same elimination
 runs again over Q, and the route reads "rational".  Its kernel vectors are
@@ -47,6 +50,7 @@ rather than the form alone.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -54,7 +58,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
-from .groups import GammaType, group_generators
+from .groups import GammaType, group_generators, monomial_moves, signed_permutation
 from .mt import pair_degree_counts
 
 # not used by the oracle, which samples nothing; kept importable here because
@@ -66,21 +70,14 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the symplectic kind's a-priori cap on the piece dimension; the slowest
-# pieces found inside it take 2.2-3.3 s, wedge powers at g = 9 under 90
-# transvections (Lambda^4 V, 3060 dimensions; --degrees 1,3 --deg 68, 3384)
-BASIS_CAP = 4096
-# the orthogonal kind's a-priori cap on `_orbit_work`; the slowest pieces inside
-# it take about 3.3 s (Sym^12 V at g = 4)
+# the a-priori cap on `_orbit_work`, for both kinds; the slowest pieces found
+# inside it take about 1.8-1.9 s in process: Sym^12 V at g = 4 (o), and the
+# degree-140 piece of crosscheck-sec6 --n 11 --g 1 (sp, 29222 dimensions)
 WORK_CAP = 2_500_000
-# the cap on the orbit-route work summed over the pieces of one crosscheck
-# request; the slowest requests inside it take about 2.7 s (crosscheck-sec6
-# --n 8 --g 1 --maxdeg 115, 4.8 million summed)
+# the cap on that work summed over the pieces of one crosscheck request; the
+# slowest requests found inside it take about 2.3 s (--n 8 --g 1 --maxdeg 115,
+# 4.8 million) and 1.5 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
 REQUEST_WORK_CAP = 5_000_000
-# the same for the symplectic kind's piece dimension; the slowest requests
-# found inside it and BASIS_CAP take about 2.8 s (--n 9 --g 9 --maxdeg 14),
-# and about 1.1 s at g = 1 (--n 9 --g 1 --maxdeg 104, 38755 summed)
-REQUEST_BASIS_CAP = 40_000
 
 
 class OracleCapExceeded(ValueError):
@@ -209,21 +206,27 @@ def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...
     return tuple(map(tuple, reversed(tails)))
 
 
-def _orbit_work(copies: GradedVCopies, degree: int) -> list[int]:
-    """The orbit route's work in each degree up to degree, counted a priori:
-    the monomials visited, 2g exponents by each of the g + 1 moves, plus the
-    nonzeros of the images under s, which the exact check touches.  s moves
-    x_1 to x_1 + x_2 and y_2 to y_2 - y_1, so on an even copy x_1^a y_2^b has
-    (a + 1)(b + 1) terms, counted by 1/(1 - q^d)^{2g+2}, and an odd copy is
-    bounded by (1 + 2q^d)^2 (1 + q^d)^{2g-2}.  At g = 1 there is no s."""
+def _orbit_work(kind: GammaType, copies: GradedVCopies, degree: int) -> list[int]:
+    """The oracle's work in each degree up to degree, counted a priori.  For
+    the orthogonal kind: the monomials visited, 2g exponents by each of the
+    g + 1 moves, plus the nonzeros of the images under s, which the exact
+    check touches.  s moves x_1 to x_1 + x_2 and y_2 to y_2 - y_1, so on an
+    even copy x_1^a y_2^b has (a + 1)(b + 1) terms, counted by 1/(1 -
+    q^d)^{2g+2}, and an odd copy is bounded by (1 + 2q^d)^2 (1 + q^d)^{2g-2}.
+    At g = 1 there is no s.  For the symplectic kind: 8(g + 8) per element,
+    a visit by each of the g moves and about eight more for the rows, the
+    elimination and the exact check, which dominate at g <= 2; a visit is 8
+    units, about as long as the orthogonal kind's unit takes."""
     g = copies.g
+    pieces = _tail_dimensions(copies, degree)[0]
+    if kind is GammaType.SYMPLECTIC:
+        return [8 * (g + 8) * x for x in pieces]
     images = [int(g > 1)] + [0] * degree
     for d in copies.copy_degrees:
         steps = range(degree, d - 1, -1) if d % 2 else range(d, degree + 1)
         for weight in [2, 2] + [1] * (2 * g - 2) if d % 2 else [1] * (2 * g + 2):
             for e in steps:
                 images[e] += weight * images[e - d]
-    pieces = _tail_dimensions(copies, degree)[0]
     return [2 * g * (g + 1) * x + y for x, y in zip(pieces, images)]
 
 
@@ -254,11 +257,6 @@ def _allocations(copies: GradedVCopies, degree: int):
 
 def piece_dimension(copies: GradedVCopies, degree: int) -> int:
     return _tail_dimensions(copies, degree)[0][degree] if degree >= 0 else 0
-
-
-def _check_basis_cap(size: int) -> None:
-    if size > BASIS_CAP:
-        raise OracleCapExceeded(f"graded piece has dimension {size} > cap {BASIS_CAP}")
 
 
 def _check_work_cap(work: int) -> None:
@@ -320,27 +318,6 @@ def _monomial_image(a, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int,
                     nxt[tuple(key)] = nxt.get(tuple(key), 0) + c
         expansion = nxt
     return {term: c for term, c in expansion.items() if c}
-
-
-def _power_columns(a: Sequence[Sequence[int]], m: int, exterior: bool) -> list[Column]:
-    """Sparse columns of Lambda^m(a) (exterior) or Sym^m(a), on the basis of
-    `_exponent_vectors`."""
-    basis = _exponent_vectors(len(a), m, exterior)
-    index = {b: i for i, b in enumerate(basis)}
-    columns = _sparse_columns(a)
-    return [{index[b]: c for b, c in _monomial_image(columns, src, exterior).items()} for src in basis]
-
-
-def _signed_kron(factors: Sequence[Sequence[Column]]) -> tuple[list[int], list[int]]:
-    """The Kronecker product of signed permutations, each given by its sparse
-    columns of one entry: the image and the sign of each basis element, the
-    first factor outermost."""
-    image, sign = [0], [1]
-    for part in factors:
-        pairs = [next(iter(column.items())) for column in part]
-        image = [r * len(part) + s for r in image for s, _ in pairs]
-        sign = [x * y for x in sign for _, y in pairs]
-    return image, sign
 
 
 def rational_reconstruction(a: int, p: int) -> Fraction | None:
@@ -424,15 +401,6 @@ def _lift(vector: Column, p: int) -> Column | None:
     return {k: int(q * scale) for k, q in lifted.items()}
 
 
-def _is_fixed(column: Callable[..., dict], vector: dict) -> bool:
-    """Exact check of M v = v for M given by column(c), its column c."""
-    image: dict = {}
-    for c, x in vector.items():
-        for r, y in column(c).items():
-            image[r] = image.get(r, 0) + x * y
-    return {r: x for r, x in image.items() if x} == vector
-
-
 def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list[int], dict]:
     """The kernel dimension, on size columns, after the rows_of(group) of
     each group, modulo p or, when p is 0, over Q; and the echelon form."""
@@ -449,9 +417,9 @@ def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list
 def _certified_history(groups, rows_of, elements, columns, factors, actions) -> tuple[list[int], bool]:
     """`_echelon_history` on columns, sparse vectors on the block elements of
     the factors, modulo PRIME when every kernel vector lifts to one whose
-    combination of columns every `_action` fixes, checked exactly on its
-    support, and else over Q, whose kernel vectors must pass the same check;
-    and whether it took the rerun.  The rank mod p is at most the rank over
+    combination of columns every action fixes under `_block_apply`, and else
+    over Q, whose kernel vectors must pass the same check; and whether it
+    took the rerun.  The rank mod p is at most the rank over
     Q, so the last entry bounds the rational kernel from above; verified
     kernel vectors bound it from below."""
     size = len(columns)
@@ -460,7 +428,7 @@ def _certified_history(groups, rows_of, elements, columns, factors, actions) -> 
         for vector in _kernel_vectors(pivots, size, p) if history[-1] else ():
             vector = _lift(vector, p) if p else vector  # None when an entry has no lift
             invariant = vector and {elements[b]: c * e for k, c in vector.items() for b, e in columns[k].items()}
-            if not invariant or not all(_is_fixed(partial(_block_image, a, factors), invariant) for a in actions):
+            if not invariant or any(_block_apply(a, factors, invariant) != invariant for a in actions):
                 break
         else:
             return history, not p
@@ -472,11 +440,12 @@ class OracleResult(NamedTuple):
 
     history[0] is dim V^H and history[k] the dimension of V^H & ker(s - 1)
     jointly over the first k eliminated generators s, each summed over
-    allocation blocks: one entry per transvection for the symplectic kind,
-    one for s at g >= 2 for the orthogonal kind.  A block contributes its
-    kernel modulo PRIME, an upper bound that the certificate makes exact at
-    the last entry, on route "modp"; route is "rational" when some block
-    failed the certificate and was eliminated, and certified, again over Q.
+    allocation blocks: one entry for T_x1 and, at g >= 2, one for
+    T_{x1 + y2} for the symplectic kind, one for s at g >= 2 for the
+    orthogonal kind.  A block contributes its kernel modulo PRIME, an upper
+    bound that the certificate makes exact at the last entry, on route
+    "modp"; route is "rational" when some block failed the certificate and
+    was eliminated, and certified, again over Q.
     """
 
     dimension: int
@@ -496,19 +465,9 @@ def _count(copies: GradedVCopies, degree: int, history: list[int], solve) -> Ora
     return OracleResult(history[-1] if history else 0, tuple(history), "rational" if rational else "modp")
 
 
-def _is_signed(a) -> bool:
-    return all(sum(map(bool, row)) == 1 for row in a)
-
-
-def _action(a) -> tuple:
-    """The matrix a by its sparse columns, with empty caches of its images
-    of symmetric and of exterior monomials."""
-    return _sparse_columns(a), ({}, {})
-
-
 def _derivation(a) -> tuple:
-    """`_action` of N = a - 1, its columns as (j, column) for the nonzero ones;
-    the derivation N induces is log a when N^2 = 0."""
+    """N = a - 1 by its nonzero sparse columns (j, column), with empty
+    caches; the derivation N induces is log a when N^2 = 0."""
     n = _sparse_columns([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(a)])
     return [(j, column) for j, column in enumerate(n) if column], ({}, {})
 
@@ -519,26 +478,71 @@ def _block_elements(g: int, factors) -> list[tuple]:
     return list(itertools.product(*[_exponent_vectors(2 * g, *factor) for factor in factors]))
 
 
-def _signed_block(moves, factors, powers: dict) -> list[tuple[list[int], list[int]]]:
-    """Each signed permutation of moves on the block of the factors, as
-    image and sign lists (`_signed_kron`); powers caches its power columns."""
-    for k, a in enumerate(moves):
+@lru_cache(maxsize=256)
+def _permuted(move: tuple[tuple[int, int], ...], m: int, exterior: bool) -> tuple[list[int], list[int]]:
+    """The image index and sign of each basis element of Sym^m, or (exterior)
+    Lambda^m, on the basis of `_exponent_vectors`, under a signed permutation
+    given by the (image, sign) of each basis vector: a sorted index tuple
+    goes to the sorted tuple of the images, times their signs and, for a
+    wedge, the sign of the sort, which inserts each image in turn past the
+    larger ones before it.  Elements that the move leaves alone stay."""
+    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
+    basis = list(combos(range(len(move)), m))
+    index = {b: k for k, b in enumerate(basis)}
+    target = [i for i, _ in move]
+    negative = [x < 0 for _, x in move]
+    touched = [x < 0 or i != j for j, (i, x) in enumerate(move)]
+    images, signs = list(range(len(basis))), [1] * len(basis)
+    for k, b in enumerate(basis):
+        if any(map(touched.__getitem__, b)):
+            odd = sum(map(negative.__getitem__, b))
+            image = [] if exterior else sorted(map(target.__getitem__, b))
+            for i in map(target.__getitem__, b) if exterior else ():
+                at = bisect.bisect(image, i)
+                odd += len(image) - at
+                image.insert(at, i)
+            images[k] = index[tuple(image)]
+            signs[k] = -1 if odd % 2 else 1
+    return images, signs
+
+
+def _signed_block(moves, factors) -> list[tuple[list[int], list[int]]]:
+    """Each signed permutation of moves on the block of the factors, as image
+    and sign lists: the Kronecker product of its `_permuted` factors, the
+    first outermost."""
+    out = []
+    for move in moves:
+        image, sign = [0], [1]
         for m, exterior in factors:
-            if (k, m, exterior) not in powers:
-                powers[k, m, exterior] = _power_columns(a, m, exterior)
-    return [_signed_kron([powers[k, m, exterior] for m, exterior in factors]) for k in range(len(moves))]
+            part_image, part_sign = _permuted(move, m, exterior)
+            image = [r * len(part_image) + s for r in image for s in part_image]
+            sign = [x * y for x in sign for y in part_sign]
+        out.append((image, sign))
+    return out
 
 
-def _block_image(action, factors, element) -> dict:
-    """The image of a block element, one exponent vector per factor, under
-    an `_action`; its caches keep each monomial's image."""
+def _block_apply(action, factors, vector: dict) -> dict:
+    """The image of a vector on the block of the factors, keyed by block
+    element, under a matrix given as (sparse columns, caches of monomial
+    images, None when fixed), applied one factor at a time: the block matrix
+    is the product of the actions on each factor, so the work adds over the
+    factors rather than multiplying."""
     a, cache = action
-    image: dict = {(): 1}
-    for (m, exterior), mono in zip(factors, element):
-        if mono not in cache[exterior]:
-            cache[exterior][mono] = _monomial_image(a, mono, exterior)
-        image = {key + (b,): c * x for key, c in image.items() for b, x in cache[exterior][mono].items()}
-    return image
+    for f, (m, exterior) in enumerate(factors):
+        image = dict(vector)
+        for element, c in vector.items():
+            mono = element[f]
+            if mono not in cache[exterior]:
+                part = _monomial_image(a, mono, exterior)
+                cache[exterior][mono] = None if part == {mono: 1} else part
+            part = cache[exterior][mono]
+            if part is not None and c:
+                image[element] -= c
+                for b, x in part.items():
+                    key = element[:f] + (b,) + element[f + 1 :]
+                    image[key] = image.get(key, 0) + c * x
+        vector = image
+    return {key: c for key, c in vector.items() if c}
 
 
 def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
@@ -603,12 +607,11 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, moves, actions, derivations, powers: dict, factors) -> tuple[list[int], bool]:
+def _orbit_block(g: int, moves, actions, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
-    derivation is listed] on the block of the factors, and whether it was
-    rerun over Q; powers caches the power columns of the moves."""
+    derivation is listed] on the block of the factors; whether it was rerun."""
     elements = _block_elements(g, factors)
-    sums = _orbit_sums(len(elements), _signed_block(moves, factors, powers))
+    sums = _orbit_sums(len(elements), _signed_block(moves, factors))
     if not derivations:
         return [len(sums)], False
     rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
@@ -632,21 +635,23 @@ def brute_force_invariant_dim(
         raise ValueError("degree must be nonnegative")
     if kind is GammaType.THETA:
         raise ValueError("the oracle covers the symplectic or orthogonal group")
-    size = piece_dimension(copies, degree)
-    if kind is GammaType.ORTHOGONAL:
-        _check_work_cap(_orbit_work(copies, degree)[degree])
-    else:
-        _check_basis_cap(size)
-    generators = group_generators(kind, copies.g)
-    signed = [a for a in generators if _is_signed(a)]
-    moves = [a for a in signed if a[0][0] != 1]
-    unipotent = [a for a in generators if a not in signed]
-    if kind is GammaType.ORTHOGONAL:
-        unipotent = unipotent[:1]  # every other is H-conjugate to the first
-    derivations = [_derivation(a) for a in unipotent]
-    history = [0] * (1 + len(derivations)) if size else []
-    solve = partial(_orbit_block, copies.g, moves, [_action(a) for a in generators], derivations, {})
-    return _count(copies, degree, history, solve)
+    _check_work_cap(_orbit_work(kind, copies, degree)[degree])
+    moves, derivations, actions = _oracle_setup(kind, copies.g)
+    history = [0] * (1 + len(derivations)) if piece_dimension(copies, degree) else []
+    return _count(copies, degree, history, partial(_orbit_block, copies.g, moves, actions, derivations))
+
+
+@lru_cache(maxsize=4)
+def _oracle_setup(kind: GammaType, g: int) -> tuple:
+    """The moves, the `_derivation` of one unipotent generator per
+    H-conjugacy class, and every listed generator by its sparse columns with
+    caches of its monomial images, which the pieces of one genus share."""
+    generators = group_generators(kind, g)
+    unipotent = [a for a in generators if not signed_permutation(a)]
+    # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
+    kept = unipotent[:1] + (unipotent[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
+    actions = [(_sparse_columns(a), ({}, {})) for a in generators]
+    return monomial_moves(kind, g), [_derivation(a) for a in kept], actions
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +704,12 @@ def invariant_crosscheck(
         top = 64
         while True:
             window = min(top, max_degree)
-            if kind is GammaType.ORTHOGONAL:
-                what, cap, check = "orbit-route work", REQUEST_WORK_CAP, _check_work_cap
-                sizes = _orbit_work(copies, window)
-            else:
-                what, cap, check = "piece dimension", REQUEST_BASIS_CAP, _check_basis_cap
-                sizes = _tail_dimensions(copies, window)[0]
-            for size in sizes:
-                check(size)
-            if sum(sizes) > cap:
+            works = _orbit_work(kind, copies, window)
+            for work in works:
+                _check_work_cap(work)
+            if sum(works) > REQUEST_WORK_CAP:
                 raise OracleCapExceeded(
-                    f"{what} {sum(sizes)} summed up to degree {window} > cap {cap}"
+                    f"orbit-route work {sum(works)} summed up to degree {window} > cap {REQUEST_WORK_CAP}"
                 )
             if top >= max_degree:
                 break

@@ -293,7 +293,7 @@ def test_range_errors_exit_3():
     assert code == 3 and out == ""
     assert "n >= 8" in err
     code, _, err = _capture(
-        ["invariant-oracle", "--type", "sp", "--g", "3", "--degrees", "2", "--deg", "30", "--seed", "1"]
+        ["invariant-oracle", "--type", "sp", "--g", "3", "--degrees", "2", "--deg", "40", "--seed", "1"]
     )
     assert code == 3
     assert "cap" in err
@@ -358,16 +358,17 @@ def test_cost_caps_exit_3_before_any_work():
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2,4", "--deg", "200000000"], "--deg 200000000 is above the cap 2000"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["9"] * 65), "--deg", "1"], "--degrees count 65 is above the cap 64"),
         # the piece and the work are counted before any allocation is listed
-        (["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "dimension 86493225 > cap 4096"),
+        (["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "orbit-route work 6227512200 > cap 2500000"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "orbit-route work 345972900 > cap 2500000"),
         # every crosscheck piece is counted before either series is built;
-        # the first above the cap is in degree 114 for n = 9 and 44 for n = 8
-        (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "5000", "--oracle"], "dimension 4884 > cap 4096"),
+        # the first above the cap is in degree 16 for n = 9 at g = 10 and 44
+        # for n = 8 at g = 3
+        (["crosscheck-sec6", "--n", "9", "--g", "10", "--maxdeg", "5000", "--oracle"], "orbit-route work 3283200 > cap 2500000"),
         (["crosscheck-sec6", "--n", "8", "--g", "3", "--maxdeg", "5000", "--oracle"], "orbit-route work 5311472 > cap 2500000"),
         # and so is the orbit-route work summed over the pieces of a request
         (["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "99", "--oracle"], "orbit-route work 13196312 summed up to degree 99 > cap 5000000"),
-        # and the piece dimension summed over the pieces on the symplectic side
-        (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "113", "--oracle"], "piece dimension 65437 summed up to degree 113 > cap 40000"),
+        # and on the symplectic side
+        (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "114", "--oracle"], "orbit-route work 5063112 summed up to degree 114 > cap 5000000"),
     ):
         started = time.perf_counter()
         code, out, err = _capture(argv)
@@ -384,7 +385,9 @@ def test_cost_caps_exit_3_before_any_work():
         # Sym^500 V at g = 1 (3654 and 501 dimensions)
         ["invariant-oracle", "--type", "sp", "--g", "2", "--degrees", "2", "--deg", "52"],
         ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "2", "--deg", "1000"],
-        # the orbit route has no basis cap either
+        # nor the dimension: Lambda^4 V at g = 10 (4845 dimensions) and
+        # Sym^1000 V at g = 1 are inside the work cap
+        ["invariant-oracle", "--type", "sp", "--g", "10", "--degrees", "1", "--deg", "4"],
         ["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2", "--deg", "2000"],
         ["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "40", "--oracle"],
         ["crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "36", "--oracle"],

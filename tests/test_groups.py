@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,10 +16,13 @@ from torelli.groups import (
     group_generators,
     intersection_pairing,
     is_in_group,
+    monomial_moves,
+    move_words,
     preserves_quadratic,
     quadratic_modulus,
     quadratic_refinement,
     sample_group_element,
+    signed_permutation,
     transvection,
 )
 from torelli.linalg import mat_mul
@@ -280,6 +284,119 @@ def test_orthogonal_generators_outside_h_are_conjugate_to_the_first(g):
         second = pairs[k, j] if k != j else identity
         h, h_inverse = mat_mul(second, first), mat_mul(first, second)
         assert mat_mul(mat_mul(h, s), h_inverse) == a
+
+
+def _symplectic_generator_inverse(a):
+    """J^3 for the signed generator J, 2 - T for a transvection T."""
+    if signed_permutation(a):
+        return mat_mul(mat_mul(a, a), a)
+    return [[2 * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
+
+
+def _stated_moves(g):
+    """R_1 and P_12, ..., P_1g as the images and signs their words are
+    stated to give: R_1 takes (x_1, y_1) to (y_1, -x_1); P_1j takes x_1 to
+    y_j, y_j to x_1, x_j to -y_1 and y_1 to -x_j."""
+    size = 2 * g
+    rotation = list(range(size)), [1] * size
+    rotation[0][0], rotation[0][g], rotation[1][g] = g, 0, -1
+    moves = [rotation]
+    for j in range(1, g):
+        images, signs = list(range(size)), [1] * size
+        images[0], images[g + j], images[j], images[g] = g + j, 0, g, j
+        signs[j] = signs[g] = -1
+        moves.append((images, signs))
+    return [_matrix_of_images(images, signs) for images, signs in moves]
+
+
+@pytest.mark.parametrize("g", range(1, GENUS_CAP + 1))
+def test_move_words_multiply_out_to_their_signed_permutations(g):
+    # each word, multiplied out densely over the listed generators and
+    # their inverses, is the move it is stated to be, and the oracle's moves
+    # are these products
+    gens = [[list(row) for row in a] for a in group_generators(GammaType.SYMPLECTIC, g)]
+    identity = [[int(r == c) for c in range(2 * g)] for r in range(2 * g)]
+    products = []
+    for word in move_words(g):
+        out = identity
+        for k, exponent in word:
+            inverse = _symplectic_generator_inverse(gens[k])
+            assert mat_mul(gens[k], inverse) == identity
+            out = mat_mul(out, gens[k] if exponent > 0 else inverse)
+        products.append(out)
+    assert products == _stated_moves(g)
+    assert [_matrix_of_images(*zip(*move)) for move in monomial_moves(GammaType.SYMPLECTIC, g)] == products
+
+
+def _compose(p, q):
+    """The signed permutation p q, each given by (image, sign) per basis vector."""
+    return tuple((p[r][0], p[r][1] * x) for r, x in q)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_moves_generate_the_monomial_subgroup(g):
+    # by enumeration: the moves generate a group of order 4^g g!, the
+    # signed permutations that preserve the form and the hyperbolic pairs,
+    # and it contains J
+    moves = monomial_moves(GammaType.SYMPLECTIC, g)
+    group = set(moves)
+    frontier = set(moves)
+    while frontier:
+        frontier = {_compose(h, move) for h in frontier for move in moves} - group
+        group |= frontier
+    assert len(group) == 4**g * math.factorial(g)
+    form = GroupForm(g, -1)
+    for h in group:
+        assert is_in_group(_matrix_of_images(*zip(*h)), form)
+        assert all(h[i][0] % g == h[g + i][0] % g for i in range(g))
+    assert signed_permutation(form.matrix) in group
+
+
+def _h_orbit(moves, v):
+    """Each vector that products of the moves reach from v, with such a
+    product h, as (image, sign) per basis vector, by breadth-first search."""
+    identity = tuple((c, 1) for c in range(len(v)))
+    found = {v: identity}
+    frontier = [v]
+    while frontier:
+        reached = []
+        for w in frontier:
+            for move in moves:
+                u = [0] * len(v)
+                for c, x in enumerate(w):
+                    if x:
+                        r, sign = move[c]
+                        u[r] = sign * x
+                u = tuple(u)
+                if u not in found:
+                    found[u] = _compose(move, found[w])
+                    reached.append(u)
+        frontier = reached
+    return found
+
+
+@pytest.mark.parametrize("g", range(1, GENUS_CAP + 1))
+def test_symplectic_transvections_are_conjugate_to_the_kept_ones(g):
+    # the oracle eliminates T_x1 and, at g >= 2, T_{x1 + y2} alone: every
+    # listed transvection T_u is h T h^-1 = T_{hu} for one of them and an
+    # explicit product h of the moves, found by searching the orbit of its
+    # vector; the only other listed generator is J
+    size = 2 * g
+    form = GroupForm(g, -1)
+    gens = [[list(row) for row in a] for a in group_generators(GammaType.SYMPLECTIC, g)]
+    kept = [tuple(int(i == 0) for i in range(size))] + [tuple(int(i in (0, g + 1)) for i in range(size))] * (g > 1)
+    moves = monomial_moves(GammaType.SYMPLECTIC, g)
+    orbits = [(transvection(v, form), _h_orbit(moves, v)) for v in kept]
+    assert gens[-1] == form.matrix
+    for a in gens[:-1]:
+        # T_u - 1 has rank one, with u (up to sign) as its nonzero columns
+        n = [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(a)]
+        u = tuple(next(col for col in zip(*n) if any(col)))
+        u = tuple(x // max(map(abs, u)) for x in u)
+        assert transvection(u, form) == a
+        ((t, orbit),) = [(t, orbit) for t, orbit in orbits if u in orbit]
+        h = _matrix_of_images(*zip(*orbit[u]))
+        assert mat_mul(mat_mul(h, t), mat_transpose(h)) == a
 
 
 def _closure_mod(gens, p):

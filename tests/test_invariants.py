@@ -18,16 +18,23 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
 from torelli import invariants
 from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
-from torelli.groups import GammaType, group_generators, sample_group_element
+from torelli.groups import (
+    GammaType,
+    form_for_kind,
+    group_generators,
+    monomial_moves,
+    sample_group_element,
+    signed_permutation,
+    transvection,
+)
 from torelli.invariants import (
-    REQUEST_BASIS_CAP,
     REQUEST_WORK_CAP,
     WORK_CAP,
     OracleCapExceeded,
@@ -229,9 +236,10 @@ def test_pieces_the_sampler_got_wrong():
 
 
 def test_history_has_one_entry_per_generator():
+    # dim V^H, then one entry per kept transvection, T_x1 and T_{x1 + y2}
     copies = GradedVCopies(2, (1,))
     result = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 2)
-    assert len(result.history) == len(invariants.group_generators(GammaType.SYMPLECTIC, 2))
+    assert len(result.history) == 1 + len(kept_generators(GammaType.SYMPLECTIC, 2)) == 3
     assert result.history[-1] == result.dimension == 1
     assert all(x >= y for x, y in zip((piece_dimension(copies, 2),) + result.history, result.history))
     assert result.route == "modp"
@@ -269,15 +277,109 @@ def _power_matrix(a, m, exterior):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the expansions the oracle replaced, kept as its references: the power
+# columns of a matrix by the multinomial expansion of every basis element,
+# and the image of a block element as the full tensor product of its
+# factors' images
+
+
+@lru_cache(maxsize=None)
+def _power_columns(a, m, exterior):
+    """Sparse columns of Lambda^m(a) (exterior) or Sym^m(a), on the basis of
+    `_exponent_vectors`; a is a tuple of rows, and the columns are shared by
+    every piece that asks for them."""
+    basis = invariants._exponent_vectors(len(a), m, exterior)
+    index = {b: i for i, b in enumerate(basis)}
+    columns = invariants._sparse_columns(a)
+    return [{index[b]: c for b, c in invariants._monomial_image(columns, src, exterior).items()} for src in basis]
+
+
+def _block_image(columns, factors, element):
+    """The image of a block element, one exponent vector per factor, under
+    the matrix with sparse columns columns: the tensor product of the images
+    of its factors."""
+    image = {(): 1}
+    for (m, exterior), mono in zip(factors, element):
+        part = invariants._monomial_image(columns, mono, exterior)
+        image = {key + (b,): c * x for key, c in image.items() for b, x in part.items()}
+    return image
+
+
+def _is_fixed(column, vector):
+    """Exact check of M v = v for M given by column(c), its column c."""
+    image = {}
+    for c, x in vector.items():
+        for r, y in column(c).items():
+            image[r] = image.get(r, 0) + x * y
+    return {r: x for r, x in image.items() if x} == vector
+
+
+def _signed_matrix(move):
+    """The matrix of a signed permutation given by (image, sign) of each
+    basis vector."""
+    out = [[0] * len(move) for _ in move]
+    for c, (r, x) in enumerate(move):
+        out[r][c] = x
+    return tuple(map(tuple, out))
+
+
+def _powers(g):
+    """(m, exterior) of Lambda^m for m <= 2g and Sym^m for m <= 5."""
+    return [(m, True) for m in range(2 * g + 1)] + [(m, False) for m in range(6)]
+
+
 @pytest.mark.parametrize("kind", [GammaType.SYMPLECTIC, GammaType.ORTHOGONAL, GammaType.THETA])
 def test_power_columns_match_the_dense_powers(kind):
     # every generator at g = 1..3, on Lambda^m and on Sym^m up to m = 5
     for g in (1, 2, 3):
         for a in group_generators(kind, g):
-            for m, exterior in [(m, True) for m in range(2 * g + 1)] + [(m, False) for m in range(6)]:
+            for m, exterior in _powers(g):
                 dense = _power_matrix(a, m, exterior)
-                columns = invariants._power_columns(a, m, exterior)
+                columns = _power_columns(a, m, exterior)
                 assert [{r: row[c] for r, row in enumerate(dense) if row[c]} for c in range(len(dense))] == columns
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_permutation_path_matches_the_power_columns(g):
+    # every signed generator of each kind and every move, on Lambda^m and
+    # on Sym^m up to m = 5: the permuted index tuples and their signs are
+    # the one entry of each power column
+    moves = {signed_permutation(a) for kind in GammaType for a in group_generators(kind, g)} - {None}
+    moves |= {move for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL) for move in monomial_moves(kind, g)}
+    assert len(moves) > g + 1
+    for move in moves:
+        for m, exterior in _powers(g):
+            images, signs = invariants._permuted(move, m, exterior)
+            assert [{r: x} for r, x in zip(images, signs)] == _power_columns(_signed_matrix(move), m, exterior)
+
+
+def test_factor_wise_image_matches_the_tensor_product():
+    # random integer vectors on blocks of up to 6 factors, under every kind
+    # of listed generator: applying the generator one factor at a time gives
+    # the image that the full tensor product of each element's factors does
+    rng = random.Random(20261019)
+    fixed = 0
+    for _ in range(300):
+        g = rng.randint(1, 3)
+        a = rng.choice(group_generators(rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL)), g))
+        factors = []
+        for _ in range(rng.randint(1, 6)):
+            exterior = rng.random() < 0.5
+            factors.append((rng.randint(1, min(3, 2 * g) if exterior else 3), exterior))
+        bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
+        vector = {tuple(map(rng.choice, bases)): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
+        vector = {element: c for element, c in vector.items() if c}
+        expected = {}
+        columns = invariants._sparse_columns(a)
+        for element, c in vector.items():
+            for key, x in _block_image(columns, factors, element).items():
+                expected[key] = expected.get(key, 0) + c * x
+        expected = {key: x for key, x in expected.items() if x}
+        assert invariants._block_apply((columns, ({}, {})), factors, vector) == expected
+        fixed += expected == vector
+    # both outcomes of the exact check occur
+    assert 0 < fixed < 300
 
 
 def derivation_by_positions(n, mono, exterior):
@@ -467,7 +569,7 @@ def _rows_minus_identity(columns):
 
 
 def _fixed_by_columns(generator_columns, vector):
-    return all(invariants._is_fixed(columns.__getitem__, vector) for columns in generator_columns)
+    return all(_is_fixed(columns.__getitem__, vector) for columns in generator_columns)
 
 
 def _block_kernel_history(generator_columns):
@@ -484,26 +586,44 @@ def _block_kernel_history(generator_columns):
     return history, False
 
 
-def _kernel_block(generators, powers, factors):
+def _kernel_block(generators, factors):
     """`_block_kernel_history` on the block of the factors (m, exterior),
-    each generator's columns the kron of its power columns, which powers
-    caches."""
-    for k, a in enumerate(generators):
-        for m, exterior in factors:
-            if (k, m, exterior) not in powers:
-                powers[k, m, exterior] = invariants._power_columns(a, m, exterior)
+    each generator's columns the kron of its power columns."""
     return _block_kernel_history(
-        [_kron_columns([powers[k, m, exterior] for m, exterior in factors]) for k in range(len(generators))]
+        [_kron_columns([_power_columns(a, m, exterior) for m, exterior in factors]) for a in generators]
     )
 
 
+def kept_generators(kind, g):
+    """The listed unipotent generators whose derivations the oracle
+    eliminates, one per H-conjugacy class: the first for the orthogonal
+    kind, T_x1 and, at g >= 2, T_{x1 + y2} for the symplectic kind."""
+    generators = group_generators(kind, g)
+    if kind is GammaType.ORTHOGONAL:
+        return [a for a in generators if signed_permutation(a) is None][:1]
+    form = form_for_kind(kind, g)
+    vectors = [[int(i == 0) for i in range(2 * g)]] + [[int(i in (0, g + 1)) for i in range(2 * g)]] * (g > 1)
+    kept = [tuple(map(tuple, transvection(v, form))) for v in vectors]
+    assert all(a in generators for a in kept)
+    return kept
+
+
 def kernel_invariant_dim(kind, copies, degree):
-    """The count as the joint kernel of rho(s) - 1 over every listed s, the
-    signed permutations first, block by block, with the oracle's history and
-    route."""
-    generators = sorted(group_generators(kind, copies.g), key=lambda a: not invariants._is_signed(a))
+    """The count as the joint kernel of rho(s) - 1, block by block, over the
+    oracle's moves, then its kept generators, then every other listed
+    generator: the last entry is the count of the generated group; the
+    route is that of this reference's own certificate."""
+    first = [_signed_matrix(move) for move in monomial_moves(kind, copies.g)] + kept_generators(kind, copies.g)
+    generators = first + [a for a in group_generators(kind, copies.g) if a not in first]
     history = [0] * len(generators) if piece_dimension(copies, degree) else []
-    return invariants._count(copies, degree, history, partial(_kernel_block, generators, {}))
+    return invariants._count(copies, degree, history, partial(_kernel_block, generators))
+
+
+def oracle_history(kind, g, history):
+    """The entries of a `kernel_invariant_dim` history that the oracle
+    reports: after the last move, then after each kept generator."""
+    moves = len(monomial_moves(kind, g))
+    return history[moves - 1 : moves + len(kept_generators(kind, g))]
 
 
 def _sparse_product(a, b):
@@ -536,7 +656,7 @@ def test_transvections_act_as_the_exponential_of_their_derivation(g):
     # D_N/2! + ... invertible, and the symplectic route's rows of D_N have the
     # kernel of rho(T) - 1
     generators = group_generators(GammaType.SYMPLECTIC, g)
-    assert [a for a in generators if invariants._is_signed(a)] == [generators[-1]]
+    assert [a for a in generators if signed_permutation(a)] == [generators[-1]]
     for a in generators[:-1]:
         n = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
         assert any(map(any, n)) and not any(map(any, mat_mul(n, n)))
@@ -556,15 +676,20 @@ def test_transvections_act_as_the_exponential_of_their_derivation(g):
                         exp[r, c] = exp.get((r, c), 0) + x
                 j += 1
                 term = {r: {c: x / j for c, x in row.items()} for r, row in _sparse_product(d, term).items()}
-            rho = _kron_columns([invariants._power_columns(a, m, exterior) for m, exterior in factors])
+            rho = _kron_columns([_power_columns(a, m, exterior) for m, exterior in factors])
             assert {key: x for key, x in exp.items() if x} == {(r, c): x for c, col in enumerate(rho) for r, x in col.items()}
 
 
+# the largest piece dimension the comparisons with the full-kernel reference
+# reach, the symplectic kind's former cap
+REFERENCE_PIECE_DIM = 4096
+
+
 def crosscheck_pieces(n, g):
-    """The pieces of `crosscheck-sec6 --n n --g g --oracle` at the largest
-    maxdeg it accepts, the degree below its first piece above the basis cap."""
+    """The pieces of `crosscheck-sec6 --n n --g g --oracle` up to the degree
+    below its first piece above REFERENCE_PIECE_DIM."""
     top = 0
-    while piece_dimension(GradedVCopies(g, tuple(go_shifted_degrees(n, top + 1))), top + 1) <= invariants.BASIS_CAP:
+    while piece_dimension(GradedVCopies(g, tuple(go_shifted_degrees(n, top + 1))), top + 1) <= REFERENCE_PIECE_DIM:
         top += 1
     return [(g, tuple(go_shifted_degrees(n, top)), degree) for degree in range(top + 1)]
 
@@ -585,7 +710,7 @@ CRITERION_6_PIECES = (
 
 # (g, copy degrees, degree) of the symplectic pieces both routes count: those
 # of criterion 6, of `crosscheck-sec6 --n 9` and `--n 11` at g = 1..3 up to
-# the basis cap, and pieces with even copies
+# REFERENCE_PIECE_DIM, and pieces with even copies
 SYMPLECTIC_PIECES = (
     [piece[1:] for piece in CRITERION_6_PIECES if piece[0] is GammaType.SYMPLECTIC]
     + [piece for n in (9, 11) for g in (1, 2, 3) for piece in crosscheck_pieces(n, g)]
@@ -596,13 +721,17 @@ SYMPLECTIC_PIECES = (
 
 @pytest.mark.parametrize("g, degrees, degree", SYMPLECTIC_PIECES)
 def test_symplectic_route_matches_the_full_kernel(g, degrees, degree):
-    # the same dimension, history and route: the orbit sums under J span the
-    # kernel of rho(J) - 1, and rho(s) - 1 and the derivation of s - 1 have
-    # the same rows up to an invertible factor, modulo PRIME too
+    # the dimension and route of the reference over every listed generator,
+    # and its history after the moves and each kept transvection: the orbit
+    # sums under the moves span the joint kernel of their rho(h) - 1, and
+    # rho(T) - 1 and the derivation of T - 1 have the same rows up to an
+    # invertible factor, modulo PRIME too
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
-    assert result == kernel_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
-    assert result.route == "modp"
+    reference = kernel_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
+    assert result.history == oracle_history(GammaType.SYMPLECTIC, g, reference.history)
+    assert result.dimension == reference.dimension
+    assert result.route == reference.route == "modp"
 
 
 # ---------------------------------------------------------------------------
@@ -657,14 +786,14 @@ def test_failed_lift_falls_back_to_rational(monkeypatch):
 
 
 def test_symplectic_certificate_falls_back_to_rational(monkeypatch):
-    # Sym^2 V at g = 2: the orbit sums under J span the 4 dimensions of V^J,
-    # and the derivations take x_i^2 to 2 x_i y_i and the like, which vanish
-    # modulo 2, so the kernel modulo 2 does not shrink to 0 and its vectors
-    # fail the exact check; the rerun over Q gives the exact history, where
-    # the elimination modulo 2 reads 4 2 2 2 2 2 2
+    # Sym^2 V at g = 2: V^H is spanned by the orbit sum x_1^2 + y_1^2 +
+    # x_2^2 + y_2^2, and the derivations take each y_i^2 to 2 x_i y_i and
+    # the like, which vanish modulo 2, so the kernel modulo 2 does not shrink
+    # to 0 and its vector fails the exact check; the rerun over Q gives the
+    # exact history, where the elimination modulo 2 reads 1 1 1
     copies = GradedVCopies(2, (2,))
     exact = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4)
-    assert exact == (0, (4, 1, 0, 0, 0, 0, 0), "modp")
+    assert exact == (0, (1, 0, 0), "modp")
     monkeypatch.setattr(invariants, "PRIME", 2)
     assert brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4) == exact._replace(route="rational")
 
@@ -672,7 +801,7 @@ def test_symplectic_certificate_falls_back_to_rational(monkeypatch):
 # (g, copy degrees, degree) of the orthogonal pieces both routes count: those
 # of criterion 6, of `crosscheck-sec6 --n 8 --g 2 --maxdeg 16`, of O_{1,1}(Z)
 # in test_oracle_counts_the_finite_orthogonal_group, and Sym^m V at g = 2..4
-# up to m = 16 inside the basis cap
+# up to m = 16 within REFERENCE_PIECE_DIM
 ORTHOGONAL_PIECES = (
     [piece[1:] for piece in CRITERION_6_PIECES if piece[0] is GammaType.ORTHOGONAL]
     + [(2, tuple(go_shifted_degrees(8, 16)), degree) for degree in range(17)]
@@ -681,7 +810,7 @@ ORTHOGONAL_PIECES = (
         (g, (2,), 2 * m)
         for g in (2, 3, 4)
         for m in range(16 + 1)
-        if math.comb(2 * g + m - 1, m) <= invariants.BASIS_CAP
+        if math.comb(2 * g + m - 1, m) <= REFERENCE_PIECE_DIM
     ]
 )
 
@@ -690,8 +819,10 @@ ORTHOGONAL_PIECES = (
 def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
-    assert result.route == "modp"
-    assert result.dimension == kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree).dimension
+    reference = kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
+    assert result.route == reference.route == "modp"
+    assert result.dimension == reference.dimension
+    assert result.history == oracle_history(GammaType.ORTHOGONAL, g, reference.history)
     piece = piece_dimension(copies, degree)
     assert len(result.history) == (0 if not piece else 1 if g == 1 else 2)
     assert all(x >= y for x, y in zip((piece,) + result.history, result.history))
@@ -700,7 +831,7 @@ def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
 
 @pytest.mark.parametrize(
     "kind, count",
-    [(GammaType.ORTHOGONAL, (1, (2, 1), "modp")), (GammaType.SYMPLECTIC, (0, (4, 1, 0, 0, 0, 0, 0), "modp"))],
+    [(GammaType.ORTHOGONAL, (1, (2, 1), "modp")), (GammaType.SYMPLECTIC, (0, (1, 0, 0), "modp"))],
     ids=["o", "sp"],
 )
 def test_rational_rerun_is_certified(monkeypatch, kind, count):
@@ -709,6 +840,7 @@ def test_rational_rerun_is_certified(monkeypatch, kind, count):
     # Q, where the count would otherwise read dim V^H
     copies = GradedVCopies(2, (2,))
     assert brute_force_invariant_dim(kind, copies, 4) == count
+    monkeypatch.setattr(invariants, "_oracle_setup", invariants._oracle_setup.__wrapped__)
     monkeypatch.setattr(invariants, "_derivation", lambda a: ([], ({}, {})))
     with pytest.raises(AssertionError, match="not fixed by every listed generator"):
         brute_force_invariant_dim(kind, copies, 4)
@@ -759,13 +891,14 @@ def test_orbit_route_reach():
     # has 81816 dimensions and takes seconds to count, and the request sums
     # under the request cap
     copies = GradedVCopies(3, tuple(go_shifted_degrees(8, 40)))
-    assert max(invariants._orbit_work(copies, 40)) == invariants._orbit_work(copies, 40)[40] <= WORK_CAP
-    assert sum(invariants._orbit_work(copies, 40)) == 4130104 <= REQUEST_WORK_CAP
+    works = invariants._orbit_work(GammaType.ORTHOGONAL, copies, 40)
+    assert max(works) == works[40] <= WORK_CAP
+    assert sum(works) == 4130104 <= REQUEST_WORK_CAP
     assert piece_dimension(copies, 40) == 81816
     # the largest symplectic g = 1 request the summed cap accepts at n = 9
-    copies = GradedVCopies(1, tuple(go_shifted_degrees(9, 105)))
-    sizes = invariants._tail_dimensions(copies, 105)[0]
-    assert sum(sizes[:105]) == 38755 <= REQUEST_BASIS_CAP < sum(sizes) == 40735
+    copies = GradedVCopies(1, tuple(go_shifted_degrees(9, 114)))
+    works = invariants._orbit_work(GammaType.SYMPLECTIC, copies, 114)
+    assert sum(works[:114]) == 4711464 <= REQUEST_WORK_CAP < sum(works) == 5063112
 
 
 def test_oracle_rejects_bad_requests():
@@ -774,24 +907,23 @@ def test_oracle_rejects_bad_requests():
         brute_force_invariant_dim(GammaType.THETA, copies, 4)
     with pytest.raises(ValueError):
         brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, -1)
-    # Sym^15 of a 6-dimensional copy: 15504 > 4096 on the symplectic route;
-    # the orbit route counts 2g(g + 1) 15504 visits plus C(22, 7) = 170544
-    # image terms, inside its cap, and Sym^30 is above it
-    with pytest.raises(OracleCapExceeded, match="dimension 15504 > cap 4096"):
-        brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 30)
-    assert invariants._orbit_work(GradedVCopies(3, (2,)), 30)[30] == 24 * 15504 + 170544
+    # Sym^15 of a 6-dimensional copy: the orthogonal work counts 2g(g + 1)
+    # 15504 visits plus C(22, 7) = 170544 image terms, the symplectic work
+    # 8(g + 8) 15504, both inside the cap, and Sym^30 is above it
+    assert invariants._orbit_work(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 30)[30] == 24 * 15504 + 170544
+    assert invariants._orbit_work(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 30)[30] == 88 * 15504
     with pytest.raises(OracleCapExceeded, match=f"orbit-route work 18086640 > cap {WORK_CAP}"):
         brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 60)
 
 
 def test_oracle_caps_the_piece_not_the_symmetric_exponent():
     # the symplectic route builds no power of a transvection, so a high
-    # symmetric power inside the basis cap runs: Sym^17 and Sym^26 V at
-    # g = 2 (1140 and 3654 dimensions), Sym^500 V at g = 1
-    for g, degree in ((2, 34), (2, 52), (1, 1000)):
+    # symmetric power inside the work cap runs: Sym^17 and Sym^26 V at
+    # g = 2 (1140 and 3654 dimensions), Sym^500 V at g = 1, Sym^15 V at g = 3
+    for g, degree in ((2, 34), (2, 52), (1, 1000), (3, 30)):
         assert brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(g, (2,)), degree).dimension == 0
-    # a piece above the cap names it
-    with pytest.raises(OracleCapExceeded, match="dimension 53130 > cap 4096"):
+    # a piece above the cap names it: Sym^20 V at g = 3, 88 times 53130
+    with pytest.raises(OracleCapExceeded, match=f"orbit-route work 4675440 > cap {WORK_CAP}"):
         brute_force_invariant_dim(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 40)
     # Sym^16 V under O_{1,1}(Z) = {+-I, +-swap} has one invariant per orbit
     # {x^a y^b, x^b y^a}; and odd copies carry no symmetric power
@@ -827,20 +959,20 @@ def test_crosscheck_with_oracle_small():
 
 
 def test_crosscheck_checks_every_piece_before_any_work():
-    # n = 9: the first piece above the basis cap is in degree 114; n = 8 and
-    # 10: the orbit route, whose work is above its cap first in degree 44 at
-    # g = 3 and in degree 100 at g = 1
-    assert piece_dimension(GradedVCopies(1, tuple(go_shifted_degrees(9, 114))), 114) == 4884
+    # the first piece whose work is above the cap: for n = 9 in degree 16 at
+    # g = 10, 144 times 22800; for n = 8 in degree 44 at g = 3, and for
+    # n = 10 in degree 100 at g = 1
+    assert piece_dimension(GradedVCopies(10, tuple(go_shifted_degrees(9, 16))), 16) == 22800
     for n, g, maxdeg, message in (
-        (9, 1, 5000, "dimension 4884 > cap 4096"),
+        (9, 10, 5000, f"orbit-route work 3283200 > cap {WORK_CAP}"),
         (8, 3, 6000, f"orbit-route work 5311472 > cap {WORK_CAP}"),
         (10, 1, 5000, f"orbit-route work 2542440 > cap {WORK_CAP}"),
         # every piece is under the cap, and the 100 of them sum above the
         # request's
         (10, 1, 99, f"orbit-route work 13196312 summed up to degree 99 > cap {REQUEST_WORK_CAP}"),
-        # and the same for the piece dimension on the symplectic route
-        (9, 1, 113, f"piece dimension 65437 summed up to degree 113 > cap {REQUEST_BASIS_CAP}"),
-        (11, 1, 100, f"piece dimension 60365 summed up to degree 100 > cap {REQUEST_BASIS_CAP}"),
+        # and the same on the symplectic side
+        (9, 1, 114, f"orbit-route work 5063112 summed up to degree 114 > cap {REQUEST_WORK_CAP}"),
+        (11, 1, 103, f"orbit-route work 5289912 summed up to degree 103 > cap {REQUEST_WORK_CAP}"),
     ):
         started = time.perf_counter()
         with pytest.raises(OracleCapExceeded, match=message):
