@@ -27,6 +27,18 @@ class, since h s h^-1 fixes an H-invariant vector exactly when s does: T_x1
 and T_{x1 + y2} (T_x1 alone at g = 1) for the symplectic kind, the first s
 for the orthogonal kind.
 
+All of this runs on V_0, the weight-0 elements of each block, where the
+weight of a monomial counts, per hyperbolic pair, its x_i factors minus its
+y_i factors: every invariant v lies in V_0.  By the step above, D_N v = 0
+for every listed unipotent 1 + N, hence D_[N,M] v = 0.  For the symplectic
+kind T_xi and T_yi are listed, and [N_xi, N_yi] = +-h_i with h_i = diag(+1
+on x_i, -1 on y_i); D_hi multiplies a monomial by its weight w_i, so every
+w_i is 0.  For the orthogonal kind at g >= 2 the listed E_ij (x_i -> x_i +
+x_j, y_j -> y_j - y_i) give [N_ij, N_ji] = h_j - h_i, so all w_i are equal,
+and the listed swap of the first pair takes weight (c, ..., c) to (-c, c,
+..., c), which forces c = 0.  H preserves V_0, so (V_0)^H is spanned by the
+weight-0 orbit sums.  `_oracle_setup` asserts these matrix facts.
+
 The count is certified over Q from both sides:
 
 - upper bound: a rank modulo p is at most the rank over Q, so the rational
@@ -44,21 +56,22 @@ rather than change the count.
 
 For the orthogonal kind at g = 1 the generated group is the finite
 O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
-exceed the stable ones: Sym^2 V has the two invariants xy and x^2 + y^2
-rather than the form alone.
+exceed the stable ones: Sym^2 V has the two invariants xy and x^2 + y^2,
+the second of weight +-2, so the route keeps the whole block there.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import add, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators, monomial_moves, signed_permutation
+from .linalg import identity_matrix
 from .mt import pair_degree_counts
 
 # not used by the oracle, which samples nothing; kept importable here because
@@ -70,13 +83,14 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the a-priori cap on `_orbit_work`, for both kinds; the slowest pieces found
-# inside it take about 1.8-1.9 s in process: Sym^12 V at g = 4 (o), and the
-# degree-140 piece of crosscheck-sec6 --n 11 --g 1 (sp, 29222 dimensions)
+# the a-priori cap on `_orbit_work`, for both kinds; it counts the whole
+# piece, and the slowest piece found inside it takes about 0.45 s in process:
+# degree 120 on the 28 copies of crosscheck-sec6 --n 8 --g 1 (o, 589128
+# dimensions, whole blocks at g = 1), where Sym^12 V at g = 4 takes 0.06 s
 WORK_CAP = 2_500_000
 # the cap on that work summed over the pieces of one crosscheck request; the
-# slowest requests found inside it take about 2.3 s (--n 8 --g 1 --maxdeg 115,
-# 4.8 million) and 1.5 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
+# slowest requests found inside it take about 0.5 s (--n 8 --g 1 --maxdeg 115,
+# 4.8 million) and 0.15 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
 REQUEST_WORK_CAP = 5_000_000
 
 
@@ -438,11 +452,11 @@ def _certified_history(groups, rows_of, elements, columns, factors, actions) -> 
 class OracleResult(NamedTuple):
     """A certified invariant dimension.
 
-    history[0] is dim V^H and history[k] the dimension of V^H & ker(s - 1)
-    jointly over the first k eliminated generators s, each summed over
-    allocation blocks: one entry for T_x1 and, at g >= 2, one for
-    T_{x1 + y2} for the symplectic kind, one for s at g >= 2 for the
-    orthogonal kind.  A block contributes its kernel modulo PRIME, an upper
+    history[0] is dim (V_0)^H, or dim V^H for the orthogonal kind at g = 1,
+    and history[k] the dimension of that space & ker(s - 1) jointly over the
+    first k eliminated generators s, each summed over allocation blocks: one
+    entry for T_x1 and, at g >= 2, one for T_{x1 + y2} for the symplectic
+    kind, one for s at g >= 2 for the orthogonal kind.  A block contributes its kernel modulo PRIME, an upper
     bound that the certificate makes exact at the last entry, on route
     "modp"; route is "rational" when some block failed the certificate and
     was eliminated, and certified, again over Q.
@@ -472,53 +486,120 @@ def _derivation(a) -> tuple:
     return [(j, column) for j, column in enumerate(n) if column], ({}, {})
 
 
-def _block_elements(g: int, factors) -> list[tuple]:
-    """The basis of the block of the factors (m, exterior), one exponent
-    vector per factor, the first factor outermost."""
-    return list(itertools.product(*[_exponent_vectors(2 * g, *factor) for factor in factors]))
+@lru_cache(maxsize=64)
+def _weights(g: int, m: int, exterior: bool) -> tuple[tuple[int, ...], ...]:
+    """The weights of the basis of Sym^m, or (exterior) Lambda^m, of V: per
+    hyperbolic pair, the x_i exponent minus the y_i exponent."""
+    return tuple({tuple(map(sub, e[:g], e[g:])) for e in _exponent_vectors(2 * g, m, exterior)})
 
 
-@lru_cache(maxsize=256)
-def _permuted(move: tuple[tuple[int, int], ...], m: int, exterior: bool) -> tuple[list[int], list[int]]:
-    """The image index and sign of each basis element of Sym^m, or (exterior)
-    Lambda^m, on the basis of `_exponent_vectors`, under a signed permutation
-    given by the (image, sign) of each basis vector: a sorted index tuple
-    goes to the sorted tuple of the images, times their signs and, for a
-    wedge, the sign of the sort, which inserts each image in turn past the
-    larger ones before it.  Elements that the move leaves alone stay."""
-    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
-    basis = list(combos(range(len(move)), m))
-    index = {b: k for k, b in enumerate(basis)}
-    target = [i for i, _ in move]
-    negative = [x < 0 for _, x in move]
-    touched = [x < 0 or i != j for j, (i, x) in enumerate(move)]
-    images, signs = list(range(len(basis))), [1] * len(basis)
-    for k, b in enumerate(basis):
-        if any(map(touched.__getitem__, b)):
-            odd = sum(map(negative.__getitem__, b))
-            image = [] if exterior else sorted(map(target.__getitem__, b))
-            for i in map(target.__getitem__, b) if exterior else ():
-                at = bisect.bisect(image, i)
-                odd += len(image) - at
-                image.insert(at, i)
-            images[k] = index[tuple(image)]
-            signs[k] = -1 if odd % 2 else 1
-    return images, signs
-
-
-def _signed_block(moves, factors) -> list[tuple[list[int], list[int]]]:
-    """Each signed permutation of moves on the block of the factors, as image
-    and sign lists: the Kronecker product of its `_permuted` factors, the
-    first outermost."""
+def _weight_monomials(g: int, m: int, exterior: bool, weight: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The basis elements of Sym^m, or (exterior) Lambda^m, of the weight, in
+    the order of `_exponent_vectors`: pair i carries max(w_i, 0) x_i and
+    max(-w_i, 0) y_i, and the rest of the degree goes in whole pairs x_i y_i,
+    any pairs for Sym^m and distinct ones of weight 0 for Lambda^m."""
+    s, odd = divmod(m - sum(map(abs, weight)), 2)
+    if odd or s < 0 or exterior and max(map(abs, weight), default=0) > 1:
+        return []
+    base = [max(w, 0) for w in weight] + [max(-w, 0) for w in weight]
     out = []
-    for move in moves:
-        image, sign = [0], [1]
-        for m, exterior in factors:
-            part_image, part_sign = _permuted(move, m, exterior)
-            image = [r * len(part_image) + s for r in image for s in part_image]
-            sign = [x * y for x in sign for y in part_sign]
-        out.append((image, sign))
+    free = [i for i, w in enumerate(weight) if not w] if exterior else range(g)
+    for pairs in (itertools.combinations if exterior else itertools.combinations_with_replacement)(free, s):
+        mono = list(base)
+        for i in pairs:
+            mono[i] += 1
+            mono[g + i] += 1
+        out.append(tuple(mono))
     return out
+
+
+def _signed_image(move: tuple[tuple[int, int], ...], mono: tuple[int, ...], exterior: bool) -> tuple[tuple, int]:
+    """The image and sign of a basis element of Sym^m, or (exterior)
+    Lambda^m, by its exponent vector, under a signed permutation given by
+    the (image, sign) of each basis vector: each e_j goes to its image,
+    times its sign, and a wedge takes the sign of the sort of the images."""
+    image, targets, odd = [0] * len(mono), [], 0
+    for (i, x), k in zip(move, mono):
+        if k:
+            image[i] = k
+            targets.append(i)
+            odd += k if x < 0 else 0
+    if exterior:
+        odd += sum(a > b for a, b in itertools.combinations(targets, 2))
+    return tuple(image), -1 if odd % 2 else 1
+
+
+def _group(g: int, moves, groups: dict, m: int, exterior: bool, weight) -> tuple:
+    """The basis elements of Sym^m, or (exterior) Lambda^m, of the weight (all
+    of them when it is None); their ids, then the ids of their images under
+    each move; and the signs of those images.  Cached in groups, which
+    numbers the monomials of each power as they come, so that a whole basis
+    gets the indices of its order."""
+    key = (m, exterior, weight)
+    if key not in groups:
+        monos = _exponent_vectors(2 * g, m, exterior) if weight is None else _weight_monomials(g, m, exterior, weight)
+        ids = groups.setdefault((m, exterior), {})
+        columns, signs = [[ids.setdefault(mono, len(ids)) for mono in monos]], []
+        for move in moves:
+            images = [_signed_image(move, mono, exterior) for mono in monos]
+            columns.append([ids.setdefault(image, len(ids)) for image, _ in images])
+            signs.append([sign for _, sign in images])
+        groups[key] = monos, columns, signs
+    return groups[key]
+
+
+def _block(g: int, moves, groups: dict, factors, zero: bool) -> tuple[list[tuple], list]:
+    """The basis elements of the block of the factors (m, exterior), one
+    exponent vector per factor, all of them or (zero) those of weight 0, in
+    the order of the product, the first factor outermost; and each move on
+    them as image index and sign lists.  Each element carries, a factor at a
+    time, a code (size times the code before, plus the monomial's id: on the
+    whole block, its index), the codes of its images and their signs.  For
+    weight 0, every factor but the last ranges over its monomials grouped by
+    weight, pruned by the |w|_1 that the later factors can still cancel, and
+    the last takes the opposite weight; the codes then place the images."""
+    sizes = [math.comb(2 * g, m) if exterior else math.comb(2 * g + m - 1, m) for m, exterior in factors]
+    if not zero:
+        whole = [_group(g, moves, groups, m, exterior, None) for m, exterior in factors]
+        images, signs = [[0]] * len(moves), [[1]] * len(moves)
+        for (_, parts, part_signs), size in zip(whole, sizes):
+            images = [[c * size + r for c in image for r in part] for image, part in zip(images, parts[1:])]
+            signs = [[s * y for s in sign for y in part] for sign, part in zip(signs, part_signs)]
+        return list(itertools.product(*(group[0] for group in whole))), list(zip(images, signs))
+    reach = [min(m, 2 * g - m) if exterior else m for m, exterior in factors]
+    states = {(0,) * g: ([()], [[0]] * (1 + len(moves)), [[1]] * len(moves))}
+    for f, ((m, exterior), size) in enumerate(zip(factors, sizes)):
+        l1 = sum(reach[f + 1 :])
+        weights = _weights(g, m, exterior) if f < len(factors) - 1 else ()
+        gathered: dict = {}  # target weight -> the states and groups that reach it
+        for weight, state in states.items():
+            if f == len(factors) - 1:
+                targets = [((0,) * g, tuple(map(neg, weight)))]
+            else:  # the weights w of the factor whose sum t with weight can still cancel
+                sums = [(tuple(map(add, weight, w)), w) for w in weights]
+                targets = [(t, w) for t, w in sums if sum(map(abs, t)) <= l1]
+            for target, w in targets:
+                gathered.setdefault(target, []).append((state, _group(g, moves, groups, m, exterior, w)))
+        states = {
+            target: (
+                [p + (mono,) for (elements, _, _), (monos, _, _) in pairs for p in elements for mono in monos],
+                [
+                    [c * size + r for (_, codes, _), (_, ids, _) in pairs for c in codes[i] for r in ids[i]]
+                    for i in range(1 + len(moves))
+                ],
+                [
+                    [s * y for (_, _, signs), (_, _, more) in pairs for s in signs[i] for y in more[i]]
+                    for i in range(len(moves))
+                ],
+            )
+            for target, pairs in gathered.items()
+        }
+    elements, columns, signs = states.get((0,) * g, ([], [[]] * (1 + len(moves)), [[]] * len(moves)))
+    # the order of the product is the reverse order of the exponent vectors
+    order = sorted(range(len(elements)), key=elements.__getitem__, reverse=True)
+    index = {columns[0][b]: k for k, b in enumerate(order)}
+    images = [[index[column[b]] for b in order] for column in columns[1:]]
+    return [elements[b] for b in order], list(zip(images, ([sign[b] for b in order] for sign in signs)))
 
 
 def _block_apply(action, factors, vector: dict) -> dict:
@@ -607,16 +688,21 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, moves, actions, derivations, factors) -> tuple[list[int], bool]:
+def _orbit_block(g: int, zero: bool, moves, groups, blocks, actions, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
-    derivation is listed] on the block of the factors; whether it was rerun."""
-    elements = _block_elements(g, factors)
-    sums = _orbit_sums(len(elements), _signed_block(moves, factors))
-    if not derivations:
-        return [len(sums)], False
-    rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
-    history, rational = _certified_history(derivations, rows_of, elements, sums, factors, actions)
-    return [len(sums)] + history, rational
+    derivation is listed] on V, the block of the factors or (zero) its
+    weight-0 part; whether it was rerun.  Kept in blocks by PRIME and the
+    factors: a block depends on its copies only through (m, exterior)."""
+    key = (PRIME, tuple(factors))
+    if key not in blocks:
+        elements, moved = _block(g, moves, groups, factors, zero)
+        sums = _orbit_sums(len(elements), moved)
+        rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
+        history, rational = ([], False)
+        if derivations:
+            history, rational = _certified_history(derivations, rows_of, elements, sums, factors, actions)
+        blocks[key] = [len(sums)] + history, rational
+    return blocks[key]
 
 
 def brute_force_invariant_dim(
@@ -636,22 +722,71 @@ def brute_force_invariant_dim(
     if kind is GammaType.THETA:
         raise ValueError("the oracle covers the symplectic or orthogonal group")
     _check_work_cap(_orbit_work(kind, copies, degree)[degree])
-    moves, derivations, actions = _oracle_setup(kind, copies.g)
-    history = [0] * (1 + len(derivations)) if piece_dimension(copies, degree) else []
-    return _count(copies, degree, history, partial(_orbit_block, copies.g, moves, actions, derivations))
+    setup = _oracle_setup(kind, copies.g)
+    history = [0] * (1 + len(setup[-1])) if piece_dimension(copies, degree) else []
+    return _count(copies, degree, history, partial(_orbit_block, copies.g, *setup))
+
+
+def _commutator(a, b) -> dict:
+    """ab - ba, which is [a - 1, b - 1], for matrices by their sparse
+    columns, as {(row, column): entry}."""
+    out: dict = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for j, column in enumerate(y):
+            for k, v in column:
+                for i, u in x[k]:
+                    out[i, j] = out.get((i, j), 0) + sign * u * v
+    return {key: u for key, u in out.items() if u}
+
+
+def _squares_to_zero(a) -> bool:
+    """Whether (a - 1)^2 = 0, for a by its sparse columns: a a e_j - 2 a e_j
+    + e_j = 0 for every column j that a moves."""
+    for j, column in enumerate(a):
+        if column != ((j, 1),):
+            image = {j: 1}
+            for k, y in column:
+                image[k] = image.get(k, 0) - 2 * y
+                for i, x in a[k]:
+                    image[i] = image.get(i, 0) + x * y
+            if any(image.values()):
+                return False
+    return True
 
 
 @lru_cache(maxsize=4)
 def _oracle_setup(kind: GammaType, g: int) -> tuple:
-    """The moves, the `_derivation` of one unipotent generator per
-    H-conjugacy class, and every listed generator by its sparse columns with
-    caches of its monomial images, which the pieces of one genus share."""
+    """Whether the route keeps to weight 0, after asserting the matrix facts
+    that allow it (see the module docstring); the moves; a cache of their
+    images and one of block counts; every listed generator by its sparse
+    columns with caches of its monomial images; and the `_derivation` of one
+    unipotent generator per H-conjugacy class.  The pieces of one genus
+    share them."""
     generators = group_generators(kind, g)
-    unipotent = [a for a in generators if not signed_permutation(a)]
+    actions = [(_sparse_columns(a), ({}, {})) for a in generators]
+    # the listed s that are not signed permutations, and s by its sparse columns
+    unipotent = [(a, columns) for a, (columns, _) in zip(generators, actions) if not signed_permutation(a)]
+    n = [columns for _, columns in unipotent]
+    if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
+        brackets = [(n[i], n[g + i], {(i, i): 1, (g + i, g + i): -1}) for i in range(g)]
+    else:  # [N_ij, N_ji] = +-(h_i - h_j); the E_ij are listed in the order of (i, j)
+        pairs = [(i, j) for i in range(g) for j in range(g) if i != j]
+        brackets = [
+            (n[k], n[pairs.index((j, i))], {(i, i): 1, (g + i, g + i): -1, (j, j): -1, (g + j, g + j): 1})
+            for k, (i, j) in enumerate(pairs)
+        ]
+        swap = identity_matrix(2 * g)
+        swap[0], swap[g] = swap[g], swap[0]
+        if g > 1 and tuple(map(tuple, swap)) not in generators:
+            raise AssertionError("the swap of the first pair is not listed")
+    if not all(map(_squares_to_zero, n)):
+        raise AssertionError("a listed unipotent generator s has (s - 1)^2 != 0")
+    if any(_commutator(a, b) not in (h, {key: -x for key, x in h.items()}) for a, b, h in brackets):
+        raise AssertionError("a bracket of listed unipotent generators is not +-h_i or +-(h_i - h_j)")
     # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
     kept = unipotent[:1] + (unipotent[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
-    actions = [(_sparse_columns(a), ({}, {})) for a in generators]
-    return monomial_moves(kind, g), [_derivation(a) for a in kept], actions
+    zero = kind is GammaType.SYMPLECTIC or g > 1
+    return zero, monomial_moves(kind, g), {}, {}, actions, [_derivation(a) for a, _ in kept]
 
 
 # ---------------------------------------------------------------------------

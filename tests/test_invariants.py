@@ -11,6 +11,7 @@ group the generators generate, so it never counts fewer invariants than the
 oracle.
 """
 
+import bisect
 import io
 import itertools
 import json
@@ -39,6 +40,7 @@ from torelli.invariants import (
     WORK_CAP,
     OracleCapExceeded,
     GradedVCopies,
+    OracleResult,
     _allocations,
     brute_force_invariant_dim,
     gamma_kind_for_oracle,
@@ -245,6 +247,26 @@ def test_history_has_one_entry_per_generator():
     assert result.route == "modp"
 
 
+def test_oracle_setup_asserts_the_weight_premises(monkeypatch):
+    # the matrix facts that put every invariant in V_0 are checked on the
+    # listed generators, before any piece is counted
+    sp, o = group_generators(GammaType.SYMPLECTIC, 2), group_generators(GammaType.ORTHOGONAL, 2)
+    square = tuple(tuple(int(r == c or (r, c) in ((0, 1), (1, 2))) for c in range(4)) for r in range(4))
+    for kind, generators, message in (
+        # a unipotent s with (s - 1)^2 != 0 in the place of T_x1
+        (GammaType.SYMPLECTIC, (square,) + sp[1:], r"\(s - 1\)\^2"),
+        # T_x2 in the place of T_x1, so that [N_x1, N_y1] is not listed
+        (GammaType.SYMPLECTIC, (sp[1], sp[1]) + sp[2:], "bracket"),
+        # E_12 in the place of E_21
+        (GammaType.ORTHOGONAL, o[:5] + (o[4],) + o[6:], "bracket"),
+        # the swap of the first pair left out
+        (GammaType.ORTHOGONAL, o[1:], "swap of the first pair"),
+    ):
+        monkeypatch.setattr(invariants, "group_generators", lambda kind, g, listed=generators: listed)
+        with pytest.raises(AssertionError, match=message):
+            invariants._oracle_setup.__wrapped__(kind, 2)
+
+
 def test_empty_piece_short_circuits():
     result = brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(1, (2,)), 3)
     assert result.dimension == 0 and result.history == ()
@@ -280,8 +302,9 @@ def _power_matrix(a, m, exterior):
 # ---------------------------------------------------------------------------
 # the expansions the oracle replaced, kept as its references: the power
 # columns of a matrix by the multinomial expansion of every basis element,
-# and the image of a block element as the full tensor product of its
-# factors' images
+# the image of a block element as the full tensor product of its factors'
+# images, and the moves on the full block as Kronecker products of the
+# permuted index tuples of each factor
 
 
 @lru_cache(maxsize=None)
@@ -340,18 +363,139 @@ def test_power_columns_match_the_dense_powers(kind):
                 assert [{r: row[c] for r, row in enumerate(dense) if row[c]} for c in range(len(dense))] == columns
 
 
+@lru_cache(maxsize=256)
+def _permuted(move, m, exterior):
+    """The image index and sign of each basis element of Sym^m, or (exterior)
+    Lambda^m, on the basis of `_exponent_vectors`, under a signed permutation
+    given by the (image, sign) of each basis vector: a sorted index tuple
+    goes to the sorted tuple of the images, times their signs and, for a
+    wedge, the sign of the sort, which inserts each image in turn past the
+    larger ones before it.  Elements that the move leaves alone stay."""
+    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
+    basis = list(combos(range(len(move)), m))
+    index = {b: k for k, b in enumerate(basis)}
+    target = [i for i, _ in move]
+    negative = [x < 0 for _, x in move]
+    touched = [x < 0 or i != j for j, (i, x) in enumerate(move)]
+    images, signs = list(range(len(basis))), [1] * len(basis)
+    for k, b in enumerate(basis):
+        if any(map(touched.__getitem__, b)):
+            odd = sum(map(negative.__getitem__, b))
+            image = [] if exterior else sorted(map(target.__getitem__, b))
+            for i in map(target.__getitem__, b) if exterior else ():
+                at = bisect.bisect(image, i)
+                odd += len(image) - at
+                image.insert(at, i)
+            images[k] = index[tuple(image)]
+            signs[k] = -1 if odd % 2 else 1
+    return images, signs
+
+
+def _signed_block(moves, factors):
+    """Each signed permutation of moves on the block of the factors, as image
+    and sign lists: the Kronecker product of its `_permuted` factors, the
+    first outermost."""
+    out = []
+    for move in moves:
+        image, sign = [0], [1]
+        for m, exterior in factors:
+            part_image, part_sign = _permuted(move, m, exterior)
+            image = [r * len(part_image) + s for r in image for s in part_image]
+            sign = [x * y for x in sign for y in part_sign]
+        out.append((image, sign))
+    return out
+
+
+def _all_moves(g):
+    """Every signed generator of each kind and every move at genus g."""
+    moves = {signed_permutation(a) for kind in GammaType for a in group_generators(kind, g)} - {None}
+    return moves | {move for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL) for move in monomial_moves(kind, g)}
+
+
 @pytest.mark.parametrize("g", (1, 2, 3))
 def test_permutation_path_matches_the_power_columns(g):
     # every signed generator of each kind and every move, on Lambda^m and
-    # on Sym^m up to m = 5: the permuted index tuples and their signs are
-    # the one entry of each power column
-    moves = {signed_permutation(a) for kind in GammaType for a in group_generators(kind, g)} - {None}
-    moves |= {move for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL) for move in monomial_moves(kind, g)}
+    # on Sym^m up to m = 5: the image and sign of each basis element, and
+    # the permuted index tuples and their signs, are the one entry of each
+    # power column
+    moves = _all_moves(g)
     assert len(moves) > g + 1
     for move in moves:
         for m, exterior in _powers(g):
-            images, signs = invariants._permuted(move, m, exterior)
-            assert [{r: x} for r, x in zip(images, signs)] == _power_columns(_signed_matrix(move), m, exterior)
+            columns = _power_columns(_signed_matrix(move), m, exterior)
+            basis = invariants._exponent_vectors(2 * g, m, exterior)
+            index = {mono: k for k, mono in enumerate(basis)}
+            images = [invariants._signed_image(move, mono, exterior) for mono in basis]
+            assert [{index[image]: sign} for image, sign in images] == columns
+            images, signs = _permuted(move, m, exterior)
+            assert [{r: x} for r, x in zip(images, signs)] == columns
+
+
+def block_weight(element, g):
+    """Per hyperbolic pair, the x_i factors minus the y_i factors of a block
+    element, one exponent vector per factor."""
+    return tuple(sum(mono[i] - mono[g + i] for mono in element) for i in range(g))
+
+
+def _random_factors(rng, g):
+    """Up to four factors (m, exterior), Lambda^{2g} and Lambda^0 included,
+    whose block has at most 3000 elements."""
+    while True:
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            exterior = rng.random() < 0.5
+            factors.append((rng.randint(0, 2 * g) if exterior else rng.randint(0, 4), exterior))
+        sizes = [math.comb(2 * g, m) if exterior else math.comb(2 * g + m - 1, m) for m, exterior in factors]
+        if math.prod(sizes) <= 3000:
+            return factors
+
+
+def test_weight_zero_enumeration_matches_the_filtered_product():
+    # random blocks, the empty one and those with Lambda^{2g} or odd total
+    # degree among them: the weight-0 elements come in the order of the
+    # product
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(400):
+        g = rng.randint(1, 3)
+        factors = _random_factors(rng, g)
+        product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
+        expected = [element for element in product if not any(block_weight(element, g))]
+        assert invariants._block(g, (), {}, factors, True)[0] == expected
+        assert invariants._block(g, (), {}, factors, False)[0] == product
+        seen.add((not factors, (2 * g, True) in factors, sum(m for m, _ in factors) % 2, bool(expected)))
+    assert {(True, False, 0, True), (False, True, 0, True), (False, False, 1, False)} <= seen
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4))
+def test_weight_zero_single_factors(g):
+    # C(m/2 + g - 1, g - 1) elements of Sym^m and C(g, m/2) of Lambda^m
+    for m in range(13):
+        expected = math.comb(m // 2 + g - 1, g - 1) if m % 2 == 0 else 0
+        assert len(invariants._block(g, (), {}, [(m, False)], True)[0]) == expected
+    for m in range(2 * g + 1):
+        expected = math.comb(g, m // 2) if m % 2 == 0 else 0
+        assert len(invariants._block(g, (), {}, [(m, True)], True)[0]) == expected
+
+
+def test_move_images_match_the_kronecker_products():
+    # every move on random blocks, by the image and sign of each factor's
+    # monomial carried a factor at a time: on the full block the Kronecker
+    # products of the permuted index tuples, and on the weight-0 elements
+    # the same images, at their places among those elements
+    rng = random.Random(20261020)
+    for _ in range(300):
+        g = rng.randint(1, 3)
+        factors = _random_factors(rng, g)
+        moves = sorted(_all_moves(g))
+        product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
+        expected = _signed_block(moves, factors)
+        elements, moved = invariants._block(g, moves, {}, factors, False)
+        assert elements == product and moved == expected
+        elements, moved = invariants._block(g, moves, {}, factors, True)
+        index = {element: b for b, element in enumerate(product)}
+        at = {index[element]: k for k, element in enumerate(elements)}
+        assert moved == [([at[image[b]] for b in at], [sign[b] for b in at]) for image, sign in expected]
 
 
 def test_factor_wise_image_matches_the_tensor_product():
@@ -553,19 +697,21 @@ def _kron_columns(factors):
     return columns
 
 
-def _rows_minus_identity(columns):
-    """The nonzero rows of M - 1, as sparse rows, for M given by its columns."""
-    rows = [{} for _ in columns]
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            rows[r][c] = x
-    for r, row in enumerate(rows):
-        x = row.get(r, 0) - 1
+def _rows_minus_identity(columns, keep):
+    """The nonzero rows of M - 1 on the basis vectors keep, as sparse rows on
+    their places in keep, for M given by its columns: their kernel is the
+    vectors in the span of keep that M fixes."""
+    rows = {}
+    for k, c in enumerate(keep):
+        for r, x in columns[c].items():
+            rows.setdefault(r, {})[k] = x
+        row = rows.setdefault(c, {})
+        x = row.get(k, 0) - 1
         if x:
-            row[r] = x
+            row[k] = x
         else:
-            row.pop(r, None)
-    return [row for row in rows if row]
+            row.pop(k, None)
+    return [row for row in rows.values() if row]
 
 
 def _fixed_by_columns(generator_columns, vector):
@@ -574,24 +720,21 @@ def _fixed_by_columns(generator_columns, vector):
 
 def _block_kernel_history(generator_columns):
     """Joint-kernel dimension of M - 1 after each generator M of one block,
-    given by its sparse columns, and whether the certificate failed: False
-    when every kernel vector modulo PRIME lifts to one every M fixes, else
-    True, with the elimination rerun over Q."""
+    given by its sparse columns; whether the certificate failed: False when
+    every kernel vector modulo PRIME lifts to one every M fixes, else True,
+    with the elimination rerun over Q; and the kernel vectors, lifted or over
+    Q."""
     size, p = len(generator_columns[0]), invariants.PRIME
-    history, pivots = invariants._echelon_history(generator_columns, _rows_minus_identity, size, p)
+    rows_of = partial(_rows_minus_identity, keep=range(size))
+    history, pivots = invariants._echelon_history(generator_columns, rows_of, size, p)
+    vectors = []
     for vector in invariants._kernel_vectors(pivots, size, p) if history[-1] else ():
         lifted = invariants._lift(vector, p)
         if lifted is None or not _fixed_by_columns(generator_columns, lifted):
-            return invariants._echelon_history(generator_columns, _rows_minus_identity, size, 0)[0], True
-    return history, False
-
-
-def _kernel_block(generators, factors):
-    """`_block_kernel_history` on the block of the factors (m, exterior),
-    each generator's columns the kron of its power columns."""
-    return _block_kernel_history(
-        [_kron_columns([_power_columns(a, m, exterior) for m, exterior in factors]) for a in generators]
-    )
+            history, pivots = invariants._echelon_history(generator_columns, rows_of, size, 0)
+            return history, True, invariants._kernel_vectors(pivots, size, 0) if history[-1] else []
+        vectors.append(lifted)
+    return history, False, vectors
 
 
 def kept_generators(kind, g):
@@ -611,19 +754,36 @@ def kept_generators(kind, g):
 def kernel_invariant_dim(kind, copies, degree):
     """The count as the joint kernel of rho(s) - 1, block by block, over the
     oracle's moves, then its kept generators, then every other listed
-    generator: the last entry is the count of the generated group; the
-    route is that of this reference's own certificate."""
-    first = [_signed_matrix(move) for move in monomial_moves(kind, copies.g)] + kept_generators(kind, copies.g)
-    generators = first + [a for a in group_generators(kind, copies.g) if a not in first]
+    generator, on the whole block: the last entry is the count of the
+    generated group, and the route is that of this reference's own
+    certificate.  With it, the history of the same elimination on the
+    weight-0 basis vectors (on all of them for the orthogonal kind at g = 1)
+    after the last move and after each kept generator, the entries the oracle
+    reports; and the kernel vectors on the whole blocks, by block element."""
+    g = copies.g
+    moves = [_signed_matrix(move) for move in monomial_moves(kind, g)]
+    first = moves + kept_generators(kind, g)
+    generators = first + [a for a in group_generators(kind, g) if a not in first]
+    zero = kind is GammaType.SYMPLECTIC or g > 1
     history = [0] * len(generators) if piece_dimension(copies, degree) else []
-    return invariants._count(copies, degree, history, partial(_kernel_block, generators))
-
-
-def oracle_history(kind, g, history):
-    """The entries of a `kernel_invariant_dim` history that the oracle
-    reports: after the last move, then after each kept generator."""
-    moves = len(monomial_moves(kind, g))
-    return history[moves - 1 : moves + len(kept_generators(kind, g))]
+    restricted = history[len(moves) - 1 : len(first)]
+    vectors, rational = [], False
+    for alloc in _allocations(copies, degree):
+        factors = [(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m]
+        bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
+        elements = list(itertools.product(*bases))
+        columns = [_kron_columns([_power_columns(a, m, exterior) for m, exterior in factors]) for a in generators]
+        block_history, block_rational, block_vectors = _block_kernel_history(columns)
+        keep = [b for b, element in enumerate(elements) if not (zero and any(block_weight(element, g)))]
+        rows_of = partial(_rows_minus_identity, keep=keep)
+        block_restricted = invariants._echelon_history(columns[: len(first)], rows_of, len(keep), invariants.PRIME)[0]
+        block_restricted = block_restricted[len(moves) - 1 :]
+        history = [h + b for h, b in zip(history, block_history)]
+        restricted = [h + b for h, b in zip(restricted, block_restricted)]
+        rational |= block_rational
+        vectors += [{elements[b]: x for b, x in vector.items()} for vector in block_vectors]
+    count = OracleResult(history[-1] if history else 0, tuple(history), "rational" if rational else "modp")
+    return count, tuple(restricted), vectors
 
 
 def _sparse_product(a, b):
@@ -664,7 +824,7 @@ def test_transvections_act_as_the_exponential_of_their_derivation(g):
         for factors in TRANSVECTION_BLOCKS:
             if any(exterior and m > 2 * g for m, exterior in factors):
                 continue
-            elements = invariants._block_elements(g, factors)
+            elements = list(itertools.product(*[invariants._exponent_vectors(2 * g, *factor) for factor in factors]))
             index = {element: b for b, element in enumerate(elements)}
             columns = [{b: 1} for b in range(len(elements))]
             rows = invariants._derivation_rows(factors, elements, columns, derivation)
@@ -728,10 +888,12 @@ def test_symplectic_route_matches_the_full_kernel(g, degrees, degree):
     # invertible factor, modulo PRIME too
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
-    reference = kernel_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
-    assert result.history == oracle_history(GammaType.SYMPLECTIC, g, reference.history)
-    assert result.dimension == reference.dimension
+    reference, history, vectors = kernel_invariant_dim(GammaType.SYMPLECTIC, copies, degree)
+    assert result.history == history
+    assert result.dimension == reference.dimension == len(vectors)
     assert result.route == reference.route == "modp"
+    # every invariant of the whole block lies in V_0
+    assert not any(any(block_weight(element, g)) for vector in vectors for element in vector)
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +917,25 @@ def test_rational_reconstruction_none():
     assert [a for a in range(13) if invariants.rational_reconstruction(a, 13) is None] == [3, 4, 5, 8, 9, 10]
 
 
+# (kind, g, copy degrees, degree) of the squares of the orthogonal form,
+# Sym^4 V at g = 2 and 3
+SQUARED_FORMS = ((GammaType.ORTHOGONAL, 2, (2,), 8), (GammaType.ORTHOGONAL, 3, (2,), 8))
+
+
 def test_tiny_prime_falls_back_to_rational(monkeypatch):
-    exact = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
-    assert [result.route for result in exact.values()] == ["modp"] * 9
-    # the derivation takes x_1^2 + y_1^2 + x_2^2 + y_2^2 to 2 x_1 x_2 -
-    # 2 y_1 y_2, which vanishes modulo 2, so at g = 2 and 3 a sum of squares
-    # fails its exact check; on the two largest symplectic tensor powers the
-    # kernel modulo 2 is larger than over Q.  The signs of an orbit sum are
-    # exact, so the smaller invariants lift even modulo 2
+    pieces = CRITERION_6_PIECES + SQUARED_FORMS
+    exact = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in pieces}
+    assert [result.route for result in exact.values()] == ["modp"] * 11
+    # on V_0, Sym^2 V keeps only the form x_1 y_1 + x_2 y_2 (+ x_3 y_3),
+    # whose entries 1 lift even modulo 2; the square of the form has the
+    # entry 2 on x_1 y_1 x_2 y_2, which vanishes modulo 2, so Sym^4 V at g = 2
+    # and 3 fails its certificate; on the two largest symplectic tensor powers
+    # the kernel modulo 2 is larger than over Q.  The signs of an orbit sum
+    # are exact, so the smaller invariants lift even modulo 2
     monkeypatch.setattr(invariants, "PRIME", 2)
-    fallback = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in CRITERION_6_PIECES}
+    fallback = {piece: brute_force_invariant_dim(piece[0], GradedVCopies(*piece[1:3]), piece[3]) for piece in pieces}
     assert {piece for piece, result in fallback.items() if result.route == "rational"} == set(
-        CRITERION_6_PIECES[1:3] + CRITERION_6_PIECES[7:]
+        CRITERION_6_PIECES[7:] + SQUARED_FORMS
     )
     for piece, result in fallback.items():
         assert result.dimension == exact[piece].dimension
@@ -779,23 +948,23 @@ def test_failed_lift_falls_back_to_rational(monkeypatch):
     # one generator M with M - 1 = [[1, -3], [0, 0]]: its kernel is spanned
     # by (3, 1), and modulo 5 no fraction n/d with |n|, d <= 1 is 3
     columns = [{0: 2}, {0: -3, 1: 1}]
-    assert _block_kernel_history([columns]) == ([1], False)
+    assert _block_kernel_history([columns]) == ([1], False, [{0: 3, 1: 1}])
     monkeypatch.setattr(invariants, "PRIME", 5)
     assert invariants.rational_reconstruction(3, 5) is None
-    assert _block_kernel_history([columns]) == ([1], True)
+    assert _block_kernel_history([columns]) == ([1], True, [{0: 3, 1: 1}])
 
 
 def test_symplectic_certificate_falls_back_to_rational(monkeypatch):
-    # Sym^2 V at g = 2: V^H is spanned by the orbit sum x_1^2 + y_1^2 +
-    # x_2^2 + y_2^2, and the derivations take each y_i^2 to 2 x_i y_i and
-    # the like, which vanish modulo 2, so the kernel modulo 2 does not shrink
-    # to 0 and its vector fails the exact check; the rerun over Q gives the
+    # Sym^4 V at g = 2: V_0^H is spanned by the orbit sum x_1^2 y_1^2 +
+    # x_2^2 y_2^2, and the derivations take each y_i^2 to 2 x_i y_i and the
+    # like, which vanish modulo 2, so the kernel modulo 2 does not shrink to
+    # 0 and its vector fails the exact check; the rerun over Q gives the
     # exact history, where the elimination modulo 2 reads 1 1 1
     copies = GradedVCopies(2, (2,))
-    exact = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4)
+    exact = brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 8)
     assert exact == (0, (1, 0, 0), "modp")
     monkeypatch.setattr(invariants, "PRIME", 2)
-    assert brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 4) == exact._replace(route="rational")
+    assert brute_force_invariant_dim(GammaType.SYMPLECTIC, copies, 8) == exact._replace(route="rational")
 
 
 # (g, copy degrees, degree) of the orthogonal pieces both routes count: those
@@ -819,14 +988,28 @@ ORTHOGONAL_PIECES = (
 def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
     copies = GradedVCopies(g, degrees)
     result = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
-    reference = kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
+    reference, history, vectors = kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
     assert result.route == reference.route == "modp"
-    assert result.dimension == reference.dimension
-    assert result.history == oracle_history(GammaType.ORTHOGONAL, g, reference.history)
+    assert result.dimension == reference.dimension == len(vectors)
+    assert result.history == history
+    # at g >= 2 every invariant of the whole block lies in V_0
+    outside = any(any(block_weight(element, g)) for vector in vectors for element in vector)
+    assert not outside or g == 1
     piece = piece_dimension(copies, degree)
     assert len(result.history) == (0 if not piece else 1 if g == 1 else 2)
     assert all(x >= y for x, y in zip((piece,) + result.history, result.history))
     assert result.history[-1:] in ((), (result.dimension,))
+
+
+def test_rank_one_orthogonal_invariant_outside_weight_zero():
+    # O_{1,1}(Z) is finite, and x^2 + y^2 in Sym^2 V is an invariant of weight
+    # +-2, so at g = 1 the orthogonal kind keeps its whole block
+    copies = GradedVCopies(1, (2,))
+    reference, history, vectors = kernel_invariant_dim(GammaType.ORTHOGONAL, copies, 4)
+    assert reference.dimension == 2 and history == (2,)
+    assert any(any(block_weight(element, 1)) for vector in vectors for element in vector)
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 4) == (2, (2,), "modp")
+
 
 
 @pytest.mark.parametrize(
@@ -835,15 +1018,15 @@ def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
     ids=["o", "sp"],
 )
 def test_rational_rerun_is_certified(monkeypatch, kind, count):
-    # Sym^2 V at g = 2 with no derivation rows: the kernel is all of V^H,
+    # Sym^4 V at g = 2 with no derivation rows: the kernel is all of V_0^H,
     # whose orbit sums lift and fail the exact check, and fail it again over
-    # Q, where the count would otherwise read dim V^H
+    # Q, where the count would otherwise read dim V_0^H
     copies = GradedVCopies(2, (2,))
-    assert brute_force_invariant_dim(kind, copies, 4) == count
+    assert brute_force_invariant_dim(kind, copies, 8) == count
     monkeypatch.setattr(invariants, "_oracle_setup", invariants._oracle_setup.__wrapped__)
     monkeypatch.setattr(invariants, "_derivation", lambda a: ([], ({}, {})))
     with pytest.raises(AssertionError, match="not fixed by every listed generator"):
-        brute_force_invariant_dim(kind, copies, 4)
+        brute_force_invariant_dim(kind, copies, 8)
 
 
 def test_orbit_certificate_falls_back_to_rational(monkeypatch):
@@ -851,9 +1034,9 @@ def test_orbit_certificate_falls_back_to_rational(monkeypatch):
     # which vanishes modulo 2
     copies = GradedVCopies(2, (2,))
     exact = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8)
-    assert exact == (1, (6, 1), "modp")
+    assert exact == (1, (2, 1), "modp")
     monkeypatch.setattr(invariants, "PRIME", 2)
-    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (6, 1), "rational")
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (2, 1), "rational")
 
 
 def rank_one_molien_series(copy_degrees, top):
