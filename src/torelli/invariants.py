@@ -46,8 +46,12 @@ The count is certified over Q from both sides:
 - lower bound: each kernel vector modulo p has a unit entry on its own free
   column and zeros on the other free columns; it is lifted to Q by rational
   reconstruction and checked exactly, over the integers, to be fixed by every
-  listed generator, applied one copy at a time.  Lifted vectors that pass
-  are independent invariants.
+  listed generator s.  A signed permutation (J, -I, the swaps) must take each
+  block element to one that carries the same coefficient times its sign.  A
+  unipotent s = 1 + N must give D_N v = 0, the criterion the elimination
+  uses: rho(s) - 1 = D_N U with U invertible, so over Q that is rho(s) v = v.
+  Both act one factor at a time, D_N with one term per factor and entry of N.
+  Lifted vectors that pass are independent invariants.
 
 When a lift fails, or a lifted vector fails its check, the same elimination
 runs again over Q, and the route reads "rational".  Its kernel vectors are
@@ -84,13 +88,14 @@ from .linalg import kernel_basis  # noqa: F401
 PRIME = 2_147_483_647
 
 # the a-priori cap on `_orbit_work`, for both kinds; it counts the whole
-# piece, and the slowest piece found inside it takes about 0.45 s in process:
-# degree 120 on the 28 copies of crosscheck-sec6 --n 8 --g 1 (o, 589128
-# dimensions, whole blocks at g = 1), where Sym^12 V at g = 4 takes 0.06 s
+# piece, and the slowest piece found inside it takes about 0.3 s in process:
+# degree 120 on the 30 copies of crosscheck-sec6 --n 8 --g 1 --maxdeg 120 (o,
+# 589128 dimensions, whole blocks at g = 1), where Sym^12 V at g = 4 takes
+# 0.015 s and the slowest sp piece found, degree 70 at --n 9 --g 2, 0.1 s
 WORK_CAP = 2_500_000
 # the cap on that work summed over the pieces of one crosscheck request; the
-# slowest requests found inside it take about 0.5 s (--n 8 --g 1 --maxdeg 115,
-# 4.8 million) and 0.15 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
+# slowest requests found inside it take about 0.35 s (--n 8 --g 1 --maxdeg 115,
+# 4.8 million) and 0.09 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
 REQUEST_WORK_CAP = 5_000_000
 
 
@@ -196,17 +201,34 @@ class GradedVCopies(
         return super().__new__(cls, g, tuple(copy_degrees))
 
 
-# an oracle request reads the same table three or four times: its piece
-# dimension, its allocations, the CLI's piece column and the orbit work
-@lru_cache(maxsize=8)
-def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ...]:
+# the table of the largest degree asked for, for each of the last 16 keys: an
+# oracle request reads its tail table three or four times (its piece
+# dimension, its allocations, the CLI's piece column and the orbit work), and
+# the pieces of a crosscheck read the tables of its top degree, since the
+# entries up to a degree do not depend on the truncation
+_TABLES: dict = {}
+
+
+def _widest(key, degree: int, build: Callable):
+    """build(degree), or the table that build gave under key for a larger
+    degree."""
+    top, table = _TABLES.pop(key, (-1, None))
+    if top < degree:
+        top, table = degree, build(degree)
+    _TABLES[key] = top, table
+    if len(_TABLES) > 16:
+        del _TABLES[next(iter(_TABLES))]
+    return table
+
+
+def _tail_table(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ...]:
     """tails[i][e]: the dimension of the degree-e piece on the copies from
     the i-th on, for e <= degree (the last entry: 1 in degree 0 only).  A copy
     of odd degree d multiplies the series by (1 + q^d)^{2g}, its exterior
     powers, and one of even degree d by 1/(1 - q^d)^{2g}, its symmetric
     powers: 2g passes of a running sum with step d, taken downwards for the
-    product and upwards for the quotient.  Cached, so tuples that no caller
-    can change."""
+    product and upwards for the quotient.  Tuples, since callers share
+    them."""
     tail = [1] + [0] * degree
     tails = [tail]
     for d in reversed(copies.copy_degrees):
@@ -220,28 +242,39 @@ def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...
     return tuple(map(tuple, reversed(tails)))
 
 
-def _orbit_work(kind: GammaType, copies: GradedVCopies, degree: int) -> list[int]:
+def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The `_tail_table` of the copies up to degree, or beyond it."""
+    return _widest(copies, degree, partial(_tail_table, copies))
+
+
+def _work_table(kind: GammaType, copies: GradedVCopies, degree: int) -> tuple[int, ...]:
     """The oracle's work in each degree up to degree, counted a priori.  For
     the orthogonal kind: the monomials visited, 2g exponents by each of the
     g + 1 moves, plus the nonzeros of the images under s, which the exact
-    check touches.  s moves x_1 to x_1 + x_2 and y_2 to y_2 - y_1, so on an
-    even copy x_1^a y_2^b has (a + 1)(b + 1) terms, counted by 1/(1 -
+    check once touched and now over-counts: it takes D_N, with one term per
+    factor and entry of N.  s moves x_1 to x_1 + x_2 and y_2 to y_2 - y_1, so
+    on an even copy x_1^a y_2^b has (a + 1)(b + 1) terms, counted by 1/(1 -
     q^d)^{2g+2}, and an odd copy is bounded by (1 + 2q^d)^2 (1 + q^d)^{2g-2}.
     At g = 1 there is no s.  For the symplectic kind: 8(g + 8) per element,
     a visit by each of the g moves and about eight more for the rows, the
-    elimination and the exact check, which dominate at g <= 2; a visit is 8
-    units, about as long as the orthogonal kind's unit takes."""
+    elimination and the exact check; a visit is 8 units, about as long as
+    the orthogonal kind's unit takes."""
     g = copies.g
-    pieces = _tail_dimensions(copies, degree)[0]
+    pieces = _tail_dimensions(copies, degree)[0][: degree + 1]
     if kind is GammaType.SYMPLECTIC:
-        return [8 * (g + 8) * x for x in pieces]
+        return tuple(8 * (g + 8) * x for x in pieces)
     images = [int(g > 1)] + [0] * degree
     for d in copies.copy_degrees:
         steps = range(degree, d - 1, -1) if d % 2 else range(d, degree + 1)
         for weight in [2, 2] + [1] * (2 * g - 2) if d % 2 else [1] * (2 * g + 2):
             for e in steps:
                 images[e] += weight * images[e - d]
-    return [2 * g * (g + 1) * x + y for x, y in zip(pieces, images)]
+    return tuple(2 * g * (g + 1) * x + y for x, y in zip(pieces, images))
+
+
+def _orbit_work(kind: GammaType, copies: GradedVCopies, degree: int) -> tuple[int, ...]:
+    """The `_work_table` of the copies in each degree up to degree."""
+    return _widest((kind, copies), degree, partial(_work_table, kind, copies))[: degree + 1]
 
 
 def _allocations(copies: GradedVCopies, degree: int):
@@ -292,46 +325,6 @@ def _exponent_vectors(dim: int, m: int, exterior: bool) -> tuple[tuple[int, ...]
     as exponent vectors, in the order of their sorted index tuples."""
     combos = itertools.combinations if exterior else itertools.combinations_with_replacement
     return tuple(tuple(map(b.count, range(dim))) for b in combos(range(dim), m))
-
-
-@lru_cache(maxsize=4096)
-def _shares(column: tuple[tuple[int, int], ...], k: int) -> list[tuple[tuple, int]]:
-    """The terms of (sum x e_i)^k over a column's entries (i, x): the pairs
-    (i, t > 0) of each way of sharing k among them, and its coefficient."""
-    (i, x), rest = column[0], column[1:]
-    if not rest:
-        return [(((i, k),) * (k > 0), x**k)]
-    return [
-        (((i, t),) * (t > 0) + shares, math.comb(k, t) * x**t * c)
-        for t in range(k + 1)
-        for shares, c in _shares(rest, k - t)
-    ]
-
-
-def _monomial_image(a, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
-    """The image of a basis element of Sym^m, or (exterior) Lambda^m, given
-    by its exponent vector, under the matrix with sparse columns a: e_j^k
-    goes to the k-th power of column j, and a wedge factor sorted into place
-    passes every larger index."""
-    expansion = {(0,) * len(mono): 1}
-    for j, k in enumerate(mono):
-        if not k:
-            continue
-        nxt: dict[tuple[int, ...], int] = {}
-        for shares, y in _shares(a[j], k):
-            for term, c in expansion.items():
-                key = list(term)
-                c *= y
-                for i, t in shares:
-                    if exterior and key[i]:
-                        c = 0
-                    elif exterior and sum(key[i + 1 :]) % 2:
-                        c = -c
-                    key[i] += t
-                if c:
-                    nxt[tuple(key)] = nxt.get(tuple(key), 0) + c
-        expansion = nxt
-    return {term: c for term, c in expansion.items() if c}
 
 
 def rational_reconstruction(a: int, p: int) -> Fraction | None:
@@ -428,23 +421,23 @@ def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list
     return history, pivots
 
 
-def _certified_history(groups, rows_of, elements, columns, factors, actions) -> tuple[list[int], bool]:
-    """`_echelon_history` on columns, sparse vectors on the block elements of
-    the factors, modulo PRIME when every kernel vector lifts to one whose
-    combination of columns every action fixes under `_block_apply`, and else
-    over Q, whose kernel vectors must pass the same check; and whether it
-    took the rerun.  The rank mod p is at most the rank over
-    Q, so the last entry bounds the rational kernel from above; verified
-    kernel vectors bound it from below."""
+def _certified_history(groups, rows_of, columns, fixed) -> tuple[list[int], bool]:
+    """`_echelon_history` on columns, sparse vectors on the block elements,
+    modulo PRIME when every kernel vector lifts and fixed(vectors) holds for
+    their combinations of columns, and else over Q, whose kernel vectors
+    must pass the same check; and whether it took the rerun.  fixed holds
+    when every listed generator fixes every vector exactly (see the module
+    docstring).  The rank mod p is at most the rank over Q, so the last
+    entry bounds the rational kernel from above; verified kernel vectors
+    bound it from below."""
     size = len(columns)
     for p in (PRIME, 0):
         history, pivots = _echelon_history(groups, rows_of, size, p)
-        for vector in _kernel_vectors(pivots, size, p) if history[-1] else ():
-            vector = _lift(vector, p) if p else vector  # None when an entry has no lift
-            invariant = vector and {elements[b]: c * e for k, c in vector.items() for b, e in columns[k].items()}
-            if not invariant or any(_block_apply(a, factors, invariant) != invariant for a in actions):
-                break
-        else:
+        # None marks a vector with an entry that has no lift
+        vectors = [_lift(v, p) if p else v for v in _kernel_vectors(pivots, size, p)] if history[-1] else []
+        if None not in vectors and (
+            not vectors or fixed([{b: c * e for k, c in v.items() for b, e in columns[k].items()} for v in vectors])
+        ):
             return history, not p
     raise AssertionError("a rational kernel vector is not fixed by every listed generator")
 
@@ -602,30 +595,6 @@ def _block(g: int, moves, groups: dict, factors, zero: bool) -> tuple[list[tuple
     return [elements[b] for b in order], list(zip(images, ([sign[b] for b in order] for sign in signs)))
 
 
-def _block_apply(action, factors, vector: dict) -> dict:
-    """The image of a vector on the block of the factors, keyed by block
-    element, under a matrix given as (sparse columns, caches of monomial
-    images, None when fixed), applied one factor at a time: the block matrix
-    is the product of the actions on each factor, so the work adds over the
-    factors rather than multiplying."""
-    a, cache = action
-    for f, (m, exterior) in enumerate(factors):
-        image = dict(vector)
-        for element, c in vector.items():
-            mono = element[f]
-            if mono not in cache[exterior]:
-                part = _monomial_image(a, mono, exterior)
-                cache[exterior][mono] = None if part == {mono: 1} else part
-            part = cache[exterior][mono]
-            if part is not None and c:
-                image[element] -= c
-                for b, x in part.items():
-                    key = element[:f] + (b,) + element[f + 1 :]
-                    image[key] = image.get(key, 0) + c * x
-        vector = image
-    return {key: c for key, c in vector.items() if c}
-
-
 def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
     """The image of a basis element of Sym^m, or (exterior) Lambda^m, given
     by its exponent vector, under the derivation that a matrix induces, given
@@ -665,6 +634,34 @@ def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -
     return rows
 
 
+def _fixed_by_derivation(derivation, factors, elements, vectors: Sequence[Column]) -> bool:
+    """Whether D_N v = 0 for the `_derivation` of N = s - 1 and each vector,
+    sparse on the block elements of the factors: over Q that is rho(s) v = v
+    when N^2 = 0."""
+    rows = _derivation_rows(factors, elements, vectors, derivation)
+    return not any(x for row in rows.values() for x in row.values())
+
+
+def _fixed_by_move(move, cache: dict, factors, elements, vectors: Sequence[Column]) -> bool:
+    """Whether the signed permutation move, by the (image, sign) of each basis
+    vector, fixes each vector, sparse on the block elements of the factors:
+    each element's image must carry the element's coefficient times the
+    sign.  cache keeps each factor monomial's `_signed_image`."""
+    for vector in vectors:
+        keyed = {elements[b]: x for b, x in vector.items()}
+        for element, x in keyed.items():
+            image = []
+            for mono, (_, exterior) in zip(element, factors):
+                if (mono, exterior) not in cache:
+                    cache[mono, exterior] = _signed_image(move, mono, exterior)
+                part, sign = cache[mono, exterior]
+                image.append(part)
+                x *= sign
+            if keyed.get(tuple(image)) != x:
+                return False
+    return True
+
+
 def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
     """A basis of the block vectors that the signed permutations moves, given
     as (image, sign) lists, fix: the sums of the orbits, up to sign, of the
@@ -688,19 +685,21 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, zero: bool, moves, groups, blocks, actions, derivations, factors) -> tuple[list[int], bool]:
+def _orbit_block(g: int, zero: bool, moves, groups, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
     derivation is listed] on V, the block of the factors or (zero) its
-    weight-0 part; whether it was rerun.  Kept in blocks by PRIME and the
-    factors: a block depends on its copies only through (m, exterior)."""
+    weight-0 part; whether it was rerun.  The kernel vectors must pass every
+    check in checks.  Kept in blocks by PRIME and the factors: a block
+    depends on its copies only through (m, exterior)."""
     key = (PRIME, tuple(factors))
     if key not in blocks:
         elements, moved = _block(g, moves, groups, factors, zero)
         sums = _orbit_sums(len(elements), moved)
         rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
+        fixed = lambda vectors: all(check(factors, elements, vectors) for check in checks)  # noqa: E731
         history, rational = ([], False)
         if derivations:
-            history, rational = _certified_history(derivations, rows_of, elements, sums, factors, actions)
+            history, rational = _certified_history(derivations, rows_of, sums, fixed)
         blocks[key] = [len(sums)] + history, rational
     return blocks[key]
 
@@ -727,46 +726,34 @@ def brute_force_invariant_dim(
     return _count(copies, degree, history, partial(_orbit_block, copies.g, *setup))
 
 
-def _commutator(a, b) -> dict:
-    """ab - ba, which is [a - 1, b - 1], for matrices by their sparse
-    columns, as {(row, column): entry}."""
+def _product_sum(terms) -> dict:
+    """The sum of x N M over the terms (x, N, M), for matrices by their
+    nonzero sparse columns (j, column), as {(row, column): entry}."""
     out: dict = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        for j, column in enumerate(y):
-            for k, v in column:
-                for i, u in x[k]:
-                    out[i, j] = out.get((i, j), 0) + sign * u * v
-    return {key: u for key, u in out.items() if u}
-
-
-def _squares_to_zero(a) -> bool:
-    """Whether (a - 1)^2 = 0, for a by its sparse columns: a a e_j - 2 a e_j
-    + e_j = 0 for every column j that a moves."""
-    for j, column in enumerate(a):
-        if column != ((j, 1),):
-            image = {j: 1}
+    for x, n, m in terms:
+        left = dict(n)
+        for j, column in m:
             for k, y in column:
-                image[k] = image.get(k, 0) - 2 * y
-                for i, x in a[k]:
-                    image[i] = image.get(i, 0) + x * y
-            if any(image.values()):
-                return False
-    return True
+                for i, u in left.get(k, ()):
+                    out[i, j] = out.get((i, j), 0) + x * u * y
+    return {key: u for key, u in out.items() if u}
 
 
 @lru_cache(maxsize=4)
 def _oracle_setup(kind: GammaType, g: int) -> tuple:
     """Whether the route keeps to weight 0, after asserting the matrix facts
-    that allow it (see the module docstring); the moves; a cache of their
-    images and one of block counts; every listed generator by its sparse
-    columns with caches of its monomial images; and the `_derivation` of one
-    unipotent generator per H-conjugacy class.  The pieces of one genus
-    share them."""
+    that allow it (see the module docstring) on the `_derivation` of N = s -
+    1 for each listed unipotent s; the moves; a cache of their images and
+    one of block counts; the exact check of each listed generator, D_N v = 0
+    for a unipotent s and the signed images of a signed permutation, each
+    with a cache of its monomial images; and the derivations of one
+    unipotent generator per H-conjugacy class, the same objects as the
+    check's, so that both share their caches.  The pieces of one genus share
+    them."""
     generators = group_generators(kind, g)
-    actions = [(_sparse_columns(a), ({}, {})) for a in generators]
-    # the listed s that are not signed permutations, and s by its sparse columns
-    unipotent = [(a, columns) for a, (columns, _) in zip(generators, actions) if not signed_permutation(a)]
-    n = [columns for _, columns in unipotent]
+    signed = [signed_permutation(a) for a in generators]
+    derivations = [_derivation(a) for a, move in zip(generators, signed) if move is None]
+    n = [columns for columns, _ in derivations]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
         brackets = [(n[i], n[g + i], {(i, i): 1, (g + i, g + i): -1}) for i in range(g)]
     else:  # [N_ij, N_ji] = +-(h_i - h_j); the E_ij are listed in the order of (i, j)
@@ -779,14 +766,16 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
         swap[0], swap[g] = swap[g], swap[0]
         if g > 1 and tuple(map(tuple, swap)) not in generators:
             raise AssertionError("the swap of the first pair is not listed")
-    if not all(map(_squares_to_zero, n)):
+    if any(_product_sum([(1, a, a)]) for a in n):
         raise AssertionError("a listed unipotent generator s has (s - 1)^2 != 0")
-    if any(_commutator(a, b) not in (h, {key: -x for key, x in h.items()}) for a, b, h in brackets):
+    if any(_product_sum([(1, a, b), (-1, b, a)]) not in (h, {key: -x for key, x in h.items()}) for a, b, h in brackets):
         raise AssertionError("a bracket of listed unipotent generators is not +-h_i or +-(h_i - h_j)")
+    checks = [partial(_fixed_by_derivation, d) for d in derivations]
+    checks += [partial(_fixed_by_move, move, {}) for move in signed if move]
     # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
-    kept = unipotent[:1] + (unipotent[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
+    kept = derivations[:1] + (derivations[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
     zero = kind is GammaType.SYMPLECTIC or g > 1
-    return zero, monomial_moves(kind, g), {}, {}, actions, [_derivation(a) for a, _ in kept]
+    return zero, monomial_moves(kind, g), {}, {}, checks, kept
 
 
 # ---------------------------------------------------------------------------

@@ -191,16 +191,33 @@ def test_allocations_over_many_copies():
 
 
 @pytest.mark.parametrize("kind", ["sp", "o"])
-def test_tail_dimensions_once_per_request(kind):
+def test_tail_dimensions_once_per_request(monkeypatch, kind):
     # the route's piece dimension, its allocations (and for the orthogonal
-    # kind its work count) and the CLI's piece column read one cached table,
-    # of tuples, so that none of them can change it for the others
-    invariants._tail_dimensions.cache_clear()
+    # kind its work count) and the CLI's piece column read one table, of
+    # tuples, so that none of them can change it for the others; and the
+    # pieces of a crosscheck read the tables of its top degree, built once
+    # per window of its caps' pre-check, not once per piece
+    built = []
+
+    def counted(build, *args):
+        built.append(args)
+        return build(*args)
+
+    for name in ("_tail_table", "_work_table"):
+        monkeypatch.setattr(invariants, name, partial(counted, getattr(invariants, name)))
+    monkeypatch.setattr(invariants, "_TABLES", {})
     argv = ["invariant-oracle", "--type", kind, "--g", "1", "--degrees", "1,3,9,27", "--deg", "40"]
     assert run(argv, out=io.StringIO()) == 0
-    assert invariants._tail_dimensions.cache_info().misses == 1
-    tails = invariants._tail_dimensions(GradedVCopies(1, (1, 3, 9, 27)), 40)
+    copies = GradedVCopies(1, (1, 3, 9, 27))
+    assert built == [(GammaType(kind), copies, 40), (copies, 40)]
+    tails = invariants._tail_dimensions(copies, 40)
     assert isinstance(tails, tuple) and all(isinstance(tail, tuple) for tail in tails)
+    built.clear()
+    n = 8 if kind == "o" else 9
+    argv = ["crosscheck-sec6", "--n", str(n), "--g", "1", "--maxdeg", "80", "--oracle"]
+    assert run(argv, out=io.StringIO()) == 0
+    copies = GradedVCopies(1, tuple(go_shifted_degrees(n, 80)))
+    assert built == [(GammaType(kind), copies, 64), (copies, 64), (GammaType(kind), copies, 80), (copies, 80)]
 
 
 def _dim(kind, g, degrees, degree):
@@ -252,6 +269,8 @@ def test_oracle_setup_asserts_the_weight_premises(monkeypatch):
     # listed generators, before any piece is counted
     sp, o = group_generators(GammaType.SYMPLECTIC, 2), group_generators(GammaType.ORTHOGONAL, 2)
     square = tuple(tuple(int(r == c or (r, c) in ((0, 1), (1, 2))) for c in range(4)) for r in range(4))
+    n = invariants._derivation(square)[0]
+    assert not _squares_to_zero(invariants._sparse_columns(square)) and invariants._product_sum([(1, n, n)])
     for kind, generators, message in (
         # a unipotent s with (s - 1)^2 != 0 in the place of T_x1
         (GammaType.SYMPLECTIC, (square,) + sp[1:], r"\(s - 1\)\^2"),
@@ -303,8 +322,88 @@ def _power_matrix(a, m, exterior):
 # the expansions the oracle replaced, kept as its references: the power
 # columns of a matrix by the multinomial expansion of every basis element,
 # the image of a block element as the full tensor product of its factors'
-# images, and the moves on the full block as Kronecker products of the
-# permuted index tuples of each factor
+# images, the image of a vector applied one factor at a time, and the moves
+# on the full block as Kronecker products of the permuted index tuples of
+# each factor
+
+
+@lru_cache(maxsize=4096)
+def _shares(column, k):
+    """The terms of (sum x e_i)^k over a column's entries (i, x): the pairs
+    (i, t > 0) of each way of sharing k among them, and its coefficient."""
+    (i, x), rest = column[0], column[1:]
+    if not rest:
+        return [(((i, k),) * (k > 0), x**k)]
+    return [
+        (((i, t),) * (t > 0) + shares, math.comb(k, t) * x**t * c)
+        for t in range(k + 1)
+        for shares, c in _shares(rest, k - t)
+    ]
+
+
+def _monomial_image(a, mono, exterior):
+    """The image of a basis element of Sym^m, or (exterior) Lambda^m, given
+    by its exponent vector, under the matrix with sparse columns a: e_j^k
+    goes to the k-th power of column j, and a wedge factor sorted into place
+    passes every larger index."""
+    expansion = {(0,) * len(mono): 1}
+    for j, k in enumerate(mono):
+        if not k:
+            continue
+        nxt = {}
+        for shares, y in _shares(a[j], k):
+            for term, c in expansion.items():
+                key = list(term)
+                c *= y
+                for i, t in shares:
+                    if exterior and key[i]:
+                        c = 0
+                    elif exterior and sum(key[i + 1 :]) % 2:
+                        c = -c
+                    key[i] += t
+                if c:
+                    nxt[tuple(key)] = nxt.get(tuple(key), 0) + c
+        expansion = nxt
+    return {term: c for term, c in expansion.items() if c}
+
+
+def _block_apply(action, factors, vector):
+    """The image of a vector on the block of the factors, keyed by block
+    element, under a matrix given as (sparse columns, caches of monomial
+    images, None when fixed), applied one factor at a time: the block matrix
+    is the product of the actions on each factor, so the work adds over the
+    factors rather than multiplying."""
+    a, cache = action
+    for f, (m, exterior) in enumerate(factors):
+        image = dict(vector)
+        for element, c in vector.items():
+            mono = element[f]
+            if mono not in cache[exterior]:
+                part = _monomial_image(a, mono, exterior)
+                cache[exterior][mono] = None if part == {mono: 1} else part
+            part = cache[exterior][mono]
+            if part is not None and c:
+                image[element] -= c
+                for b, x in part.items():
+                    key = element[:f] + (b,) + element[f + 1 :]
+                    image[key] = image.get(key, 0) + c * x
+        vector = image
+    return {key: c for key, c in vector.items() if c}
+
+
+def _squares_to_zero(a):
+    """Whether (a - 1)^2 = 0, for a by its sparse columns: a a e_j - 2 a e_j
+    + e_j = 0 for every column j that a moves."""
+    for j, column in enumerate(a):
+        if column != ((j, 1),):
+            image = {j: 1}
+            for k, y in column:
+                image[k] = image.get(k, 0) - 2 * y
+                for i, x in a[k]:
+                    image[i] = image.get(i, 0) + x * y
+            if any(image.values()):
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +414,7 @@ def _power_columns(a, m, exterior):
     basis = invariants._exponent_vectors(len(a), m, exterior)
     index = {b: i for i, b in enumerate(basis)}
     columns = invariants._sparse_columns(a)
-    return [{index[b]: c for b, c in invariants._monomial_image(columns, src, exterior).items()} for src in basis]
+    return [{index[b]: c for b, c in _monomial_image(columns, src, exterior).items()} for src in basis]
 
 
 def _block_image(columns, factors, element):
@@ -324,7 +423,7 @@ def _block_image(columns, factors, element):
     of its factors."""
     image = {(): 1}
     for (m, exterior), mono in zip(factors, element):
-        part = invariants._monomial_image(columns, mono, exterior)
+        part = _monomial_image(columns, mono, exterior)
         image = {key + (b,): c * x for key, c in image.items() for b, x in part.items()}
     return image
 
@@ -520,10 +619,88 @@ def test_factor_wise_image_matches_the_tensor_product():
             for key, x in _block_image(columns, factors, element).items():
                 expected[key] = expected.get(key, 0) + c * x
         expected = {key: x for key, x in expected.items() if x}
-        assert invariants._block_apply((columns, ({}, {})), factors, vector) == expected
+        assert _block_apply((columns, ({}, {})), factors, vector) == expected
         fixed += expected == vector
     # both outcomes of the exact check occur
     assert 0 < fixed < 300
+
+
+def listed_checks(kind, g):
+    """Each listed generator with the oracle's exact check of it: the checks
+    of `_oracle_setup` list the unipotent generators' derivations, then the
+    signed permutations."""
+    generators = group_generators(kind, g)
+    unipotent = [a for a in generators if signed_permutation(a) is None]
+    ordered = unipotent + [a for a in generators if a not in unipotent]
+    pairs = list(zip(ordered, invariants._oracle_setup(kind, g)[4]))
+    assert len(pairs) == len(generators)
+    for a, check in pairs:
+        if a in unipotent:
+            assert check.func is invariants._fixed_by_derivation and check.args[0][0] == invariants._derivation(a)[0]
+        else:
+            assert check.func is invariants._fixed_by_move and check.args[0] == signed_permutation(a)
+    return pairs
+
+
+def oracle_kernel_vectors(kind, g, factors):
+    """The kernel vectors that the oracle checks on the block of the factors,
+    keyed by block element: those of the kept derivations on the orbit sums,
+    lifted."""
+    zero, moves, _, _, _, kept = invariants._oracle_setup(kind, g)
+    found = []
+
+    def record(factors, elements, vectors):
+        found.extend({elements[b]: x for b, x in vector.items()} for vector in vectors)
+        return True
+
+    invariants._orbit_block(g, zero, moves, {}, {}, [record], kept, factors)
+    return found
+
+
+def test_exact_check_matches_the_reference_image():
+    # every listed generator of both kinds at g = 1..3: the oracle's verdict,
+    # D_N v = 0 for a unipotent s = 1 + N and the signed images for a signed
+    # permutation, is whether the reference image rho(s) v, applied one
+    # factor at a time, equals v; on random integer vectors over blocks of
+    # up to 6 factors, as above, and on the kernel vectors that the oracle
+    # checks on random blocks, most of them invariants
+    rng = random.Random(20261019)
+    actions = {}
+    verdicts = {True: 0, False: 0}
+    moved_and_fixed = 0
+    for _ in range(300):
+        g = rng.randint(1, 3)
+        factors = []
+        for _ in range(rng.randint(1, 6)):
+            exterior = rng.random() < 0.5
+            factors.append((rng.randint(1, min(3, 2 * g) if exterior else 3), exterior))
+        bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
+        vector = {tuple(map(rng.choice, bases)): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
+        cases = [(factors, {element: c for element, c in vector.items() if c})]
+        block = _random_factors(rng, g)
+        kind = rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL))
+        cases += [(block, vector) for vector in oracle_kernel_vectors(kind, g, block)]
+        for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL):
+            for a, check in listed_checks(kind, g):
+                action = actions.setdefault(a, (invariants._sparse_columns(a), ({}, {})))
+                for factors, vector in cases:
+                    elements = list(vector)
+                    verdict = check(factors, elements, [dict(enumerate(vector.values()))])
+                    assert verdict == (_block_apply(action, factors, vector) == vector)
+                    verdicts[verdict] += 1
+                    moved_and_fixed += verdict and any(
+                        _block_apply(action, factors, {element: 1}) != {element: 1} for element in vector
+                    )
+                # on several vectors at once, the verdict is that on each
+                if len(cases) > 2:
+                    block, vectors = cases[1][0], [v for _, v in cases[1:]]
+                    elements = sorted({element for v in vectors for element in v})
+                    index = {element: b for b, element in enumerate(elements)}
+                    batch = [{index[element]: x for element, x in v.items()} for v in vectors]
+                    assert check(block, elements, batch) == all(check(block, elements, [v]) for v in batch)
+    # both outcomes occur, and some vectors are fixed although the generator
+    # moves one of their elements
+    assert verdicts[True] and verdicts[False] and moved_and_fixed
 
 
 def derivation_by_positions(n, mono, exterior):
@@ -811,16 +988,22 @@ TRANSVECTION_BLOCKS = (
 
 @pytest.mark.parametrize("g", (1, 2, 3))
 def test_transvections_act_as_the_exponential_of_their_derivation(g):
-    # every listed generator but J is a transvection T, N = T - 1 squares to
-    # 0, and rho(T) = exp(D_N), exactly: so rho(T) - 1 = D_N U with U = 1 +
-    # D_N/2! + ... invertible, and the symplectic route's rows of D_N have the
-    # kernel of rho(T) - 1
+    # every listed symplectic generator but J is a transvection T, and every
+    # listed orthogonal generator that is not a signed permutation is an
+    # E_ij (none at g = 1); for each such s, N = s - 1 squares to 0, and
+    # rho(s) = exp(D_N), exactly: so rho(s) - 1 = D_N U with U = 1 + D_N/2!
+    # + ... invertible, the rows of D_N have the kernel of rho(s) - 1, and the
+    # exact check's D_N v = 0 is rho(s) v = v
     generators = group_generators(GammaType.SYMPLECTIC, g)
     assert [a for a in generators if signed_permutation(a)] == [generators[-1]]
-    for a in generators[:-1]:
+    orthogonal = [a for a in group_generators(GammaType.ORTHOGONAL, g) if signed_permutation(a) is None]
+    assert len(orthogonal) == g * (g - 1)
+    for a in generators[:-1] + tuple(orthogonal):
         n = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
         assert any(map(any, n)) and not any(map(any, mat_mul(n, n)))
+        assert _squares_to_zero(invariants._sparse_columns(a))
         derivation = invariants._derivation(a)
+        assert not invariants._product_sum([(1, derivation[0], derivation[0])])
         for factors in TRANSVECTION_BLOCKS:
             if any(exterior and m > 2 * g for m, exterior in factors):
                 continue
@@ -1018,13 +1201,15 @@ def test_rank_one_orthogonal_invariant_outside_weight_zero():
     ids=["o", "sp"],
 )
 def test_rational_rerun_is_certified(monkeypatch, kind, count):
-    # Sym^4 V at g = 2 with no derivation rows: the kernel is all of V_0^H,
-    # whose orbit sums lift and fail the exact check, and fail it again over
-    # Q, where the count would otherwise read dim V_0^H
+    # Sym^4 V at g = 2 with no derivation rows eliminated: the kernel is all
+    # of V_0^H, whose orbit sums lift and fail the exact check, which still
+    # takes D_N of every listed unipotent s, and fail it again over Q, where
+    # the count would otherwise read dim V_0^H
     copies = GradedVCopies(2, (2,))
     assert brute_force_invariant_dim(kind, copies, 8) == count
-    monkeypatch.setattr(invariants, "_oracle_setup", invariants._oracle_setup.__wrapped__)
-    monkeypatch.setattr(invariants, "_derivation", lambda a: ([], ({}, {})))
+    setup = invariants._oracle_setup.__wrapped__(kind, 2)
+    empty = [([], ({}, {}))] * len(setup[-1])
+    monkeypatch.setattr(invariants, "_oracle_setup", lambda kind, g: setup[:-1] + (empty,))
     with pytest.raises(AssertionError, match="not fixed by every listed generator"):
         brute_force_invariant_dim(kind, copies, 8)
 
