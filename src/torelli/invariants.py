@@ -22,10 +22,10 @@ is unipotent: N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation
 D that N induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible
 over Q and modulo PRIME (D^j = 0 past the degree, at most 2000).  So the
 rows of D on the orbit sums, at most two terms per copy, have the kernel of
-rho(s) - 1, and they are eliminated modulo PRIME for one s per H-conjugacy
-class, since h s h^-1 fixes an H-invariant vector exactly when s does: T_x1
-and T_{x1 + y2} (T_x1 alone at g = 1) for the symplectic kind, the first s
-for the orthogonal kind.
+rho(s) - 1, and they are eliminated modulo PRIME, by the sparse echelon of
+`linalg`, for one s per H-conjugacy class, since h s h^-1 fixes an
+H-invariant vector exactly when s does: T_x1 and T_{x1 + y2} (T_x1 alone at
+g = 1) for the symplectic kind, the first s for the orthogonal kind.
 
 All of this runs on V_0, the weight-0 elements of each block, where the
 weight of a monomial counts, per hyperbolic pair, its x_i factors minus its
@@ -75,8 +75,12 @@ from typing import Callable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
 from .groups import GammaType, group_generators, monomial_moves, signed_permutation
-from .linalg import identity_matrix
-from .mt import pair_degree_counts
+from .linalg import Column, _insert_row, _kernel_vectors, identity_matrix
+# the series of the polynomial ring on omega_{x,y}, degree x + y, is that of
+# the kappa classes of L_a L_b, by x = 4a - n and y = 4b - n; the diagonal
+# omega_{x,x} are kept in the odd case, where the symmetric square of an odd
+# copy realizes the alternating pairing
+from .mt import kappa_ll_series as stable_invariant_series
 
 # not used by the oracle, which samples nothing; kept importable here because
 # bench/layers.py traces calls at these names
@@ -153,15 +157,6 @@ def stable_pair_degrees(n: int, max_degree: int) -> list[tuple[int, int]]:
         for y in degrees[i:]
         if x + y <= max_degree
     ]
-
-
-def stable_invariant_series(n: int, max_degree: int) -> HilbertSeries:
-    """Series of the polynomial ring on omega_{x,y}, degree x + y.
-
-    The diagonal generators omega_{x,x} are retained in the odd case: the
-    symmetric square of an odd copy realizes the alternating pairing.
-    """
-    return free_graded_commutative_series(pair_degree_counts(n, max_degree), max_degree)
 
 
 def two_part_partitions(i: int) -> int:
@@ -311,9 +306,6 @@ def _check_work_cap(work: int) -> None:
         raise OracleCapExceeded(f"orbit-route work {work} > cap {WORK_CAP}")
 
 
-Column = dict[int, int]  # sparse column: row index -> nonzero entry
-
-
 def _sparse_columns(a: Sequence[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
     """The nonzero entries (i, x) of each column of a."""
     return [tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(a))]
@@ -343,58 +335,6 @@ def rational_reconstruction(a: int, p: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
-    """Reduce a row against the pivot rows (each monic in its pivot column,
-    with no entry to the left of it) and keep it as a new pivot row if
-    anything is left: modulo p, or over Q when p is 0.  Modulo p, entries are
-    reduced only once they lead."""
-    row = dict(row)
-    while row:
-        c = min(row)
-        f = row.pop(c) % p if p else row.pop(c)
-        if not f:
-            continue
-        pivot_row = pivots.get(c)
-        if pivot_row is None:
-            inverse = pow(f, -1, p) if p else 1 / Fraction(f)
-            new = {c: 1}
-            for k, x in row.items():
-                x = x * inverse % p if p else x * inverse
-                if x:
-                    new[k] = x
-            pivots[c] = new
-            return
-        get = row.get
-        for k, y in pivot_row.items():
-            if k != c:
-                row[k] = get(k, 0) - f * y
-
-
-def _kernel_vectors(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
-    """One kernel vector per free column: 1 there, 0 on the other free
-    columns, read off the reduced echelon form, modulo p or over Q when p
-    is 0."""
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        # the pivot rows to the right are already reduced: own pivot plus free columns
-        for k in [k for k in row if k != c and k in pivots]:
-            f = row.pop(k)
-            for j, y in pivots[k].items():
-                if j != k:
-                    x = row.get(j, 0) - f * y
-                    x = x % p if p else x
-                    if x:
-                        row[j] = x
-                    else:
-                        row.pop(j, None)
-    vectors = {f: {f: 1} for f in range(size) if f not in pivots}
-    for c, row in pivots.items():
-        for k, x in row.items():
-            if k != c:
-                vectors[k][c] = -x % p if p else -x
-    return list(vectors.values())
-
-
 def _lift(vector: Column, p: int) -> Column | None:
     """An integer vector congruent, up to a unit, to the mod-p vector, by
     rational reconstruction of each entry; None if an entry has no lift."""
@@ -421,27 +361,6 @@ def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list
     return history, pivots
 
 
-def _certified_history(groups, rows_of, columns, fixed) -> tuple[list[int], bool]:
-    """`_echelon_history` on columns, sparse vectors on the block elements,
-    modulo PRIME when every kernel vector lifts and fixed(vectors) holds for
-    their combinations of columns, and else over Q, whose kernel vectors
-    must pass the same check; and whether it took the rerun.  fixed holds
-    when every listed generator fixes every vector exactly (see the module
-    docstring).  The rank mod p is at most the rank over Q, so the last
-    entry bounds the rational kernel from above; verified kernel vectors
-    bound it from below."""
-    size = len(columns)
-    for p in (PRIME, 0):
-        history, pivots = _echelon_history(groups, rows_of, size, p)
-        # None marks a vector with an entry that has no lift
-        vectors = [_lift(v, p) if p else v for v in _kernel_vectors(pivots, size, p)] if history[-1] else []
-        if None not in vectors and (
-            not vectors or fixed([{b: c * e for k, c in v.items() for b, e in columns[k].items()} for v in vectors])
-        ):
-            return history, not p
-    raise AssertionError("a rational kernel vector is not fixed by every listed generator")
-
-
 class OracleResult(NamedTuple):
     """A certified invariant dimension.
 
@@ -458,18 +377,6 @@ class OracleResult(NamedTuple):
     dimension: int
     history: tuple[int, ...]
     route: str
-
-
-def _count(copies: GradedVCopies, degree: int, history: list[int], solve) -> OracleResult:
-    """The histories that solve(factors) gives on each allocation block,
-    added to history; the route is "rational" when solve reran some block
-    over Q, and else "modp"."""
-    rational = False
-    for alloc in _allocations(copies, degree):
-        block_history, block_rational = solve([(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m])
-        history = [h + b for h, b in zip(history, block_history)]
-        rational |= block_rational
-    return OracleResult(history[-1] if history else 0, tuple(history), "rational" if rational else "modp")
 
 
 def _derivation(a) -> tuple:
@@ -688,19 +595,33 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
 def _orbit_block(g: int, zero: bool, moves, groups, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
     derivation is listed] on V, the block of the factors or (zero) its
-    weight-0 part; whether it was rerun.  The kernel vectors must pass every
-    check in checks.  Kept in blocks by PRIME and the factors: a block
-    depends on its copies only through (m, exterior)."""
+    weight-0 part; whether it was rerun.  The `_echelon_history` of the
+    derivation rows on the orbit sums runs modulo PRIME, and again over Q
+    unless every kernel vector lifts and, combined into a vector on the
+    block elements, passes every check in checks; the rational kernel
+    vectors must pass them too.  The rank mod p is at most the rank over Q,
+    so the last entry bounds the rational kernel from above; verified kernel
+    vectors bound it from below.  Kept in blocks by PRIME and the factors: a
+    block depends on its copies only through (m, exterior)."""
     key = (PRIME, tuple(factors))
     if key not in blocks:
         elements, moved = _block(g, moves, groups, factors, zero)
         sums = _orbit_sums(len(elements), moved)
-        rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
-        fixed = lambda vectors: all(check(factors, elements, vectors) for check in checks)  # noqa: E731
-        history, rational = ([], False)
+        history, p = [], PRIME
         if derivations:
-            history, rational = _certified_history(derivations, rows_of, sums, fixed)
-        blocks[key] = [len(sums)] + history, rational
+            rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
+            for p in (PRIME, 0):
+                history, pivots = _echelon_history(derivations, rows_of, len(sums), p)
+                # None marks a vector with an entry that has no lift
+                vectors = [_lift(v, p) if p else v for v in _kernel_vectors(pivots, len(sums), p)] if history[-1] else []
+                if None in vectors:
+                    continue
+                vectors = [{b: c * e for k, c in v.items() for b, e in sums[k].items()} for v in vectors]
+                if not vectors or all(check(factors, elements, vectors) for check in checks):
+                    break
+            else:
+                raise AssertionError("a rational kernel vector is not fixed by every listed generator")
+        blocks[key] = [len(sums)] + history, not p
     return blocks[key]
 
 
@@ -723,7 +644,13 @@ def brute_force_invariant_dim(
     _check_work_cap(_orbit_work(kind, copies, degree)[degree])
     setup = _oracle_setup(kind, copies.g)
     history = [0] * (1 + len(setup[-1])) if piece_dimension(copies, degree) else []
-    return _count(copies, degree, history, partial(_orbit_block, copies.g, *setup))
+    rational = False
+    for alloc in _allocations(copies, degree):
+        factors = [(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m]
+        block_history, block_rational = _orbit_block(copies.g, *setup, factors)
+        history = [h + b for h, b in zip(history, block_history)]
+        rational |= block_rational
+    return OracleResult(history[-1] if history else 0, tuple(history), "rational" if rational else "modp")
 
 
 def _product_sum(terms) -> dict:

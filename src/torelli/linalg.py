@@ -1,17 +1,19 @@
-"""Exact integer and rational matrix helpers.
+"""Exact integer and rational matrix helpers, on one sparse elimination.
 
-Matrices are lists (or tuples) of rows.  Kernels are computed fraction-free
-(Bareiss), so every intermediate entry is an integer minor and every division
-is exact.
+Matrices are lists (or tuples) of rows.  `_insert_row` reduces sparse rows
+into an echelon form whose pivot rows are monic, modulo a prime p or over Q
+when p is 0, and `_kernel_vectors` reads the kernel off it.  The invariant
+oracle runs it modulo p and over Q; `kernel_basis` and
+`invert_fraction_matrix` run it over Q.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
+Column = dict[int, int]  # sparse column: row index -> nonzero entry
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -28,97 +30,82 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list[int]]:
     ]
 
 
-def invert_fraction_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises on a singular input."""
-    n = len(a)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Fraction-free row echelon form; returns (rows, pivot (row, col) list)."""
-    a = [list(row) for row in rows]
-    nrows, ncols = len(a), len(a[0])
-    prev = 1
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
+def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
+    """Reduce a row against the pivot rows (each monic in its pivot column,
+    with no entry to the left of it) and keep it as a new pivot row if
+    anything is left: modulo p, or over Q when p is 0.  Modulo p, entries are
+    reduced only once they lead."""
+    row = dict(row)
+    while row:
+        c = min(row)
+        f = row.pop(c) % p if p else row.pop(c)
+        if not f:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        top = a[r]
-        piv = top[c]
-        for i in range(r + 1, nrows):
-            row = a[i]
-            f = row[c]
-            # Bareiss update: the division by the previous pivot is exact;
-            # the columns before c are already zero below the pivot row
-            a[i] = row[:c] + [(x * piv - f * y) // prev for x, y in zip(row[c:], top[c:])]
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+        pivot_row = pivots.get(c)
+        if pivot_row is None:
+            inverse = pow(f, -1, p) if p else 1 / Fraction(f)
+            new = {c: 1}
+            for k, x in row.items():
+                x = x * inverse % p if p else x * inverse
+                if x:
+                    new[k] = x
+            pivots[c] = new
+            return
+        get = row.get
+        for k, y in pivot_row.items():
+            if k != c:
+                row[k] = get(k, 0) - f * y
 
 
-def _clear_denominators(m: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
-    rows = []
-    for row in m:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        rows.append([int(x * lcm) if isinstance(x, Fraction) else x * lcm for x in row])
-    return rows
+def _kernel_vectors(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
+    """One kernel vector per free column, in column order: 1 there, 0 on the
+    other free columns, read off the reduced echelon form, modulo p or over Q
+    when p is 0."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        # the pivot rows to the right are already reduced: own pivot plus free columns
+        for k in [k for k in row if k != c and k in pivots]:
+            f = row.pop(k)
+            for j, y in pivots[k].items():
+                if j != k:
+                    x = row.get(j, 0) - f * y
+                    x = x % p if p else x
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+    vectors = {f: {f: 1} for f in range(size) if f not in pivots}
+    for c, row in pivots.items():
+        for k, x in row.items():
+            if k != c:
+                vectors[k][c] = -x % p if p else -x
+    return list(vectors.values())
+
+
+def _rational_echelon(rows) -> dict[int, Column]:
+    pivots: dict[int, Column] = {}
+    for row in rows:
+        _insert_row(pivots, {j: x for j, x in enumerate(row) if x}, 0)
+    return pivots
 
 
 def kernel_basis(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q, one vector per free column.
-
-    The vector of free column f has a 1 at f and 0 at the other free columns.
-    By Cramer's rule it is integral once scaled by the last Bareiss pivot D,
-    the determinant of the pivot minor, so the back-substitution runs on the
-    integers D*x, every division exact, and divides by D only at the end.
-    """
-    rows = _clear_denominators(m)
-    if not rows:
+    """Basis of the right kernel over Q, one vector per free column: 1 there
+    and 0 at the other free columns."""
+    if not m:
         raise ValueError("kernel of an empty matrix is undefined")
-    a, pivots = _bareiss_echelon(rows)
-    ncols = len(a[0])
-    pivot_cols = {c for _, c in pivots}
-    d = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
-    basis: list[list[Fraction]] = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        y = [0] * ncols
-        y[f] = d
-        for k in range(len(pivots) - 1, -1, -1):
-            i, pc = pivots[k]
-            row = a[i]
-            s = row[f] * d
-            for _, c2 in pivots[k + 1 :]:
-                if row[c2] and y[c2]:
-                    s += row[c2] * y[c2]
-            y[pc], rem = divmod(-s, row[pc])
-            if rem:
-                raise AssertionError("Cramer's rule makes the scaled kernel vector integral")
-        basis.append([Fraction(v, d) for v in y])
-    return basis
+    size = len(m[0])
+    vectors = _kernel_vectors(_rational_echelon(m), size, 0)
+    return [[Fraction(v.get(j, 0)) for j in range(size)] for v in vectors]
 
+
+def invert_fraction_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse; raises on a singular input.  The pivots of [a | I] lie
+    in its first n columns exactly when a is invertible, and then the kernel
+    vector of free column n + j is (-a^-1 e_j, e_j)."""
+    n = len(a)
+    pivots = _rational_echelon([*row] + [int(i == j) for j in range(n)] for i, row in enumerate(a))
+    if max(pivots, default=-1) >= n:
+        raise ValueError("singular matrix")
+    vectors = _kernel_vectors(pivots, 2 * n, 0)
+    return [[Fraction(-v.get(i, 0)) for v in vectors] for i in range(n)]

@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from torelli import invariants
+from torelli import invariants, linalg
 from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
 from torelli.groups import (
@@ -55,9 +55,9 @@ from torelli.invariants import (
     torelli_model_series,
     two_part_partitions,
 )
-from torelli.linalg import identity_matrix, kernel_basis, mat_mul
+from torelli.linalg import identity_matrix, mat_mul
 
-from test_linalg import mat_sub, mat_transpose
+from test_linalg import bareiss_kernel_basis, mat_sub, mat_transpose
 
 
 def test_go_homotopy_rank():
@@ -763,13 +763,14 @@ def _integral(v):
 
 def restrict_fixed(basis, m):
     """An integer basis of the vectors in the span of basis (None: the whole
-    space) that the matrix m fixes."""
+    space) that the matrix m fixes, by the test-side Bareiss kernel, apart
+    from the oracle's elimination."""
     mi = mat_sub(m, identity_matrix(len(m)))
     if basis is None:
-        return [_integral(v) for v in kernel_basis(mi)]
+        return [_integral(v) for v in bareiss_kernel_basis(mi)]
     if not basis:
         return []
-    coefficients = kernel_basis(mat_mul(mi, mat_transpose(basis)))
+    coefficients = bareiss_kernel_basis(mat_mul(mi, mat_transpose(basis)))
     return [
         [sum(c * v[i] for c, v in zip(_integral(coeffs), basis)) for i in range(len(m))]
         for coeffs in coefficients
@@ -905,11 +906,11 @@ def _block_kernel_history(generator_columns):
     rows_of = partial(_rows_minus_identity, keep=range(size))
     history, pivots = invariants._echelon_history(generator_columns, rows_of, size, p)
     vectors = []
-    for vector in invariants._kernel_vectors(pivots, size, p) if history[-1] else ():
+    for vector in linalg._kernel_vectors(pivots, size, p) if history[-1] else ():
         lifted = invariants._lift(vector, p)
         if lifted is None or not _fixed_by_columns(generator_columns, lifted):
             history, pivots = invariants._echelon_history(generator_columns, rows_of, size, 0)
-            return history, True, invariants._kernel_vectors(pivots, size, 0) if history[-1] else []
+            return history, True, linalg._kernel_vectors(pivots, size, 0) if history[-1] else []
         vectors.append(lifted)
     return history, False, vectors
 

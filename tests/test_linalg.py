@@ -1,16 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from torelli.linalg import (
-    _bareiss_echelon,
-    _clear_denominators,
-    identity_matrix,
-    invert_fraction_matrix,
-    kernel_basis,
-    mat_mul,
-)
+from torelli.linalg import identity_matrix, invert_fraction_matrix, kernel_basis, mat_mul
 
 
 def mat_sub(a, b):
@@ -25,10 +19,94 @@ def mat_equal(a, b):
     return [list(r) for r in a] == [list(r) for r in b]
 
 
+# ---------------------------------------------------------------------------
+# the independent reference: a dense fraction-free (Bareiss) kernel, with
+# Cramer's rule for the back-substitution
+
+
+def _bareiss_echelon(rows):
+    """Fraction-free row echelon form; returns (rows, pivot (row, col) list)."""
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    prev = 1
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        top = a[r]
+        piv = top[c]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            # Bareiss update: the division by the previous pivot is exact;
+            # the columns before c are already zero below the pivot row
+            a[i] = row[:c] + [(x * piv - f * y) // prev for x, y in zip(row[c:], top[c:])]
+        prev = piv
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def _clear_denominators(m):
+    rows = []
+    for row in m:
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * lcm) for x in row])
+    return rows
+
+
+def bareiss_kernel_basis(m):
+    """Basis of the right kernel over Q, one vector per free column, with a 1
+    at it and 0 at the other free columns.  By Cramer's rule it is integral
+    once scaled by the last Bareiss pivot D, the determinant of the pivot
+    minor, so the back-substitution runs on the integers D*x, every division
+    exact, and divides by D only at the end."""
+    a, pivots = _bareiss_echelon(_clear_denominators(m))
+    ncols = len(a[0])
+    pivot_cols = {c for _, c in pivots}
+    d = a[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        y = [0] * ncols
+        y[f] = d
+        for k in range(len(pivots) - 1, -1, -1):
+            i, pc = pivots[k]
+            row = a[i]
+            s = row[f] * d + sum(row[c2] * y[c2] for _, c2 in pivots[k + 1 :])
+            y[pc], rem = divmod(-s, row[pc])
+            assert not rem, "Cramer's rule makes the scaled kernel vector integral"
+        basis.append([Fraction(v, d) for v in y])
+    return basis
+
+
 def rank(m):
-    """Rank over Q, by the fraction-free echelon form of the library."""
-    rows = _clear_denominators(m)
-    return len(_bareiss_echelon(rows)[1]) if rows else 0
+    """Rank over Q, by the reference's fraction-free echelon form."""
+    return len(_bareiss_echelon(_clear_denominators(m))[1]) if m else 0
+
+
+def _random_rational_matrix(rng, rows, cols):
+    """Mostly small integers and fractions, with zero rows and repeated or
+    combined rows, so that ranks fall short."""
+    entry = lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3)))  # noqa: E731
+    m = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15 or not m and kind < 0.3:
+            m.append([Fraction(0)] * cols)
+        elif kind < 0.35 and m:
+            a, b = rng.choice(m), rng.choice(m)
+            x, y = entry(), entry()
+            m.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            m.append([entry() if rng.random() < 0.7 else Fraction(0) for _ in range(cols)])
+    return m
 
 
 def test_matrix_helpers():
@@ -47,11 +125,33 @@ def test_inverse_round_trip():
     inv = invert_fraction_matrix(a)
     assert mat_equal(mat_mul(a, inv), identity_matrix(2))
     assert mat_equal(mat_mul(inv, a), identity_matrix(2))
+    assert invert_fraction_matrix([]) == []
+    # random rational matrices that the reference finds invertible
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = _random_rational_matrix(rng, n, n)
+        if rank(a) == n:
+            inv = invert_fraction_matrix(a)
+            assert all(isinstance(x, Fraction) for row in inv for x in row)
+            assert mat_equal(mat_mul(a, inv), identity_matrix(n))
+            assert mat_equal(mat_mul(inv, a), identity_matrix(n))
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         invert_fraction_matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    # random rational matrices that the reference finds singular
+    rng = random.Random(20261020)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = _random_rational_matrix(rng, n, n)
+        if rank(a) < n:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                invert_fraction_matrix(a)
+    assert singular > 20
 
 
 def test_kernel_frozen():
@@ -99,4 +199,24 @@ def test_kernel_random_cross_check():
 def test_kernel_rejects_empty():
     with pytest.raises(ValueError):
         kernel_basis([])
+
+
+
+def test_kernel_basis_matches_the_bareiss_reference():
+    # the normalized kernel basis is unique, so the sparse elimination and
+    # the dense Bareiss route give the same vectors, in the same order
+    rng = random.Random(20261019)
+    shapes = [(1, k) for k in range(1, 7)] + [(k, 1) for k in range(1, 7)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(240)]
+    for rows, cols in shapes:
+        m = _random_rational_matrix(rng, rows, cols)
+        basis = kernel_basis(m)
+        assert basis == bareiss_kernel_basis(m)
+        assert len(basis) == cols - rank(m)
+        # integer input gives the same basis
+        ints = _clear_denominators(m)
+        assert kernel_basis(ints) == basis
+    assert kernel_basis([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis([[0], [0]]) == [[1]]
+    assert kernel_basis([[0], [3]]) == []
 
