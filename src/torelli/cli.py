@@ -57,11 +57,11 @@ BOREL_SIZE_CAP = 500_000
 # slowest requests at the cap take about 1.1 s (mt-series and torelli-series
 # --n 7 --maxdeg 5986)
 SERIES_CAP = 6000
-# group-sample and the oracle: building and checking the O(g^2) generators
-# at O(g^3) each takes about 0.4 s at the cap
+# group-sample and the oracle: building and checking the O(g^2) sparse
+# generators takes 3-5 ms at the cap (theta, the longest list)
 GENUS_CAP = 10
-# group-sample: --len products of 2g x 2g big-integer matrices; 1.0-1.5 s
-# at both caps
+# group-sample: --len products of a big-integer matrix and a sparse
+# generator; 9-24 ms at both caps
 WORD_CAP = 1000
 # invariant-oracle: counting the piece fills a row of deg + 1 integers per
 # copy, in 2g passes each; about 1.2 s at these caps and GENUS_CAP

@@ -3,19 +3,22 @@
 Basis convention: coordinates (a_1..a_g, b_1..b_g) against a hyperbolic basis
 x_1..x_g, y_1..y_g, with the pairing matrix J = [[0, I], [s*I, 0]] for
 s = +1 (orthogonal) or s = -1 (symplectic).  Membership is the exact integer
-identity A^T J A = J.  The quadratic refinement of a vector is
+identity A^T J A = J, read as N^T J + J N + N^T J N = 0 for N = A - 1: J is
+a signed permutation, so each nonzero of N costs one row of N.  The
+generators are listed sparsely, a unipotent 1 + N by the columns of N and a
+signed permutation by the image and sign of each basis vector, and products
+are taken on columns.  The quadratic refinement of a vector is
 q(v) = sum a_i b_i, read modulo the dimension-dependent subgroup: 0 for n
 even, all of Z for n in {1, 3, 7}, and 2Z otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Sequence
-
-from .linalg import identity_matrix, mat_mul
+from typing import Iterable, NamedTuple, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -76,24 +79,35 @@ def form_for_kind(kind: GammaType, g: int) -> GroupForm:
     return GroupForm(g, 1 if kind is GammaType.ORTHOGONAL else -1)
 
 
+def _preserves_form(columns: dict[int, dict[int, int]], form: GroupForm) -> bool:
+    """Exact check of A^T J A = J, for A by its sparse columns {row: entry},
+    by index, wherever they are not those of 1: with N = A - 1, that is N^T J
+    + J N + N^T J N = 0.  J is a signed permutation, J[r][pi(r)] = sigma(r)
+    with pi(r) = r +- g, so each N_ij gives sigma(i) N_ij to (N^T
+    J)[j][pi(i)], sigma(pi(i)) N_ij to (J N)[pi(i)][j] and sigma(i) N_ij
+    times row pi(i) of N to row j of N^T J N."""
+    g = form.g
+    n = [(i, j, x - (i == j)) for j, column in columns.items() for i, x in {j: 0, **column}.items() if x != (i == j)]
+    rows: dict = {}
+    for i, j, x in n:
+        rows.setdefault(i, []).append((j, x))
+    defect: dict = {}
+    for i, j, x in n:
+        t = i + g if i < g else i - g
+        x_j = x if i < g else form.sign * x
+        defect[j, t] = defect.get((j, t), 0) + x_j
+        defect[t, j] = defect.get((t, j), 0) + (x if t < g else form.sign * x)
+        for k, z in rows.get(t, ()):
+            defect[j, k] = defect.get((j, k), 0) + x_j * z
+    return not any(defect.values())
+
+
 def is_in_group(a: Matrix, form: GroupForm) -> bool:
-    """Exact check of A^T J A = J.  J is a signed permutation, J[r][pi(r)]
-    = sigma(r), so row i of A^T J A is the sum, over the nonzeros A[r][i] of
-    column i of A, of sigma(r) * A[r][i] times row pi(r) of A."""
+    """Exact check of A^T J A = J, on the nonzeros of N = A - 1."""
     size = 2 * form.g
     if len(a) != size or any(len(row) != size for row in a):
         raise ValueError("matrix size does not match the form")
-    j = form.matrix
-    signed = [next((c, x) for c, x in enumerate(row) if x) for row in j]
-    for i in range(size):
-        image = [0] * size
-        for r, row in enumerate(a):
-            if row[i]:
-                c, sign = signed[r]
-                image = [u + sign * row[i] * v for u, v in zip(image, a[c])]
-        if image != j[i]:
-            return False
-    return True
+    return _preserves_form({j: {i: row[j] for i, row in enumerate(a) if row[j]} for j in range(size)}, form)
 
 
 def _reduce(value: int, modulus: QuadraticModulus) -> int:
@@ -129,117 +143,110 @@ def preserves_quadratic(a: Matrix, n: int, g: int) -> bool:
     form = GroupForm(g, 1 if n % 2 == 0 else -1)
     if not is_in_group(a, form):
         raise ValueError("matrix does not preserve the pairing")
-    return _columns_refine_to_zero(a, g, quadratic_modulus(n))
+    return _columns_refine_to_zero([dict(enumerate(column)) for column in zip(*a)], g, quadratic_modulus(n))
 
 
-def _columns_refine_to_zero(a: Matrix, g: int, modulus: QuadraticModulus) -> bool:
-    """True when every column of A, the image of a hyperbolic basis vector,
-    has refinement 0 modulo the subgroup."""
+def _columns_refine_to_zero(columns: Iterable[dict[int, int]], g: int, modulus: QuadraticModulus) -> bool:
+    """True when every column {row: entry} of A, the image of a hyperbolic
+    basis vector, has refinement 0 modulo the subgroup."""
     return all(
-        _reduce(sum(a[i][col] * a[g + i][col] for i in range(g)), modulus) == 0
-        for col in range(2 * g)
+        _reduce(sum(x * column.get(g + i, 0) for i, x in column.items() if i < g), modulus) == 0
+        for column in columns
     )
 
 
 # ---------------------------------------------------------------------------
 # generator sets and deterministic sampling
 
+# the nonzero sparse columns (j, ((i, entry), ...)) of a matrix, both in
+# increasing order, and a signed permutation by the (image, sign) of each
+# basis vector
+Columns = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+Move = tuple[tuple[int, int], ...]
 
-def _basis_vector(size: int, idx: int, sign: int = 1) -> list[int]:
-    v = [0] * size
-    v[idx] = sign
-    return v
+
+class Generator(NamedTuple):
+    """A listed generator: a unipotent 1 + N, by the `Columns` of N, with
+    move None; or a signed permutation, by its `Move`, with n empty."""
+
+    n: Columns
+    move: Move | None
 
 
-def transvection(v: Sequence[int], form: GroupForm) -> list[list[int]]:
-    """w -> w + <w, v> v; lands in the group for the symplectic form.  Row c
-    of J has its one nonzero sigma(c) in column pi(c) = c +- g, so only the
-    columns c = pi^-1(k) over the nonzeros v_k of v move, by sigma(c) v_k v."""
+def _transvection(v: dict[int, int], form: GroupForm) -> Columns:
+    """N = T - 1 for the transvection T: w -> w + <w, v> v, v by its nonzero
+    entries.  Row c of J has its one nonzero sigma(c) in column pi(c) = c +-
+    g, so N has the columns c = pi^-1(k) over the nonzeros v_k of v, each
+    sigma(c) v_k v."""
     g, size = form.g, 2 * form.g
-    out = identity_matrix(size)
-    support = [(k, x) for k, x in enumerate(v) if x]
-    for k, x in support:
-        c = (k + g) % size
-        pairing = x if c < g else form.sign * x
-        for r, y in support:
-            out[r][c] += pairing * y
-    return out
+    support = sorted(v.items())
+    columns = {(k + g) % size: x if k >= g else form.sign * x for k, x in support}
+    return tuple((c, tuple((r, x * y) for r, y in support)) for c, x in sorted(columns.items()))
+
+
+def _moved_columns(s: Generator) -> dict[int, dict[int, int]]:
+    """The sparse columns {row: entry} of a generator's matrix, by index,
+    that are not those of 1."""
+    if s.move:
+        return {c: {r: x} for c, (r, x) in enumerate(s.move) if (r, x) != (c, 1)}
+    columns = {j: {j: 1} for j, _ in s.n}
+    for j, column in s.n:
+        for i, x in column:
+            columns[j][i] = columns[j].get(i, 0) + x
+    return columns
 
 
 @lru_cache(maxsize=None)
-def group_generators(kind: GammaType, g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def listed_generators(kind: GammaType, g: int) -> tuple[Generator, ...]:
     """A fixed, deterministic generator list; every element is verified
     against the defining equation (and the quadratic filter for theta)."""
     form = form_for_kind(kind, g)
     size = 2 * g
-    gens: list[list[list[int]]] = []
     if kind in (GammaType.SYMPLECTIC, GammaType.THETA):
-        for i in range(size):
-            gens.append(transvection(_basis_vector(size, i), form))
-        for i in range(g):
-            for j in range(g):
-                if i != j:
-                    v = _basis_vector(size, i)
-                    v[g + j] = 1
-                    gens.append(transvection(v, form))
-        jmat = form.matrix
-        gens.append(jmat)
+        vectors = [{i: 1} for i in range(size)] + [{i: 1, g + j: 1} for i in range(g) for j in range(g) if i != j]
+        # J sends x_i to s y_i and y_i to x_i
+        j_move = tuple(((c + g) % size, 1 if c >= g else form.sign) for c in range(size))
+        gens = [Generator(_transvection(v, form), None) for v in vectors] + [Generator((), j_move)]
         if kind is GammaType.THETA:
-            squares = [mat_mul(m, m) for m in gens]
-            gens = [
-                m
-                for m in gens + squares
-                if _columns_refine_to_zero(m, g, QuadraticModulus.MOD2)
+            # (1 + N)^2 = 1 + 2N, as N^2 = 0: no row that N fills is a column
+            # that it moves
+            if any(i in dict(s.n) for s in gens for _, column in s.n for i, _ in column):
+                raise AssertionError("a listed transvection has N^2 != 0")
+            squares = [
+                Generator((), tuple((s.move[r][0], x * s.move[r][1]) for r, x in s.move))
+                if s.move
+                else Generator(tuple((j, tuple((i, 2 * x) for i, x in column)) for j, column in s.n), None)
+                for s in gens
             ]
+            gens = [s for s in gens + squares if _columns_refine_to_zero(_moved_columns(s).values(), g, QuadraticModulus.MOD2)]
     else:
+        gens, identity = [], [(c, 1) for c in range(size)]
         for i in range(g):
-            # swap within the i-th hyperbolic pair
-            m = identity_matrix(size)
-            m[i][i] = m[g + i][g + i] = 0
-            m[i][g + i] = m[g + i][i] = 1
-            gens.append(m)
-            # sign flip on the i-th pair
-            m = identity_matrix(size)
-            m[i][i] = m[g + i][g + i] = -1
-            gens.append(m)
-        for i in range(g):
-            for j in range(g):
-                if i != j:
-                    # x_i -> x_i + x_j, y_j -> y_j - y_i
-                    m = identity_matrix(size)
-                    m[j][i] = 1
-                    m[g + i][g + j] = -1
-                    gens.append(m)
-        if g >= 2:
-            for i in range(g):
-                for j in range(i + 1, g):
-                    m = [[0] * size for _ in range(size)]
-                    perm = list(range(size))
-                    perm[i], perm[j] = perm[j], perm[i]
-                    perm[g + i], perm[g + j] = perm[g + j], perm[g + i]
-                    for c, r in enumerate(perm):
-                        m[r][c] = 1
-                    gens.append(m)
-    for m in gens:
-        if not is_in_group(m, form):
-            raise AssertionError("generator fails the defining equation")
-    return tuple(tuple(tuple(row) for row in m) for m in gens)
+            # the swap within the i-th hyperbolic pair, and the sign flip on it
+            swap, flip = list(identity), list(identity)
+            swap[i], swap[g + i] = (g + i, 1), (i, 1)
+            flip[i], flip[g + i] = (i, -1), (g + i, -1)
+            gens += [Generator((), tuple(swap)), Generator((), tuple(flip))]
+        # x_i -> x_i + x_j, y_j -> y_j - y_i
+        gens += [Generator(((i, ((j, 1),)), (g + j, ((g + i, -1),))), None) for i in range(g) for j in range(g) if i != j]
+        for i, j in itertools.combinations(range(g), 2):
+            move = list(identity)
+            move[i], move[j], move[g + i], move[g + j] = (j, 1), (i, 1), (g + j, 1), (g + i, 1)
+            gens.append(Generator((), tuple(move)))
+    if not all(_preserves_form(_moved_columns(s), form) for s in gens):
+        raise AssertionError("generator fails the defining equation")
+    return tuple(gens)
 
 
-def signed_permutation(a: Matrix) -> tuple[tuple[int, int], ...] | None:
-    """The (image index, sign) of each basis vector under a, or None when a
-    is not a signed permutation."""
-    out = []
-    for column in zip(*a):
-        nonzero = [(r, x) for r, x in enumerate(column) if x]
-        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
-            return None
-        out.append(nonzero[0])
-    return tuple(out) if len({r for r, _ in out}) == len(out) else None
+@lru_cache(maxsize=None)
+def group_generators(kind: GammaType, g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The matrices of `listed_generators`, as tuples of rows."""
+    identity = _identity_columns(2 * g)
+    return tuple(tuple(zip(*_times(identity, s))) for s in listed_generators(kind, g))
 
 
 def move_words(g: int) -> list[tuple[tuple[int, int], ...]]:
-    """Words for R_1 and P_12, ..., P_1g in `group_generators(SYMPLECTIC, g)`:
+    """Words for R_1 and P_12, ..., P_1g in `listed_generators(SYMPLECTIC, g)`:
     pairs (generator index, exponent +-1), multiplied left to right.  R_1 =
     T_x1 T_y1 T_x1 takes (x_1, y_1) to (y_1, -x_1); P_1j takes x_1 to y_j, y_j
     to x_1, x_j to -y_1 and y_1 to -x_j.  Together they generate the monomial
@@ -254,43 +261,48 @@ def move_words(g: int) -> list[tuple[tuple[int, int], ...]]:
     ]
 
 
+def _identity_columns(size: int) -> list[list[int]]:
+    return [[0] * c + [1] + [0] * (size - 1 - c) for c in range(size)]
+
+
+def _times(out: list[list[int]], s: Generator, exponent: int = 1) -> list[list[int]]:
+    """The columns of A s^exponent, for A by its columns out and exponent
+    +-1.  Times 1 + N, a column j that N moves gains the columns of A times
+    N's column j, and (1 + N)^-1 = 1 - N; times a signed permutation, the
+    columns move with their signs, and its inverse is its transpose."""
+    if s.move is None:
+        product = list(out)
+        for j, column in s.n:
+            for i, x in column:
+                x *= exponent
+                product[j] = [u + x * v for u, v in zip(product[j], out[i])]
+        return product
+    images = s.move if exponent > 0 else [image for _, image in sorted((r, (c, x)) for c, (r, x) in enumerate(s.move))]
+    return [out[r] if x == 1 else [x * y for y in out[r]] for r, x in images]
+
+
 @lru_cache(maxsize=None)
-def monomial_moves(kind: GammaType, g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Signed permutations, as `signed_permutation` gives them, that generate
-    a monomial subgroup H of the group `group_generators(kind, g)` generates,
-    for the orthogonal or the symplectic kind.  For the orthogonal kind they are the listed ones that move x_1: the first
-    pair's swap and sign flip and the pair permutations that move it.  For
-    the symplectic kind they are the words of `move_words`, multiplied out
-    over the listed generators and their inverses (J^3 for J, 2 - T for a
-    transvection T, as (T - 1)^2 = 0) and asserted to be signed permutations,
-    so that H lies in the generated group."""
-    gens = group_generators(kind, g)
+def monomial_moves(kind: GammaType, g: int) -> tuple[Move, ...]:
+    """Signed permutations that generate a monomial subgroup H of the group
+    `listed_generators(kind, g)` generates, for the orthogonal or the
+    symplectic kind.  For the orthogonal kind they are the listed ones that
+    move x_1: the first pair's swap and sign flip and the pair permutations
+    that move it.  For the symplectic kind they are the words of
+    `move_words`, multiplied out over the listed generators and their
+    inverses (1 - N for 1 + N, the transpose for a signed permutation) and
+    asserted to be signed permutations, so that H lies in the generated
+    group."""
+    gens = listed_generators(kind, g)
     if kind is GammaType.ORTHOGONAL:
-        return tuple(move for a in gens if a[0][0] != 1 and (move := signed_permutation(a)))
-    letters: dict = {}  # the sparse columns of each letter
-    moves = []
+        return tuple(s.move for s in gens if s.move and s.move[0] != (0, 1))
+    moves, identity = [], _identity_columns(2 * g)
     for word in move_words(g):
-        # the sparse columns of the product of the letters read so far, from
-        # the right
-        columns = [{c: 1} for c in range(2 * g)]
-        for k, exponent in reversed(word):
-            if (k, exponent) not in letters:
-                a = gens[k]
-                if exponent < 0:
-                    a = mat_mul(mat_mul(a, a), a) if signed_permutation(a) else [
-                        [2 * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)
-                    ]
-                letters[k, exponent] = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*a)]
-            product = []
-            for column in columns:
-                image: dict = {}
-                for c, y in column.items():
-                    for r, x in letters[k, exponent][c]:
-                        image[r] = image.get(r, 0) + x * y
-                product.append({r: x for r, x in image.items() if x})
-            columns = product
-        move = signed_permutation([[column.get(r, 0) for column in columns] for r in range(2 * g)])
-        if move is None:
+        columns = identity
+        for k, exponent in word:
+            columns = _times(columns, gens[k], exponent)
+        entries = [[(r, x) for r, x in enumerate(column) if x] for column in columns]
+        move = tuple(column[0] for column in entries if len(column) == 1)
+        if len(move) < 2 * g or {x * x for _, x in move} != {1} or len(dict(move)) < 2 * g:
             raise AssertionError("a move's word is not a signed permutation")
         moves.append(move)
     return tuple(moves)
@@ -299,15 +311,16 @@ def monomial_moves(kind: GammaType, g: int) -> tuple[tuple[tuple[int, int], ...]
 def sample_group_element(
     kind: GammaType, g: int, seed: int, word_length: int = 10
 ) -> list[list[int]]:
-    """Deterministic pseudo-random product of word_length generators."""
+    """Deterministic pseudo-random product of word_length generators, on
+    its columns by `_times`."""
     if word_length < 0:
         raise ValueError("word length must be nonnegative")
-    gens = group_generators(kind, g)
+    gens = listed_generators(kind, g)
     rng = random.Random(seed)
-    out = identity_matrix(2 * g)
+    out = _identity_columns(2 * g)
     for _ in range(word_length):
-        out = mat_mul(out, gens[rng.randrange(len(gens))])
-    form = form_for_kind(kind, g)
-    if not is_in_group(out, form):
+        out = _times(out, gens[rng.randrange(len(gens))])
+    a = [list(row) for row in zip(*out)]
+    if not is_in_group(a, form_for_kind(kind, g)):
         raise AssertionError("sampled element fails the defining equation")
-    return out
+    return a

@@ -7,9 +7,11 @@ ring on classes omega_{x,y} indexed by unordered pairs of those degrees.
 
 The oracle computes, exactly, the dimension of the subspace of a degree-d
 graded piece (symmetric powers on even copies, exterior powers on odd
-copies) fixed by the group that `group_generators` generates: no sampling,
-no seed and no stopping rule.  The group preserves each allocation block (one
-exponent per copy), so the count is taken block by block.
+copies) fixed by the group that `listed_generators` generates, read from
+that sparse list (N = s - 1 by its columns, signed permutations by their
+images): no sampling, no seed and no stopping rule.  The group preserves
+each allocation block (one exponent per copy), so the count is taken block
+by block.
 
 Both kinds take one route, orbit sums as in the Reynolds operator method of
 Derksen-Kemper and Sturmfels, then derivation rows.  The signed permutations
@@ -74,8 +76,8 @@ from operator import add, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .graded import HilbertSeries, free_graded_commutative_series
-from .groups import GammaType, group_generators, monomial_moves, signed_permutation
-from .linalg import Column, _insert_row, _kernel_vectors, identity_matrix
+from .groups import GammaType, listed_generators, monomial_moves
+from .linalg import Column, _insert_row, _kernel_vectors
 # the series of the polynomial ring on omega_{x,y}, degree x + y, is that of
 # the kappa classes of L_a L_b, by x = 4a - n and y = 4b - n; the diagonal
 # omega_{x,x} are kept in the odd case, where the symmetric square of an odd
@@ -306,11 +308,6 @@ def _check_work_cap(work: int) -> None:
         raise OracleCapExceeded(f"orbit-route work {work} > cap {WORK_CAP}")
 
 
-def _sparse_columns(a: Sequence[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
-    """The nonzero entries (i, x) of each column of a."""
-    return [tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(a))]
-
-
 @lru_cache(maxsize=64)
 def _exponent_vectors(dim: int, m: int, exterior: bool) -> tuple[tuple[int, ...], ...]:
     """The basis of Sym^m, or (exterior) Lambda^m, of a dim-dimensional space
@@ -377,13 +374,6 @@ class OracleResult(NamedTuple):
     dimension: int
     history: tuple[int, ...]
     route: str
-
-
-def _derivation(a) -> tuple:
-    """N = a - 1 by its nonzero sparse columns (j, column), with empty
-    caches; the derivation N induces is log a when N^2 = 0."""
-    n = _sparse_columns([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(a)])
-    return [(j, column) for j, column in enumerate(n) if column], ({}, {})
 
 
 @lru_cache(maxsize=64)
@@ -523,9 +513,9 @@ def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[in
 
 
 def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -> dict[tuple, Column]:
-    """The derivation of a `_derivation` on the block of the factors, on
-    columns, sparse vectors on its elements: each element's row {column
-    index: entry}; derivation caches each factor monomial's image."""
+    """The derivation (N, caches) of N, by its nonzero sparse columns, on the
+    block of the factors, on columns, sparse vectors on its elements: each
+    element's row {column index: entry}; caches keeps each monomial's image."""
     n, cache = derivation
     rows: dict[tuple, Column] = {}
     for k, column in enumerate(columns):
@@ -542,9 +532,9 @@ def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -
 
 
 def _fixed_by_derivation(derivation, factors, elements, vectors: Sequence[Column]) -> bool:
-    """Whether D_N v = 0 for the `_derivation` of N = s - 1 and each vector,
-    sparse on the block elements of the factors: over Q that is rho(s) v = v
-    when N^2 = 0."""
+    """Whether D_N v = 0 for the derivation (N, caches) of N = s - 1 and
+    each vector, sparse on the block elements of the factors: over Q that is
+    rho(s) v = v when N^2 = 0."""
     rows = _derivation_rows(factors, elements, vectors, derivation)
     return not any(x for row in rows.values() for x in row.values())
 
@@ -631,7 +621,7 @@ def brute_force_invariant_dim(
     degree: int,
 ) -> OracleResult:
     """Exact dimension of the invariants, in the degree piece, of the group
-    that `group_generators(kind, copies.g)` generates, by orbit sums and
+    that `listed_generators(kind, copies.g)` generates, by orbit sums and
     derivation rows (see the module docstring).
 
     For the orthogonal kind at g = 1 that is the finite O_{1,1}(Z) of order
@@ -669,18 +659,16 @@ def _product_sum(terms) -> dict:
 @lru_cache(maxsize=4)
 def _oracle_setup(kind: GammaType, g: int) -> tuple:
     """Whether the route keeps to weight 0, after asserting the matrix facts
-    that allow it (see the module docstring) on the `_derivation` of N = s -
-    1 for each listed unipotent s; the moves; a cache of their images and
-    one of block counts; the exact check of each listed generator, D_N v = 0
-    for a unipotent s and the signed images of a signed permutation, each
-    with a cache of its monomial images; and the derivations of one
-    unipotent generator per H-conjugacy class, the same objects as the
-    check's, so that both share their caches.  The pieces of one genus share
-    them."""
-    generators = group_generators(kind, g)
-    signed = [signed_permutation(a) for a in generators]
-    derivations = [_derivation(a) for a, move in zip(generators, signed) if move is None]
-    n = [columns for columns, _ in derivations]
+    that allow it (see the module docstring) on N = s - 1 for each listed
+    unipotent s; the moves; a cache of their images and one of block
+    counts; the exact check of each listed generator, D_N v = 0 for a
+    unipotent s and the signed images of a signed permutation, each with a
+    cache of its monomial images; and the derivations, N with those caches,
+    of one unipotent generator per H-conjugacy class, the same objects as
+    the check's, so that both share their caches.  The pieces of one genus
+    share them."""
+    generators = listed_generators(kind, g)
+    n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
         brackets = [(n[i], n[g + i], {(i, i): 1, (g + i, g + i): -1}) for i in range(g)]
     else:  # [N_ij, N_ji] = +-(h_i - h_j); the E_ij are listed in the order of (i, j)
@@ -689,16 +677,17 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
             (n[k], n[pairs.index((j, i))], {(i, i): 1, (g + i, g + i): -1, (j, j): -1, (g + j, g + j): 1})
             for k, (i, j) in enumerate(pairs)
         ]
-        swap = identity_matrix(2 * g)
-        swap[0], swap[g] = swap[g], swap[0]
-        if g > 1 and tuple(map(tuple, swap)) not in generators:
+        swap = [(c, 1) for c in range(2 * g)]
+        swap[0], swap[g] = (g, 1), (0, 1)
+        if g > 1 and tuple(swap) not in [s.move for s in generators]:
             raise AssertionError("the swap of the first pair is not listed")
     if any(_product_sum([(1, a, a)]) for a in n):
         raise AssertionError("a listed unipotent generator s has (s - 1)^2 != 0")
     if any(_product_sum([(1, a, b), (-1, b, a)]) not in (h, {key: -x for key, x in h.items()}) for a, b, h in brackets):
         raise AssertionError("a bracket of listed unipotent generators is not +-h_i or +-(h_i - h_j)")
+    derivations = [(a, ({}, {})) for a in n]
     checks = [partial(_fixed_by_derivation, d) for d in derivations]
-    checks += [partial(_fixed_by_move, move, {}) for move in signed if move]
+    checks += [partial(_fixed_by_move, s.move, {}) for s in generators if s.move]
     # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
     kept = derivations[:1] + (derivations[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
     zero = kind is GammaType.SYMPLECTIC or g > 1

@@ -12,22 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Matrix = Sequence[Sequence[int]]
 Column = dict[int, int]  # sparse column: row index -> nonzero entry
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
-        raise ValueError("matrix shape mismatch")
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in bt] for row in a
-    ]
 
 
 def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:

@@ -18,7 +18,7 @@ import random
 import time
 from fractions import Fraction
 
-from test_groups import orthogonal_rank_one_group
+from test_groups import orthogonal_rank_one_group, transvection
 from test_invariants import sampled_invariant_dim
 from test_lclasses import sequence_by_chern_roots
 from test_mt import convolve_per_generator
@@ -41,7 +41,6 @@ from torelli.groups import (
     quadratic_modulus,
     quadratic_refinement,
     sample_group_element,
-    transvection,
 )
 from torelli.invariants import (
     GradedVCopies,

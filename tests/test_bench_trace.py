@@ -45,6 +45,10 @@ CASES = {
         "invariants.oracle",
         "invariants.piece_dimension",
     ),
+    ("group-sample", "--type", "sp", "--g", "2", "--seed", "1", "--len", "8"): (
+        "groups.sample",
+        "groups.membership",
+    ),
 }
 
 

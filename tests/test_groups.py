@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torelli import groups
 from torelli.cli import GENUS_CAP
 from torelli.groups import (
     GammaType,
@@ -16,18 +17,16 @@ from torelli.groups import (
     group_generators,
     intersection_pairing,
     is_in_group,
+    listed_generators,
     monomial_moves,
     move_words,
     preserves_quadratic,
     quadratic_modulus,
     quadratic_refinement,
     sample_group_element,
-    signed_permutation,
-    transvection,
 )
-from torelli.linalg import mat_mul
 
-from test_linalg import mat_transpose
+from test_linalg import identity_matrix, mat_mul, mat_transpose
 
 
 def test_form_matrices():
@@ -61,6 +60,63 @@ def dense_is_in_group(a, form):
     sparse one replaced, kept as its oracle."""
     j = form.matrix
     return mat_mul(mat_mul(mat_transpose(a), j), a) == j
+
+
+def _n_columns(a):
+    """N = a - 1 by its nonzero sparse columns (j, ((i, N_ij), ...))."""
+    n = [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(a)]
+    columns = [(j, tuple((i, row[j]) for i, row in enumerate(n) if row[j])) for j in range(len(a))]
+    return tuple((j, column) for j, column in columns if column)
+
+
+def test_form_identity_on_n_matches_dense_products():
+    # A^T J A = J read as N^T J + J N + N^T J N = 0 on the nonzeros of N =
+    # A - 1, given only the columns that N moves, against the dense
+    # products: sparse perturbations of I and of random signed
+    # permutations, g <= 4, both forms.  Members come from the
+    # perturbations that are transvections, the listed E_ij and the signed
+    # permutations that keep the hyperbolic pairs, with matching signs;
+    # non-members from the rest
+    rng = random.Random(20261019)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2400):
+        g = rng.randint(1, 4)
+        size, form = 2 * g, GroupForm(g, rng.choice((1, -1)))
+        images = list(range(size))
+        base = rng.random()
+        if base < 0.3:  # a pair-preserving signed permutation, each pair possibly swapped
+            pairs = rng.sample(range(g), g)
+            for i, p in enumerate(pairs):
+                swap = rng.random() < 0.5
+                images[i], images[g + i] = (g + p, p) if swap else (p, g + p)
+            signs = [rng.choice((1, -1)) for _ in range(size)]
+        elif base < 0.5:
+            rng.shuffle(images)
+            signs = [rng.choice((1, -1)) for _ in range(size)]
+        else:
+            signs = [1] * size
+        a = [[0] * size for _ in range(size)]
+        for c, r in enumerate(images):
+            a[r][c] = signs[c]
+        perturb = rng.random()
+        if perturb < 0.3:  # times a transvection
+            v = [rng.choice((0, 0, 1, -1, 2)) for _ in range(size)]
+            a = mat_mul(a, transvection(v, form))
+        elif perturb < 0.45 and g > 1:  # times an E_ij
+            i, j = rng.sample(range(g), 2)
+            e = identity_matrix(size)
+            e[j][i], e[g + i][g + j] = 1, -1
+            a = mat_mul(a, e)
+        elif perturb < 0.85:
+            for _ in range(rng.randint(1, 3)):
+                a[rng.randrange(size)][rng.randrange(size)] += rng.choice((-2, -1, 1, 2))
+        expected = dense_is_in_group(a, form)
+        # the columns of a that are not those of 1, by index
+        moved = {j: {r: a[r][j] for r in range(size) if a[r][j]} for j, _ in _n_columns(a)}
+        assert groups._preserves_form(moved, form) is expected
+        assert is_in_group(a, form) is expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 400
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,15 +186,9 @@ def test_refinement_pairing_relation(n):
         # TRIVIAL: nothing to check, any integer is allowed
 
 
-def test_transvection_frozen():
-    t = transvection((1, 1), GroupForm(1, -1))
-    assert t == [[2, -1], [1, 0]]
-    assert is_in_group(t, GroupForm(1, -1))
-
-
-def dense_transvection(v, form):
-    """w -> w + <w, v> v built column by column, each pairing a full sum
-    against the dense form matrix."""
+def transvection(v, form):
+    """w -> w + <w, v> v built densely, column by column, each pairing a
+    full sum against the dense form matrix."""
     size = 2 * form.g
     j = form.matrix
     cols = []
@@ -148,15 +198,22 @@ def dense_transvection(v, form):
     return mat_transpose(cols)
 
 
+def test_transvection_frozen():
+    t = transvection((1, 1), GroupForm(1, -1))
+    assert t == [[2, -1], [1, 0]]
+    assert is_in_group(t, GroupForm(1, -1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_transvection_matches_the_dense_pairing(data):
-    # sparse vectors like the generators' and dense ones, against either form
+    # sparse vectors like the generators' and dense ones, against either
+    # form: the N = T - 1 that the generator list is built from
     g = data.draw(st.integers(1, 4))
     form = GroupForm(g, data.draw(st.sampled_from((1, -1))))
     v = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=2 * g, max_size=2 * g))
     t = transvection(v, form)
-    assert t == dense_transvection(v, form)
+    assert groups._transvection({k: x for k, x in enumerate(v) if x}, form) == _n_columns(t)
     if form.sign == -1:
         assert is_in_group(t, form)
 
@@ -186,9 +243,116 @@ def test_generator_counts_and_membership():
     assert len(group_generators(GammaType.ORTHOGONAL, 2)) == 7
     assert len(group_generators(GammaType.THETA, 2)) == 8
     for kind in GammaType:
-        form = form_for_kind(kind, 2)
-        for m in group_generators(kind, 2):
-            assert is_in_group([list(r) for r in m], form)
+        for g in (1, 2, 3, 4):
+            form = form_for_kind(kind, g)
+            for m in group_generators(kind, g):
+                assert dense_is_in_group([list(r) for r in m], form)
+
+
+def signed_permutation(a):
+    """The (image index, sign) of each basis vector under a, or None when a
+    is not a signed permutation."""
+    out = []
+    for column in zip(*a):
+        nonzero = [(r, x) for r, x in enumerate(column) if x]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            return None
+        out.append(nonzero[0])
+    return tuple(out) if len({r for r, _ in out}) == len(out) else None
+
+
+def dense_group_generators(kind, g):
+    """The generator list built densely, matrix by matrix, with dense
+    squares for theta: the construction that the sparse list replaced."""
+    form = form_for_kind(kind, g)
+    size = 2 * g
+    gens = []
+    if kind in (GammaType.SYMPLECTIC, GammaType.THETA):
+        for i in range(size):
+            gens.append(transvection([int(k == i) for k in range(size)], form))
+        for i in range(g):
+            for j in range(g):
+                if i != j:
+                    gens.append(transvection([int(k in (i, g + j)) for k in range(size)], form))
+        gens.append(form.matrix)
+        if kind is GammaType.THETA:
+            squares = [mat_mul(m, m) for m in gens]
+            gens = [
+                m
+                for m in gens + squares
+                if all(sum(m[i][c] * m[g + i][c] for i in range(g)) % 2 == 0 for c in range(size))
+            ]
+    else:
+        for i in range(g):
+            # swap within the i-th hyperbolic pair
+            m = identity_matrix(size)
+            m[i][i] = m[g + i][g + i] = 0
+            m[i][g + i] = m[g + i][i] = 1
+            gens.append(m)
+            # sign flip on the i-th pair
+            m = identity_matrix(size)
+            m[i][i] = m[g + i][g + i] = -1
+            gens.append(m)
+        for i in range(g):
+            for j in range(g):
+                if i != j:
+                    # x_i -> x_i + x_j, y_j -> y_j - y_i
+                    m = identity_matrix(size)
+                    m[j][i] = 1
+                    m[g + i][g + j] = -1
+                    gens.append(m)
+        for i in range(g):
+            for j in range(i + 1, g):
+                m = [[0] * size for _ in range(size)]
+                perm = list(range(size))
+                perm[i], perm[j] = perm[j], perm[i]
+                perm[g + i], perm[g + j] = perm[g + j], perm[g + i]
+                for c, r in enumerate(perm):
+                    m[r][c] = 1
+                gens.append(m)
+    return tuple(tuple(map(tuple, m)) for m in gens)
+
+
+@pytest.mark.parametrize("g", range(1, GENUS_CAP + 1))
+def test_sparse_list_matches_the_dense_construction(g):
+    # entry for entry, and each listed generator is the signed permutation
+    # or the N = A - 1 of its dense matrix
+    for kind in GammaType:
+        dense = dense_group_generators(kind, g)
+        assert group_generators(kind, g) == dense
+        for s, a in zip(listed_generators(kind, g), dense, strict=True):
+            move = signed_permutation(a)
+            assert s == (((), move) if move else (_n_columns(a), None))
+
+
+def test_sparse_products_match_the_dense_ones():
+    # right multiplication by each listed generator and by its inverse, 1 -
+    # N for 1 + N and the transpose for a signed permutation, on the
+    # columns of a matrix of distinct entries
+    for kind in GammaType:
+        for g in (1, 2, 3):
+            size = 2 * g
+            b = [[r * size + c + 1 for c in range(size)] for r in range(size)]
+            for s, a in zip(listed_generators(kind, g), group_generators(kind, g)):
+                inverse = mat_transpose(a) if s.move else [[2 * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
+                assert mat_mul(a, inverse) == identity_matrix(size)
+                assert mat_transpose(groups._times(mat_transpose(b), s)) == mat_mul(b, a)
+                assert mat_transpose(groups._times(mat_transpose(b), s, -1)) == mat_mul(b, inverse)
+
+
+def test_sampling_matches_the_dense_words():
+    # the sampled element, multiplied out on sparse generators, is the dense
+    # product of the generators that the seeded draws pick
+    for kind in GammaType:
+        for g in (1, 2, 3, 5):
+            gens = group_generators(kind, g)
+            for seed in range(3):
+                for length in (0, 1, 7, 40):
+                    rng = random.Random(seed)
+                    out = identity_matrix(2 * g)
+                    for _ in range(length):
+                        out = mat_mul(out, gens[rng.randrange(len(gens))])
+                    assert sample_group_element(kind, g, seed, length) == out
 
 
 def orthogonal_rank_one_group():

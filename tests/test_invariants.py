@@ -28,12 +28,12 @@ from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
 from torelli.groups import (
     GammaType,
+    Generator,
     form_for_kind,
     group_generators,
+    listed_generators,
     monomial_moves,
     sample_group_element,
-    signed_permutation,
-    transvection,
 )
 from torelli.invariants import (
     REQUEST_WORK_CAP,
@@ -55,9 +55,9 @@ from torelli.invariants import (
     torelli_model_series,
     two_part_partitions,
 )
-from torelli.linalg import identity_matrix, mat_mul
 
-from test_linalg import bareiss_kernel_basis, mat_sub, mat_transpose
+from test_groups import _n_columns, signed_permutation, transvection
+from test_linalg import bareiss_kernel_basis, identity_matrix, mat_mul, mat_sub, mat_transpose
 
 
 def test_go_homotopy_rank():
@@ -267,13 +267,13 @@ def test_history_has_one_entry_per_generator():
 def test_oracle_setup_asserts_the_weight_premises(monkeypatch):
     # the matrix facts that put every invariant in V_0 are checked on the
     # listed generators, before any piece is counted
-    sp, o = group_generators(GammaType.SYMPLECTIC, 2), group_generators(GammaType.ORTHOGONAL, 2)
+    sp, o = listed_generators(GammaType.SYMPLECTIC, 2), listed_generators(GammaType.ORTHOGONAL, 2)
     square = tuple(tuple(int(r == c or (r, c) in ((0, 1), (1, 2))) for c in range(4)) for r in range(4))
-    n = invariants._derivation(square)[0]
-    assert not _squares_to_zero(invariants._sparse_columns(square)) and invariants._product_sum([(1, n, n)])
+    n = _n_columns(square)
+    assert not _squares_to_zero(sparse_columns(square)) and invariants._product_sum([(1, n, n)])
     for kind, generators, message in (
         # a unipotent s with (s - 1)^2 != 0 in the place of T_x1
-        (GammaType.SYMPLECTIC, (square,) + sp[1:], r"\(s - 1\)\^2"),
+        (GammaType.SYMPLECTIC, (Generator(n, None),) + sp[1:], r"\(s - 1\)\^2"),
         # T_x2 in the place of T_x1, so that [N_x1, N_y1] is not listed
         (GammaType.SYMPLECTIC, (sp[1], sp[1]) + sp[2:], "bracket"),
         # E_12 in the place of E_21
@@ -281,7 +281,7 @@ def test_oracle_setup_asserts_the_weight_premises(monkeypatch):
         # the swap of the first pair left out
         (GammaType.ORTHOGONAL, o[1:], "swap of the first pair"),
     ):
-        monkeypatch.setattr(invariants, "group_generators", lambda kind, g, listed=generators: listed)
+        monkeypatch.setattr(invariants, "listed_generators", lambda kind, g, listed=generators: listed)
         with pytest.raises(AssertionError, match=message):
             invariants._oracle_setup.__wrapped__(kind, 2)
 
@@ -391,6 +391,11 @@ def _block_apply(action, factors, vector):
     return {key: c for key, c in vector.items() if c}
 
 
+def sparse_columns(a):
+    """The nonzero entries (i, x) of each column of a."""
+    return [tuple((i, row[j]) for i, row in enumerate(a) if row[j]) for j in range(len(a))]
+
+
 def _squares_to_zero(a):
     """Whether (a - 1)^2 = 0, for a by its sparse columns: a a e_j - 2 a e_j
     + e_j = 0 for every column j that a moves."""
@@ -413,7 +418,7 @@ def _power_columns(a, m, exterior):
     every piece that asks for them."""
     basis = invariants._exponent_vectors(len(a), m, exterior)
     index = {b: i for i, b in enumerate(basis)}
-    columns = invariants._sparse_columns(a)
+    columns = sparse_columns(a)
     return [{index[b]: c for b, c in _monomial_image(columns, src, exterior).items()} for src in basis]
 
 
@@ -614,7 +619,7 @@ def test_factor_wise_image_matches_the_tensor_product():
         vector = {tuple(map(rng.choice, bases)): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
         vector = {element: c for element, c in vector.items() if c}
         expected = {}
-        columns = invariants._sparse_columns(a)
+        columns = sparse_columns(a)
         for element, c in vector.items():
             for key, x in _block_image(columns, factors, element).items():
                 expected[key] = expected.get(key, 0) + c * x
@@ -636,7 +641,7 @@ def listed_checks(kind, g):
     assert len(pairs) == len(generators)
     for a, check in pairs:
         if a in unipotent:
-            assert check.func is invariants._fixed_by_derivation and check.args[0][0] == invariants._derivation(a)[0]
+            assert check.func is invariants._fixed_by_derivation and check.args[0][0] == _n_columns(a)
         else:
             assert check.func is invariants._fixed_by_move and check.args[0] == signed_permutation(a)
     return pairs
@@ -682,7 +687,7 @@ def test_exact_check_matches_the_reference_image():
         cases += [(block, vector) for vector in oracle_kernel_vectors(kind, g, block)]
         for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL):
             for a, check in listed_checks(kind, g):
-                action = actions.setdefault(a, (invariants._sparse_columns(a), ({}, {})))
+                action = actions.setdefault(a, (sparse_columns(a), ({}, {})))
                 for factors, vector in cases:
                     elements = list(vector)
                     verdict = check(factors, elements, [dict(enumerate(vector.values()))])
@@ -730,7 +735,7 @@ def test_derivation_image_matches_the_positions():
             for m in range(top + 1):
                 for mono in combos(range(dim), m):
                     image = invariants._derivation_image(
-                        list(enumerate(invariants._sparse_columns(n))), tuple(map(mono.count, range(dim))), exterior
+                        list(enumerate(sparse_columns(n))), tuple(map(mono.count, range(dim))), exterior
                     )
                     expected = derivation_by_positions(n, mono, exterior)
                     assert image == {tuple(map(key.count, range(dim))): c for key, c in expected.items()}
@@ -1002,8 +1007,8 @@ def test_transvections_act_as_the_exponential_of_their_derivation(g):
     for a in generators[:-1] + tuple(orthogonal):
         n = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
         assert any(map(any, n)) and not any(map(any, mat_mul(n, n)))
-        assert _squares_to_zero(invariants._sparse_columns(a))
-        derivation = invariants._derivation(a)
+        assert _squares_to_zero(sparse_columns(a))
+        derivation = (_n_columns(a), ({}, {}))
         assert not invariants._product_sum([(1, derivation[0], derivation[0])])
         for factors in TRANSVECTION_BLOCKS:
             if any(exterior and m > 2 * g for m, exterior in factors):

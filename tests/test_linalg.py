@@ -4,7 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.linalg import identity_matrix, invert_fraction_matrix, kernel_basis, mat_mul
+from torelli.linalg import invert_fraction_matrix, kernel_basis
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    """The dense product, one sum per entry; the group code multiplies
+    sparse columns instead, and the tests check it against this."""
+    if len(a[0]) != len(b):
+        raise ValueError("matrix shape mismatch")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def mat_sub(a, b):

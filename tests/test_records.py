@@ -11,7 +11,7 @@ import pytest
 from torelli import borel
 from torelli.borel import BorelConstant, root_system
 from torelli.graded import HilbertSeries
-from torelli.groups import GroupForm
+from torelli.groups import Generator, GroupForm
 from torelli.invariants import GradedVCopies, InvariantReport, OracleResult, ReportRow
 from torelli.lclasses import IndexGeneratorMap, IndexMapEntry
 from torelli.mt import KappaGenerator
@@ -30,6 +30,7 @@ RECORDS = {
         lambda: HilbertSeries((1, 0, 3)),
     ),
     "GroupForm": ("sign", lambda: GroupForm(2, -1), lambda: GroupForm(2, 1)),
+    "Generator": ("move", lambda: Generator((), ((1, 1), (0, 1))), lambda: Generator((), ((1, -1), (0, 1)))),
     "GradedVCopies": ("g", lambda: GradedVCopies(1, (1, 3)), lambda: GradedVCopies(1, (3, 1))),
     "OracleResult": (
         "route",
