@@ -64,7 +64,8 @@ GENUS_CAP = 10
 # generator; 9-24 ms at both caps
 WORD_CAP = 1000
 # invariant-oracle: counting the piece fills a row of deg + 1 integers per
-# copy, in 2g passes each; about 1.2 s at these caps and GENUS_CAP
+# copy, in 2g passes each; 0.26-0.36 s at these caps and GENUS_CAP, for
+# either kind
 ORACLE_DEGREE_CAP = 2000
 ORACLE_COPIES_CAP = 64
 

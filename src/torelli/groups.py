@@ -238,13 +238,6 @@ def listed_generators(kind: GammaType, g: int) -> tuple[Generator, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def group_generators(kind: GammaType, g: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The matrices of `listed_generators`, as tuples of rows."""
-    identity = _identity_columns(2 * g)
-    return tuple(tuple(zip(*_times(identity, s))) for s in listed_generators(kind, g))
-
-
 def move_words(g: int) -> list[tuple[tuple[int, int], ...]]:
     """Words for R_1 and P_12, ..., P_1g in `listed_generators(SYMPLECTIC, g)`:
     pairs (generator index, exponent +-1), multiplied left to right.  R_1 =

@@ -64,6 +64,9 @@ For the orthogonal kind at g = 1 the generated group is the finite
 O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
 exceed the stable ones: Sym^2 V has the two invariants xy and x^2 + y^2,
 the second of weight +-2, so the route keeps the whole block there.
+
+Before any block is listed, a piece must meet a cap on its work, a unit per
+element of the whole piece, read off the series that gives its dimension.
 """
 
 from __future__ import annotations
@@ -93,15 +96,16 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the a-priori cap on `_orbit_work`, for both kinds; it counts the whole
-# piece, and the slowest piece found inside it takes about 0.3 s in process:
-# degree 120 on the 30 copies of crosscheck-sec6 --n 8 --g 1 --maxdeg 120 (o,
-# 589128 dimensions, whole blocks at g = 1), where Sym^12 V at g = 4 takes
-# 0.015 s and the slowest sp piece found, degree 70 at --n 9 --g 2, 0.1 s
+# the a-priori cap on `_orbit_work`, for both kinds; the slowest pieces
+# found inside it take 0.4-0.5 s in process: degree 120 on the 30 copies of
+# crosscheck-sec6 --n 8 --g 1 --maxdeg 120 (o, 589128 dimensions, whole
+# blocks at g = 1) and degree 32 on the copies 2, 4, 6, 8 at g = 2 (o); the
+# slowest sp piece found, degree 70 at --n 9 --g 2, takes 0.16-0.19 s
 WORK_CAP = 2_500_000
 # the cap on that work summed over the pieces of one crosscheck request; the
-# slowest requests found inside it take about 0.35 s (--n 8 --g 1 --maxdeg 115,
-# 4.8 million) and 0.09 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
+# slowest requests found inside it take 0.3-0.6 s (--n 8 --g 1 --maxdeg 115,
+# 4.8 million), 0.25-0.45 s (--n 10 --g 2 --maxdeg 41, 4.3 million) and
+# 0.13-0.18 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
 REQUEST_WORK_CAP = 5_000_000
 
 
@@ -198,24 +202,11 @@ class GradedVCopies(
         return super().__new__(cls, g, tuple(copy_degrees))
 
 
-# the table of the largest degree asked for, for each of the last 16 keys: an
-# oracle request reads its tail table three or four times (its piece
-# dimension, its allocations, the CLI's piece column and the orbit work), and
-# the pieces of a crosscheck read the tables of its top degree, since the
-# entries up to a degree do not depend on the truncation
+# the table of the largest degree asked for, for each of the last 16 copy
+# lists: a request reads it for its piece dimension, allocations, work and
+# the CLI's piece column, and the pieces of a crosscheck read the table of
+# its top degree, since entries up to a degree do not depend on the truncation
 _TABLES: dict = {}
-
-
-def _widest(key, degree: int, build: Callable):
-    """build(degree), or the table that build gave under key for a larger
-    degree."""
-    top, table = _TABLES.pop(key, (-1, None))
-    if top < degree:
-        top, table = degree, build(degree)
-    _TABLES[key] = top, table
-    if len(_TABLES) > 16:
-        del _TABLES[next(iter(_TABLES))]
-    return table
 
 
 def _tail_table(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -240,38 +231,27 @@ def _tail_table(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ..
 
 
 def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...], ...]:
-    """The `_tail_table` of the copies up to degree, or beyond it."""
-    return _widest(copies, degree, partial(_tail_table, copies))
-
-
-def _work_table(kind: GammaType, copies: GradedVCopies, degree: int) -> tuple[int, ...]:
-    """The oracle's work in each degree up to degree, counted a priori.  For
-    the orthogonal kind: the monomials visited, 2g exponents by each of the
-    g + 1 moves, plus the nonzeros of the images under s, which the exact
-    check once touched and now over-counts: it takes D_N, with one term per
-    factor and entry of N.  s moves x_1 to x_1 + x_2 and y_2 to y_2 - y_1, so
-    on an even copy x_1^a y_2^b has (a + 1)(b + 1) terms, counted by 1/(1 -
-    q^d)^{2g+2}, and an odd copy is bounded by (1 + 2q^d)^2 (1 + q^d)^{2g-2}.
-    At g = 1 there is no s.  For the symplectic kind: 8(g + 8) per element,
-    a visit by each of the g moves and about eight more for the rows, the
-    elimination and the exact check; a visit is 8 units, about as long as
-    the orthogonal kind's unit takes."""
-    g = copies.g
-    pieces = _tail_dimensions(copies, degree)[0][: degree + 1]
-    if kind is GammaType.SYMPLECTIC:
-        return tuple(8 * (g + 8) * x for x in pieces)
-    images = [int(g > 1)] + [0] * degree
-    for d in copies.copy_degrees:
-        steps = range(degree, d - 1, -1) if d % 2 else range(d, degree + 1)
-        for weight in [2, 2] + [1] * (2 * g - 2) if d % 2 else [1] * (2 * g + 2):
-            for e in steps:
-                images[e] += weight * images[e - d]
-    return tuple(2 * g * (g + 1) * x + y for x, y in zip(pieces, images))
+    """The `_tail_table` of the copies up to degree, or the one built for a
+    larger degree."""
+    top, table = _TABLES.pop(copies, (-1, None))
+    if top < degree:
+        top, table = degree, _tail_table(copies, degree)
+    _TABLES[copies] = top, table
+    if len(_TABLES) > 16:
+        del _TABLES[next(iter(_TABLES))]
+    return table
 
 
 def _orbit_work(kind: GammaType, copies: GradedVCopies, degree: int) -> tuple[int, ...]:
-    """The `_work_table` of the copies in each degree up to degree."""
-    return _widest((kind, copies), degree, partial(_work_table, kind, copies))[: degree + 1]
+    """The oracle's work in each degree up to degree, counted a priori: a
+    unit per element of the whole piece, 2g(g + 1) for the orthogonal kind
+    (2g exponents by each of the g + 1 moves) and 8(g + 8) for the
+    symplectic kind (a visit by each of the g moves and about eight more for
+    the rows, the elimination and the exact check; a visit is 8 units, about
+    as long as the orthogonal kind's unit takes)."""
+    g = copies.g
+    unit = 8 * (g + 8) if kind is GammaType.SYMPLECTIC else 2 * g * (g + 1)
+    return tuple(unit * x for x in _tail_dimensions(copies, degree)[0][: degree + 1])
 
 
 def _allocations(copies: GradedVCopies, degree: int):

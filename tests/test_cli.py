@@ -361,12 +361,15 @@ def test_cost_caps_exit_3_before_any_work():
         (["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "orbit-route work 6227512200 > cap 2500000"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(["1"] * 15), "--deg", "12"], "orbit-route work 345972900 > cap 2500000"),
         # every crosscheck piece is counted before either series is built;
-        # the first above the cap is in degree 16 for n = 9 at g = 10 and 44
-        # for n = 8 at g = 3
+        # the first above the cap is in degree 16 for n = 9 at g = 10, 44
+        # for n = 8 at g = 3 (24 times 178794 dimensions) and 36 for n = 8
+        # at g = 4 (40 times 164560)
         (["crosscheck-sec6", "--n", "9", "--g", "10", "--maxdeg", "5000", "--oracle"], "orbit-route work 3283200 > cap 2500000"),
-        (["crosscheck-sec6", "--n", "8", "--g", "3", "--maxdeg", "5000", "--oracle"], "orbit-route work 5311472 > cap 2500000"),
+        (["crosscheck-sec6", "--n", "8", "--g", "3", "--maxdeg", "5000", "--oracle"], "orbit-route work 4291056 > cap 2500000"),
+        (["crosscheck-sec6", "--n", "8", "--g", "4", "--maxdeg", "36", "--oracle"], "orbit-route work 6582400 > cap 2500000"),
         # and so is the orbit-route work summed over the pieces of a request
         (["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "99", "--oracle"], "orbit-route work 13196312 summed up to degree 99 > cap 5000000"),
+        (["crosscheck-sec6", "--n", "10", "--g", "2", "--maxdeg", "42", "--oracle"], "orbit-route work 6287256 summed up to degree 42 > cap 5000000"),
         # and on the symplectic side
         (["crosscheck-sec6", "--n", "9", "--g", "1", "--maxdeg", "114", "--oracle"], "orbit-route work 5063112 summed up to degree 114 > cap 5000000"),
     ):
@@ -391,11 +394,72 @@ def test_cost_caps_exit_3_before_any_work():
         ["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2", "--deg", "2000"],
         ["crosscheck-sec6", "--n", "10", "--g", "1", "--maxdeg", "40", "--oracle"],
         ["crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "36", "--oracle"],
+        # the largest at n = 10, g = 2 and at n = 8, g = 4
+        ["crosscheck-sec6", "--n", "10", "--g", "2", "--maxdeg", "41", "--oracle"],
+        ["crosscheck-sec6", "--n", "8", "--g", "4", "--maxdeg", "35", "--oracle"],
     ):
         started = time.perf_counter()
         code, _, _ = _capture(argv)
         assert time.perf_counter() - started < 1
         assert code == 0
+
+
+def _oracle_sweep():
+    """Oracle requests of both kinds, crosschecks and single pieces, from
+    the trivial to the slowest accepted orthogonal request."""
+    requests = [
+        ["crosscheck-sec6", "--n", str(n), "--g", str(g), "--maxdeg", "40", "--oracle"]
+        for n in range(8, 12)
+        for g in (1, 2, 3)
+    ]
+    requests += [
+        ["invariant-oracle", "--type", kind, "--g", str(g), "--degrees", degrees, "--deg", str(deg)]
+        for kind in ("sp", "o")
+        for g in range(1, 5)
+        for degrees in ("1", "2", "1,3", "2,4", "1,2", "2,3,4")
+        for deg in (2, 3, 4, 6, 8)
+    ]
+    return requests + [
+        argv.split()
+        for argv in (
+            "invariant-oracle --type o --g 2 --degrees 2 --deg 88",
+            "invariant-oracle --type sp --g 9 --degrees 1 --deg 4",
+            "invariant-oracle --type o --g 1 --degrees 2,4 --deg 40",
+            "invariant-oracle --type o --g 1 --degrees 1,3,9,27 --deg 40",
+            "crosscheck-sec6 --n 8 --g 1 --maxdeg 115 --oracle",
+            "invariant-oracle --type sp --g 1 --degrees 1,3,9,27,81,243 --deg 364",
+        )
+    ]
+
+
+# the two sweep requests whose verdict moved when the orthogonal work became
+# a unit per piece element, without the count of the images under s
+ORACLE_SWEEP_MOVED = (
+    ("crosscheck-sec6", "--n", "10", "--g", "2", "--maxdeg", "40", "--oracle"),
+    ("crosscheck-sec6", "--n", "10", "--g", "3", "--maxdeg", "40", "--oracle"),
+)
+# the sha256 of (argv, exit code, stdout, stderr) over the other 256, as the
+# oracle printed them before that change
+ORACLE_SWEEP_SHA256 = "285489b4fb9f5079012e56425e144f8b930e96290acd5ccbac3aa378b9a589bf"
+
+
+def test_oracle_sweep_bytes():
+    requests = _oracle_sweep()
+    assert len(requests) == 258
+    digest = hashlib.sha256()
+    for argv in requests:
+        code, out, err = _capture(argv)
+        if tuple(argv) not in ORACLE_SWEEP_MOVED:
+            digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == ORACLE_SWEEP_SHA256
+    # answered, every degree agreeing
+    code, out, err = _capture(ORACLE_SWEEP_MOVED[0])
+    rows = json.loads(out)["table"]
+    assert (code, err, len(rows)) == (0, "", 41)
+    assert all(row["agree"] and row["oracle"] == row["stable"] for row in rows)
+    assert rows[40]["oracle"] == 143
+    # refused at work 3230208, 24 times the 134592 dimensions of degree 28
+    assert _capture(ORACLE_SWEEP_MOVED[1]) == (3, "", "error: orbit-route work 3230208 > cap 2500000\n")
 
 
 def test_oracle_seed_defaults_to_zero():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from torelli.groups import (
     QuadraticModulus,
     form_for_kind,
     gamma_type,
-    group_generators,
     intersection_pairing,
     is_in_group,
     listed_generators,
@@ -238,14 +238,22 @@ def test_preserves_quadratic_needs_group_membership():
         preserves_quadratic(t, 2, 1)
 
 
+@lru_cache(maxsize=None)
+def generator_matrices(kind, g):
+    """The matrices of `listed_generators`, as tuples of rows: the identity,
+    by its columns, times each listed generator."""
+    identity = groups._identity_columns(2 * g)
+    return tuple(tuple(zip(*groups._times(identity, s))) for s in listed_generators(kind, g))
+
+
 def test_generator_counts_and_membership():
-    assert len(group_generators(GammaType.SYMPLECTIC, 2)) == 7
-    assert len(group_generators(GammaType.ORTHOGONAL, 2)) == 7
-    assert len(group_generators(GammaType.THETA, 2)) == 8
+    assert len(generator_matrices(GammaType.SYMPLECTIC, 2)) == 7
+    assert len(generator_matrices(GammaType.ORTHOGONAL, 2)) == 7
+    assert len(generator_matrices(GammaType.THETA, 2)) == 8
     for kind in GammaType:
         for g in (1, 2, 3, 4):
             form = form_for_kind(kind, g)
-            for m in group_generators(kind, g):
+            for m in generator_matrices(kind, g):
                 assert dense_is_in_group([list(r) for r in m], form)
 
 
@@ -319,7 +327,7 @@ def test_sparse_list_matches_the_dense_construction(g):
     # or the N = A - 1 of its dense matrix
     for kind in GammaType:
         dense = dense_group_generators(kind, g)
-        assert group_generators(kind, g) == dense
+        assert generator_matrices(kind, g) == dense
         for s, a in zip(listed_generators(kind, g), dense, strict=True):
             move = signed_permutation(a)
             assert s == (((), move) if move else (_n_columns(a), None))
@@ -333,7 +341,7 @@ def test_sparse_products_match_the_dense_ones():
         for g in (1, 2, 3):
             size = 2 * g
             b = [[r * size + c + 1 for c in range(size)] for r in range(size)]
-            for s, a in zip(listed_generators(kind, g), group_generators(kind, g)):
+            for s, a in zip(listed_generators(kind, g), generator_matrices(kind, g)):
                 inverse = mat_transpose(a) if s.move else [[2 * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
                 assert mat_mul(a, inverse) == identity_matrix(size)
                 assert mat_transpose(groups._times(mat_transpose(b), s)) == mat_mul(b, a)
@@ -345,7 +353,7 @@ def test_sampling_matches_the_dense_words():
     # product of the generators that the seeded draws pick
     for kind in GammaType:
         for g in (1, 2, 3, 5):
-            gens = group_generators(kind, g)
+            gens = generator_matrices(kind, g)
             for seed in range(3):
                 for length in (0, 1, 7, 40):
                     rng = random.Random(seed)
@@ -388,7 +396,7 @@ def test_orthogonal_rank_one_generators_give_the_whole_group():
     }
     # closing the generator list under multiplication reaches every element,
     # so word samples range over all of O_{1,1}(Z), not a proper subgroup
-    gens = group_generators(GammaType.ORTHOGONAL, 1)
+    gens = generator_matrices(GammaType.ORTHOGONAL, 1)
     closure = set(gens)
     frontier = set(gens)
     while frontier:
@@ -413,7 +421,7 @@ def test_orthogonal_generators_outside_h_are_conjugate_to_the_first(g):
     # generator is h s h^-1 for s the first of them and h a product of
     # listed pair permutations; and s - 1 squares to 0
     size = 2 * g
-    gens = [[list(row) for row in a] for a in group_generators(GammaType.ORTHOGONAL, g)]
+    gens = [[list(row) for row in a] for a in generator_matrices(GammaType.ORTHOGONAL, g)]
     swaps, flips, pairs = {}, {}, {}
     for i in range(g):
         images = list(range(size))
@@ -478,7 +486,7 @@ def test_move_words_multiply_out_to_their_signed_permutations(g):
     # each word, multiplied out densely over the listed generators and
     # their inverses, is the move it is stated to be, and the oracle's moves
     # are these products
-    gens = [[list(row) for row in a] for a in group_generators(GammaType.SYMPLECTIC, g)]
+    gens = [[list(row) for row in a] for a in generator_matrices(GammaType.SYMPLECTIC, g)]
     identity = [[int(r == c) for c in range(2 * g)] for r in range(2 * g)]
     products = []
     for word in move_words(g):
@@ -547,7 +555,7 @@ def test_symplectic_transvections_are_conjugate_to_the_kept_ones(g):
     # vector; the only other listed generator is J
     size = 2 * g
     form = GroupForm(g, -1)
-    gens = [[list(row) for row in a] for a in group_generators(GammaType.SYMPLECTIC, g)]
+    gens = [[list(row) for row in a] for a in generator_matrices(GammaType.SYMPLECTIC, g)]
     kept = [tuple(int(i == 0) for i in range(size))] + [tuple(int(i in (0, g + 1)) for i in range(size))] * (g > 1)
     moves = monomial_moves(GammaType.SYMPLECTIC, g)
     orbits = [(transvection(v, form), _h_orbit(moves, v)) for v in kept]
@@ -597,7 +605,7 @@ def test_split_orthogonal_generators_modulo_p(p, index):
     # squares, and -1 is a square modulo 5.  Neither proves or refutes
     # generation of O_{2,2}(Z) (O'Meara, Introduction to Quadratic Forms).
     order = 2 * p**2 * (p**2 - 1) ** 2
-    assert len(_closure_mod(group_generators(GammaType.ORTHOGONAL, 2), p)) == order // index
+    assert len(_closure_mod(generator_matrices(GammaType.ORTHOGONAL, 2), p)) == order // index
 
 
 def _echelon_mod(matrix, p):
@@ -649,7 +657,7 @@ def test_spinor_norms_of_split_orthogonal_generators_modulo_p(p, all_square):
     # no square modulo 3: the swap e_1 <-> f_1 is the reflection in
     # e_1 - f_1, of spinor norm Q(e_1 - f_1) = -1, and the image is all of
     # O_4(F_3)
-    gens = group_generators(GammaType.ORTHOGONAL, 2)
+    gens = generator_matrices(GammaType.ORTHOGONAL, 2)
     squares = [_spinor_norm_is_square(a, p) for a in gens]
     assert all(squares) is all_square
     assert squares[0] is all_square  # the swap e_1 <-> f_1
@@ -661,7 +669,7 @@ def test_spinor_norms_of_split_orthogonal_generators_modulo_p(p, all_square):
 
 def test_theta_generators_preserve_refinement():
     for g in (1, 2, 3):
-        for m in group_generators(GammaType.THETA, g):
+        for m in generator_matrices(GammaType.THETA, g):
             assert preserves_quadratic([list(r) for r in m], 5, g)
 
 

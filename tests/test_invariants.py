@@ -30,7 +30,6 @@ from torelli.groups import (
     GammaType,
     Generator,
     form_for_kind,
-    group_generators,
     listed_generators,
     monomial_moves,
     sample_group_element,
@@ -56,7 +55,7 @@ from torelli.invariants import (
     two_part_partitions,
 )
 
-from test_groups import _n_columns, signed_permutation, transvection
+from test_groups import _n_columns, generator_matrices, signed_permutation, transvection
 from test_linalg import bareiss_kernel_basis, identity_matrix, mat_mul, mat_sub, mat_transpose
 
 
@@ -192,24 +191,23 @@ def test_allocations_over_many_copies():
 
 @pytest.mark.parametrize("kind", ["sp", "o"])
 def test_tail_dimensions_once_per_request(monkeypatch, kind):
-    # the route's piece dimension, its allocations (and for the orthogonal
-    # kind its work count) and the CLI's piece column read one table, of
-    # tuples, so that none of them can change it for the others; and the
-    # pieces of a crosscheck read the tables of its top degree, built once
-    # per window of its caps' pre-check, not once per piece
-    built = []
+    # the route's piece dimension, its allocations, its work and the CLI's
+    # piece column read one table, of tuples, so that none of them can
+    # change it for the others; and the pieces of a crosscheck read the
+    # table of its top degree, built once per window of its caps'
+    # pre-check, not once per piece
+    built, build = [], invariants._tail_table
 
-    def counted(build, *args):
+    def counted(*args):
         built.append(args)
         return build(*args)
 
-    for name in ("_tail_table", "_work_table"):
-        monkeypatch.setattr(invariants, name, partial(counted, getattr(invariants, name)))
+    monkeypatch.setattr(invariants, "_tail_table", counted)
     monkeypatch.setattr(invariants, "_TABLES", {})
     argv = ["invariant-oracle", "--type", kind, "--g", "1", "--degrees", "1,3,9,27", "--deg", "40"]
     assert run(argv, out=io.StringIO()) == 0
     copies = GradedVCopies(1, (1, 3, 9, 27))
-    assert built == [(GammaType(kind), copies, 40), (copies, 40)]
+    assert built == [(copies, 40)]
     tails = invariants._tail_dimensions(copies, 40)
     assert isinstance(tails, tuple) and all(isinstance(tail, tuple) for tail in tails)
     built.clear()
@@ -217,7 +215,20 @@ def test_tail_dimensions_once_per_request(monkeypatch, kind):
     argv = ["crosscheck-sec6", "--n", str(n), "--g", "1", "--maxdeg", "80", "--oracle"]
     assert run(argv, out=io.StringIO()) == 0
     copies = GradedVCopies(1, tuple(go_shifted_degrees(n, 80)))
-    assert built == [(GammaType(kind), copies, 64), (copies, 64), (GammaType(kind), copies, 80), (copies, 80)]
+    assert built == [(copies, 64), (copies, 80)]
+
+
+def test_orbit_work_is_a_unit_per_piece_element():
+    # 2g(g + 1) per element for the orthogonal kind, 8(g + 8) for the
+    # symplectic kind, in every degree, on random copy lists
+    rng = random.Random(22)
+    for g in range(1, 11):
+        for _ in range(4):
+            copies = GradedVCopies(g, tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 5))))
+            degree = rng.randint(0, 30)
+            for kind, unit in ((GammaType.ORTHOGONAL, 2 * g * (g + 1)), (GammaType.SYMPLECTIC, 8 * (g + 8))):
+                works = invariants._orbit_work(kind, copies, degree)
+                assert works == tuple(unit * piece_dimension(copies, e) for e in range(degree + 1))
 
 
 def _dim(kind, g, degrees, degree):
@@ -460,7 +471,7 @@ def _powers(g):
 def test_power_columns_match_the_dense_powers(kind):
     # every generator at g = 1..3, on Lambda^m and on Sym^m up to m = 5
     for g in (1, 2, 3):
-        for a in group_generators(kind, g):
+        for a in generator_matrices(kind, g):
             for m, exterior in _powers(g):
                 dense = _power_matrix(a, m, exterior)
                 columns = _power_columns(a, m, exterior)
@@ -512,7 +523,7 @@ def _signed_block(moves, factors):
 
 def _all_moves(g):
     """Every signed generator of each kind and every move at genus g."""
-    moves = {signed_permutation(a) for kind in GammaType for a in group_generators(kind, g)} - {None}
+    moves = {signed_permutation(a) for kind in GammaType for a in generator_matrices(kind, g)} - {None}
     return moves | {move for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL) for move in monomial_moves(kind, g)}
 
 
@@ -610,7 +621,7 @@ def test_factor_wise_image_matches_the_tensor_product():
     fixed = 0
     for _ in range(300):
         g = rng.randint(1, 3)
-        a = rng.choice(group_generators(rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL)), g))
+        a = rng.choice(generator_matrices(rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL)), g))
         factors = []
         for _ in range(rng.randint(1, 6)):
             exterior = rng.random() < 0.5
@@ -634,7 +645,7 @@ def listed_checks(kind, g):
     """Each listed generator with the oracle's exact check of it: the checks
     of `_oracle_setup` list the unipotent generators' derivations, then the
     signed permutations."""
-    generators = group_generators(kind, g)
+    generators = generator_matrices(kind, g)
     unipotent = [a for a in generators if signed_permutation(a) is None]
     ordered = unipotent + [a for a in generators if a not in unipotent]
     pairs = list(zip(ordered, invariants._oracle_setup(kind, g)[4]))
@@ -924,7 +935,7 @@ def kept_generators(kind, g):
     """The listed unipotent generators whose derivations the oracle
     eliminates, one per H-conjugacy class: the first for the orthogonal
     kind, T_x1 and, at g >= 2, T_{x1 + y2} for the symplectic kind."""
-    generators = group_generators(kind, g)
+    generators = generator_matrices(kind, g)
     if kind is GammaType.ORTHOGONAL:
         return [a for a in generators if signed_permutation(a) is None][:1]
     form = form_for_kind(kind, g)
@@ -946,7 +957,7 @@ def kernel_invariant_dim(kind, copies, degree):
     g = copies.g
     moves = [_signed_matrix(move) for move in monomial_moves(kind, g)]
     first = moves + kept_generators(kind, g)
-    generators = first + [a for a in group_generators(kind, g) if a not in first]
+    generators = first + [a for a in generator_matrices(kind, g) if a not in first]
     zero = kind is GammaType.SYMPLECTIC or g > 1
     history = [0] * len(generators) if piece_dimension(copies, degree) else []
     restricted = history[len(moves) - 1 : len(first)]
@@ -1000,9 +1011,9 @@ def test_transvections_act_as_the_exponential_of_their_derivation(g):
     # rho(s) = exp(D_N), exactly: so rho(s) - 1 = D_N U with U = 1 + D_N/2!
     # + ... invertible, the rows of D_N have the kernel of rho(s) - 1, and the
     # exact check's D_N v = 0 is rho(s) v = v
-    generators = group_generators(GammaType.SYMPLECTIC, g)
+    generators = generator_matrices(GammaType.SYMPLECTIC, g)
     assert [a for a in generators if signed_permutation(a)] == [generators[-1]]
-    orthogonal = [a for a in group_generators(GammaType.ORTHOGONAL, g) if signed_permutation(a) is None]
+    orthogonal = [a for a in generator_matrices(GammaType.ORTHOGONAL, g) if signed_permutation(a) is None]
     assert len(orthogonal) == g * (g - 1)
     for a in generators[:-1] + tuple(orthogonal):
         n = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
@@ -1263,11 +1274,11 @@ def test_orbit_route_reach():
     assert time.perf_counter() - started < 2
     # n = 8, g = 3 up to degree 40 passes the pre-check alone: its top piece
     # has 81816 dimensions and takes seconds to count, and the request sums
-    # under the request cap
+    # under the request cap, 24 times the pieces' dimensions
     copies = GradedVCopies(3, tuple(go_shifted_degrees(8, 40)))
     works = invariants._orbit_work(GammaType.ORTHOGONAL, copies, 40)
     assert max(works) == works[40] <= WORK_CAP
-    assert sum(works) == 4130104 <= REQUEST_WORK_CAP
+    assert sum(works) == 24 * sum(piece_dimension(copies, d) for d in range(41)) == 3452400 <= REQUEST_WORK_CAP
     assert piece_dimension(copies, 40) == 81816
     # the largest symplectic g = 1 request the summed cap accepts at n = 9
     copies = GradedVCopies(1, tuple(go_shifted_degrees(9, 114)))
@@ -1282,11 +1293,11 @@ def test_oracle_rejects_bad_requests():
     with pytest.raises(ValueError):
         brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, -1)
     # Sym^15 of a 6-dimensional copy: the orthogonal work counts 2g(g + 1)
-    # 15504 visits plus C(22, 7) = 170544 image terms, the symplectic work
-    # 8(g + 8) 15504, both inside the cap, and Sym^30 is above it
-    assert invariants._orbit_work(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 30)[30] == 24 * 15504 + 170544
+    # 15504 visits, the symplectic work 8(g + 8) 15504, both inside the cap,
+    # and Sym^30, 24 times C(35, 5) = 324632, is above it
+    assert invariants._orbit_work(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 30)[30] == 24 * 15504
     assert invariants._orbit_work(GammaType.SYMPLECTIC, GradedVCopies(3, (2,)), 30)[30] == 88 * 15504
-    with pytest.raises(OracleCapExceeded, match=f"orbit-route work 18086640 > cap {WORK_CAP}"):
+    with pytest.raises(OracleCapExceeded, match=f"orbit-route work {24 * 324632} > cap {WORK_CAP}"):
         brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(3, (2,)), 60)
 
 
@@ -1334,12 +1345,13 @@ def test_crosscheck_with_oracle_small():
 
 def test_crosscheck_checks_every_piece_before_any_work():
     # the first piece whose work is above the cap: for n = 9 in degree 16 at
-    # g = 10, 144 times 22800; for n = 8 in degree 44 at g = 3, and for
-    # n = 10 in degree 100 at g = 1
+    # g = 10, 144 times 22800; for n = 8 in degree 44 at g = 3, 24 times
+    # 178794; and for n = 10 in degree 100 at g = 1
     assert piece_dimension(GradedVCopies(10, tuple(go_shifted_degrees(9, 16))), 16) == 22800
+    assert piece_dimension(GradedVCopies(3, tuple(go_shifted_degrees(8, 44))), 44) == 178794
     for n, g, maxdeg, message in (
-        (9, 10, 5000, f"orbit-route work 3283200 > cap {WORK_CAP}"),
-        (8, 3, 6000, f"orbit-route work 5311472 > cap {WORK_CAP}"),
+        (9, 10, 5000, f"orbit-route work {144 * 22800} > cap {WORK_CAP}"),
+        (8, 3, 6000, f"orbit-route work {24 * 178794} > cap {WORK_CAP}"),
         (10, 1, 5000, f"orbit-route work 2542440 > cap {WORK_CAP}"),
         # every piece is under the cap, and the 100 of them sum above the
         # request's
