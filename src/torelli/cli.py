@@ -54,8 +54,8 @@ BOREL_RANK_CAP = 32
 # family, 18496 weights), and --family C --g 32 --k 0 --qmax 15000 0.3 s
 BOREL_SIZE_CAP = 500_000
 # the series commands: maxdeg + 2n, the top L-weight they expand to; the
-# slowest requests at the cap take about 1.1 s (mt-series and torelli-series
-# --n 7 --maxdeg 5986)
+# slowest requests at the cap take about 0.45 s (torelli-series --n 11
+# --maxdeg 5978, and mt-series at n = 7 and 13)
 SERIES_CAP = 6000
 # group-sample and the oracle: building and checking the O(g^2) sparse
 # generators takes 3-5 ms at the cap (theta, the longest list)

@@ -18,6 +18,9 @@ from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
+# the longest run of the Euler transform solved term by term
+_RUN = 96
+
 
 class HilbertSeries:
     """Coefficients of a truncated Hilbert series, indices 0..max_degree.
@@ -82,8 +85,15 @@ def free_graded_commutative_series(
     m to m_d and -m to m_{2d}, because 1 + q^d = (1 - q^{2d}) / (1 - q^d).
     With s the gcd of the degrees whose m_d is nonzero, the product is a
     series in t = q^s, expanded by the Euler transform n a_n = sum_{k <= n}
-    b_k a_{n-k} with b_k = sum_{e | k} e m_{es}: O((D/s)^2) steps for
-    truncation D.
+    b_k a_{n-k} with b_k = sum_{e | k} e m_{es}, for truncation D up to
+    N = D/s.  The sums are solved online by halves: a run of at most
+    ``_RUN`` a's is solved term by term; a longer run solves its left half,
+    adds all the left terms to the sums of its right half at once, then
+    solves the right half.  The a's are nonnegative, so each of the two
+    products, by the positive and by the negative parts of b, has digits of
+    at most (sum of the left a's) * max|b|, and is exact as one integer
+    product on those digits packed at a width that holds that bound:
+    O(M(N) log N) steps for M(N) the cost of such a product.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -106,8 +116,34 @@ def free_graded_commutative_series(
             for k in range(e, top + 1, e):
                 b[k] += e * m[e * step]
     a = [1]
-    for n in range(1, top + 1):
-        a.append(sum(map(operator.mul, b[1 : n + 1], a[n - 1 :: -1])) // n)
+    # sums[n] holds b_n a_0 and the terms of every a solved in an earlier run
+    sums, tail = b.copy(), b[1:]
+    # the positive and the negative part of b, if a run splits
+    parts = [[max(sign * x, 0) for x in b] for sign in (1, -1)] if top > _RUN else []
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _RUN:
+            for n in range(lo, hi):
+                a.append((sums[n] + sum(map(operator.mul, tail, a[: lo - 1 : -1]))) // n)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        left = a[lo:mid]
+        # a digit is at most sum(left) * max|b|, and no packed a or b is more
+        width = (max(1, sum(left)) * max(1, *map(abs, b[: hi - lo]))).bit_length() // 8 + 1
+        packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in left), "little")
+        for sign, part in zip((1, -1), parts):
+            window = part[: hi - lo]
+            if not any(window):
+                continue
+            product = packed * int.from_bytes(b"".join(x.to_bytes(width, "little") for x in window), "little")
+            digits = product.to_bytes(width * (mid - lo + hi - lo), "little")
+            for n in range(mid, hi):
+                t = width * (n - lo)
+                sums[n] += sign * int.from_bytes(digits[t : t + width], "little")
+        solve(mid, hi)
+
+    solve(1, top + 1)
     s = [0] * (max_degree + 1)
     s[::step] = a
     return HilbertSeries(tuple(s))

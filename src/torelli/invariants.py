@@ -652,10 +652,10 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
         brackets = [(n[i], n[g + i], {(i, i): 1, (g + i, g + i): -1}) for i in range(g)]
     else:  # [N_ij, N_ji] = +-(h_i - h_j); the E_ij are listed in the order of (i, j)
-        pairs = [(i, j) for i in range(g) for j in range(g) if i != j]
+        index = {pair: k for k, pair in enumerate((i, j) for i in range(g) for j in range(g) if i != j)}
         brackets = [
-            (n[k], n[pairs.index((j, i))], {(i, i): 1, (g + i, g + i): -1, (j, j): -1, (g + j, g + j): 1})
-            for k, (i, j) in enumerate(pairs)
+            (n[k], n[index[j, i]], {(i, i): 1, (g + i, g + i): -1, (j, j): -1, (g + j, g + j): 1})
+            for (i, j), k in index.items()
         ]
         swap = [(c, 1) for c in range(2 * g)]
         swap[0], swap[g] = (g, 1), (0, 1)
@@ -734,17 +734,13 @@ def invariant_crosscheck(
             if top >= max_degree:
                 break
             top *= 2
+    degrees = range(max_degree + 1)
+    oracle = [brute_force_invariant_dim(kind, copies, d).dimension for d in degrees] if with_oracle else [None] * len(degrees)
     # the pair-class ring has the same generator degrees, by the bijection
     # x = 4a - n, y = 4b - n that tests/test_mt.py checks, so one series fills
     # both columns
-    stable = stable_invariant_series(n, max_degree)
-    rows = []
-    for d in range(max_degree + 1):
-        oracle = None
-        if with_oracle:
-            oracle = brute_force_invariant_dim(kind, copies, d).dimension
-        rows.append(ReportRow(d, stable[d], stable[d], oracle))
-    return InvariantReport(n, g, tuple(rows))
+    stable = stable_invariant_series(n, max_degree).coefficients
+    return InvariantReport(n, g, tuple(ReportRow(d, c, c, o) for d, (c, o) in enumerate(zip(stable, oracle))))
 
 
 def gamma_kind_for_oracle(n: int) -> GammaType:

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +134,76 @@ def test_free_series_matches_the_per_generator_convolution_at_bench_size(counts,
     degrees = [d for d, count in counts for _ in range(count)]
     assert free_graded_commutative_series(counts, max_degree).coefficients == (
         convolve_per_generator(degrees, max_degree)
+    )
+
+
+def euler_transform_by_loop(multiplicities, max_degree):
+    """The Euler transform n a_n = sum_{k <= n} b_k a_{n-k} summed over the
+    whole range for each n: the O((D/s)^2) route that the halving replaced,
+    kept as its reference."""
+    m = [0] * (max_degree + 1)
+    for degree, count in multiplicities:
+        if degree <= max_degree:
+            m[degree] += count
+            if degree % 2 and 2 * degree <= max_degree:
+                m[2 * degree] -= count
+    step = gcd(*(d for d, c in enumerate(m) if c)) or max_degree + 1
+    top = max_degree // step
+    b = [0] * (top + 1)
+    for e in range(1, top + 1):
+        if m[e * step]:
+            for k in range(e, top + 1, e):
+                b[k] += e * m[e * step]
+    a = [1]
+    for n in range(1, top + 1):
+        a.append(sum(map(operator.mul, b[1 : n + 1], a[n - 1 :: -1])) // n)
+    s = [0] * (max_degree + 1)
+    s[::step] = a
+    return tuple(s)
+
+
+@st.composite
+def _degree_counts(draw):
+    # degrees in multiples of a step, odd ones included, so that some m_{2d}
+    # and b_k go negative; counts from 0 to 10^6
+    step = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=60).map(lambda d: d * step),
+                st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**6)),
+            ),
+            max_size=6,
+        )
+    )
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degree_counts(), st.integers(min_value=0, max_value=400))
+# a_1..a_96 in one run solved term by term, and a_1..a_97, the shortest
+# that splits
+@example([(1, 1)], 96)
+@example([(1, 1)], 97)
+@example([(3, 5), (1, 2), (2, 1000000)], 96)
+@example([(3, 5), (1, 2), (2, 1000000)], 97)
+# negative b past the split, at step 3
+@example([(3, 1000000), (9, 7), (15, 0)], 400)
+# every count 0; and a_1..a_59 all 0 at step 1, so that the first left
+# halves sum to 0
+@example([(4, 0), (6, 0)], 400)
+@example([(60, 3), (61, 1000000)], 400)
+def test_free_series_matches_the_whole_range_loop(pairs, max_degree):
+    assert free_graded_commutative_series(pairs, max_degree).coefficients == (
+        euler_transform_by_loop(pairs, max_degree)
+    )
+
+
+def test_free_series_matches_the_whole_range_loop_at_the_cap():
+    # the theoremB-series request at the series cap: 1497 terms in steps of 4
+    counts = pair_degree_counts(8, 5984)
+    assert free_graded_commutative_series(counts, 5984).coefficients == (
+        euler_transform_by_loop(counts, 5984)
     )
 
 
