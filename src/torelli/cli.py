@@ -1,10 +1,11 @@
 """Deterministic command-line front end.
 
 Every subcommand prints a single JSON envelope
-{"command", "parameters", "table", "provenance"} with sorted keys, or a flat
-CSV table with --format csv.  Exact rationals render as "num/den"; output is
-byte-identical across runs for identical argv.  Exit codes: 0 success,
-2 argument errors, 3 range or cap errors.
+{"command", "parameters", "provenance", "table"}, or a flat CSV table with
+--format csv.  Keys are written in sorted order when the envelope is built,
+so the encoder neither re-sorts them nor checks for cycles.  Exact rationals
+render as "num/den"; output is byte-identical across runs for identical argv.
+Exit codes: 0 success, 2 argument errors, 3 range or cap errors.
 
 n always means the half-dimension (a 2n-manifold is specified by n).
 """
@@ -102,7 +103,7 @@ def _check_series_size(args) -> None:
 def _series_table(args, series: Callable) -> Table:
     _check_series_size(args)
     return [
-        {"degree": d, "coefficient": c}
+        {"coefficient": c, "degree": d}
         for d, c in enumerate(series(args.n, args.maxdeg).coefficients)
     ]
 
@@ -128,7 +129,7 @@ def _cmd_l_class(args) -> tuple[Table, Provenance]:
         raise ValueError("--upto must be nonnegative")
     _check_cap("--upto", args.upto, UPTO_CAP)
     classes = l_classes(args.upto, args.hat)
-    table = [{"i": i, "class": format_polynomial(k)} for i, k in enumerate(classes)]
+    table = [{"class": format_polynomial(k), "i": i} for i, k in enumerate(classes)]
     return table, ["normalized-hirzebruch-l-class" if args.hat else "hirzebruch-l-class"]
 
 
@@ -171,10 +172,10 @@ def _cmd_borel_constant(args) -> tuple[Table, Provenance]:
     bound = representation_bound(args.family, args.g, args.k)
     table = [
         {
-            "c": constant.value,
-            "capped": constant.capped,
             "bound": bound,
             "bound_met": constant.meets(bound),
+            "c": constant.value,
+            "capped": constant.capped,
         }
     ]
     return table, ["borel-stability-constant", "tensor-power-bound"]
@@ -190,7 +191,7 @@ def _cmd_group_sample(args) -> tuple[Table, Provenance]:
     _check_cap("--len", args.len, WORD_CAP)
     matrix = sample_group_element(GammaType(args.type), args.g, args.seed, args.len)
     table = [
-        {"row": r, "entries": " ".join(str(x) for x in row)}
+        {"entries": " ".join(str(x) for x in row), "row": r}
         for r, row in enumerate(matrix)
     ]
     return table, ["arithmetic-group-generators"]
@@ -198,7 +199,7 @@ def _cmd_group_sample(args) -> tuple[Table, Provenance]:
 
 def _cmd_quad_refine(args) -> tuple[Table, Provenance]:
     value = quadratic_refinement(_parse_int_list(args.vector), args.n)
-    return [{"q": value, "modulus": quadratic_modulus(args.n).value}], ["quadratic-refinement"]
+    return [{"modulus": quadratic_modulus(args.n).value, "q": value}], ["quadratic-refinement"]
 
 
 def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
@@ -211,8 +212,8 @@ def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
     table = [
         {
             "dimension": result.dimension,
-            "piece": piece_dimension(copies, args.deg),
             "history": " ".join(str(h) for h in result.history),
+            "piece": piece_dimension(copies, args.deg),
             "route": result.route,
         }
     ]
@@ -226,11 +227,11 @@ def _cmd_crosscheck_sec6(args) -> tuple[Table, Provenance]:
     report = invariant_crosscheck(args.n, args.g, args.maxdeg, with_oracle=args.oracle)
     table = [
         {
-            "degree": row.degree,
-            "stable": row.stable_count,
-            "ring": row.ring_count,
-            "oracle": row.oracle_count,
             "agree": row.agree,
+            "degree": row.degree,
+            "oracle": row.oracle_count,
+            "ring": row.ring_count,
+            "stable": row.stable_count,
         }
         for row in report.rows
     ]
@@ -450,13 +451,13 @@ def _csv_cell(value) -> str:
 
 def _emit(envelope: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+        out.write(json.dumps(envelope, separators=(",", ":"), check_circular=False))
         out.write("\n")
         return
     import csv  # only here, so that a JSON request never loads it
 
     rows = envelope["table"]
-    columns = sorted(rows[0]) if rows else []
+    columns = list(rows[0]) if rows else []
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -479,13 +480,13 @@ def run(argv: Sequence[str] | None, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 3
-    # every subcommand's parameters are exactly its own flags
-    parameters = {k: v for k, v in vars(args).items() if k not in ("format", "subcommand")}
+    # every subcommand's parameters are exactly its own flags, in key order
+    parameters = {k: v for k, v in sorted(vars(args).items()) if k not in ("format", "subcommand")}
     envelope = {
         "command": args.subcommand,
         "parameters": parameters,
-        "table": table,
         "provenance": provenance,
+        "table": table,
     }
     _emit(envelope, args.format, out)
     return 0

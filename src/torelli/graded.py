@@ -34,7 +34,7 @@ class HilbertSeries:
     def __init__(self, coefficients: tuple[int, ...]) -> None:
         if not coefficients:
             raise ValueError("series needs at least the degree-0 coefficient")
-        if any(c < 0 for c in coefficients):
+        if min(coefficients) < 0:
             raise ValueError("series coefficients must be nonnegative")
         if coefficients[0] != 1:
             raise ValueError("an algebra series starts with coefficient 1")

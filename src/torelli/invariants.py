@@ -715,9 +715,10 @@ def invariant_crosscheck(
         raise ValueError("the comparison window needs n >= 8")
     if g < 1 or max_degree < 0:
         raise ValueError("need g >= 1 and max_degree >= 0")
-    copies = GradedVCopies(g, tuple(go_shifted_degrees(n, max_degree)))
-    kind = gamma_kind_for_oracle(n)
+    oracle = itertools.repeat(None)
     if with_oracle:
+        copies = GradedVCopies(g, tuple(go_shifted_degrees(n, max_degree)))
+        kind = gamma_kind_for_oracle(n)
         # a count up to a lower degree agrees with the whole request's, so
         # a window that doubles meets the first piece above the cap at about
         # the cost of counting up to it
@@ -734,13 +735,12 @@ def invariant_crosscheck(
             if top >= max_degree:
                 break
             top *= 2
-    degrees = range(max_degree + 1)
-    oracle = [brute_force_invariant_dim(kind, copies, d).dimension for d in degrees] if with_oracle else [None] * len(degrees)
+        oracle = [brute_force_invariant_dim(kind, copies, d).dimension for d in range(max_degree + 1)]
     # the pair-class ring has the same generator degrees, by the bijection
     # x = 4a - n, y = 4b - n that tests/test_mt.py checks, so one series fills
     # both columns
     stable = stable_invariant_series(n, max_degree).coefficients
-    return InvariantReport(n, g, tuple(ReportRow(d, c, c, o) for d, (c, o) in enumerate(zip(stable, oracle))))
+    return InvariantReport(n, g, tuple(map(ReportRow, itertools.count(), stable, stable, oracle)))
 
 
 def gamma_kind_for_oracle(n: int) -> GammaType:

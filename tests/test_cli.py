@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -32,6 +33,18 @@ def _capture(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_keys_in_order(out):
+    """The envelope, its parameters and every table row (or the CSV header)
+    come out with their keys sorted: the handlers write them in that order,
+    since the encoder does not sort."""
+    if out.startswith("{"):
+        envelope = json.loads(out)
+        keyed = [envelope, envelope["parameters"], *envelope["table"]]
+    else:
+        keyed = [out.split("\n", 1)[0].split(",")]
+    assert all(list(keys) == sorted(keys) for keys in keyed)
+
+
 def test_shipped_matrix_covers_every_subcommand_once():
     assert len(SHIPPED_INVOCATIONS) == 12
     assert len({argv[0] for argv in SHIPPED_INVOCATIONS}) == 12
@@ -52,6 +65,7 @@ def test_shipped_invocations_deterministic(argv):
     assert (
         json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n" == out1
     )
+    _assert_keys_in_order(out1)
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -69,6 +83,38 @@ def test_shipped_invocations_match_csv_golden(argv):
     code, out, _ = _capture([*argv, "--format", "csv"])
     assert code == 0
     assert out.encode() == (GOLDEN / "csv" / f"{argv[0]}.csv").read_bytes()
+
+
+def _flag_groups(argv):
+    """The flags of a request, each with the value that follows it."""
+    groups = []
+    for token in argv[1:]:
+        if token.startswith("--"):
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    return groups
+
+
+def _reversed_flags(argv):
+    return [argv[0], *(token for group in reversed(_flag_groups(argv)) for token in group)]
+
+
+def _equals_spelling(argv):
+    return [argv[0], *("=".join(group) for group in _flag_groups(argv))]
+
+
+# the parameters come out in key order however the flags are given: read
+# plainly with the flags reversed, and by argparse from "--flag=value"
+@pytest.mark.parametrize("argv", SHIPPED_INVOCATIONS, ids=lambda a: a[0])
+@pytest.mark.parametrize("respell", [_reversed_flags, _equals_spelling])
+def test_respelled_invocations_match_golden(argv, respell):
+    for fmt, golden in (((), f"{argv[0]}.json"), (("--format", "csv"), f"csv/{argv[0]}.csv")):
+        request = respell([*argv, *fmt])
+        assert (_read_plain(request) is None) == (respell is _equals_spelling)
+        code, out, _ = _capture(request)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 # argparse output, pinned while every run built the parser for all the
@@ -215,6 +261,12 @@ SERIES_DIGESTS = {
         "a1cfff5bfd666fd86bbe1335cf5ae051662701fd600f816ad9c5844b6f698b5c",
     ("crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "5984"):
         "4b6530e0000d20c1bdd136c083346be0252b0b3e45070d3e4603cf0e82e454bd",
+    # the two largest series benchmark argvs in CSV, pinned while the
+    # encoder still sorted the keys
+    ("theoremB-series", "--n", "340", "--maxdeg", "1000", "--format", "csv"):
+        "c8243e7826ba7255edd130935fddff52a3bc55a2139908cc9b1dff7c57442156",
+    ("crosscheck-sec6", "--n", "340", "--g", "2", "--maxdeg", "900", "--format", "csv"):
+        "63866062f2323c58a2956ec867de9472a0cf10fc519efb91e386b49bee05b414",
 }
 
 
@@ -223,6 +275,7 @@ def test_series_outputs_match_digests(argv):
     code, out, _ = _capture(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[argv]
+    _assert_keys_in_order(out)
 
 
 def test_stable_range_golden():
@@ -237,6 +290,7 @@ def test_stable_range_outside():
     _, out, _ = _capture(["stable-range", "--g", "3", "--n", "3"])
     table = json.loads(out)["table"]
     assert table == [{"C": None, "note": "outside stable range"}]
+    _assert_keys_in_order(out)
 
 
 def test_mt_series_golden():
@@ -307,6 +361,21 @@ def test_range_errors_exit_3():
     )
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--g", "0", "need g >= 1 and max_degree >= 0"),
+        ("--n", "7", "the comparison window needs n >= 8"),
+        ("--maxdeg", "-1", "need g >= 1 and max_degree >= 0"),
+    ],
+)
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["ring", "oracle"])
+def test_crosscheck_argument_errors_exit_3(flag, value, message, oracle):
+    request = {"--n": "8", "--g": "2", "--maxdeg": "8", flag: value}
+    argv = ["crosscheck-sec6", *itertools.chain(*request.items()), *oracle]
+    assert _capture(argv) == (3, "", f"error: {message}\n")
 
 
 def test_cost_caps_exit_3_before_any_work():
@@ -474,6 +543,8 @@ def test_oracle_sweep_bytes():
     digest = hashlib.sha256()
     for argv in requests:
         code, out, err = _capture(argv)
+        if code == 0:
+            _assert_keys_in_order(out)
         if tuple(argv) not in ORACLE_SWEEP_MOVED:
             digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == ORACLE_SWEEP_SHA256
