@@ -46,7 +46,7 @@ Table = list[dict]
 Provenance = list[str]
 
 # a-priori cost caps, checked before any work; a request above one exits 3
-UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take 5-8 ms
+UPTO_CAP = 12  # l-class and p-from-l: L_0..L_12 or p_1..p_12 take 3-6 ms
 # borel-constant and lform-check: the root system and its coordinate tables
 # take ~g^4 work, the linear form's exact sum ~g^3 digits
 BOREL_RANK_CAP = 32

@@ -18,11 +18,13 @@ backwards: the log derivative of 1 + L_1 t + L_2 t^2 + ..., divided by
 r_m (a nonzero multiple of the Bernoulli number B_2m), is that of the total
 Pontryagin class, with no triangular inversion and no substitution.
 
-Both run on integers.  Q_m has integer coefficients, and each a_i is kept
-as an integer term dict over the one variable tuple (p_1..p_count or
-L_1..L_count) with one integer denominator, reduced by the gcd of its
-terms; only the scalars r_m are Fractions.  Each class becomes a
-`WeightedPolynomial` once, at the end.
+Both run on integers, from the Bernoulli numerators (m+1)! B_m on.  The
+log derivative runs on the integers a_j lam^j, lam the lcm of the
+denominators, so each scalar r_m is a reduced pair of integers.  Q_m has
+integer coefficients, and each a_i is an integer term dict over the one
+variable tuple (p_1..p_count or L_1..L_count) with one denominator.  Only
+the coefficients `multiplicative_sequence` takes and the classes it
+returns hold Fractions: each class becomes a `WeightedPolynomial` once.
 
 The coefficients of x/tanh(x) come from the Bernoulli-number recurrence;
 the test suite checks them against sinh/cosh power-series division.
@@ -43,26 +45,34 @@ from .graded import HilbertSeries, WeightedPolynomial, free_graded_commutative_s
 
 
 @lru_cache(maxsize=None)
-def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_count with B_1 = -1/2, from sum_{j <= m} C(m+1, j) B_j = 0
-    run on the integers (m+1)! B_m: by von Staudt-Clausen the denominator of
-    B_m is a product of primes p <= m + 1."""
+def _bernoulli_numerators(count: int) -> tuple[int, ...]:
+    """(m+1)! B_m for m = 0 .. count, B_1 = -1/2, from sum_{j <= m} C(m+1, j)
+    B_j = 0: by von Staudt-Clausen the denominator of B_m is a product of
+    primes p <= m + 1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    beta = [1]  # beta[m] = (m+1)! B_m
+    beta = [1]
     for m in range(1, count + 1):
-        total = sum(math.comb(m + 1, j) * math.perm(m + 1, m - j) * b for j, b in enumerate(beta))
+        total = sum(math.comb(m + 1, j) * math.perm(m + 1, m - j) * b for j, b in enumerate(beta) if b)
         beta.append(-total // (m + 1))
-    return tuple(Fraction(b, math.factorial(m + 1)) for m, b in enumerate(beta))
+    return tuple(beta)
+
+
+def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_count with B_1 = -1/2."""
+    return tuple(Fraction(b, math.factorial(m + 1)) for m, b in enumerate(_bernoulli_numerators(count)))
+
+
+def _x_over_tanh_pairs(order: int, hat: bool = False) -> list[tuple[int, int]]:
+    """The u^j coefficients B_2j 4^j / (2j)! of x/tanh(x), u = x^2, as reduced
+    pairs; with ``hat`` those of (x/2)/tanh(x/2), B_2j / (2j)!."""
+    beta, f = _bernoulli_numerators(2 * order), math.factorial
+    return [_reduced(beta[2 * j] << (0 if hat else 2 * j), f(2 * j + 1) * f(2 * j)) for j in range(order + 1)]
 
 
 def x_over_tanh_coefficients(order: int) -> tuple[Fraction, ...]:
     """Coefficients of u^j in x/tanh(x) with u = x^2, via Bernoulli numbers."""
-    bern = bernoulli_numbers(2 * order)
-    return tuple(
-        bern[2 * j] * Fraction(4) ** j / math.factorial(2 * j)
-        for j in range(order + 1)
-    )
+    return tuple(Fraction(n, d) for n, d in _x_over_tanh_pairs(order))
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +91,36 @@ def _log_derivative(a: list) -> list:
     return d
 
 
-def _exp_of_scaled_newton(symbol: str, scalars: list[Fraction]) -> list[WeightedPolynomial]:
+def _scaled_log_derivative(pairs: list[tuple[int, int]], count: int) -> tuple[list[int], list[int]]:
+    """lam^m and D_m lam^m for m <= count, D the log derivative of the series
+    with u^j coefficient n_j / d_j and lam the lcm of the d_j: D_m lam^m is
+    `_log_derivative` of the integers a_j lam^j."""
+    lam = math.lcm(*(d for _, d in pairs))
+    powers = [lam**j for j in range(count + 1)]
+    scaled = [n * p // d for (n, d), p in zip(pairs, powers)]
+    return powers, _log_derivative(scaled + [0] * (count + 1 - len(scaled)))
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d as a pair in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _exp_of_scaled_newton(symbol: str, scalars: list[tuple[int, int]]) -> list[WeightedPolynomial]:
     """a_0 = 1, a_1 .. a_count with t (log A)' = sum_m r_m Q_m t^m for the
-    scalars r_1..r_count, Q_m the log derivative of 1 + e_1 t + e_2 t^2 + ...
-    with e_j = symbol_j: Q_m = m e_m - sum_{0<k<m} Q_k e_{m-k}, where each
-    product only shifts an exponent.  With D the lcm of the denominators
-    of the r_m / d_{i-m}, the exp step on numerators N_j = d_j a_j is
-    a_i = sum_m (D r_m / d_{i-m}) Q_m N_{i-m} / (i D).  An exponent vector e
-    is keyed as sum_k e_k B^k, B = count + 1: no exponent of a weight at most
-    4 count exceeds count, so a product adds keys without carries."""
+    scalars r_m = n_m / s_m, as pairs (n_m, s_m), Q_m the log derivative of
+    1 + e_1 t + e_2 t^2 + ... with e_j = symbol_j: Q_m = m e_m - sum_{0<k<m}
+    Q_k e_{m-k}, where each product only shifts an exponent.  With D the lcm
+    of the s_m d_{i-m}, the exp step on numerators N_j = d_j a_j is a_i =
+    sum_m n_m (D / (s_m d_{i-m})) Q_m N_{i-m} / (i D).  An exponent vector e
+    is keyed as the bytes e_k of an integer: no exponent of a weight at most
+    4 count exceeds count < 256, so a product adds keys without carries."""
     count = len(scalars)
+    if count > 255:
+        raise ValueError("count must be below 256")
     variables = tuple(sorted((f"{symbol}_{j}", 4 * j) for j in range(1, count + 1)))
-    base = count + 1
-    place = {name: base**k for k, (name, _) in enumerate(variables)}
+    place = {name: 256**k for k, (name, _) in enumerate(variables)}
     unit = [0] + [place[f"{symbol}_{j}"] for j in range(1, count + 1)]
     q: list[dict[int, int]] = [{}]
     for m in range(1, count + 1):
@@ -106,15 +133,16 @@ def _exp_of_scaled_newton(symbol: str, scalars: list[Fraction]) -> list[Weighted
     numerators = [{0: 1}]
     denominators = [1]
     for i in range(1, count + 1):
-        ratios = [scalars[m - 1] / denominators[i - m] for m in range(1, i + 1)]
-        common = math.lcm(*(r.denominator for r in ratios))
+        ratios = [(n, s * d) for (n, s), d in zip(scalars, denominators[::-1])]
+        common = math.lcm(*(den for _, den in ratios))
         acc = {}
-        for m, r in enumerate(ratios, 1):
-            factor = r.numerator * (common // r.denominator)
+        for m, (n, den) in enumerate(ratios, 1):
+            factor = n * (common // den)
             for ka, ca in q[m].items():
                 ca *= factor
                 for kb, cb in numerators[i - m].items():
-                    acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
+                    kb += ka
+                    acc[kb] = acc.get(kb, 0) + ca * cb
         acc = {key: c for key, c in acc.items() if c}
         divisor = math.gcd(i * common, *acc.values())
         numerators.append({key: c // divisor for key, c in acc.items()})
@@ -122,10 +150,7 @@ def _exp_of_scaled_newton(symbol: str, scalars: list[Fraction]) -> list[Weighted
     return [
         WeightedPolynomial._aligned(
             variables,
-            {
-                tuple(key // base**k % base for k in range(count)): Fraction(c, d)
-                for key, c in terms.items()
-            },
+            {tuple(key.to_bytes(count, "little")): Fraction(c, d) for key, c in terms.items()},
         )
         for terms, d in zip(numerators, denominators)
     ]
@@ -146,19 +171,16 @@ def multiplicative_sequence(
         raise ValueError("count must be nonnegative")
     if not coefficients or coefficients[0] != 1:
         raise ValueError("the series must have constant term 1")
-    a = [Fraction(x) for x in coefficients[: count + 1]]
-    a += [Fraction(0)] * (count + 1 - len(a))
-    dc = _log_derivative(a)
-    return _exp_of_scaled_newton("p", [(-1) ** (m - 1) * dc[m] for m in range(1, count + 1)])
+    pairs = [(x.numerator, x.denominator) for x in map(Fraction, coefficients[: count + 1])]
+    powers, d = _scaled_log_derivative(pairs, count)
+    return _exp_of_scaled_newton("p", [_reduced((-1) ** (m - 1) * d[m], powers[m]) for m in range(1, count + 1)])
 
 
 @lru_cache(maxsize=None)
 def l_classes(count: int, hat: bool = False) -> tuple[WeightedPolynomial, ...]:
     """L_0 .. L_count in p_1..p_count, from one multiplicative sequence; with
     ``hat``, the classes of (x/2)/tanh(x/2), L-hat_i = 2^{-2i} L_i."""
-    coefficients = x_over_tanh_coefficients(count)
-    if hat:
-        coefficients = tuple(a / Fraction(4) ** j for j, a in enumerate(coefficients))
+    coefficients = tuple(Fraction(n, d) for n, d in _x_over_tanh_pairs(count, hat))
     return tuple(multiplicative_sequence(coefficients, count))
 
 
@@ -169,8 +191,8 @@ def p_classes_in_l(count: int) -> tuple[WeightedPolynomial, ...]:
     (-1)^{m-1} / (m c_m)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    dc = _log_derivative(list(x_over_tanh_coefficients(count)))
-    return tuple(_exp_of_scaled_newton("L", [(-1) ** (m - 1) / dc[m] for m in range(1, count + 1)]))
+    powers, d = _scaled_log_derivative(_x_over_tanh_pairs(count), count)
+    return tuple(_exp_of_scaled_newton("L", [_reduced((-1) ** (m - 1) * powers[m], d[m]) for m in range(1, count + 1)]))
 
 
 def l_polynomial(i: int) -> WeightedPolynomial:

@@ -24,6 +24,7 @@ SRC = pathlib.Path(torelli.__file__).resolve().parents[1]
 # linalg.inverse, leaves its span at 0 calls
 CASES = {
     ("l-class", "--upto", "3"): ("lclasses.sequence", "graded.format"),
+    ("l-class", "--upto", "3", "--hat"): ("lclasses.sequence", "graded.format"),
     ("p-from-l", "--upto", "3"): ("graded.format",),
     ("theoremB-series", "--n", "8", "--maxdeg", "12"): ("mt.series", "graded.series"),
     ("mt-series", "--n", "3", "--maxdeg", "4"): ("mt.series", "graded.series"),
@@ -52,7 +53,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0] + "-hat" * ("--hat" in a))
 def test_traced_child_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

@@ -278,6 +278,172 @@ def test_series_outputs_match_digests(argv):
     _assert_keys_in_order(out)
 
 
+# sha256 of the stdout of every L-class request up to the cap, pinned while
+# the coefficients, the log derivative and the scalars were still Fractions
+CLASS_DIGESTS = {
+    ("l-class", "--upto", "0"):
+        "4867050c350fd7e95cc976923ac67d6ad4f0c256f5431c9314dec382db571e18",
+    ("l-class", "--upto", "1"):
+        "f1639b81d76585c71231588b12f2ae93e6207e8da8864ab59027b29ec623562c",
+    ("l-class", "--upto", "2"):
+        "6392fbccdb643c0a8533a7da63aa1af5b93be53a733de63d485fda26b9ccb941",
+    ("l-class", "--upto", "3"):
+        "19d830f3e06fbe8666a974a752e60fb1f5d926f625818a1af75070fbe3af434e",
+    ("l-class", "--upto", "4"):
+        "5a681973cabb9d2bb815a4bc6a100ed0c13eb8d9acec1aa3f1b47eb2121de94c",
+    ("l-class", "--upto", "5"):
+        "3821e0826af3fd0094a5f089b70504159bfb05e866c556f33e4abce813ed9f39",
+    ("l-class", "--upto", "6"):
+        "1686140c2a61aae47887328ce0bb2d200d32f0349182c665d42bf84d097917c0",
+    ("l-class", "--upto", "7"):
+        "7bf567e8fd920b41c14f0cf880cf69c94e1dc3c70e4ade359135afde5c948087",
+    ("l-class", "--upto", "8"):
+        "f8afee28c3e98b23455563b7aa915a326f3a44f8beba0a8452683881bc523868",
+    ("l-class", "--upto", "9"):
+        "17fb6853a8030621c8162f34699b587f8543492264b638ad72baa8b42f33cd69",
+    ("l-class", "--upto", "10"):
+        "0609d86be478be5ba3abf54c211f2de257e6f49461ed653257f6c58e946f8e08",
+    ("l-class", "--upto", "11"):
+        "a4c5b870f64430c1f01b08208f8217b6f0144fc2be0f6322110accdcfb437897",
+    ("l-class", "--upto", "12"):
+        "f5666e7c3d80760f15a3acf9aab73b527ed41685b6af6dfce3822fcccb3af25a",
+    ("l-class", "--upto", "0", "--hat"):
+        "1d3b10d6f68920e20843209472ff28cb100e9b03ecafcbe293dda5edd2d98970",
+    ("l-class", "--upto", "1", "--hat"):
+        "5528e63c8529642924e9344d62713c64d275a74f22bb39c82f2b97ce45cddf82",
+    ("l-class", "--upto", "2", "--hat"):
+        "b4ea33d981fdbda9a7b766c4db025f813149f73e62147d3ae787da021e10461b",
+    ("l-class", "--upto", "3", "--hat"):
+        "708aed5987c23fd146ab12e6e2b5d3e0f88d27092dda0844b3fe7ec27ba7b9d3",
+    ("l-class", "--upto", "4", "--hat"):
+        "edf05526eb1303273bdbec089fa4ab0d45cb15530199ccae939798c8bf14cbff",
+    ("l-class", "--upto", "5", "--hat"):
+        "1d514880afbdd09c27d0b9a55157bdc59a032c7cd5d90482531aed0b1beb9c2e",
+    ("l-class", "--upto", "6", "--hat"):
+        "d7a90b55443495ad1cd8b64667ecb7d45a792f4b7703e84c57d8d83f2eac977e",
+    ("l-class", "--upto", "7", "--hat"):
+        "1c6e3ccd67ad6dcb8e9c9952ffc9255f4770dd86fd04eaf04293606cc4778a36",
+    ("l-class", "--upto", "8", "--hat"):
+        "f3f637154b5f25822b29f61b092c24233b78f500c537f34ed4d43b6aa6b5854f",
+    ("l-class", "--upto", "9", "--hat"):
+        "75684a0095cfb16c6e98b9ccda6812d52dab8aea6a1f35f3d7d8593eace5e886",
+    ("l-class", "--upto", "10", "--hat"):
+        "015480b9576ee62053599afe111535ad616cb3d02a0f2a776e2fec5b7a2d7a8a",
+    ("l-class", "--upto", "11", "--hat"):
+        "ec0c51e8aabe1d39ebbe4e25279083eaaf673b9ea54ef634b14c717e33c05f6d",
+    ("l-class", "--upto", "12", "--hat"):
+        "daad2cc195796ac34c68f83d58afb843dff778cde15c6de79226fb78c86cb1d0",
+    ("p-from-l", "--upto", "1"):
+        "8fc471574de8b57ac55ecd8a8e379818e45a9d7161e05c36adc9032a43dc4d0e",
+    ("p-from-l", "--upto", "2"):
+        "369b7589d627ae84e00bc877b7edb605b6a56b17efb9beb2c784e830d8744d17",
+    ("p-from-l", "--upto", "3"):
+        "8d7cebe9778eb4d14715d49da58917e2c58732496a9506836f42bc2d401c326c",
+    ("p-from-l", "--upto", "4"):
+        "7651d59e92c88b603cdbd0838518914c721109439a7c7c252d516033e15550ae",
+    ("p-from-l", "--upto", "5"):
+        "b3737b367a2dded43c99f3735863236771200c7e33b2fbaa5a4b55c5410003d5",
+    ("p-from-l", "--upto", "6"):
+        "24eedf5ddab97cd38e60ea5e39f7d6e3c6b6d3a88a834f73e126389a4b22d828",
+    ("p-from-l", "--upto", "7"):
+        "d79b4604a97ab848ef4edd393c17c05a7590f3e366ed597ae17e38d7c49b5ea4",
+    ("p-from-l", "--upto", "8"):
+        "52542d9dae4f73d22511ff47e41aea66cc043affb39f4a3bc486e517f813be14",
+    ("p-from-l", "--upto", "9"):
+        "f6f08049159cdf05c8bec122f45318675245369d487e7bb4d3b7b9cf8e3d7160",
+    ("p-from-l", "--upto", "10"):
+        "30ad9919213bb06e86ec4447497f55cf70be82ac1d4728ec15edbb3913510054",
+    ("p-from-l", "--upto", "11"):
+        "2c4fab90616a0009e91ed39e242dff34d44430c16c059b3050512f0d22324d0d",
+    ("p-from-l", "--upto", "12"):
+        "4bd0d6bc04ed75abc32258070fa37adb466c82fdd53bdba91a3a3671e2274ab8",
+    ("l-class", "--upto", "0", "--format", "csv"):
+        "5e114498a45681c69be9c550c2c4482ad8009839ebc0d7f93366b89cf8b095b6",
+    ("l-class", "--upto", "1", "--format", "csv"):
+        "ee6262dc815a3a5668ca223e6a010a7fe2c5eebcdff4e441f9aea449c8d6bf69",
+    ("l-class", "--upto", "2", "--format", "csv"):
+        "dd5c87cae21f69c6faf000e0790145e11f00adb807959391af8781c6f63f15b7",
+    ("l-class", "--upto", "3", "--format", "csv"):
+        "2ee13e9ff4f6c1611f8ed48b7d7eb16c6743ce345d5c1ec6c18a459439feb1a5",
+    ("l-class", "--upto", "4", "--format", "csv"):
+        "98f7e07de7e035eece8fbc41b0c31047f57c33c8fe9c3d738d18fd342ebe95a9",
+    ("l-class", "--upto", "5", "--format", "csv"):
+        "6ac169ea3b4a73fe89f68f7b094c445c75e174166162a2f3048dce8524cdf078",
+    ("l-class", "--upto", "6", "--format", "csv"):
+        "781ce032a496707acc70dfcec1145d76a381c91957fb17fdbe5edab40cf19da6",
+    ("l-class", "--upto", "7", "--format", "csv"):
+        "9ec5738ff9cfaec264689f2601c12791286bd13a05d47ab637a3945254fe7169",
+    ("l-class", "--upto", "8", "--format", "csv"):
+        "7301e392ae69079dfd8c886101db914b8431414d4dc6f8fbb55c52a5de4eac6a",
+    ("l-class", "--upto", "9", "--format", "csv"):
+        "5b931aa85195b70eef4e1b556bd1d69edb7dbad96d8441fb20e0456fc7b9dd75",
+    ("l-class", "--upto", "10", "--format", "csv"):
+        "77a1fe3fe4bf0877629de225324389d4e12d98236ce649178d0df7c56ff61394",
+    ("l-class", "--upto", "11", "--format", "csv"):
+        "2af9becde909a11ff9ae9fb0da35875d9500187be106b8b93701b6c010419944",
+    ("l-class", "--upto", "12", "--format", "csv"):
+        "31ebec6dba2320913e79186fbdd2948a26c6b44c35e56daaea014f2aeedd96f7",
+    ("l-class", "--upto", "0", "--hat", "--format", "csv"):
+        "5e114498a45681c69be9c550c2c4482ad8009839ebc0d7f93366b89cf8b095b6",
+    ("l-class", "--upto", "1", "--hat", "--format", "csv"):
+        "22e8fbbdd3db7a218154e3b2a013ff38341f3fee6148a247e2ee1dc0107565a9",
+    ("l-class", "--upto", "2", "--hat", "--format", "csv"):
+        "87c8ac02303ee7da71278a3c4448c7e5f99ba74a2ede2a71cec91929a3487569",
+    ("l-class", "--upto", "3", "--hat", "--format", "csv"):
+        "1201249d93cee20446c7599c23066832c09a82396303cf718276c918720777f6",
+    ("l-class", "--upto", "4", "--hat", "--format", "csv"):
+        "82f8737d5a1391b8cb60a5c080f6b3f4f896848ccb4ef29c1e50212e30f6ffd0",
+    ("l-class", "--upto", "5", "--hat", "--format", "csv"):
+        "e6c3dd4e24afa03e4b330afd72c3b786011992c6b5f699c1a264f6498277d8e3",
+    ("l-class", "--upto", "6", "--hat", "--format", "csv"):
+        "07c42d1fdad1e441211916b96e31d59d6aefaed0e68570b2fbc420a81614e20b",
+    ("l-class", "--upto", "7", "--hat", "--format", "csv"):
+        "e0383d64b80be9c7b0291ed9eae2cf9e0bdcb43072e7f1765c79b668e42bef8a",
+    ("l-class", "--upto", "8", "--hat", "--format", "csv"):
+        "67087d62020715e36a0700dbb766b1458ab753e944bff528048ab7fee00ed384",
+    ("l-class", "--upto", "9", "--hat", "--format", "csv"):
+        "19d6b6de2d2a6f009c9f4b6b2bddc095a0a1e01d6d7b651d8a595aa200a51949",
+    ("l-class", "--upto", "10", "--hat", "--format", "csv"):
+        "4a2062606787ae7c48ba51ff9acbab284bfaf5173038137fbba8c028d5df612e",
+    ("l-class", "--upto", "11", "--hat", "--format", "csv"):
+        "8e4465e3619decf46111fadaec4458638cd88a7008b48724641ce6258c06ee95",
+    ("l-class", "--upto", "12", "--hat", "--format", "csv"):
+        "d0053dd7942ef8fcb9f94f16629973e2b69d0db40cd775140cd8c0674e2672cc",
+    ("p-from-l", "--upto", "1", "--format", "csv"):
+        "456ee2eff4da28e604567ce39ec93ab898b8a85d4d5dda4a2f1cdab08c657f67",
+    ("p-from-l", "--upto", "2", "--format", "csv"):
+        "25d6bd0f6b65cec6927ab133c15c7e7a827660771233519aa449a9fb3755e7a8",
+    ("p-from-l", "--upto", "3", "--format", "csv"):
+        "5818b8c6a0d3eb681ee5babfe0f74186677221907abd5873a51d8e2629396c35",
+    ("p-from-l", "--upto", "4", "--format", "csv"):
+        "793066119f7cafeb52058a8e127024e3682780aa598a7a77ae17735190e958ba",
+    ("p-from-l", "--upto", "5", "--format", "csv"):
+        "42affe1d4632f99ff925185254955076a7d73a10a1df4cc0dd2c7faaac3ff3dd",
+    ("p-from-l", "--upto", "6", "--format", "csv"):
+        "84f50f439b7f684e115610cbbc46edd0c9ee230304a71ce53b9dc1eb95f9f9d0",
+    ("p-from-l", "--upto", "7", "--format", "csv"):
+        "5a9c588224b6382c1b98d77fc5def412c4d155088bcbc47d8ff6cac48fa4203d",
+    ("p-from-l", "--upto", "8", "--format", "csv"):
+        "f1ca42731cb6d32e8265419c53824195ec46a8675b354664e8b46518adf467c3",
+    ("p-from-l", "--upto", "9", "--format", "csv"):
+        "895992c9b15a3458561c3338f784c2cef99f88a3d543cd75d8120e35fd8956df",
+    ("p-from-l", "--upto", "10", "--format", "csv"):
+        "5cda947ca9c57bc5f3f572962cc421b72780ad1e3dd7e43880ddb974b990b25c",
+    ("p-from-l", "--upto", "11", "--format", "csv"):
+        "e75251bb08500195c3438263f2c15f59711d5ceba500088e6ac6ccaf53a70cfa",
+    ("p-from-l", "--upto", "12", "--format", "csv"):
+        "a65ad7d894bba37a0d23a652cd0d4f768ef150768117cb1f7cfe520fe276cd60",
+}
+
+
+@pytest.mark.parametrize("argv", CLASS_DIGESTS, ids=" ".join)
+def test_class_outputs_match_digests(argv):
+    code, out, _ = _capture(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASS_DIGESTS[argv]
+    _assert_keys_in_order(out)
+
+
 def test_stable_range_golden():
     _, out, _ = _capture(["stable-range", "--g", "25", "--n", "23"])
     assert out == (

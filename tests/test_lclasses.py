@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli.graded import WeightedPolynomial, format_polynomial
 from torelli.lclasses import (
@@ -393,6 +395,58 @@ def test_classes_need_no_polynomial_products(monkeypatch):
         assert list(classes) == list(expected)
 
 
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+)
+
+
+def test_classes_need_no_fraction_arithmetic(monkeypatch):
+    # from the Bernoulli numerators to the exp step everything runs on
+    # integers: Fractions are only built and compared
+    want = (l_classes(12), l_classes(12, True), p_classes_in_l(12))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    with monkeypatch.context() as patch:
+        for name in _FRACTION_ARITHMETIC:
+            patch.setattr(Fraction, name, refuse)
+        with pytest.raises(AssertionError):
+            Fraction(1, 3) + 1
+        l_classes.cache_clear()
+        p_classes_in_l.cache_clear()
+        got = (l_classes(12), l_classes(12, True), p_classes_in_l(12))
+    for classes, expected in zip(got, want):
+        assert classes is not expected
+        assert list(classes) == list(expected)
+
+
+# even series with constant term 1: signed rational coefficients, zeros
+# among them, denominators up to 10^6, fewer or more terms than the count
+_random_series = st.tuples(
+    st.integers(0, 8),
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(-1000, 1000, max_denominator=10**6)),
+        max_size=9,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_series)
+def test_random_series_match_both_oracles(drawn):
+    # the lcm scaling of the log derivative on series other than x/tanh(x)
+    count, tail = drawn
+    coefficients = (Fraction(1), *tail)
+    got = multiplicative_sequence(coefficients, count)
+    a = list(coefficients[: count + 1]) + [Fraction(0)] * (count + 1 - len(coefficients))
+    dc = _log_derivative(a)
+    assert got == exp_of_scaled_log_derivative("p", [0] + [(-1) ** (m - 1) * dc[m] for m in range(1, count + 1)])
+    if count <= 5:
+        assert got == sequence_by_chern_roots(coefficients, count)
+
+
 def test_log_derivative_and_exp_are_inverse():
     # scalars: exp of u is sum u^i / i!, whose log derivative is u
     assert _log_derivative([Fraction(1, math.factorial(i)) for i in range(8)]) == [0, 1] + [0] * 6
@@ -477,6 +531,9 @@ def test_multiplicative_sequence_rejects_bad_series():
         multiplicative_sequence((Fraction(2),), 3)
     with pytest.raises(ValueError):
         multiplicative_sequence((Fraction(1),), -1)
+    # exponents are packed one byte each
+    with pytest.raises(ValueError):
+        multiplicative_sequence((Fraction(1),), 256)
 
 
 # ---------------------------------------------------------------------------
