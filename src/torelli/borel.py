@@ -6,20 +6,27 @@ orthogonal family D_g they are a_i +- a_j (i < j) with rho = sum (g-i) a_i.
 The constant attached to a weight mu is the largest q <= qmax such that
 rho - mu - eta is a nonzero nonnegative combination of simple roots for every
 sum eta of q distinct positive roots; the constant of the k-th tensor power
-of the defining representation is the minimum over its weights.
+of the defining representation is the minimum over its weights, the integer
+vectors mu with |mu|_1 <= k and |mu|_1 = k mod 2.
 
 The sums eta are not enumerated.  The simple-root coordinates f_r are linear,
 so f_r(rho - mu - eta) >= 0 for every eta exactly when f_r(rho - mu) is at
 least the sum of the q largest values of f_r on the positive roots.  Once
-every coordinate passes, rho - mu - eta can vanish only when the height of
-rho - mu equals the sum of the q largest root heights, and only then are the
-sums eta listed.
+every coordinate passes, rho - mu - eta can vanish only when eta is a sum of
+q roots of the greatest height, and only those sums are listed.
+
+Nor are the weights of the tensor power: the smallest f_r(rho - mu) over
+them is f_r(rho) - k max_i |f_r(e_i)|, so one scan over q decides them all.
+At k = 0 and every rank up to 32, the sums of greatest height that the scan
+can list number at most 10 per degree (tests/test_borel.py).
 
 All of it is integer arithmetic.  Roots, simple roots and rho are integer
 vectors, and the coordinate rows are the inverse simple-root matrix scaled
 by L, the lcm of its denominators.  So every coordinate, top sum and height
 is L times its rational value, an integer, and since L > 0 every comparison
-between them is the same as between the rational values.
+between them is the same as between the rational values.  Every positive
+root has at most two nonzero entries, and the tables take the coordinates
+of the roots from those alone.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import invert_fraction_matrix
 
@@ -37,10 +44,6 @@ Vector = tuple[int, ...]
 
 def _sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def _dot(u: Vector, v: Sequence[int | Fraction]) -> int | Fraction:
-    return sum(a * b for a, b in zip(u, v) if b)
 
 
 def _top_sums(values: Iterable[int]) -> tuple[int, ...]:
@@ -81,25 +84,43 @@ class RootSystem(
         return tuple(tuple(int(x * scale) for x in row) for row in inverse)
 
     @cached_property
+    def coordinate_columns(self) -> tuple[Vector, ...]:
+        """coordinate_columns[i][r] = f_r(e_i)."""
+        return tuple(zip(*self.coordinate_rows))
+
+    def coordinates(self, v: Sequence[int | Fraction]) -> list[int | Fraction]:
+        """[f_r(v) for each r], one column per nonzero entry of v."""
+        out = [0] * self.g
+        for x, column in zip(v, self.coordinate_columns):
+            if x:
+                out = [a + x * c for a, c in zip(out, column)]
+        return out
+
+    @cached_property
     def rho_coordinates(self) -> Vector:
-        return tuple(_dot(row, self.rho) for row in self.coordinate_rows)
+        return tuple(self.coordinates(self.rho))
+
+    @cached_property
+    def root_values(self) -> tuple[Vector, ...]:
+        """root_values[r][j]: f_r of the j-th positive root, from its at most
+        two nonzero entries."""
+        return tuple(zip(*map(self.coordinates, self.positive_roots)))
+
+    @cached_property
+    def root_heights(self) -> Vector:
+        """The height of each positive root, the sum of its coordinates f_r."""
+        return tuple(map(sum, zip(*self.root_values)))
 
     @cached_property
     def top_sums(self) -> tuple[tuple[int, ...], ...]:
         """top_sums[r][q]: the largest value of f_r on a sum of q distinct
         positive roots, which is the sum of its q largest values on them."""
-        return tuple(
-            _top_sums(_dot(row, root) for root in self.positive_roots)
-            for row in self.coordinate_rows
-        )
+        return tuple(_top_sums(values) for values in self.root_values)
 
     @cached_property
     def top_heights(self) -> tuple[int, ...]:
-        """The same for the height, the sum of all the coordinates f_r."""
-        return _top_sums(
-            sum(_dot(row, root) for row in self.coordinate_rows)
-            for root in self.positive_roots
-        )
+        """The same for the height."""
+        return _top_sums(self.root_heights)
 
 
 @lru_cache(maxsize=None)
@@ -139,9 +160,7 @@ def root_system(family: str, g: int) -> RootSystem:
 def is_positive_combination(v: Sequence[int | Fraction], rs: RootSystem) -> bool:
     """True when v is nonzero and a nonnegative rational combination of the
     simple roots."""
-    if not any(v):
-        return False
-    return all(_dot(row, v) >= 0 for row in rs.coordinate_rows)
+    return any(v) and min(rs.coordinates(v)) >= 0
 
 
 def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
@@ -155,36 +174,19 @@ def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
         yield tuple(map(sum, zip(*subset))) if subset else zero
 
 
-def weights_of_tensor_power(rs: RootSystem, k: int) -> list[Vector]:
-    """Deduplicated sums of k elements of {+-a_1, ..., +-a_g}: the integer
-    vectors whose absolute values sum to at most k, with the parity of k.
-    Listed coordinate by coordinate, so the work is linear in their number."""
-    if k < 0:
-        raise ValueError("tensor power degree must be nonnegative")
-    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (prefix, its |.|_1)
-    for _ in range(rs.g - 1):
-        partial = [
-            (prefix + (x,), used + abs(x))
-            for prefix, used in partial
-            for x in range(used - k, k - used + 1)
-        ]
-    weights = []
-    for prefix, used in partial:
-        left = k - used  # the last entry takes |x| <= left with |x| = left mod 2
-        weights.extend(prefix + (x,) for x in range(-left, left + 1, 2))
-    return sorted(weights)
-
-
-def tensor_weight_count(g: int, k: int) -> int:
-    """The number of weights `weights_of_tensor_power` lists at rank g,
-    without listing them.  They are the v in Z^g with |v_1| + ... + |v_g| at
-    most k and of the parity of k, counted by the coefficient of x^k in
-    (1 + x)^(g-1) / (1 - x)^(g+1)."""
-    if g < 1 or k < 0:
-        raise ValueError("need g >= 1 and k >= 0")
-    return sum(
-        math.comb(g - 1, j) * math.comb(k - j + g, g) for j in range(min(g - 1, k) + 1)
-    )
+def tallest_root_sums(rs: RootSystem, q: int) -> Iterator[Vector]:
+    """The sums of q distinct positive roots whose height is top_heights[q],
+    the greatest: every root above the q-th largest height h, and each choice
+    of the rest among the roots at height h."""
+    if q == 0:
+        yield (0,) * rs.g
+        return
+    h = rs.top_heights[q] - rs.top_heights[q - 1]
+    above = [root for root, height in zip(rs.positive_roots, rs.root_heights) if height > h]
+    tied = [root for root, height in zip(rs.positive_roots, rs.root_heights) if height == h]
+    base = tuple(map(sum, zip(*above))) if above else (0,) * rs.g
+    for subset in itertools.combinations(tied, q - len(above)):
+        yield tuple(map(sum, zip(base, *subset)))
 
 
 class BorelConstant(NamedTuple):
@@ -199,32 +201,14 @@ class BorelConstant(NamedTuple):
         return self.value is not None and self.value >= bound
 
 
-def borel_constant_mu(rs: RootSystem, mu: Sequence[int | Fraction], qmax: int) -> BorelConstant:
-    """Largest q <= qmax such that every q' <= q passes the cone test for all
-    eta summing q' distinct positive roots.
-
-    Degree q passes when every coordinate f_r of rho - mu reaches the sum of
-    the q largest values of f_r on the positive roots and rho - mu is none of
-    the sums eta; those are listed only when the height of rho - mu is the sum
-    of the q largest root heights, the one case where it can be one of them.
-    The scan ascends and stops at the first failing q': above the positive
-    root count the per-degree test is vacuously true, so a descending scan
-    would skip over genuine failures.
-    """
-    if qmax < 0:
-        raise ValueError("qmax must be nonnegative")
-    # values[r] = f_r(rho - mu), one column per nonzero entry of mu, of which
-    # a weight of a tensor power has few
-    values = list(rs.rho_coordinates)
-    for i, m in enumerate(mu):
-        if m:
-            values = [v - m * row[i] for v, row in zip(values, rs.coordinate_rows)]
-    height = sum(values)
+def _scan(rs: RootSystem, qmax: int, fails: Callable[[int], bool]) -> BorelConstant:
+    """The largest q <= qmax with no failing degree q' <= q.  The scan
+    ascends and stops at the first failing q': above the positive root count
+    the per-degree test is vacuously true, so a descending scan would skip
+    over genuine failures."""
     best: int | None = None
     for q in range(min(qmax, len(rs.positive_roots)) + 1):
-        if any(v < top[q] for v, top in zip(values, rs.top_sums)):
-            break
-        if height == rs.top_heights[q] and _sub(rs.rho, mu) in weights_of_exterior_power(rs, q):
+        if fails(q):
             break
         best = q
     else:  # the degrees above the positive root count pass vacuously
@@ -234,21 +218,55 @@ def borel_constant_mu(rs: RootSystem, mu: Sequence[int | Fraction], qmax: int) -
     return BorelConstant(best, capped=(best == qmax))
 
 
+def borel_constant_mu(rs: RootSystem, mu: Sequence[int | Fraction], qmax: int) -> BorelConstant:
+    """Largest q <= qmax such that every q' <= q passes the cone test for all
+    eta summing q' distinct positive roots.
+
+    Degree q passes when every coordinate f_r of rho - mu reaches the sum of
+    the q largest values of f_r on the positive roots and rho - mu is none of
+    the sums eta; those are listed only when the height of rho - mu is the sum
+    of the q largest root heights, the one case where it can be one of them.
+    """
+    if qmax < 0:
+        raise ValueError("qmax must be nonnegative")
+    values = [a - b for a, b in zip(rs.rho_coordinates, rs.coordinates(mu))]  # f_r(rho - mu)
+    height = sum(values)
+
+    def fails(q: int) -> bool:
+        if any(v < top[q] for v, top in zip(values, rs.top_sums)):
+            return True
+        return height == rs.top_heights[q] and _sub(rs.rho, mu) in weights_of_exterior_power(rs, q)
+
+    return _scan(rs, qmax, fails)
+
+
 def borel_constant_rep(rs: RootSystem, k: int, qmax: int) -> BorelConstant:
     """Minimum of borel_constant_mu over the weights of the k-th tensor power
-    of the defining representation."""
-    best: int | None = None
-    all_capped = True
-    for mu in weights_of_tensor_power(rs, k):
-        c = borel_constant_mu(rs, mu, qmax)
-        if c.value is None:
-            return BorelConstant(None)
-        if best is None or c.value < best:
-            best = c.value
-        all_capped = all_capped and c.capped
-    if best is None:
-        raise AssertionError("a tensor power always has at least one weight")
-    return BorelConstant(best, capped=all_capped and best == qmax)
+    of the defining representation, with no weight listed.
+
+    It is one less than the first degree q that some weight fails.  f_r is
+    linear, and a weight mu = +-k e_i reaches its largest value k |f_r(e_i)|
+    on them, so every weight passes the coordinate test at q when each
+    f_r(rho) - k max_i |f_r(e_i)| reaches top_sums[r][q].  Then a weight mu
+    fails q only when rho - mu is a sum eta of q distinct positive roots,
+    where every f_r(eta) is its largest, top_sums[r][q], so eta has the
+    greatest height of any q roots; those sums are listed, asking whether
+    rho - eta is a weight.
+    """
+    if k < 0 or qmax < 0:
+        raise ValueError("k and qmax must be nonnegative")
+    lows = [v - k * max(map(abs, row)) for v, row in zip(rs.rho_coordinates, rs.coordinate_rows)]
+
+    def is_weight(v: Vector) -> bool:
+        size = sum(map(abs, v))
+        return size <= k and (k - size) % 2 == 0
+
+    def fails(q: int) -> bool:
+        if any(low < top[q] for low, top in zip(lows, rs.top_sums)):
+            return True
+        return any(is_weight(_sub(rs.rho, eta)) for eta in tallest_root_sums(rs, q))
+
+    return _scan(rs, qmax, fails)
 
 
 def representation_bound(family: str, g: int, k: int) -> int:

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import add, neg, sub
@@ -86,6 +87,7 @@ from .linalg import Column, _insert_row, _kernel_vectors
 # omega_{x,x} are kept in the odd case, where the symmetric square of an odd
 # copy realizes the alternating pairing
 from .mt import kappa_ll_series as stable_invariant_series
+from .mt import pair_degree_counts
 
 # not used by the oracle, which samples nothing; kept importable here because
 # bench/layers.py traces calls at these names
@@ -163,6 +165,27 @@ def stable_pair_degrees(n: int, max_degree: int) -> list[tuple[int, int]]:
         for y in degrees[i:]
         if x + y <= max_degree
     ]
+
+
+def shifted_pair_counts(n: int, max_degree: int) -> list[tuple[int, int]]:
+    """(degree, count) of the unordered pairs x <= y of `go_shifted_degrees`
+    with x + y = degree, for every degree in 1..max_degree they reach.
+
+    The pairs of degree d are the x <= d // 2 in the list with d - x in it,
+    counted by bisection.  The list steps by 4 up to max_degree, and d - x
+    lies between x and d, so d - x is in it for one such x exactly when it
+    is for all of them, the first x included: the degrees reached are the
+    sums of the first entry and an entry.  `stable_pair_degrees` lists the
+    same pairs one by one, which is quadratic in max_degree.
+    """
+    degrees = go_shifted_degrees(n, max_degree)
+    counts = []
+    for y in degrees:
+        d = degrees[0] + y
+        if d > max_degree:
+            break
+        counts.append((d, bisect_right(degrees, d // 2)))
+    return counts
 
 
 def two_part_partitions(i: int) -> int:
@@ -678,27 +701,24 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
 # crosscheck report
 
 
-class ReportRow(NamedTuple):
-    degree: int
-    stable_count: int
-    ring_count: int
-    oracle_count: int | None
-
-    @property
-    def agree(self) -> bool:
-        if self.stable_count != self.ring_count:
-            return False
-        return self.oracle_count is None or self.oracle_count == self.stable_count
-
-
 class InvariantReport(NamedTuple):
+    """Per-degree columns, from degree 0: the stable invariant count, the
+    pair-class ring count, and the oracle's count, None without the oracle."""
+
     n: int
     g: int
-    rows: tuple[ReportRow, ...]
+    stable: tuple[int, ...]
+    ring: tuple[int, ...]
+    oracle: tuple[int | None, ...]
+
+    @property
+    def agree(self) -> list[bool]:
+        """Per degree: the two series agree, and so does the oracle if run."""
+        return [s == r and o in (None, s) for s, r, o in zip(self.stable, self.ring, self.oracle)]
 
     @property
     def all_agree(self) -> bool:
-        return all(row.agree for row in self.rows)
+        return all(self.agree)
 
 
 def invariant_crosscheck(
@@ -715,7 +735,7 @@ def invariant_crosscheck(
         raise ValueError("the comparison window needs n >= 8")
     if g < 1 or max_degree < 0:
         raise ValueError("need g >= 1 and max_degree >= 0")
-    oracle = itertools.repeat(None)
+    oracle: tuple[int | None, ...] = (None,) * (max_degree + 1)
     if with_oracle:
         copies = GradedVCopies(g, tuple(go_shifted_degrees(n, max_degree)))
         kind = gamma_kind_for_oracle(n)
@@ -735,12 +755,18 @@ def invariant_crosscheck(
             if top >= max_degree:
                 break
             top *= 2
-        oracle = [brute_force_invariant_dim(kind, copies, d).dimension for d in range(max_degree + 1)]
-    # the pair-class ring has the same generator degrees, by the bijection
-    # x = 4a - n, y = 4b - n that tests/test_mt.py checks, so one series fills
-    # both columns
-    stable = stable_invariant_series(n, max_degree).coefficients
-    return InvariantReport(n, g, tuple(map(ReportRow, itertools.count(), stable, stable, oracle)))
+        oracle = tuple(brute_force_invariant_dim(kind, copies, d).dimension for d in range(max_degree + 1))
+    # the generators are counted per degree twice: the pairs of shifted
+    # degrees here, and the pairs a <= b of cover indices from which the
+    # ring's series is built; by the bijection x = 4a - n, y = 4b - n the
+    # counts are equal, and then one series fills both columns
+    ring = stable_invariant_series(n, max_degree).coefficients
+    counts = shifted_pair_counts(n, max_degree)
+    if counts == pair_degree_counts(n, max_degree):
+        stable = ring
+    else:
+        stable = free_graded_commutative_series(counts, max_degree).coefficients
+    return InvariantReport(n, g, stable, ring, oracle)
 
 
 def gamma_kind_for_oracle(n: int) -> GammaType:

@@ -35,6 +35,13 @@ CASES = {
         "borel.cone",
         "linalg.inverse",
     ),
+    # a request whose constant only a sum of greatest height decides
+    ("borel-constant", "--family", "D", "--g", "3", "--k", "1", "--qmax", "4"): (
+        "borel.constant",
+        "borel.roots",
+        "borel.cone",
+        "linalg.inverse",
+    ),
     ("crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "8", "--oracle"): (
         "invariants.crosscheck",
         "invariants.stable_series",
@@ -53,7 +60,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0] + "-hat" * ("--hat" in a))
+@pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0] + "-hat" * ("--hat" in a) + "-D" * ("D" in a))
 def test_traced_child_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

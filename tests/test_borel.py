@@ -5,8 +5,13 @@ simple-root coordinate on the positive roots, all in integers scaled by the
 lcm of the inverse simple-root matrix's denominators.  The oracle here is
 the exhaustive route: test the cone membership of rho - mu - eta for every
 sum eta of q distinct positive roots, by the unscaled Fraction inverse.
+
+The constant of a tensor power is decided by the library in one scan, with
+no weight listed; the reference here lists the weights and takes the
+minimum of the per-weight constants.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -23,10 +28,56 @@ from torelli.borel import (
     lform_inequality_check,
     representation_bound,
     root_system,
-    tensor_weight_count,
+    tallest_root_sums,
     weights_of_exterior_power,
-    weights_of_tensor_power,
 )
+
+
+def weights_of_tensor_power(rs, k):
+    """Deduplicated sums of k elements of {+-a_1, ..., +-a_g}: the integer
+    vectors whose absolute values sum to at most k, with the parity of k.
+    Listed coordinate by coordinate, so the work is linear in their number."""
+    if k < 0:
+        raise ValueError("tensor power degree must be nonnegative")
+    partial = [((), 0)]  # (prefix, its |.|_1)
+    for _ in range(rs.g - 1):
+        partial = [
+            (prefix + (x,), used + abs(x))
+            for prefix, used in partial
+            for x in range(used - k, k - used + 1)
+        ]
+    weights = []
+    for prefix, used in partial:
+        left = k - used  # the last entry takes |x| <= left with |x| = left mod 2
+        weights.extend(prefix + (x,) for x in range(-left, left + 1, 2))
+    return sorted(weights)
+
+
+def tensor_weight_count(g, k):
+    """The number of weights `weights_of_tensor_power` lists at rank g,
+    without listing them.  They are the v in Z^g with |v_1| + ... + |v_g| at
+    most k and of the parity of k, counted by the coefficient of x^k in
+    (1 + x)^(g-1) / (1 - x)^(g+1)."""
+    if g < 1 or k < 0:
+        raise ValueError("need g >= 1 and k >= 0")
+    return sum(
+        math.comb(g - 1, j) * math.comb(k - j + g, g) for j in range(min(g - 1, k) + 1)
+    )
+
+
+def constant_by_weights(rs, k, qmax):
+    """borel_constant_rep as the minimum of borel_constant_mu over the listed
+    weights of the tensor power."""
+    best = None
+    all_capped = True
+    for mu in weights_of_tensor_power(rs, k):
+        c = borel_constant_mu(rs, mu, qmax)
+        if c.value is None:
+            return BorelConstant(None)
+        if best is None or c.value < best:
+            best = c.value
+        all_capped = all_capped and c.capped
+    return BorelConstant(best, capped=all_capped and best == qmax)
 
 
 def _f(*xs):
@@ -84,10 +135,14 @@ def test_tables_hold_only_integers(family, g):
         rs.rho,
         *rs.coordinate_rows,
         rs.rho_coordinates,
+        *rs.coordinate_columns,
+        *rs.root_values,
+        rs.root_heights,
         *rs.top_sums,
         rs.top_heights,
         *weights_of_tensor_power(rs, 2),
         *weights_of_exterior_power(rs, 2),
+        *tallest_root_sums(rs, 2),
     )
     assert all(type(x) is int for row in rows for x in row)
 
@@ -318,3 +373,95 @@ def test_degrees_past_the_root_count_pass_vacuously():
 def test_tensor_weight_count_matches_the_list(g):
     for k in range(5):
         assert tensor_weight_count(g, k) == len(weights_of_tensor_power(root_system("C", g), k))
+
+
+# ---------------------------------------------------------------------------
+# the whole representation in one scan, against the listed weights
+
+
+def _roots(family, g):
+    return len(root_system(family, g).positive_roots)
+
+
+@pytest.mark.parametrize(
+    "family, g",
+    [(family, g) for family in "CD" for g in range(2, 9)],
+    ids=lambda x: str(x),
+)
+def test_scan_matches_the_weight_minimum(family, g):
+    # every k <= 4 and qmax up to two past the positive root count; from
+    # g = 6 on, the degrees between g + 2 and the root count are thinned,
+    # since the constant is below g there and they are decided alike
+    rs = root_system(family, g)
+    top = _roots(family, g) + 2
+    qmaxes = range(top + 1) if g < 6 else [*range(g + 3), *range(g + 3, top - 2, 5), *range(top - 2, top + 1)]
+    for k in range(5):
+        for qmax in sorted(set(qmaxes)):
+            assert borel_constant_rep(rs, k, qmax) == constant_by_weights(rs, k, qmax), (k, qmax)
+
+
+def _coordinate_scan(rs, k, qmax):
+    """The scan with the coordinate test alone: what the library would
+    answer without the sums of greatest height."""
+    lows = [v - k * max(map(abs, row)) for v, row in zip(rs.rho_coordinates, rs.coordinate_rows)]
+    best = None
+    for q in range(min(qmax, len(rs.positive_roots)) + 1):
+        if any(low < top[q] for low, top in zip(lows, rs.top_sums)):
+            break
+        best = q
+    else:
+        best = qmax
+    return best
+
+
+@pytest.mark.parametrize("g, value", [(2, None), (3, 0)])
+def test_boundary_case_of_the_whole_representation(g, value):
+    # at D_2 and D_3 with k = 1 every coordinate passes the first failing
+    # degree, and only a sum of greatest height shows the failure: rho - mu
+    # is such a sum for a weight mu; at D_2 that is rho itself, at q = 0
+    rs = root_system("D", g)
+    qmax = _roots("D", g) + 2
+    expected = constant_by_weights(rs, 1, qmax)
+    assert expected == BorelConstant(value)
+    assert borel_constant_rep(rs, 1, qmax) == expected
+    failing = 0 if value is None else value + 1
+    assert _coordinate_scan(rs, 1, qmax) >= failing
+    assert any(sum(abs(r - e) for r, e in zip(rs.rho, eta)) == 1 for eta in tallest_root_sums(rs, failing))
+
+
+@pytest.mark.parametrize("family, g", [("C", 3), ("D", 3), ("C", 5), ("D", 6)])
+def test_tallest_root_sums_are_the_sums_of_greatest_height(family, g):
+    rs = root_system(family, g)
+    height = dict(zip(rs.positive_roots, rs.root_heights))
+    for q in range(min(len(rs.positive_roots), 6) + 1):
+        tallest = sorted(
+            tuple(map(sum, zip((0,) * g, *subset)))
+            for subset in itertools.combinations(rs.positive_roots, q)
+            if sum(height[root] for root in subset) == rs.top_heights[q]
+        )
+        assert sorted(tallest_root_sums(rs, q)) == tallest, q
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_tie_listing_is_small_at_every_rank(family):
+    # a scan lists the sums of greatest height of degree q only once every
+    # coordinate has passed at q and below; the coordinate test at k = 0
+    # passes whatever passes at a larger k, so the degrees bounded here are
+    # all that a scan at any k can reach, and at most 10 sums are listed in
+    # each of them
+    largest = 0
+    for g in range(2, 33):
+        rs = root_system(family, g)
+        for q in range(len(rs.positive_roots) + 1):
+            if any(v < top[q] for v, top in zip(rs.rho_coordinates, rs.top_sums)):
+                break
+            largest = max(largest, sum(1 for _ in tallest_root_sums(rs, q)))
+    assert largest <= 10
+
+
+def test_scan_rejects_negative_sizes():
+    rs = root_system("C", 3)
+    with pytest.raises(ValueError):
+        borel_constant_rep(rs, -1, 3)
+    with pytest.raises(ValueError):
+        borel_constant_rep(rs, 1, -1)

@@ -544,6 +544,17 @@ def test_crosscheck_argument_errors_exit_3(flag, value, message, oracle):
     assert _capture(argv) == (3, "", f"error: {message}\n")
 
 
+def test_borel_sizes_are_checked_before_the_root_system(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the root system was built")
+
+    monkeypatch.setattr(torelli.cli, "root_system", unreachable)
+    for flag, message in (("--k", "--k must be nonnegative"), ("--qmax", "--qmax must be nonnegative")):
+        request = {"--family": "D", "--g": "5", "--k": "1", "--qmax": "3", flag: "-1"}
+        argv = ["borel-constant", *itertools.chain(*request.items())]
+        assert _capture(argv) == (3, "", f"error: {message}\n")
+
+
 def test_cost_caps_exit_3_before_any_work():
     for argv in (["l-class", "--upto", "1000000"], ["p-from-l", "--upto", "1000000"]):
         started = time.perf_counter()
@@ -559,17 +570,16 @@ def test_cost_caps_exit_3_before_any_work():
     )
     assert code == 3 and out == ""
     assert "1000000" in err and "cap 32" in err
-    # g * (qmax + 1) * weights = 20 * 18 * 10720, refused before the weights
-    # are listed; at k = 2 the same rank and degree run
-    code, out, err = _capture(
-        ["borel-constant", "--family", "C", "--g", "20", "--k", "3", "--qmax", "17"]
-    )
-    assert code == 3 and out == ""
-    assert str(20 * 18 * 10720) in err and "cap 500000" in err
-    code, _, err = _capture(
-        ["borel-constant", "--family", "C", "--g", "4", "--k", "1000000", "--qmax", "1"]
-    )
-    assert code == 3 and "cap 500000" in err
+    # no weight of the tensor power is listed, so the rank alone bounds the
+    # work: requests that a cap on the weight count once refused now run
+    for argv, row in (
+        (["--g", "20", "--k", "3", "--qmax", "17"], {"bound": 16, "bound_met": True, "c": 16, "capped": False}),
+        (["--g", "4", "--k", "1000000", "--qmax", "1"], {"bound": -999997, "bound_met": False, "c": None, "capped": False}),
+    ):
+        started = time.perf_counter()
+        code, out, _ = _capture(["borel-constant", "--family", "C", *argv])
+        assert time.perf_counter() - started < 0.5
+        assert code == 0 and json.loads(out)["table"] == [row]
     # the series commands cap maxdeg + 2n, crosscheck-sec6 with or without
     # the oracle
     for argv, size in (
@@ -597,7 +607,6 @@ def test_cost_caps_exit_3_before_any_work():
         (["group-sample", "--type", "sp", "--g", "2", "--seed", "1", "--len", "200000"], "--len 200000 is above the cap 1000"),
         (["lform-check", "--g", "500", "--k", "2", "--q", "3"], "--g 500 is above the cap 32"),
         (["invariant-oracle", "--type", "o", "--g", "30", "--degrees", "1", "--deg", "1"], "--g 30 is above the cap 10"),
-        # a negative qmax would make the size product nonpositive
         (["borel-constant", "--family", "C", "--g", "6", "--k", "14", "--qmax", "-1"], "--qmax must be nonnegative"),
         (["crosscheck-sec6", "--n", "8", "--g", "30", "--maxdeg", "8", "--oracle"], "--g 30 is above the cap 10"),
         (["invariant-oracle", "--type", "o", "--g", "1", "--degrees", "2,4", "--deg", "200000000"], "--deg 200000000 is above the cap 2000"),

@@ -12,6 +12,7 @@ oracle.
 """
 
 import bisect
+import collections
 import io
 import itertools
 import json
@@ -23,9 +24,11 @@ from functools import lru_cache, partial
 
 import pytest
 
+import torelli.mt
 from torelli import invariants, linalg
 from torelli.cli import run
 from torelli.graded import free_graded_commutative_series
+from torelli.mt import pair_degree_counts
 from torelli.groups import (
     GammaType,
     Generator,
@@ -49,6 +52,7 @@ from torelli.invariants import (
     mapping_space_homotopy,
     matchings_count,
     piece_dimension,
+    shifted_pair_counts,
     stable_invariant_series,
     stable_pair_degrees,
     torelli_model_series,
@@ -1268,9 +1272,9 @@ def test_orbit_route_reach():
     started = time.perf_counter()
     assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(1, (2,)), 40) == (11, (11,), "modp")
     report = invariant_crosscheck(10, 1, 40, with_oracle=True)
-    assert [row.oracle_count for row in report.rows] == rank_one_molien_series(go_shifted_degrees(10, 40), 40)
+    assert list(report.oracle) == rank_one_molien_series(go_shifted_degrees(10, 40), 40)
     report = invariant_crosscheck(8, 2, 36, with_oracle=True)
-    assert report.all_agree and report.rows[36].oracle_count == 20
+    assert report.all_agree and report.oracle[36] == 20
     assert time.perf_counter() - started < 2
     # n = 8, g = 3 up to degree 40 passes the pre-check alone: its top piece
     # has 81816 dimensions and takes seconds to count, and the request sums
@@ -1330,17 +1334,54 @@ def test_oracle_kind_by_parity():
 def test_crosscheck_counts_agree():
     report = invariant_crosscheck(8, 3, 12)
     assert report.all_agree
-    assert [row.degree for row in report.rows] == list(range(13))
-    assert all(row.oracle_count is None for row in report.rows)
-    assert report.rows[8].stable_count == 1
-    assert report.rows[8].ring_count == 1
+    assert len(report.stable) == len(report.ring) == len(report.oracle) == 13
+    assert report.oracle == (None,) * 13
+    assert report.stable[8] == 1
+    assert report.ring[8] == 1
 
 
 def test_crosscheck_with_oracle_small():
     report = invariant_crosscheck(8, 2, 4, with_oracle=True)
     assert report.all_agree
-    assert report.rows[0].oracle_count == 1
-    assert report.rows[4].oracle_count == 0
+    assert report.oracle[0] == 1
+    assert report.oracle[4] == 0
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 20, 37])
+def test_shifted_pair_counts_match_the_pair_list(n):
+    for max_degree in (0, 3, 16, 61, 300):
+        listed = collections.Counter(x + y for x, y in stable_pair_degrees(n, max_degree))
+        assert shifted_pair_counts(n, max_degree) == sorted(listed.items())
+
+
+def _mutant(counts):
+    """One more generator in the first degree that has one."""
+    (d, c), *rest = counts
+    return [(d, c + 1), *rest]
+
+
+@pytest.mark.parametrize("side", ["stable", "ring"])
+@pytest.mark.parametrize("n", [8, 9, 14])
+def test_crosscheck_catches_a_wrong_count_on_either_side(side, n, monkeypatch):
+    # each side's count feeds its own series once they differ, so a wrong
+    # count shows from its first degree on
+    first = pair_degree_counts(n, 60)[0][0]
+    if side == "stable":
+        counts = shifted_pair_counts
+        monkeypatch.setattr(invariants, "shifted_pair_counts", lambda *a: _mutant(counts(*a)))
+    else:
+        # the ring's series and the count compared with it read one name
+        counts = pair_degree_counts
+        for module in (invariants, torelli.mt):
+            monkeypatch.setattr(module, "pair_degree_counts", lambda *a: _mutant(counts(*a)))
+    report = invariant_crosscheck(n, 2, 60)
+    assert report.agree[:first] == [True] * first
+    assert report.agree[first] is False and not report.all_agree
+    mutated = getattr(report, side)
+    other = report.ring if side == "stable" else report.stable
+    assert mutated[first] == other[first] + 1
+    monkeypatch.undo()
+    assert invariant_crosscheck(n, 2, 60).all_agree
 
 
 def test_crosscheck_checks_every_piece_before_any_work():

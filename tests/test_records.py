@@ -12,7 +12,7 @@ from torelli import borel
 from torelli.borel import BorelConstant, root_system
 from torelli.graded import HilbertSeries
 from torelli.groups import Generator, GroupForm
-from torelli.invariants import GradedVCopies, InvariantReport, OracleResult, ReportRow
+from torelli.invariants import GradedVCopies, InvariantReport, OracleResult
 from torelli.lclasses import IndexGeneratorMap, IndexMapEntry
 from torelli.mt import KappaGenerator
 
@@ -37,11 +37,10 @@ RECORDS = {
         lambda: OracleResult(1, (2, 1, 1), "modp"),
         lambda: OracleResult(1, (2, 1, 1), "rational"),
     ),
-    "ReportRow": ("oracle_count", lambda: ReportRow(0, 1, 1, None), lambda: ReportRow(0, 1, 1, 1)),
     "InvariantReport": (
-        "rows",
-        lambda: InvariantReport(8, 2, (ReportRow(0, 1, 1, None),)),
-        lambda: InvariantReport(8, 2, ()),
+        "oracle",
+        lambda: InvariantReport(8, 2, (1, 0), (1, 0), (None, None)),
+        lambda: InvariantReport(8, 2, (1, 0), (1, 0), (1, 0)),
     ),
     "IndexMapEntry": ("scalar", _entry, lambda: _entry(Fraction(1, 4))),
     "IndexGeneratorMap": (
@@ -123,6 +122,27 @@ def test_root_system_tables_are_computed_once_per_instance(monkeypatch):
     other = root_system.__wrapped__("C", 3)
     assert other.top_sums == table and other.top_sums is not table
     assert len(calls) == 6
+    # under them, the root values (one coordinate vector per positive root)
+    # and the root heights, which the top sums and the top heights read
+    assert rs.top_heights is rs.top_heights
+    assert len(calls) == 7
+    coordinates = []
+    original = borel.RootSystem.coordinates
+
+    def counted_coordinates(self, v):
+        coordinates.append(1)
+        return original(self, v)
+
+    monkeypatch.setattr(borel.RootSystem, "coordinates", counted_coordinates)
+    third = root_system.__wrapped__("C", 3)
+    coordinates.clear()  # past the cone test of each positive root
+    values, heights = third.root_values, third.root_heights
+    assert len(coordinates) == len(third.positive_roots)
+    assert third.top_sums == table and third.top_heights == rs.top_heights
+    assert third.root_values is values and third.root_heights is heights
+    assert len(coordinates) == len(third.positive_roots)
+    assert values == rs.root_values and values is not rs.root_values
+    assert heights == rs.root_heights and heights is not rs.root_heights
     # the cached tables take no part in equality or hashing
     fresh = root_system.__wrapped__("C", 3)
     assert rs == fresh and hash(rs) == hash(fresh)
