@@ -2,9 +2,14 @@
 
 Every subcommand prints a single JSON envelope
 {"command", "parameters", "provenance", "table"}, or a flat CSV table with
---format csv.  Keys are written in sorted order when the envelope is built,
-so the encoder neither re-sorts them nor checks for cycles.  Exact rationals
-render as "num/den"; output is byte-identical across runs for identical argv.
+--format csv.  Each handler returns its table as columns: a dict from output
+key to an equal-length column.  _emit alone knows the layout the table is
+printed in and its key order: it orders the columns by name, encodes the
+keys and every cell with one encoder call, cuts the text into cells and
+writes one row object per index.  The envelope and its parameters are built
+in key order, so the encoder neither re-sorts keys nor checks for cycles.
+Exact rationals render as "num/den"; output is byte-identical across runs
+for identical argv.
 Exit codes: 0 success, 2 argument errors, 3 range or cap errors.
 
 n always means the half-dimension (a 2n-manifold is specified by n).
@@ -41,7 +46,8 @@ from .mt import kappa_ll_series, mt_series, stable_range, torelli_invariant_seri
 if TYPE_CHECKING:
     import argparse
 
-Table = list[dict]
+# output key -> column (a range, tuple or list), every column the same length
+Table = dict[str, Sequence]
 Provenance = list[str]
 
 # a-priori cost caps, checked before any work; a request above one exits 3
@@ -101,10 +107,8 @@ def _check_series_size(args) -> None:
 
 def _series_table(args, series: Callable) -> Table:
     _check_series_size(args)
-    return [
-        {"coefficient": c, "degree": d}
-        for d, c in enumerate(series(args.n, args.maxdeg).coefficients)
-    ]
+    coefficients = series(args.n, args.maxdeg).coefficients
+    return {"coefficient": coefficients, "degree": range(len(coefficients))}
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -114,12 +118,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
-# -- handlers, one per subcommand: each returns (table, provenance) ----------
+# -- handlers, one per subcommand: each returns (columns, provenance) --------
 
 
 def _cmd_stable_range(args) -> tuple[Table, Provenance]:
     c = stable_range(args.g, args.n)
-    table = [{"C": c}] if c is not None else [{"C": None, "note": "outside stable range"}]
+    table = {"C": [c]} if c is not None else {"C": [None], "note": ["outside stable range"]}
     return table, ["cohomological-stability-range"]
 
 
@@ -128,7 +132,7 @@ def _cmd_l_class(args) -> tuple[Table, Provenance]:
         raise ValueError("--upto must be nonnegative")
     _check_cap("--upto", args.upto, UPTO_CAP)
     classes = l_classes(args.upto, args.hat)
-    table = [{"class": format_polynomial(k), "i": i} for i, k in enumerate(classes)]
+    table = {"class": [format_polynomial(k) for k in classes], "i": range(len(classes))}
     return table, ["normalized-hirzebruch-l-class" if args.hat else "hirzebruch-l-class"]
 
 
@@ -137,10 +141,8 @@ def _cmd_p_from_l(args) -> tuple[Table, Provenance]:
         raise ValueError("--upto must be at least 1")
     _check_cap("--upto", args.upto, UPTO_CAP)
     classes = p_classes_in_l(args.upto)
-    table = [
-        {"i": i, "polynomial": format_polynomial(classes[i])}
-        for i in range(1, args.upto + 1)
-    ]
+    indices = range(1, args.upto + 1)
+    table = {"i": indices, "polynomial": [format_polynomial(classes[i]) for i in indices]}
     return table, ["pontryagin-inversion"]
 
 
@@ -165,36 +167,31 @@ def _cmd_borel_constant(args) -> tuple[Table, Provenance]:
     rs = root_system(args.family, args.g)
     constant = borel_constant_rep(rs, args.k, args.qmax)
     bound = representation_bound(args.family, args.g, args.k)
-    table = [
-        {
-            "bound": bound,
-            "bound_met": constant.meets(bound),
-            "c": constant.value,
-            "capped": constant.capped,
-        }
-    ]
+    table = {
+        "bound": [bound],
+        "bound_met": [constant.meets(bound)],
+        "c": [constant.value],
+        "capped": [constant.capped],
+    }
     return table, ["borel-stability-constant", "tensor-power-bound"]
 
 
 def _cmd_lform_check(args) -> tuple[Table, Provenance]:
     _check_cap("rank --g", args.g, BOREL_RANK_CAP)
-    return [{"holds": lform_inequality_check(args.g, args.k, args.q)}], ["dominance-linear-form"]
+    return {"holds": [lform_inequality_check(args.g, args.k, args.q)]}, ["dominance-linear-form"]
 
 
 def _cmd_group_sample(args) -> tuple[Table, Provenance]:
     _check_cap("--g", args.g, GENUS_CAP)
     _check_cap("--len", args.len, WORD_CAP)
     matrix = sample_group_element(GammaType(args.type), args.g, args.seed, args.len)
-    table = [
-        {"entries": " ".join(str(x) for x in row), "row": r}
-        for r, row in enumerate(matrix)
-    ]
+    table = {"entries": [" ".join(str(x) for x in row) for row in matrix], "row": range(len(matrix))}
     return table, ["arithmetic-group-generators"]
 
 
 def _cmd_quad_refine(args) -> tuple[Table, Provenance]:
     value = quadratic_refinement(_parse_int_list(args.vector), args.n)
-    return [{"modulus": quadratic_modulus(args.n).value, "q": value}], ["quadratic-refinement"]
+    return {"modulus": [quadratic_modulus(args.n).value], "q": [value]}, ["quadratic-refinement"]
 
 
 def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
@@ -204,14 +201,12 @@ def _cmd_invariant_oracle(args) -> tuple[Table, Provenance]:
     _check_cap("--degrees count", len(degrees), ORACLE_COPIES_CAP)
     copies = GradedVCopies(args.g, degrees)
     result = brute_force_invariant_dim(GammaType(args.type), copies, args.deg)
-    table = [
-        {
-            "dimension": result.dimension,
-            "history": " ".join(str(h) for h in result.history),
-            "piece": piece_dimension(copies, args.deg),
-            "route": result.route,
-        }
-    ]
+    table = {
+        "dimension": [result.dimension],
+        "history": [" ".join(str(h) for h in result.history)],
+        "piece": [piece_dimension(copies, args.deg)],
+        "route": [result.route],
+    }
     return table, ["invariant-dimension-oracle"]
 
 
@@ -220,11 +215,13 @@ def _cmd_crosscheck_sec6(args) -> tuple[Table, Provenance]:
     if args.oracle:
         _check_cap("--g", args.g, GENUS_CAP)
     report = invariant_crosscheck(args.n, args.g, args.maxdeg, with_oracle=args.oracle)
-    columns = zip(report.agree, report.oracle, report.ring, report.stable)
-    table = [
-        {"agree": agree, "degree": d, "oracle": oracle, "ring": ring, "stable": stable}
-        for d, (agree, oracle, ring, stable) in enumerate(columns)
-    ]
+    table = {
+        "agree": report.agree,
+        "degree": range(len(report.stable)),
+        "oracle": report.oracle,
+        "ring": report.ring,
+        "stable": report.stable,
+    }
     return table, [
         "stable-invariant-ring",
         "kappa-ll-ring",
@@ -433,19 +430,40 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(envelope: dict, fmt: str, out) -> None:
+# one encoder for every call: building one costs more than a one-row table
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def _emit(envelope: dict, table: Table, fmt: str, out) -> None:
+    """Print the envelope with the table spliced in after its last key, one
+    row object per index with the keys in name order; or the table alone
+    as CSV."""
+    names = sorted(table)
     if fmt == "json":
-        out.write(json.dumps(envelope, separators=(",", ":"), check_circular=False))
-        out.write("\n")
+        width, rows = len(names), len(table[names[0]])
+        # the keys, then the cells row by row, encoded as one list and cut
+        # at its commas: the text of an int, a bool or null holds none, so
+        # only a string with a comma makes the pieces outnumber the items,
+        # and then each item is encoded alone
+        items = names * (rows + 1)
+        for j, name in enumerate(names, width):
+            items[j::width] = table[name]
+        text = _ENCODER.encode(items)[1:-1].split(",")
+        if len(text) != len(items):
+            text = [_ENCODER.encode(v) for v in items]
+        parts = [""] * (2 * width * rows)
+        parts[1::2] = text[width:]
+        for j, key in enumerate(text[:width]):
+            # a row's first key follows "},{", the close of the row before
+            parts[2 * j :: 2 * width] = [("},{" if j == 0 else ",") + key + ":"] * rows
+        body = "[" + "".join(parts)[2:] + "}]" if rows else "[]"
+        out.write(f'{_ENCODER.encode(envelope)[:-1]},"table":{body}}}\n')
         return
     import csv  # only here, so that a JSON request never loads it
 
-    rows = envelope["table"]
-    columns = list(rows[0]) if rows else []
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+    writer.writerow(names)
+    writer.writerows([_csv_cell(v) for v in row] for row in zip(*(table[name] for name in names)))
 
 
 def run(argv: Sequence[str] | None, out=None, err=None) -> int:
@@ -464,15 +482,11 @@ def run(argv: Sequence[str] | None, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 3
-    # every subcommand's parameters are exactly its own flags, in key order
+    # every subcommand's parameters are exactly its own flags, in key order;
+    # "table", the last key, is spliced in by _emit
     parameters = {k: v for k, v in sorted(vars(args).items()) if k not in ("format", "subcommand")}
-    envelope = {
-        "command": args.subcommand,
-        "parameters": parameters,
-        "provenance": provenance,
-        "table": table,
-    }
-    _emit(envelope, args.format, out)
+    envelope = {"command": args.subcommand, "parameters": parameters, "provenance": provenance}
+    _emit(envelope, table, args.format, out)
     return 0
 
 

@@ -49,6 +49,12 @@ CASES = {
         "invariants.piece_dimension",
         "graded.series",
     ),
+    # the series workload's crosscheck, which runs no oracle
+    ("crosscheck-sec6", "--n", "8", "--g", "2", "--maxdeg", "8"): (
+        "invariants.crosscheck",
+        "invariants.stable_series",
+        "graded.series",
+    ),
     ("invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "1,3", "--deg", "4"): (
         "invariants.oracle",
         "invariants.piece_dimension",
@@ -60,7 +66,12 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda a: a[0] + "-hat" * ("--hat" in a) + "-D" * ("D" in a))
+def _case_id(argv):
+    crosscheck_alone = argv[0] == "crosscheck-sec6" and "--oracle" not in argv
+    return argv[0] + "-hat" * ("--hat" in argv) + "-D" * ("D" in argv) + "-no-oracle" * crosscheck_alone
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_traced_child_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import itertools
@@ -10,7 +11,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torelli
@@ -20,6 +21,7 @@ from torelli.cli import (
     _SUBCOMMANDS,
     SHIPPED_INVOCATIONS,
     _build_parser,
+    _emit,
     _read_plain,
     main,
     run,
@@ -35,8 +37,9 @@ def _capture(argv):
 
 def _assert_keys_in_order(out):
     """The envelope, its parameters and every table row (or the CSV header)
-    come out with their keys sorted: the handlers write them in that order,
-    since the encoder does not sort."""
+    come out with their keys sorted: run builds the envelope and its
+    parameters in that order and _emit orders the table's columns, since
+    the encoder does not sort."""
     if out.startswith("{"):
         envelope = json.loads(out)
         keyed = [envelope, envelope["parameters"], *envelope["table"]]
@@ -491,6 +494,93 @@ def test_csv_output():
 def test_csv_none_renders_empty():
     _, out, _ = _capture(["stable-range", "--g", "3", "--n", "3", "--format", "csv"])
     assert out == "C,note\n,outside stable range\n"
+
+
+def _reference_emit(envelope, fmt, out):
+    """Reference renderer: a table of row dicts, each keyed in output order,
+    inside the envelope; JSON by one json.dumps, CSV one row at a time."""
+    if fmt == "json":
+        out.write(json.dumps(envelope, separators=(",", ":"), check_circular=False))
+        out.write("\n")
+        return
+    rows = envelope["table"]
+    columns = list(rows[0]) if rows else []
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_reference_cell(row.get(col)) for col in columns])
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+# strings with the characters the one-call encoding must survive: a comma in
+# a key or a cell sends the table to the cell-by-cell route
+_TEXT = st.text(alphabet=st.sampled_from(',"\\ a1é€\n') | st.characters(), max_size=8)
+_CELLS = (
+    st.integers(-(2**80), 2**80),
+    st.booleans() | st.none(),
+    _TEXT,
+    st.integers(-(2**80), 2**80) | st.booleans() | st.none() | _TEXT,
+)
+
+
+@st.composite
+def _column_tables(draw):
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+    rows = draw(st.integers(1, 60))
+    table = {}
+    for name in names:
+        kind = draw(st.integers(0, len(_CELLS)))
+        if kind == len(_CELLS):
+            start = draw(st.integers(-5, 5))
+            table[name] = range(start, start + rows)
+        else:
+            cells = draw(st.lists(_CELLS[kind], min_size=rows, max_size=rows))
+            table[name] = cells if draw(st.booleans()) else tuple(cells)
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(_column_tables())
+@example({"b": ["x,y", ""], "a": (2**64, -1)})
+def test_emit_matches_the_row_dict_reference(table):
+    envelope = {"command": "c", "parameters": {"n": 1}, "provenance": ["p"]}
+    rows = len(next(iter(table.values())))
+    reference = [{name: table[name][i] for name in sorted(table)} for i in range(rows)]
+    for fmt in ("json", "csv"):
+        out, expected = io.StringIO(), io.StringIO()
+        _emit(envelope, table, fmt, out)
+        _reference_emit({**envelope, "table": reference}, fmt, expected)
+        assert out.getvalue() == expected.getvalue()
+
+
+# one request per series subcommand near SERIES_CAP, and the largest
+# crosscheck the benchmark runs
+BIG_TABLES = (
+    ("mt-series", "--n", "7", "--maxdeg", "5986"),
+    ("torelli-series", "--n", "7", "--maxdeg", "5986"),
+    ("theoremB-series", "--n", "8", "--maxdeg", "5984"),
+    ("crosscheck-sec6", "--n", "340", "--g", "2", "--maxdeg", "900"),
+)
+
+
+@pytest.mark.parametrize("argv", BIG_TABLES, ids=lambda a: a[0])
+def test_big_tables_match_a_sorting_encoder(argv):
+    maxdeg = int(argv[argv.index("--maxdeg") + 1])
+    code, out, _ = _capture(argv)
+    assert code == 0
+    envelope = json.loads(out)
+    assert len(envelope["table"]) == maxdeg + 1
+    assert json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n" == out
+    code, out, _ = _capture([*argv, "--format", "csv"])
+    assert code == 0
+    assert out.count("\n") == maxdeg + 2
 
 
 def test_quad_refine_modulus():
