@@ -7,7 +7,8 @@ The constant attached to a weight mu is the largest q <= qmax such that
 rho - mu - eta is a nonzero nonnegative combination of simple roots for every
 sum eta of q distinct positive roots; the constant of the k-th tensor power
 of the defining representation is the minimum over its weights, the integer
-vectors mu with |mu|_1 <= k and |mu|_1 = k mod 2.
+vectors mu with |mu|_1 <= k and |mu|_1 = k mod 2.  Only that minimum is
+computed here; the per-weight constant is the reference in tests/test_borel.py.
 
 The sums eta are not enumerated.  The simple-root coordinates f_r are linear,
 so f_r(rho - mu - eta) >= 0 for every eta exactly when f_r(rho - mu) is at
@@ -40,10 +41,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .linalg import invert_fraction_matrix
 
 Vector = tuple[int, ...]
-
-
-def _sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _top_sums(values: Iterable[int]) -> tuple[int, ...]:
@@ -163,6 +160,8 @@ def is_positive_combination(v: Sequence[int | Fraction], rs: RootSystem) -> bool
     return any(v) and min(rs.coordinates(v)) >= 0
 
 
+# not called here, where no sum of roots is listed but the tallest; kept
+# importable because bench/layers.py traces calls at this name
 def weights_of_exterior_power(rs: RootSystem, q: int) -> Iterator[Vector]:
     """Sums of q distinct positive roots (with repetition of values allowed)."""
     if q < 0:
@@ -218,31 +217,10 @@ def _scan(rs: RootSystem, qmax: int, fails: Callable[[int], bool]) -> BorelConst
     return BorelConstant(best, capped=(best == qmax))
 
 
-def borel_constant_mu(rs: RootSystem, mu: Sequence[int | Fraction], qmax: int) -> BorelConstant:
-    """Largest q <= qmax such that every q' <= q passes the cone test for all
-    eta summing q' distinct positive roots.
-
-    Degree q passes when every coordinate f_r of rho - mu reaches the sum of
-    the q largest values of f_r on the positive roots and rho - mu is none of
-    the sums eta; those are listed only when the height of rho - mu is the sum
-    of the q largest root heights, the one case where it can be one of them.
-    """
-    if qmax < 0:
-        raise ValueError("qmax must be nonnegative")
-    values = [a - b for a, b in zip(rs.rho_coordinates, rs.coordinates(mu))]  # f_r(rho - mu)
-    height = sum(values)
-
-    def fails(q: int) -> bool:
-        if any(v < top[q] for v, top in zip(values, rs.top_sums)):
-            return True
-        return height == rs.top_heights[q] and _sub(rs.rho, mu) in weights_of_exterior_power(rs, q)
-
-    return _scan(rs, qmax, fails)
-
-
 def borel_constant_rep(rs: RootSystem, k: int, qmax: int) -> BorelConstant:
-    """Minimum of borel_constant_mu over the weights of the k-th tensor power
-    of the defining representation, with no weight listed.
+    """The constant of the k-th tensor power of the defining representation:
+    the minimum of the per-weight constants over its weights, with no weight
+    listed.
 
     It is one less than the first degree q that some weight fails.  f_r is
     linear, and a weight mu = +-k e_i reaches its largest value k |f_r(e_i)|
@@ -264,7 +242,7 @@ def borel_constant_rep(rs: RootSystem, k: int, qmax: int) -> BorelConstant:
     def fails(q: int) -> bool:
         if any(low < top[q] for low, top in zip(lows, rs.top_sums)):
             return True
-        return any(is_weight(_sub(rs.rho, eta)) for eta in tallest_root_sums(rs, q))
+        return any(is_weight(tuple(r - e for r, e in zip(rs.rho, eta))) for eta in tallest_root_sums(rs, q))
 
     return _scan(rs, qmax, fails)
 

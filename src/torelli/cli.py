@@ -375,11 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the argument options that _read_plain understands; any other sends the
-# request to argparse
-_PLAIN_OPTIONS = frozenset({"type", "required", "help", "choices", "default", "action"})
-
-
 def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse gives for a plain request, defaults included,
     read from the _SUBCOMMANDS table; None for anything else.  Plain: the
@@ -387,15 +382,12 @@ def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
     either a store_true switch or followed by one value that does not start
     with "-", converts by the flag's type and is among its choices, with
     every required flag present.  Abbreviations, "--flag=value", repeats,
-    help and every error are argparse's."""
+    help and every error are argparse's.  The table uses no argument option
+    but type, required, help, choices, default and action="store_true"
+    (tests/test_cli.py checks it)."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     specs = dict((*_SUBCOMMANDS[argv[0]][2], _FORMAT_ARGUMENT))
-    if any(
-        not options.keys() <= _PLAIN_OPTIONS or options.get("action", "store_true") != "store_true"
-        for options in specs.values()
-    ):
-        return None
     values = {"subcommand": argv[0]}
     tokens = iter(argv[1:])
     for flag in tokens:

@@ -26,8 +26,8 @@ class HilbertSeries:
     """Coefficients of a truncated Hilbert series, indices 0..max_degree.
 
     An immutable value: equal coefficients compare and hash equal.  Not a
-    tuple, because indexing and ``*`` mean degree lookup and the truncated
-    product here."""
+    tuple, because indexing means degree lookup here and a series must
+    start with 1."""
 
     __slots__ = ("coefficients",)
 
@@ -63,16 +63,6 @@ class HilbertSeries:
 
     def __getitem__(self, degree: int) -> int:
         return self.coefficients[degree]
-
-    def __mul__(self, other: "HilbertSeries") -> "HilbertSeries":
-        n = min(self.max_degree, other.max_degree)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coefficients[j]
-        return HilbertSeries(tuple(out))
 
 
 def free_graded_commutative_series(
@@ -334,8 +324,8 @@ class WeightedPolynomial:
     def __rsub__(self, other) -> "WeightedPolynomial":
         return (-self) + other
 
-    def mul(self, other, max_weight: int | None = None) -> "WeightedPolynomial":
-        """Product, optionally discarding terms above ``max_weight``."""
+    def mul(self, other) -> "WeightedPolynomial":
+        """Product."""
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             terms = {e: c * v for e, v in self.terms.items()} if c else {}
@@ -345,15 +335,9 @@ class WeightedPolynomial:
         else:
             merged, amap, bmap = self._merge_variables(self, other)
             aterms, bterms = self._lift(merged, amap), other._lift(merged, bmap)
-        if max_weight is not None:
-            weights = [w for _, w in merged]
-            wa = {e: sum(map(operator.mul, e, weights)) for e in aterms}
-            wb = {e: sum(map(operator.mul, e, weights)) for e in bterms}
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in aterms.items():
             for eb, cb in bterms.items():
-                if max_weight is not None and wa[ea] + wb[eb] > max_weight:
-                    continue
                 key = tuple(map(operator.add, ea, eb))
                 got = out.get(key)
                 out[key] = ca * cb if got is None else got + ca * cb

@@ -67,14 +67,6 @@ def quadratic_modulus(n: int) -> QuadraticModulus:
     return QuadraticModulus.MOD2
 
 
-def gamma_type(n: int) -> GammaType:
-    if n % 2 == 0:
-        return GammaType.ORTHOGONAL
-    if n in (1, 3, 7):
-        return GammaType.SYMPLECTIC
-    return GammaType.THETA
-
-
 def form_for_kind(kind: GammaType, g: int) -> GroupForm:
     return GroupForm(g, 1 if kind is GammaType.ORTHOGONAL else -1)
 

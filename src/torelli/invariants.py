@@ -79,7 +79,7 @@ from functools import lru_cache, partial
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
-from .graded import HilbertSeries, free_graded_commutative_series
+from .graded import free_graded_commutative_series
 from .groups import GammaType, listed_generators, monomial_moves
 from .linalg import Column, _insert_row, _kernel_vectors
 # the series of the polynomial ring on omega_{x,y}, degree x + y, is that of
@@ -119,21 +119,6 @@ class OracleCapExceeded(ValueError):
 # closed forms
 
 
-def go_homotopy_rank(k: int) -> int:
-    """Rank of the rational homotopy of G/O in degree k."""
-    return 1 if k > 0 and k % 4 == 0 else 0
-
-
-def mapping_space_homotopy(n: int, g: int, k: int) -> tuple[int, int, int]:
-    """(multiplicity of V, trivial multiplicity, total rank) of the degree-k
-    rational homotopy of the stabilized mapping space."""
-    if n < 1 or g < 0 or k < 0:
-        raise ValueError("need n >= 1, g >= 0 and k >= 0")
-    mult_v = go_homotopy_rank(k + n)
-    mult_trivial = go_homotopy_rank(k + 2 * n)
-    return (mult_v, mult_trivial, 2 * g * mult_v + mult_trivial)
-
-
 def go_shifted_degrees(n: int, max_degree: int) -> list[int]:
     """Positive degrees 4m - n up to max_degree."""
     if n < 1 or max_degree < 0:
@@ -145,15 +130,6 @@ def go_shifted_degrees(n: int, max_degree: int) -> list[int]:
             out.append(4 * m - n)
         m += 1
     return out
-
-
-def torelli_model_series(n: int, g: int, max_degree: int) -> HilbertSeries:
-    """Series of the free algebra on 2g copies of each shifted degree."""
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    return free_graded_commutative_series(
-        ((d, 2 * g) for d in go_shifted_degrees(n, max_degree)), max_degree
-    )
 
 
 def stable_pair_degrees(n: int, max_degree: int) -> list[tuple[int, int]]:
@@ -715,10 +691,6 @@ class InvariantReport(NamedTuple):
     def agree(self) -> list[bool]:
         """Per degree: the two series agree, and so does the oracle if run."""
         return [s == r and o in (None, s) for s, r, o in zip(self.stable, self.ring, self.oracle)]
-
-    @property
-    def all_agree(self) -> bool:
-        return all(self.agree)
 
 
 def invariant_crosscheck(

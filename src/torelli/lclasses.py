@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graded import HilbertSeries, WeightedPolynomial, free_graded_commutative_series
+from .graded import WeightedPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +56,6 @@ def _bernoulli_numerators(count: int) -> tuple[int, ...]:
         total = sum(math.comb(m + 1, j) * math.perm(m + 1, m - j) * b for j, b in enumerate(beta) if b)
         beta.append(-total // (m + 1))
     return tuple(beta)
-
-
-def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_count with B_1 = -1/2."""
-    return tuple(Fraction(b, math.factorial(m + 1)) for m, b in enumerate(_bernoulli_numerators(count)))
 
 
 def _x_over_tanh_pairs(order: int, hat: bool = False) -> list[tuple[int, int]]:
@@ -223,33 +218,6 @@ def cover_generator_index_set(n: int) -> range:
     return range(-((n + 1) // -4), n + 1)
 
 
-def bso_cover_series(n: int, max_degree: int) -> HilbertSeries:
-    """Series of the free module on L_i (i in the cover index set) and one
-    Euler-type generator of degree 2n whose square is decomposable."""
-    polynomial = free_graded_commutative_series(
-        ((4 * j, 1) for j in cover_generator_index_set(n)),
-        max_degree,
-    )
-    # rank-two module over the polynomial part: 1 and the Euler-type class
-    euler = [int(t == 0 or t == 2 * n) for t in range(max_degree + 1)]
-    return polynomial * HilbertSeries(tuple(euler))
-
-
-def ko_target_series(n: int, max_degree: int) -> HilbertSeries:
-    """Series of the rational KO-theoretic target ring.
-
-    Polynomial generators sit in degrees 4i for n even, and in one degree per
-    residue 2 mod 4 for n odd.
-    """
-    if n < 1 or max_degree < 0:
-        raise ValueError("need n >= 1 and max_degree >= 0")
-    first = 4 if n % 2 == 0 else 2
-    return free_graded_commutative_series(
-        ((d, 1) for d in range(first, max_degree + 1, 4)),
-        max_degree,
-    )
-
-
 class IndexMapEntry(
     NamedTuple(
         "IndexMapEntry",
@@ -294,28 +262,12 @@ def index_generator_map(n: int) -> IndexGeneratorMap:
     """
     if n < 1:
         raise ValueError("half-dimension n must be positive")
-    m = n // 2
-    entries = []
-    if n % 2 == 0:
-        for i in range(1, n - m + 1):
-            entries.append(
-                IndexMapEntry(
-                    source_label=f"ph_{i}",
-                    source_degree=4 * i,
-                    scalar=Fraction(-1, 4) ** i,
-                    target_label=f"kappa_L{i + m}",
-                    target_degree=4 * (i + m) - 2 * n,
-                )
-            )
-        return IndexGeneratorMap(n, "even", tuple(entries))
-    for i in range(1, n - m + 1):
-        entries.append(
-            IndexMapEntry(
-                source_label=f"qh_{i}",
-                source_degree=4 * i - 2,
-                scalar=Fraction(1, 2) ** (2 * i - 1),
-                target_label=f"kappa_L{i + m}",
-                target_degree=4 * (i + m) - 2 * n,
-            )
-        )
-    return IndexGeneratorMap(n, "odd", tuple(entries))
+    m, odd = divmod(n, 2)
+    # the degree-(4i - shift) generator has scalar lead * ratio^i, and
+    # (1/2)^{2i-1} = 2 (1/4)^i
+    label, shift, lead, ratio = ("qh", 2, 2, Fraction(1, 4)) if odd else ("ph", 0, 1, Fraction(-1, 4))
+    entries = tuple(
+        IndexMapEntry(f"{label}_{i}", 4 * i - shift, lead * ratio**i, f"kappa_L{i + m}", 4 * (i + m) - 2 * n)
+        for i in range(1, n - m + 1)
+    )
+    return IndexGeneratorMap(n, ("even", "odd")[odd], entries)

@@ -8,7 +8,8 @@ sum eta of q distinct positive roots, by the unscaled Fraction inverse.
 
 The constant of a tensor power is decided by the library in one scan, with
 no weight listed; the reference here lists the weights and takes the
-minimum of the per-weight constants.
+minimum of the per-weight constants, each decided by the top-q test of
+`borel_constant_mu` and checked in turn against the exhaustive scan.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import torelli.borel
 from torelli.linalg import invert_fraction_matrix
 from torelli.borel import (
     BorelConstant,
-    borel_constant_mu,
+    _scan,
     borel_constant_rep,
     is_positive_combination,
     lform_inequality_check,
@@ -63,6 +64,30 @@ def tensor_weight_count(g, k):
     return sum(
         math.comb(g - 1, j) * math.comb(k - j + g, g) for j in range(min(g - 1, k) + 1)
     )
+
+
+def borel_constant_mu(rs, mu, qmax):
+    """Largest q <= qmax such that every q' <= q passes the cone test for all
+    eta summing q' distinct positive roots.
+
+    Degree q passes when every coordinate f_r of rho - mu reaches the sum of
+    the q largest values of f_r on the positive roots and rho - mu is none of
+    the sums eta; those are listed only when the height of rho - mu is the sum
+    of the q largest root heights, the one case where it can be one of them.
+    The sums are looked up on the module, so a test can record the listing.
+    """
+    if qmax < 0:
+        raise ValueError("qmax must be nonnegative")
+    values = [a - b for a, b in zip(rs.rho_coordinates, rs.coordinates(mu))]  # f_r(rho - mu)
+    height = sum(values)
+    base = tuple(r - m for r, m in zip(rs.rho, mu))
+
+    def fails(q):
+        if any(v < top[q] for v, top in zip(values, rs.top_sums)):
+            return True
+        return height == rs.top_heights[q] and base in torelli.borel.weights_of_exterior_power(rs, q)
+
+    return _scan(rs, qmax, fails)
 
 
 def constant_by_weights(rs, k, qmax):

@@ -161,6 +161,16 @@ def test_reader_takes_the_shipped_invocations(argv, fmt):
     assert _typed(args) == _typed(_PARSER.parse_args(argv))
 
 
+def test_every_argument_is_plain():
+    # _read_plain understands these options and no other; a flag with any
+    # other would be read wrong instead of going to argparse
+    plain = {"type", "required", "help", "choices", "default", "action"}
+    for name, (_, _, arguments) in _SUBCOMMANDS.items():
+        for flag, options in (*arguments, _FORMAT_ARGUMENT):
+            assert options.keys() <= plain, (name, flag)
+            assert options.get("action", "store_true") == "store_true", (name, flag)
+
+
 def _value(options):
     if "choices" in options:
         return st.sampled_from(options["choices"])

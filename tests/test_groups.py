@@ -14,7 +14,6 @@ from torelli.groups import (
     GroupForm,
     QuadraticModulus,
     form_for_kind,
-    gamma_type,
     intersection_pairing,
     is_in_group,
     listed_generators,
@@ -146,9 +145,6 @@ def test_modulus_and_type_tables():
     assert quadratic_modulus(7) is QuadraticModulus.TRIVIAL
     assert quadratic_modulus(5) is QuadraticModulus.MOD2
     assert quadratic_modulus(9) is QuadraticModulus.MOD2
-    assert gamma_type(2) is GammaType.ORTHOGONAL
-    assert gamma_type(3) is GammaType.SYMPLECTIC
-    assert gamma_type(5) is GammaType.THETA
     assert form_for_kind(GammaType.ORTHOGONAL, 2).sign == 1
     assert form_for_kind(GammaType.THETA, 2).sign == -1
 

@@ -46,21 +46,38 @@ from torelli.invariants import (
     _allocations,
     brute_force_invariant_dim,
     gamma_kind_for_oracle,
-    go_homotopy_rank,
     go_shifted_degrees,
     invariant_crosscheck,
-    mapping_space_homotopy,
     matchings_count,
     piece_dimension,
     shifted_pair_counts,
     stable_invariant_series,
     stable_pair_degrees,
-    torelli_model_series,
     two_part_partitions,
 )
 
 from test_groups import _n_columns, generator_matrices, signed_permutation, transvection
 from test_linalg import bareiss_kernel_basis, identity_matrix, mat_mul, mat_sub, mat_transpose
+
+
+# ---------------------------------------------------------------------------
+# the homotopy bookkeeping behind the shifted degrees: the reference for
+# `go_shifted_degrees`
+
+
+def go_homotopy_rank(k):
+    """Rank of the rational homotopy of G/O in degree k."""
+    return 1 if k > 0 and k % 4 == 0 else 0
+
+
+def mapping_space_homotopy(n, g, k):
+    """(multiplicity of V, trivial multiplicity, total rank) of the degree-k
+    rational homotopy of the stabilized mapping space."""
+    if n < 1 or g < 0 or k < 0:
+        raise ValueError("need n >= 1, g >= 0 and k >= 0")
+    mult_v = go_homotopy_rank(k + n)
+    mult_trivial = go_homotopy_rank(k + 2 * n)
+    return (mult_v, mult_trivial, 2 * g * mult_v + mult_trivial)
 
 
 def test_go_homotopy_rank():
@@ -86,12 +103,22 @@ def test_shifted_degrees():
     assert go_shifted_degrees(3, 0) == []
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_shifted_degrees_are_the_homotopy_of_v(n):
+    # the copies of V in the free model sit in the degrees k where the
+    # stabilized mapping space has rational homotopy of V-multiplicity 1
+    expected = [k for k in range(1, 61) if mapping_space_homotopy(n, 1, k)[0] == 1]
+    assert go_shifted_degrees(n, 60) == expected
+
+
 def test_model_series_frozen():
-    assert torelli_model_series(3, 1, 6).coefficients == (1, 2, 1, 0, 0, 2, 4)
-    assert torelli_model_series(9, 2, 12).coefficients == (
-        1, 0, 0, 4, 0, 0, 6, 4, 0, 4, 16, 4, 1,
-    )
-    assert torelli_model_series(3, 0, 4).coefficients == (1, 0, 0, 0, 0)
+    # the free algebra on 2g copies of each shifted degree, degree by degree
+    for n, g, max_degree, expected in (
+        (3, 1, 6, (1, 2, 1, 0, 0, 2, 4)),
+        (9, 2, 12, (1, 0, 0, 4, 0, 0, 6, 4, 0, 4, 16, 4, 1)),
+    ):
+        copies = GradedVCopies(g, tuple(go_shifted_degrees(n, max_degree)))
+        assert tuple(piece_dimension(copies, d) for d in range(max_degree + 1)) == expected
 
 
 def test_stable_pairs_and_series_frozen():
@@ -1274,7 +1301,7 @@ def test_orbit_route_reach():
     report = invariant_crosscheck(10, 1, 40, with_oracle=True)
     assert list(report.oracle) == rank_one_molien_series(go_shifted_degrees(10, 40), 40)
     report = invariant_crosscheck(8, 2, 36, with_oracle=True)
-    assert report.all_agree and report.oracle[36] == 20
+    assert all(report.agree) and report.oracle[36] == 20
     assert time.perf_counter() - started < 2
     # n = 8, g = 3 up to degree 40 passes the pre-check alone: its top piece
     # has 81816 dimensions and takes seconds to count, and the request sums
@@ -1333,7 +1360,7 @@ def test_oracle_kind_by_parity():
 
 def test_crosscheck_counts_agree():
     report = invariant_crosscheck(8, 3, 12)
-    assert report.all_agree
+    assert all(report.agree)
     assert len(report.stable) == len(report.ring) == len(report.oracle) == 13
     assert report.oracle == (None,) * 13
     assert report.stable[8] == 1
@@ -1342,7 +1369,7 @@ def test_crosscheck_counts_agree():
 
 def test_crosscheck_with_oracle_small():
     report = invariant_crosscheck(8, 2, 4, with_oracle=True)
-    assert report.all_agree
+    assert all(report.agree)
     assert report.oracle[0] == 1
     assert report.oracle[4] == 0
 
@@ -1376,12 +1403,12 @@ def test_crosscheck_catches_a_wrong_count_on_either_side(side, n, monkeypatch):
             monkeypatch.setattr(module, "pair_degree_counts", lambda *a: _mutant(counts(*a)))
     report = invariant_crosscheck(n, 2, 60)
     assert report.agree[:first] == [True] * first
-    assert report.agree[first] is False and not report.all_agree
+    assert report.agree[first] is False and not all(report.agree)
     mutated = getattr(report, side)
     other = report.ring if side == "stable" else report.stable
     assert mutated[first] == other[first] + 1
     monkeypatch.undo()
-    assert invariant_crosscheck(n, 2, 60).all_agree
+    assert all(invariant_crosscheck(n, 2, 60).agree)
 
 
 def test_crosscheck_checks_every_piece_before_any_work():
@@ -1406,7 +1433,7 @@ def test_crosscheck_checks_every_piece_before_any_work():
             invariant_crosscheck(n, g, maxdeg, with_oracle=True)
         assert time.perf_counter() - started < 0.5
         # without the oracle there is no cap to meet
-        assert invariant_crosscheck(n, g, min(maxdeg, 200)).all_agree
+        assert all(invariant_crosscheck(n, g, min(maxdeg, 200)).agree)
 
 
 def test_crosscheck_window_requires_large_n():

@@ -29,11 +29,9 @@ from hypothesis import strategies as st
 from torelli.graded import WeightedPolynomial, format_polynomial
 from torelli.lclasses import (
     IndexMapEntry,
-    bernoulli_numbers,
-    bso_cover_series,
+    _bernoulli_numerators,
     cover_generator_index_set,
     index_generator_map,
-    ko_target_series,
     l_classes,
     l_hat_polynomial,
     l_polynomial,
@@ -222,6 +220,12 @@ def test_classes_beyond_the_oracle_by_evaluation(i):
 
 # ---------------------------------------------------------------------------
 # coefficient series
+
+
+def bernoulli_numbers(count):
+    """B_0 .. B_count with B_1 = -1/2, from the library's numerators
+    (m+1)! B_m."""
+    return tuple(Fraction(b, math.factorial(m + 1)) for m, b in enumerate(_bernoulli_numerators(count)))
 
 
 def test_bernoulli_frozen():
@@ -537,7 +541,7 @@ def test_multiplicative_sequence_rejects_bad_series():
 
 
 # ---------------------------------------------------------------------------
-# cover generators, target series, index map
+# cover generators and the index map
 
 
 def test_cover_index_set():
@@ -546,49 +550,6 @@ def test_cover_index_set():
     assert list(cover_generator_index_set(4)) == [2, 3, 4]
     assert list(cover_generator_index_set(7)) == [2, 3, 4, 5, 6, 7]
     assert list(cover_generator_index_set(8)) == [3, 4, 5, 6, 7, 8]
-
-
-def _count_cover_monomials(n, max_degree):
-    # direct enumeration: monomials in the L_j (degree 4j, j in the index
-    # set) times an optional square-zero class of degree 2n
-    degrees = [4 * j for j in cover_generator_index_set(n)]
-    counts = [0] * (max_degree + 1)
-
-    def rec(pos, total):
-        if total > max_degree:
-            return
-        if pos == len(degrees):
-            counts[total] += 1
-            if total + 2 * n <= max_degree:
-                counts[total + 2 * n] += 1
-            return
-        t = total
-        while t <= max_degree:
-            rec(pos + 1, t)
-            t += degrees[pos]
-
-    rec(0, 0)
-    return tuple(counts)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-def test_bso_cover_series_vs_enumeration(n):
-    assert bso_cover_series(n, 20).coefficients == _count_cover_monomials(n, 20)
-
-
-def test_bso_cover_series_frozen():
-    assert bso_cover_series(3, 8).coefficients == (1, 0, 0, 0, 1, 0, 1, 0, 2)
-    assert bso_cover_series(4, 12).coefficients == (
-        1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1,
-    )
-
-
-def test_ko_target_series_frozen():
-    # generator degrees: 4, 8, 12, ... for n even; 2, 6, 10, ... for n odd
-    assert ko_target_series(4, 12).coefficients == (
-        1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3,
-    )
-    assert ko_target_series(3, 8).coefficients == (1, 0, 1, 0, 1, 0, 2, 0, 2)
 
 
 def test_index_map_frozen_even():
@@ -610,13 +571,22 @@ def test_index_map_frozen_odd():
     assert [e.source_degree for e in entries] == [2, 6, 10]
 
 
-@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("n", range(1, 41))
 def test_index_map_source_degrees(n):
+    # n = 2m: ph_i in degree 4i with scalar (-1/4)^i; n = 2m + 1: qh_i in
+    # degree 4i - 2 with scalar (1/2)^{2i-1}; both to kappa_{L_{i+m}}, in
+    # degree 4(i + m) - 2n, for i = 1 .. n - m
     gm = index_generator_map(n)
-    step = 4 if n % 2 == 0 else 4
-    first = 4 if n % 2 == 0 else 2
-    expected = [first + step * (i - 1) for i in range(1, len(gm.entries) + 1)]
-    assert [e.source_degree for e in gm.entries] == expected
+    m = n // 2
+    assert len(gm.entries) == n - m
+    for i, e in enumerate(gm.entries, 1):
+        if n % 2 == 0:
+            assert (e.source_label, e.source_degree, e.scalar) == (f"ph_{i}", 4 * i, Fraction(-1, 4) ** i)
+        else:
+            assert (e.source_label, e.source_degree, e.scalar) == (f"qh_{i}", 4 * i - 2, Fraction(1, 2) ** (2 * i - 1))
+        assert type(e.scalar) is Fraction
+        assert e.target_label == f"kappa_L{i + m}"
+        assert e.target_degree == 4 * (i + m) - 2 * n == e.source_degree
     assert gm.parity == ("even" if n % 2 == 0 else "odd")
 
 

@@ -134,6 +134,11 @@ def test_torelli_series_frozen():
     )
 
 
+def _truncated_product(a, b):
+    """The coefficients of the product of two series, up to the shorter."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b))))
+
+
 def test_torelli_quotient_divides_out_single_l_generators():
     # the full ring is the invariant ring times a polynomial factor on the
     # dropped generators, which all sit in even degree
@@ -141,7 +146,8 @@ def test_torelli_quotient_divides_out_single_l_generators():
         dropped = [d for d in kappa_l_generator_degrees(n) if d <= 14]
         assert all(d % 2 == 0 for d in dropped)
         factor = free_graded_commutative_series(((d, 1) for d in dropped), 14)
-        assert torelli_invariant_series(n, 14) * factor == mt_series(n, 14)
+        product = _truncated_product(torelli_invariant_series(n, 14).coefficients, factor.coefficients)
+        assert product == mt_series(n, 14).coefficients
 
 
 def test_kappa_ll_pairs_frozen():
