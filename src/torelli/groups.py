@@ -119,6 +119,10 @@ def quadratic_refinement(v: Sequence[int], n: int) -> int:
 
 
 def intersection_pairing(v: Sequence[int], w: Sequence[int], n: int) -> int:
+    """<v, w> = v^T J w for the form of n: orthogonal for n even, symplectic
+    for n odd."""
+    if len(v) != len(w) or len(v) % 2 != 0 or not v:
+        raise ValueError("vector lengths must be equal, even and positive")
     form = GroupForm(len(v) // 2, 1 if n % 2 == 0 else -1)
     j = form.matrix
     return sum(v[i] * j[i][k] * w[k] for i in range(len(v)) for k in range(len(w)))

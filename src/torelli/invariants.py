@@ -13,8 +13,9 @@ images): no sampling, no seed and no stopping rule.  The group preserves
 each allocation block (one exponent per copy), so the count is taken block
 by block.
 
-Both kinds take one route, orbit sums as in the Reynolds operator method of
-Derksen-Kemper and Sturmfels, then derivation rows.  The signed permutations
+Both kinds take one route, but for the orthogonal kind at g = 1 (see
+below): orbit sums as in the Reynolds operator method of Derksen-Kemper
+and Sturmfels, then derivation rows.  The signed permutations
 of `monomial_moves` (for the orthogonal kind the listed ones that move x_1;
 for the symplectic kind R_1 and the P_1j, products of listed generators
 along fixed words) generate a finite group H inside the generated group,
@@ -60,13 +61,15 @@ runs again over Q, and the route reads "rational".  Its kernel vectors are
 checked in the same way, so a wrong conjugacy claim raises AssertionError
 rather than change the count.
 
-For the orthogonal kind at g = 1 the generated group is the finite
-O_{1,1}(Z) = {+-I, +-swap}, not a Zariski-dense lattice, and its counts
-exceed the stable ones: Sym^2 V has the two invariants xy and x^2 + y^2,
-the second of weight +-2, so the route keeps the whole block there.
+For the orthogonal kind at g = 1 no unipotent generator is listed, and the
+generated group is the finite O_{1,1}(Z) = {+-I, +-swap}, not a
+Zariski-dense lattice.  Its counts exceed the stable ones, Sym^2 V has the
+two invariants xy and x^2 + y^2, the second of weight +-2, and no weight
+argument applies; there the count is Molien's series (T. Molien 1897;
+Sturmfels, Algorithms in Invariant Theory, 2.2), and no block is listed.
 
-Before any block is listed, a piece must meet a cap on its work, a unit per
-element of the whole piece, read off the series that gives its dimension.
+Before any of this, a piece must meet a cap on its work, a unit per element
+of the whole piece, read off the series that gives its dimension.
 """
 
 from __future__ import annotations
@@ -98,16 +101,18 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the a-priori cap on `_orbit_work`, for both kinds; the slowest pieces
-# found inside it take 0.4-0.5 s in process: degree 120 on the 30 copies of
-# crosscheck-sec6 --n 8 --g 1 --maxdeg 120 (o, 589128 dimensions, whole
-# blocks at g = 1) and degree 32 on the copies 2, 4, 6, 8 at g = 2 (o); the
-# slowest sp piece found, degree 70 at --n 9 --g 2, takes 0.16-0.19 s
+# the a-priori cap on `_orbit_work`, for both kinds; the slowest piece found
+# inside it, degree 32 on the copies 2, 4, 6, 8 at g = 2 (o), takes
+# 0.22-0.28 s in process on a 2-core VM, and the slowest sp piece found,
+# degree 70 at --n 9 --g 2, 0.08-0.11 s.  At g = 1 the o count is Molien's,
+# about 1 ms even for degree 120 on the 28 copies 4, 8, ..., 112, but it is
+# capped by the same units
 WORK_CAP = 2_500_000
 # the cap on that work summed over the pieces of one crosscheck request; the
-# slowest requests found inside it take 0.3-0.6 s (--n 8 --g 1 --maxdeg 115,
-# 4.8 million), 0.25-0.45 s (--n 10 --g 2 --maxdeg 41, 4.3 million) and
-# 0.13-0.18 s (--n 11 --g 1 --maxdeg 102, 5.0 million)
+# slowest requests found inside it take 0.2-0.23 s (--n 10 --g 2 --maxdeg 41,
+# 4.3 million), 0.14-0.15 s (--n 8 --g 2 --maxdeg 59) and 0.07-0.1 s (--n 11
+# --g 1 --maxdeg 102, 5.0 million); --n 8 --g 1 --maxdeg 115 (4.8 million)
+# takes 0.03 s
 REQUEST_WORK_CAP = 5_000_000
 
 
@@ -340,14 +345,16 @@ def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list
 class OracleResult(NamedTuple):
     """A certified invariant dimension.
 
-    history[0] is dim (V_0)^H, or dim V^H for the orthogonal kind at g = 1,
-    and history[k] the dimension of that space & ker(s - 1) jointly over the
-    first k eliminated generators s, each summed over allocation blocks: one
-    entry for T_x1 and, at g >= 2, one for T_{x1 + y2} for the symplectic
-    kind, one for s at g >= 2 for the orthogonal kind.  A block contributes its kernel modulo PRIME, an upper
-    bound that the certificate makes exact at the last entry, on route
-    "modp"; route is "rational" when some block failed the certificate and
-    was eliminated, and certified, again over Q.
+    history[0] is dim (V_0)^H and history[k] the dimension of that space &
+    ker(s - 1) jointly over the first k eliminated generators s, each summed
+    over allocation blocks: one entry for T_x1 and, at g >= 2, one for
+    T_{x1 + y2} for the symplectic kind, one for s for the orthogonal kind.
+    A block contributes its kernel modulo PRIME, an upper bound that the
+    certificate makes exact at the last entry, on route "modp"; route is
+    "rational" when some block failed the certificate and was eliminated,
+    and certified, again over Q.  For the orthogonal kind at g = 1 history
+    is the one entry dim V^H, the Molien count, on route "modp"; an empty
+    piece has an empty history.
     """
 
     dimension: int
@@ -399,14 +406,13 @@ def _signed_image(move: tuple[tuple[int, int], ...], mono: tuple[int, ...], exte
 
 
 def _group(g: int, moves, groups: dict, m: int, exterior: bool, weight) -> tuple:
-    """The basis elements of Sym^m, or (exterior) Lambda^m, of the weight (all
-    of them when it is None); their ids, then the ids of their images under
-    each move; and the signs of those images.  Cached in groups, which
-    numbers the monomials of each power as they come, so that a whole basis
-    gets the indices of its order."""
+    """The basis elements of Sym^m, or (exterior) Lambda^m, of the weight;
+    their ids, then the ids of their images under each move; and the signs
+    of those images.  Cached in groups, which numbers the monomials of each
+    power as they come."""
     key = (m, exterior, weight)
     if key not in groups:
-        monos = _exponent_vectors(2 * g, m, exterior) if weight is None else _weight_monomials(g, m, exterior, weight)
+        monos = _weight_monomials(g, m, exterior, weight)
         ids = groups.setdefault((m, exterior), {})
         columns, signs = [[ids.setdefault(mono, len(ids)) for mono in monos]], []
         for move in moves:
@@ -417,24 +423,16 @@ def _group(g: int, moves, groups: dict, m: int, exterior: bool, weight) -> tuple
     return groups[key]
 
 
-def _block(g: int, moves, groups: dict, factors, zero: bool) -> tuple[list[tuple], list]:
-    """The basis elements of the block of the factors (m, exterior), one
-    exponent vector per factor, all of them or (zero) those of weight 0, in
-    the order of the product, the first factor outermost; and each move on
-    them as image index and sign lists.  Each element carries, a factor at a
-    time, a code (size times the code before, plus the monomial's id: on the
-    whole block, its index), the codes of its images and their signs.  For
-    weight 0, every factor but the last ranges over its monomials grouped by
+def _block(g: int, moves, groups: dict, factors) -> tuple[list[tuple], list]:
+    """The weight-0 basis elements of the block of the factors (m, exterior),
+    one exponent vector per factor, in the order of the product, the first
+    factor outermost; and each move on them as image index and sign lists.
+    Each element carries, a factor at a time, a code (size times the code
+    before, plus the monomial's id), the codes of its images and their
+    signs.  Every factor but the last ranges over its monomials grouped by
     weight, pruned by the |w|_1 that the later factors can still cancel, and
     the last takes the opposite weight; the codes then place the images."""
     sizes = [math.comb(2 * g, m) if exterior else math.comb(2 * g + m - 1, m) for m, exterior in factors]
-    if not zero:
-        whole = [_group(g, moves, groups, m, exterior, None) for m, exterior in factors]
-        images, signs = [[0]] * len(moves), [[1]] * len(moves)
-        for (_, parts, part_signs), size in zip(whole, sizes):
-            images = [[c * size + r for c in image for r in part] for image, part in zip(images, parts[1:])]
-            signs = [[s * y for s in sign for y in part] for sign, part in zip(signs, part_signs)]
-        return list(itertools.product(*(group[0] for group in whole))), list(zip(images, signs))
     reach = [min(m, 2 * g - m) if exterior else m for m, exterior in factors]
     states = {(0,) * g: ([()], [[0]] * (1 + len(moves)), [[1]] * len(moves))}
     for f, ((m, exterior), size) in enumerate(zip(factors, sizes)):
@@ -561,37 +559,61 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, zero: bool, moves, groups, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
+def _orbit_block(g: int, moves, groups, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
-    derivation is listed] on V, the block of the factors or (zero) its
-    weight-0 part; whether it was rerun.  The `_echelon_history` of the
-    derivation rows on the orbit sums runs modulo PRIME, and again over Q
-    unless every kernel vector lifts and, combined into a vector on the
-    block elements, passes every check in checks; the rational kernel
-    vectors must pass them too.  The rank mod p is at most the rank over Q,
-    so the last entry bounds the rational kernel from above; verified kernel
-    vectors bound it from below.  Kept in blocks by PRIME and the factors: a
-    block depends on its copies only through (m, exterior)."""
+    derivation is listed] on V, the weight-0 part of the block of the
+    factors; whether it was rerun.  The `_echelon_history` of the derivation
+    rows on the orbit sums runs modulo PRIME, and again over Q unless every
+    kernel vector lifts and, combined into a vector on the block elements,
+    passes every check in checks; the rational kernel vectors must pass
+    them too.  The rank mod p is at most the rank over Q, so the last entry
+    bounds the rational kernel from above; verified kernel vectors bound it
+    from below.  Kept in blocks by PRIME and the factors: a block depends on
+    its copies only through (m, exterior)."""
     key = (PRIME, tuple(factors))
     if key not in blocks:
-        elements, moved = _block(g, moves, groups, factors, zero)
+        elements, moved = _block(g, moves, groups, factors)
         sums = _orbit_sums(len(elements), moved)
-        history, p = [], PRIME
-        if derivations:
-            rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
-            for p in (PRIME, 0):
-                history, pivots = _echelon_history(derivations, rows_of, len(sums), p)
-                # None marks a vector with an entry that has no lift
-                vectors = [_lift(v, p) if p else v for v in _kernel_vectors(pivots, len(sums), p)] if history[-1] else []
-                if None in vectors:
-                    continue
-                vectors = [{b: c * e for k, c in v.items() for b, e in sums[k].items()} for v in vectors]
-                if not vectors or all(check(factors, elements, vectors) for check in checks):
-                    break
-            else:
-                raise AssertionError("a rational kernel vector is not fixed by every listed generator")
+        rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
+        for p in (PRIME, 0):
+            history, pivots = _echelon_history(derivations, rows_of, len(sums), p)
+            # None marks a vector with an entry that has no lift
+            vectors = [_lift(v, p) if p else v for v in _kernel_vectors(pivots, len(sums), p)] if history[-1] else []
+            if None in vectors:
+                continue
+            vectors = [{b: c * e for k, c in v.items() for b, e in sums[k].items()} for v in vectors]
+            if not vectors or all(check(factors, elements, vectors) for check in checks):
+                break
+        else:
+            raise AssertionError("a rational kernel vector is not fixed by every listed generator")
         blocks[key] = [len(sums)] + history, not p
     return blocks[key]
+
+
+def _finite_orthogonal_dim(copies: GradedVCopies, degree: int) -> OracleResult:
+    """The orthogonal count at g = 1 by Molien's formula: the mean over the
+    group of order 4 that the listed moves generate of prod det(1 + q^d A)
+    over odd copies and prod 1/det(1 - q^d A) over even ones, det(1 -+ q A)
+    = 1 -+ tr A q + det A q^2, one running pass per copy as in `_tail_table`."""
+    moves = [s.move for s in listed_generators(GammaType.ORTHOGONAL, 1)]
+    group, size = {((0, 1), (1, 1))}, 0
+    while size < len(group):
+        size = len(group)
+        group |= {tuple((a[r][0], x * a[r][1]) for r, x in b) for a in group for b in moves}
+    if len(group) != 4:
+        raise AssertionError("the listed generators at g = 1 do not generate O_{1,1}(Z) of order 4")
+    total = 0
+    for a in group:
+        trace, det = sum(x for c, (r, x) in enumerate(a) if r == c), math.prod(x for _, x in a) * (-1) ** a[0][0]
+        series = [1] + [0] * degree
+        for d in copies.copy_degrees:
+            sign = 1 if d % 2 else -1  # times 1 + tr q^d + det q^2d, or divided by 1 - tr q^d + det q^2d
+            for e in range(degree, d - 1, -1) if d % 2 else range(d, degree + 1):
+                series[e] += trace * series[e - d] + (sign * det * series[e - 2 * d] if e >= 2 * d else 0)
+        total += series[degree]
+    dimension, rest = divmod(total, len(group))
+    assert not rest, "a Molien mean is not an integer"
+    return OracleResult(dimension, (dimension,) if piece_dimension(copies, degree) else (), "modp")
 
 
 def brute_force_invariant_dim(
@@ -604,13 +626,16 @@ def brute_force_invariant_dim(
     derivation rows (see the module docstring).
 
     For the orthogonal kind at g = 1 that is the finite O_{1,1}(Z) of order
-    4, whose Sym^2 V invariants are 2-dimensional, not the stable count 1.
+    4, whose Sym^2 V invariants are 2-dimensional, not the stable count 1;
+    it is counted by Molien's formula.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if kind is GammaType.THETA:
         raise ValueError("the oracle covers the symplectic or orthogonal group")
     _check_work_cap(_orbit_work(kind, copies, degree)[degree])
+    if kind is GammaType.ORTHOGONAL and copies.g == 1:
+        return _finite_orthogonal_dim(copies, degree)
     setup = _oracle_setup(kind, copies.g)
     history = [0] * (1 + len(setup[-1])) if piece_dimension(copies, degree) else []
     rational = False
@@ -637,15 +662,14 @@ def _product_sum(terms) -> dict:
 
 @lru_cache(maxsize=4)
 def _oracle_setup(kind: GammaType, g: int) -> tuple:
-    """Whether the route keeps to weight 0, after asserting the matrix facts
-    that allow it (see the module docstring) on N = s - 1 for each listed
-    unipotent s; the moves; a cache of their images and one of block
-    counts; the exact check of each listed generator, D_N v = 0 for a
-    unipotent s and the signed images of a signed permutation, each with a
-    cache of its monomial images; and the derivations, N with those caches,
-    of one unipotent generator per H-conjugacy class, the same objects as
-    the check's, so that both share their caches.  The pieces of one genus
-    share them."""
+    """After asserting the matrix facts that keep the route to weight 0 (see
+    the module docstring) on N = s - 1 for each listed unipotent s: the
+    moves; a cache of their images and one of block counts; the exact check
+    of each listed generator, D_N v = 0 for a unipotent s and the signed
+    images of a signed permutation, each with a cache of its monomial
+    images; and the derivations, N with those caches, of one unipotent
+    generator per H-conjugacy class, the same objects as the check's, so
+    that both share their caches.  The pieces of one genus share them."""
     generators = listed_generators(kind, g)
     n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
@@ -658,7 +682,7 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
         ]
         swap = [(c, 1) for c in range(2 * g)]
         swap[0], swap[g] = (g, 1), (0, 1)
-        if g > 1 and tuple(swap) not in [s.move for s in generators]:
+        if tuple(swap) not in [s.move for s in generators]:
             raise AssertionError("the swap of the first pair is not listed")
     if any(_product_sum([(1, a, a)]) for a in n):
         raise AssertionError("a listed unipotent generator s has (s - 1)^2 != 0")
@@ -669,8 +693,7 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     checks += [partial(_fixed_by_move, s.move, {}) for s in generators if s.move]
     # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
     kept = derivations[:1] + (derivations[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
-    zero = kind is GammaType.SYMPLECTIC or g > 1
-    return zero, monomial_moves(kind, g), {}, {}, checks, kept
+    return monomial_moves(kind, g), {}, {}, checks, kept
 
 
 # ---------------------------------------------------------------------------

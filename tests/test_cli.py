@@ -751,6 +751,10 @@ def test_cost_caps_exit_3_before_any_work():
         # the largest at n = 10, g = 2 and at n = 8, g = 4
         ["crosscheck-sec6", "--n", "10", "--g", "2", "--maxdeg", "41", "--oracle"],
         ["crosscheck-sec6", "--n", "8", "--g", "4", "--maxdeg", "35", "--oracle"],
+        # the largest at n = 8, g = 1, and degree 120 on the 28 copies 4, 8,
+        # ..., 112 at g = 1 (589122 dimensions): Molien's count, no block
+        ["crosscheck-sec6", "--n", "8", "--g", "1", "--maxdeg", "115", "--oracle"],
+        ["invariant-oracle", "--type", "o", "--g", "1", "--degrees", ",".join(map(str, range(4, 113, 4))), "--deg", "120"],
     ):
         _clear_oracle_caches()
         started = time.perf_counter()

@@ -159,6 +159,16 @@ def test_refinement_values():
         quadratic_refinement([1, 2, 3], 2)
 
 
+def test_intersection_pairing_rejects_mismatched_lengths():
+    # v^T J w with J = [[0, I], [s I, 0]]: s = +1 for n even, -1 for n odd
+    assert intersection_pairing([1, 2, 3, 4], [5, 6, 7, 8], 2) == 1 * 7 + 2 * 8 + 3 * 5 + 4 * 6
+    assert intersection_pairing([1, 2, 3, 4], [5, 6, 7, 8], 3) == 1 * 7 + 2 * 8 - 3 * 5 - 4 * 6
+    # vectors of different lengths, of odd length or empty have no pairing
+    for v, w in (([1, 0, 0, 1], [0, 1]), ([0, 1], [1, 0, 0, 1]), ([1, 2, 3], [1, 2, 3]), ([], [])):
+        with pytest.raises(ValueError, match="lengths"):
+            intersection_pairing(v, w, 2)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_refinement_pairing_relation(n):
     # q(v+w) - q(v) - q(w) = I(v, w) modulo the subgroup for n

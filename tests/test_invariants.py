@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torelli.mt
 from torelli import invariants, linalg
@@ -607,8 +609,7 @@ def test_weight_zero_enumeration_matches_the_filtered_product():
         factors = _random_factors(rng, g)
         product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
         expected = [element for element in product if not any(block_weight(element, g))]
-        assert invariants._block(g, (), {}, factors, True)[0] == expected
-        assert invariants._block(g, (), {}, factors, False)[0] == product
+        assert invariants._block(g, (), {}, factors)[0] == expected
         seen.add((not factors, (2 * g, True) in factors, sum(m for m, _ in factors) % 2, bool(expected)))
     assert {(True, False, 0, True), (False, True, 0, True), (False, False, 1, False)} <= seen
 
@@ -618,17 +619,17 @@ def test_weight_zero_single_factors(g):
     # C(m/2 + g - 1, g - 1) elements of Sym^m and C(g, m/2) of Lambda^m
     for m in range(13):
         expected = math.comb(m // 2 + g - 1, g - 1) if m % 2 == 0 else 0
-        assert len(invariants._block(g, (), {}, [(m, False)], True)[0]) == expected
+        assert len(invariants._block(g, (), {}, [(m, False)])[0]) == expected
     for m in range(2 * g + 1):
         expected = math.comb(g, m // 2) if m % 2 == 0 else 0
-        assert len(invariants._block(g, (), {}, [(m, True)], True)[0]) == expected
+        assert len(invariants._block(g, (), {}, [(m, True)])[0]) == expected
 
 
 def test_move_images_match_the_kronecker_products():
     # every move on random blocks, by the image and sign of each factor's
-    # monomial carried a factor at a time: on the full block the Kronecker
-    # products of the permuted index tuples, and on the weight-0 elements
-    # the same images, at their places among those elements
+    # monomial carried a factor at a time: on the weight-0 elements the
+    # images that the Kronecker products of the permuted index tuples give
+    # on the full block, at their places among those elements
     rng = random.Random(20261020)
     for _ in range(300):
         g = rng.randint(1, 3)
@@ -636,9 +637,7 @@ def test_move_images_match_the_kronecker_products():
         moves = sorted(_all_moves(g))
         product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
         expected = _signed_block(moves, factors)
-        elements, moved = invariants._block(g, moves, {}, factors, False)
-        assert elements == product and moved == expected
-        elements, moved = invariants._block(g, moves, {}, factors, True)
+        elements, moved = invariants._block(g, moves, {}, factors)
         index = {element: b for b, element in enumerate(product)}
         at = {index[element]: k for k, element in enumerate(elements)}
         assert moved == [([at[image[b]] for b in at], [sign[b] for b in at]) for image, sign in expected]
@@ -679,7 +678,7 @@ def listed_checks(kind, g):
     generators = generator_matrices(kind, g)
     unipotent = [a for a in generators if signed_permutation(a) is None]
     ordered = unipotent + [a for a in generators if a not in unipotent]
-    pairs = list(zip(ordered, invariants._oracle_setup(kind, g)[4]))
+    pairs = list(zip(ordered, invariants._oracle_setup(kind, g)[3]))
     assert len(pairs) == len(generators)
     for a, check in pairs:
         if a in unipotent:
@@ -692,15 +691,18 @@ def listed_checks(kind, g):
 def oracle_kernel_vectors(kind, g, factors):
     """The kernel vectors that the oracle checks on the block of the factors,
     keyed by block element: those of the kept derivations on the orbit sums,
-    lifted."""
-    zero, moves, _, _, _, kept = invariants._oracle_setup(kind, g)
+    lifted; none for the orthogonal kind at g = 1, where no block is
+    listed."""
+    if kind is GammaType.ORTHOGONAL and g == 1:
+        return []
+    moves, _, _, _, kept = invariants._oracle_setup(kind, g)
     found = []
 
     def record(factors, elements, vectors):
         found.extend({elements[b]: x for b, x in vector.items()} for vector in vectors)
         return True
 
-    invariants._orbit_block(g, zero, moves, {}, {}, [record], kept, factors)
+    invariants._orbit_block(g, moves, {}, {}, [record], kept, factors)
     return found
 
 
@@ -1234,7 +1236,8 @@ def test_orbit_route_matches_the_full_kernel(g, degrees, degree):
 
 def test_rank_one_orthogonal_invariant_outside_weight_zero():
     # O_{1,1}(Z) is finite, and x^2 + y^2 in Sym^2 V is an invariant of weight
-    # +-2, so at g = 1 the orthogonal kind keeps its whole block
+    # +-2, so at g = 1 the orthogonal kind is counted by Molien's formula,
+    # not on V_0
     copies = GradedVCopies(1, (2,))
     reference, history, vectors = kernel_invariant_dim(GammaType.ORTHOGONAL, copies, 4)
     assert reference.dimension == 2 and history == (2,)
@@ -1315,6 +1318,41 @@ def test_orbit_route_reach():
     copies = GradedVCopies(1, tuple(go_shifted_degrees(9, 114)))
     works = invariants._orbit_work(GammaType.SYMPLECTIC, copies, 114)
     assert sum(works[:114]) == 4711464 <= REQUEST_WORK_CAP < sum(works) == 5063112
+
+
+def _no_block(*args):
+    raise AssertionError("a block was listed")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
+def test_rank_one_orthogonal_count_matches_molien_and_the_full_kernel(degrees):
+    # random copy lists at g = 1, in every degree up to 30: the route's count
+    # is the test-side Molien series, with its eigenvalues written in, and on
+    # pieces within REFERENCE_PIECE_DIM the full kernel on whole blocks; and
+    # no block is listed
+    copies = GradedVCopies(1, tuple(degrees))
+    series = rank_one_molien_series(copies.copy_degrees, 30)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_block", _no_block)
+        for degree in range(31):
+            piece = piece_dimension(copies, degree)
+            result = brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
+            assert result == (series[degree], (series[degree],) if piece else (), "modp")
+            if piece <= REFERENCE_PIECE_DIM:
+                reference, history, _ = kernel_invariant_dim(GammaType.ORTHOGONAL, copies, degree)
+                assert (reference.dimension, reference.route, history) == (result.dimension, "modp", result.history)
+
+
+def test_rank_one_orthogonal_route_asserts_the_group_order(monkeypatch):
+    # the count is a mean over the group that the listed moves generate:
+    # without the sign flip they generate {I, swap}, of order 2, and the
+    # route stops rather than count
+    swap, flip = listed_generators(GammaType.ORTHOGONAL, 1)
+    assert flip.move == ((0, -1), (1, -1))
+    monkeypatch.setattr(invariants, "listed_generators", lambda kind, g: (swap,))
+    with pytest.raises(AssertionError, match="order 4"):
+        brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(1, (2,)), 4)
 
 
 def test_oracle_rejects_bad_requests():
