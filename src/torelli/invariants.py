@@ -15,16 +15,19 @@ by block.
 
 Both kinds take one route, but for the orthogonal kind at g = 1 (see
 below): orbit sums as in the Reynolds operator method of Derksen-Kemper
-and Sturmfels, then derivation rows.  The signed permutations
-of `monomial_moves` (for the orthogonal kind the listed ones that move x_1;
-for the symplectic kind R_1 and the P_1j, products of listed generators
-along fixed words) generate a finite group H inside the generated group,
-which permutes the block's basis up to sign, so V^H is spanned by the sums
-of the orbits that no element of H negates.  Every other listed generator s
-is unipotent: N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation
-D that N induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible
-over Q and modulo PRIME (D^j = 0 past the degree, at most 2000).  So the
-rows of D on the orbit sums, at most two terms per copy, have the kernel of
+and Sturmfels, then derivation rows.  The moves are every listed signed
+permutation and, for the symplectic kind, R_1 and the P_1j, products of
+listed generators along fixed words (`monomial_moves`).  They generate a
+finite group H inside the generated group, the one that the moves of
+`monomial_moves` alone generate: for the orthogonal kind those are the
+listed ones that move x_1, whose products give every other listed one, and
+for the symplectic kind H = (Z/4)^g x| S_g contains J.  H permutes the
+block's basis up to sign, so V^H is spanned by the sums of the orbits that
+no element of H negates.  Every other listed generator s is unipotent:
+N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation D that N
+induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible over Q
+and modulo PRIME (D^j = 0 past the degree, at most 2000).  So the rows of
+D on the orbit sums, at most two terms per copy, have the kernel of
 rho(s) - 1, and they are eliminated modulo PRIME, by the sparse echelon of
 `linalg`, for one s per H-conjugacy class, since h s h^-1 fixes an
 H-invariant vector exactly when s does: T_x1 and T_{x1 + y2} (T_x1 alone at
@@ -48,13 +51,15 @@ The count is certified over Q from both sides:
   kernel is no larger than the kernel modulo p;
 - lower bound: each kernel vector modulo p has a unit entry on its own free
   column and zeros on the other free columns; it is lifted to Q by rational
-  reconstruction and checked exactly, over the integers, to be fixed by every
-  listed generator s.  A signed permutation (J, -I, the swaps) must take each
-  block element to one that carries the same coefficient times its sign.  A
-  unipotent s = 1 + N must give D_N v = 0, the criterion the elimination
-  uses: rho(s) - 1 = D_N U with U invertible, so over Q that is rho(s) v = v.
-  Both act one factor at a time, D_N with one term per factor and entry of N.
-  Lifted vectors that pass are independent invariants.
+  reconstruction.  The lift is an integer combination of orbit sums, and
+  each kept orbit was checked edge by edge under every move, so every
+  listed signed permutation (J; the swaps, sign flips and pair
+  permutations) fixes it exactly.  It is checked exactly, over the
+  integers, to give D_N v = 0 for every listed unipotent s = 1 + N, the
+  criterion the elimination uses: rho(s) - 1 = D_N U with U invertible, so
+  over Q that is rho(s) v = v.  D_N acts one factor at a time, with one
+  term per factor and entry of N.  Lifted vectors that pass are
+  independent invariants.
 
 When a lift fails, or a lifted vector fails its check, the same elimination
 runs again over Q, and the route reads "rational".  Its kernel vectors are
@@ -101,16 +106,16 @@ from .linalg import kernel_basis  # noqa: F401
 # n/d with |n|, d <= 32767
 PRIME = 2_147_483_647
 
-# the a-priori cap on `_orbit_work`, for both kinds; the slowest piece found
-# inside it, degree 32 on the copies 2, 4, 6, 8 at g = 2 (o), takes
-# 0.22-0.28 s in process on a 2-core VM, and the slowest sp piece found,
-# degree 70 at --n 9 --g 2, 0.08-0.11 s.  At g = 1 the o count is Molien's,
-# about 1 ms even for degree 120 on the 28 copies 4, 8, ..., 112, but it is
-# capped by the same units
+# the a-priori cap on `_orbit_work`, for both kinds; the slowest pieces found
+# inside it, degree 32 on the copies 2, 4, 6, 8 and degree 24 on 1, 2, 3, 4
+# at g = 2 (o), take 0.14-0.16 s in process on a 2-core VM, and the slowest
+# sp piece found, degree 70 at --n 9 --g 2, 0.08-0.1 s.  At g = 1 the o
+# count is Molien's, about 1 ms even for degree 120 on the 28 copies 4, 8,
+# ..., 112, but it is capped by the same units
 WORK_CAP = 2_500_000
 # the cap on that work summed over the pieces of one crosscheck request; the
-# slowest requests found inside it take 0.2-0.23 s (--n 10 --g 2 --maxdeg 41,
-# 4.3 million), 0.14-0.15 s (--n 8 --g 2 --maxdeg 59) and 0.07-0.1 s (--n 11
+# slowest requests found inside it take 0.14-0.15 s (--n 10 --g 2 --maxdeg 41,
+# 4.3 million), 0.09-0.1 s (--n 8 --g 2 --maxdeg 59) and 0.07 s (--n 11
 # --g 1 --maxdeg 102, 5.0 million); --n 8 --g 1 --maxdeg 115 (4.8 million)
 # takes 0.03 s
 REQUEST_WORK_CAP = 5_000_000
@@ -249,10 +254,13 @@ def _tail_dimensions(copies: GradedVCopies, degree: int) -> tuple[tuple[int, ...
 def _orbit_work(kind: GammaType, copies: GradedVCopies, degree: int) -> tuple[int, ...]:
     """The oracle's work in each degree up to degree, counted a priori: a
     unit per element of the whole piece, 2g(g + 1) for the orthogonal kind
-    (2g exponents by each of the g + 1 moves) and 8(g + 8) for the
-    symplectic kind (a visit by each of the g moves and about eight more for
-    the rows, the elimination and the exact check; a visit is 8 units, about
-    as long as the orthogonal kind's unit takes)."""
+    (2g exponents by each of the g + 1 moves that move x_1) and 8(g + 8) for
+    the symplectic kind (a visit by each of the g moves of `monomial_moves`
+    and about eight more for the rows, the elimination and the exact check;
+    a visit is 8 units, about as long as the orthogonal kind's unit takes).
+    Both are the earlier fits, kept so that every request meets the caps it
+    met: the moves are now every listed signed permutation as well, which
+    makes the orthogonal unit low at high genus."""
     g = copies.g
     unit = 8 * (g + 8) if kind is GammaType.SYMPLECTIC else 2 * g * (g + 1)
     return tuple(unit * x for x in _tail_dimensions(copies, degree)[0][: degree + 1])
@@ -405,68 +413,48 @@ def _signed_image(move: tuple[tuple[int, int], ...], mono: tuple[int, ...], exte
     return tuple(image), -1 if odd % 2 else 1
 
 
-def _group(g: int, moves, groups: dict, m: int, exterior: bool, weight) -> tuple:
-    """The basis elements of Sym^m, or (exterior) Lambda^m, of the weight;
-    their ids, then the ids of their images under each move; and the signs
-    of those images.  Cached in groups, which numbers the monomials of each
-    power as they come."""
-    key = (m, exterior, weight)
-    if key not in groups:
-        monos = _weight_monomials(g, m, exterior, weight)
-        ids = groups.setdefault((m, exterior), {})
-        columns, signs = [[ids.setdefault(mono, len(ids)) for mono in monos]], []
-        for move in moves:
-            images = [_signed_image(move, mono, exterior) for mono in monos]
-            columns.append([ids.setdefault(image, len(ids)) for image, _ in images])
-            signs.append([sign for _, sign in images])
-        groups[key] = monos, columns, signs
-    return groups[key]
-
-
-def _block(g: int, moves, groups: dict, factors) -> tuple[list[tuple], list]:
+def _block(g: int, moves, cache: dict, factors) -> tuple[list[tuple], list]:
     """The weight-0 basis elements of the block of the factors (m, exterior),
     one exponent vector per factor, in the order of the product, the first
     factor outermost; and each move on them as image index and sign lists.
-    Each element carries, a factor at a time, a code (size times the code
-    before, plus the monomial's id), the codes of its images and their
-    signs.  Every factor but the last ranges over its monomials grouped by
-    weight, pruned by the |w|_1 that the later factors can still cancel, and
-    the last takes the opposite weight; the codes then place the images."""
-    sizes = [math.comb(2 * g, m) if exterior else math.comb(2 * g + m - 1, m) for m, exterior in factors]
+    Every factor but the last ranges over its monomials grouped by weight,
+    pruned by the |w|_1 that the later factors can still cancel, and the
+    last takes the opposite weight.  An element's image under a move is the
+    `_signed_image` of each of its factors, and its sign their product.
+    cache keeps the monomials of each (m, exterior, weight) and the images
+    of each (monomial, exterior) under every move."""
     reach = [min(m, 2 * g - m) if exterior else m for m, exterior in factors]
-    states = {(0,) * g: ([()], [[0]] * (1 + len(moves)), [[1]] * len(moves))}
-    for f, ((m, exterior), size) in enumerate(zip(factors, sizes)):
+    states = {(0,) * g: [()]}
+    for f, (m, exterior) in enumerate(factors):
         l1 = sum(reach[f + 1 :])
         weights = _weights(g, m, exterior) if f < len(factors) - 1 else ()
-        gathered: dict = {}  # target weight -> the states and groups that reach it
-        for weight, state in states.items():
+        gathered: dict = {}  # target weight -> the element prefixes that reach it
+        for weight, elements in states.items():
             if f == len(factors) - 1:
                 targets = [((0,) * g, tuple(map(neg, weight)))]
             else:  # the weights w of the factor whose sum t with weight can still cancel
                 sums = [(tuple(map(add, weight, w)), w) for w in weights]
                 targets = [(t, w) for t, w in sums if sum(map(abs, t)) <= l1]
             for target, w in targets:
-                gathered.setdefault(target, []).append((state, _group(g, moves, groups, m, exterior, w)))
-        states = {
-            target: (
-                [p + (mono,) for (elements, _, _), (monos, _, _) in pairs for p in elements for mono in monos],
-                [
-                    [c * size + r for (_, codes, _), (_, ids, _) in pairs for c in codes[i] for r in ids[i]]
-                    for i in range(1 + len(moves))
-                ],
-                [
-                    [s * y for (_, _, signs), (_, _, more) in pairs for s in signs[i] for y in more[i]]
-                    for i in range(len(moves))
-                ],
-            )
-            for target, pairs in gathered.items()
-        }
-    elements, columns, signs = states.get((0,) * g, ([], [[]] * (1 + len(moves)), [[]] * len(moves)))
+                if (m, exterior, w) not in cache:
+                    cache[m, exterior, w] = _weight_monomials(g, m, exterior, w)
+                monos = cache[m, exterior, w]
+                gathered.setdefault(target, []).extend(p + (mono,) for p in elements for mono in monos)
+        states = gathered
     # the order of the product is the reverse order of the exponent vectors
-    order = sorted(range(len(elements)), key=elements.__getitem__, reverse=True)
-    index = {columns[0][b]: k for k, b in enumerate(order)}
-    images = [[index[column[b]] for b in order] for column in columns[1:]]
-    return [elements[b] for b in order], list(zip(images, ([sign[b] for b in order] for sign in signs)))
+    elements = sorted(states.get((0,) * g, ()), reverse=True)
+    index = {element: k for k, element in enumerate(elements)}
+    moved = [([], []) for _ in moves]
+    for element in elements:
+        parts = []
+        for mono, (_, exterior) in zip(element, factors):
+            if (mono, exterior) not in cache:
+                cache[mono, exterior] = [_signed_image(move, mono, exterior) for move in moves]
+            parts.append(cache[mono, exterior])
+        for k, (images, signs) in enumerate(moved):
+            images.append(index[tuple(part[k][0] for part in parts)])
+            signs.append(math.prod(part[k][1] for part in parts))
+    return elements, moved
 
 
 def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
@@ -516,31 +504,12 @@ def _fixed_by_derivation(derivation, factors, elements, vectors: Sequence[Column
     return not any(x for row in rows.values() for x in row.values())
 
 
-def _fixed_by_move(move, cache: dict, factors, elements, vectors: Sequence[Column]) -> bool:
-    """Whether the signed permutation move, by the (image, sign) of each basis
-    vector, fixes each vector, sparse on the block elements of the factors:
-    each element's image must carry the element's coefficient times the
-    sign.  cache keeps each factor monomial's `_signed_image`."""
-    for vector in vectors:
-        keyed = {elements[b]: x for b, x in vector.items()}
-        for element, x in keyed.items():
-            image = []
-            for mono, (_, exterior) in zip(element, factors):
-                if (mono, exterior) not in cache:
-                    cache[mono, exterior] = _signed_image(move, mono, exterior)
-                part, sign = cache[mono, exterior]
-                image.append(part)
-                x *= sign
-            if keyed.get(tuple(image)) != x:
-                return False
-    return True
-
-
 def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
     """A basis of the block vectors that the signed permutations moves, given
     as (image, sign) lists, fix: the sums of the orbits, up to sign, of the
     basis elements that reach none with both signs, which some element of
-    the group they generate would negate."""
+    the group they generate would negate.  Every edge of a kept orbit is
+    checked, so each sum is fixed exactly by each move."""
     sign = [0] * size
     sums = []
     for root in range(size):
@@ -559,20 +528,21 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, moves, groups, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
+def _orbit_block(g: int, moves, cache, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
     derivation is listed] on V, the weight-0 part of the block of the
     factors; whether it was rerun.  The `_echelon_history` of the derivation
     rows on the orbit sums runs modulo PRIME, and again over Q unless every
     kernel vector lifts and, combined into a vector on the block elements,
     passes every check in checks; the rational kernel vectors must pass
-    them too.  The rank mod p is at most the rank over Q, so the last entry
-    bounds the rational kernel from above; verified kernel vectors bound it
-    from below.  Kept in blocks by PRIME and the factors: a block depends on
-    its copies only through (m, exterior)."""
+    them too.  Such a vector is an integer combination of orbit sums, so
+    every move fixes it.  The rank mod p is at most the rank over Q, so the
+    last entry bounds the rational kernel from above; verified kernel
+    vectors bound it from below.  Kept in blocks by PRIME and the factors: a
+    block depends on its copies only through (m, exterior)."""
     key = (PRIME, tuple(factors))
     if key not in blocks:
-        elements, moved = _block(g, moves, groups, factors)
+        elements, moved = _block(g, moves, cache, factors)
         sums = _orbit_sums(len(elements), moved)
         rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
         for p in (PRIME, 0):
@@ -664,12 +634,13 @@ def _product_sum(terms) -> dict:
 def _oracle_setup(kind: GammaType, g: int) -> tuple:
     """After asserting the matrix facts that keep the route to weight 0 (see
     the module docstring) on N = s - 1 for each listed unipotent s: the
-    moves; a cache of their images and one of block counts; the exact check
-    of each listed generator, D_N v = 0 for a unipotent s and the signed
-    images of a signed permutation, each with a cache of its monomial
-    images; and the derivations, N with those caches, of one unipotent
-    generator per H-conjugacy class, the same objects as the check's, so
-    that both share their caches.  The pieces of one genus share them."""
+    moves, those of `monomial_moves` and then every other listed signed
+    permutation; the `_block` cache of monomials and their images, and one
+    of block counts; the exact check D_N v = 0 of each listed unipotent s,
+    each with a cache of its monomial images; and the derivations, N with
+    those caches, of one unipotent generator per H-conjugacy class, the
+    same objects as the check's, so that both share their caches.  The
+    pieces of one genus share them."""
     generators = listed_generators(kind, g)
     n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
@@ -690,10 +661,10 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
         raise AssertionError("a bracket of listed unipotent generators is not +-h_i or +-(h_i - h_j)")
     derivations = [(a, ({}, {})) for a in n]
     checks = [partial(_fixed_by_derivation, d) for d in derivations]
-    checks += [partial(_fixed_by_move, s.move, {}) for s in generators if s.move]
     # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
     kept = derivations[:1] + (derivations[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
-    return monomial_moves(kind, g), {}, {}, checks, kept
+    moves = tuple(dict.fromkeys(monomial_moves(kind, g) + tuple(s.move for s in generators if s.move)))
+    return moves, {}, {}, checks, kept
 
 
 # ---------------------------------------------------------------------------

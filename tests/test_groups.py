@@ -511,17 +511,21 @@ def _compose(p, q):
     return tuple((p[r][0], p[r][1] * x) for r, x in q)
 
 
+def _closure(moves):
+    """The group that the signed permutations moves generate, by products."""
+    group, frontier = set(moves), set(moves)
+    while frontier:
+        frontier = {_compose(h, move) for h in frontier for move in moves} - group
+        group |= frontier
+    return group
+
+
 @pytest.mark.parametrize("g", (1, 2, 3))
 def test_moves_generate_the_monomial_subgroup(g):
     # by enumeration: the moves generate a group of order 4^g g!, the
     # signed permutations that preserve the form and the hyperbolic pairs,
     # and it contains J
-    moves = monomial_moves(GammaType.SYMPLECTIC, g)
-    group = set(moves)
-    frontier = set(moves)
-    while frontier:
-        frontier = {_compose(h, move) for h in frontier for move in moves} - group
-        group |= frontier
+    group = _closure(monomial_moves(GammaType.SYMPLECTIC, g))
     assert len(group) == 4**g * math.factorial(g)
     form = GroupForm(g, -1)
     for h in group:

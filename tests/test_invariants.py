@@ -58,7 +58,7 @@ from torelli.invariants import (
     two_part_partitions,
 )
 
-from test_groups import _n_columns, generator_matrices, signed_permutation, transvection
+from test_groups import _closure, _n_columns, generator_matrices, signed_permutation, transvection
 from test_linalg import bareiss_kernel_basis, identity_matrix, mat_mul, mat_sub, mat_transpose
 
 
@@ -672,20 +672,63 @@ def test_factor_wise_image_matches_the_tensor_product():
 
 
 def listed_checks(kind, g):
-    """Each listed generator with the oracle's exact check of it: the checks
-    of `_oracle_setup` list the unipotent generators' derivations, then the
-    signed permutations."""
+    """Each listed unipotent generator with the oracle's exact check of it,
+    D_N v = 0, in the order of `_oracle_setup`'s checks; every listed signed
+    permutation is among the setup's moves, whose orbit sums certify it."""
     generators = generator_matrices(kind, g)
     unipotent = [a for a in generators if signed_permutation(a) is None]
-    ordered = unipotent + [a for a in generators if a not in unipotent]
-    pairs = list(zip(ordered, invariants._oracle_setup(kind, g)[3]))
-    assert len(pairs) == len(generators)
-    for a, check in pairs:
-        if a in unipotent:
-            assert check.func is invariants._fixed_by_derivation and check.args[0][0] == _n_columns(a)
-        else:
-            assert check.func is invariants._fixed_by_move and check.args[0] == signed_permutation(a)
-    return pairs
+    moves, _, _, checks, _ = invariants._oracle_setup(kind, g)
+    assert len(checks) == len(unipotent)
+    for a, check in zip(unipotent, checks):
+        assert check.func is invariants._fixed_by_derivation and check.args[0][0] == _n_columns(a)
+    assert {signed_permutation(a) for a in generators} - {None} <= set(moves)
+    return list(zip(unipotent, checks))
+
+
+@pytest.mark.parametrize("kind", [GammaType.SYMPLECTIC, GammaType.ORTHOGONAL])
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_listed_moves_leave_the_monomial_subgroup_alone(kind, g):
+    # the setup's moves, every listed signed permutation among them, generate
+    # the group that `monomial_moves` alone does, of order 4^g g!, so the
+    # orbits and the first history entry dim (V_0)^H stay those of H
+    moves = invariants._oracle_setup(kind, g)[0]
+    assert set(monomial_moves(kind, g)) <= set(moves)
+    group = _closure(monomial_moves(kind, g))
+    assert len(group) == 4**g * math.factorial(g)
+    assert _closure(moves) == group
+
+
+def test_kept_orbit_sums_are_fixed_by_every_listed_signed_permutation():
+    # random blocks at g = 1..3 for both kinds: every orbit sum that the
+    # oracle keeps is its own image, applied one factor at a time, under each
+    # listed signed permutation; some orbits are dropped
+    rng = random.Random(20261020)
+    kept = dropped = 0
+    for _ in range(200):
+        g = rng.randint(1, 3)
+        kind = rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL))
+        factors = _random_factors(rng, g)
+        elements, moved = invariants._block(g, invariants._oracle_setup(kind, g)[0], {}, factors)
+        sums = invariants._orbit_sums(len(elements), moved)
+        signed = [a for a in generator_matrices(kind, g) if signed_permutation(a)]
+        for column in sums:
+            vector = {elements[b]: x for b, x in column.items()}
+            for a in signed:
+                assert _block_apply((sparse_columns(a), ({}, {})), factors, vector) == vector
+        kept += len(sums)
+        dropped += len(elements) - sum(map(len, sums))
+    assert kept and dropped
+
+
+def test_negated_orbit_is_dropped():
+    # Lambda^{2g} V is one weight-0 element, the determinant: the swap of the
+    # first pair negates it under o, and J fixes it under sp
+    for g in (1, 2, 3):
+        for kind, expected in ((GammaType.ORTHOGONAL, []), (GammaType.SYMPLECTIC, [{0: 1}])):
+            elements, moved = invariants._block(g, invariants._oracle_setup(kind, g)[0], {}, [(2 * g, True)])
+            assert len(elements) == 1
+            assert invariants._orbit_sums(1, moved) == expected
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(2, (1,)), 4) == (0, (0, 0), "modp")
 
 
 def oracle_kernel_vectors(kind, g, factors):
@@ -707,12 +750,11 @@ def oracle_kernel_vectors(kind, g, factors):
 
 
 def test_exact_check_matches_the_reference_image():
-    # every listed generator of both kinds at g = 1..3: the oracle's verdict,
-    # D_N v = 0 for a unipotent s = 1 + N and the signed images for a signed
-    # permutation, is whether the reference image rho(s) v, applied one
-    # factor at a time, equals v; on random integer vectors over blocks of
-    # up to 6 factors, as above, and on the kernel vectors that the oracle
-    # checks on random blocks, most of them invariants
+    # every listed unipotent generator s = 1 + N of both kinds at g = 1..3:
+    # the oracle's verdict, D_N v = 0, is whether the reference image
+    # rho(s) v, applied one factor at a time, equals v; on random integer
+    # vectors over blocks of up to 6 factors, as above, and on the kernel
+    # vectors that the oracle checks on random blocks, most of them invariants
     rng = random.Random(20261019)
     actions = {}
     verdicts = {True: 0, False: 0}
