@@ -50,21 +50,18 @@ The count is certified over Q from both sides:
 - upper bound: a rank modulo p is at most the rank over Q, so the rational
   kernel is no larger than the kernel modulo p;
 - lower bound: each kernel vector modulo p has a unit entry on its own free
-  column and zeros on the other free columns; it is lifted to Q by rational
-  reconstruction.  The lift is an integer combination of orbit sums, and
-  each kept orbit was checked edge by edge under every move, so every
-  listed signed permutation (J; the swaps, sign flips and pair
-  permutations) fixes it exactly.  It is checked exactly, over the
-  integers, to give D_N v = 0 for every listed unipotent s = 1 + N, the
-  criterion the elimination uses: rho(s) - 1 = D_N U with U invertible, so
-  over Q that is rho(s) v = v.  D_N acts one factor at a time, with one
-  term per factor and entry of N.  Lifted vectors that pass are
-  independent invariants.
+  column and zeros on the other free columns; it is lifted by rational
+  reconstruction to integers c_k, and sum_k row[k] c_k = 0 is checked over
+  the integers for every row eliminated: that is D_N v = 0 for v = sum_k c_k
+  (k-th orbit sum), so rho(s) v = v over Q.  Each kept orbit was checked
+  edge by edge under every move, so every h in H fixes v, and D_{h N h^-1} v
+  = rho(h) D_N v = 0 (Fulton and Harris, sections 8-9).  `_oracle_setup`
+  asserts, once per genus, that every listed N is +- h N' h^-1 for an h in
+  H and a kept N'.  So every listed generator fixes v, and the lifts that
+  pass are independent invariants.
 
 When a lift fails, or a lifted vector fails its check, the same elimination
-runs again over Q, and the route reads "rational".  Its kernel vectors are
-checked in the same way, so a wrong conjugacy claim raises AssertionError
-rather than change the count.
+runs again over Q, whose kernel is exact, and the route reads "rational".
 
 For the orthogonal kind at g = 1 no unipotent generator is listed, and the
 generated group is the finite O_{1,1}(Z) = {+-I, +-swap}, not a
@@ -83,7 +80,7 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
@@ -108,14 +105,14 @@ PRIME = 2_147_483_647
 
 # the a-priori cap on `_orbit_work`, for both kinds; the slowest pieces found
 # inside it, degree 32 on the copies 2, 4, 6, 8 and degree 24 on 1, 2, 3, 4
-# at g = 2 (o), take 0.14-0.16 s in process on a 2-core VM, and the slowest
-# sp piece found, degree 70 at --n 9 --g 2, 0.08-0.1 s.  At g = 1 the o
+# at g = 2 (o), take 0.10-0.12 s in process on a 2-core VM, and the slowest
+# sp piece found, degree 70 at --n 9 --g 2, 0.04 s.  At g = 1 the o
 # count is Molien's, about 1 ms even for degree 120 on the 28 copies 4, 8,
 # ..., 112, but it is capped by the same units
 WORK_CAP = 2_500_000
 # the cap on that work summed over the pieces of one crosscheck request; the
-# slowest requests found inside it take 0.14-0.15 s (--n 10 --g 2 --maxdeg 41,
-# 4.3 million), 0.09-0.1 s (--n 8 --g 2 --maxdeg 59) and 0.07 s (--n 11
+# slowest requests found inside it take 0.10-0.12 s (--n 10 --g 2 --maxdeg 41,
+# 4.3 million), 0.07 s (--n 8 --g 2 --maxdeg 59) and 0.07 s (--n 11
 # --g 1 --maxdeg 102, 5.0 million); --n 8 --g 1 --maxdeg 115 (4.8 million)
 # takes 0.03 s
 REQUEST_WORK_CAP = 5_000_000
@@ -256,11 +253,13 @@ def _orbit_work(kind: GammaType, copies: GradedVCopies, degree: int) -> tuple[in
     unit per element of the whole piece, 2g(g + 1) for the orthogonal kind
     (2g exponents by each of the g + 1 moves that move x_1) and 8(g + 8) for
     the symplectic kind (a visit by each of the g moves of `monomial_moves`
-    and about eight more for the rows, the elimination and the exact check;
-    a visit is 8 units, about as long as the orthogonal kind's unit takes).
-    Both are the earlier fits, kept so that every request meets the caps it
-    met: the moves are now every listed signed permutation as well, which
-    makes the orthogonal unit low at high genus."""
+    and about eight more for the rows, the elimination and an exact check
+    by every listed unipotent; a visit is 8 units, about as long as the
+    orthogonal kind's unit takes).  Both are the earlier fits, kept so that
+    every request meets the caps it met: the moves are now every listed
+    signed permutation as well, which makes the orthogonal unit low at high
+    genus, and the check reads only the rows eliminated, which makes the
+    symplectic unit high."""
     g = copies.g
     unit = 8 * (g + 8) if kind is GammaType.SYMPLECTIC else 2 * g * (g + 1)
     return tuple(unit * x for x in _tail_dimensions(copies, degree)[0][: degree + 1])
@@ -359,8 +358,8 @@ class OracleResult(NamedTuple):
     T_{x1 + y2} for the symplectic kind, one for s for the orthogonal kind.
     A block contributes its kernel modulo PRIME, an upper bound that the
     certificate makes exact at the last entry, on route "modp"; route is
-    "rational" when some block failed the certificate and was eliminated,
-    and certified, again over Q.  For the orthogonal kind at g = 1 history
+    "rational" when some block failed the certificate and was eliminated
+    again, exactly, over Q.  For the orthogonal kind at g = 1 history
     is the one entry dim V^H, the Molien count, on route "modp"; an empty
     piece has an empty history.
     """
@@ -496,14 +495,6 @@ def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -
     return rows
 
 
-def _fixed_by_derivation(derivation, factors, elements, vectors: Sequence[Column]) -> bool:
-    """Whether D_N v = 0 for the derivation (N, caches) of N = s - 1 and
-    each vector, sparse on the block elements of the factors: over Q that is
-    rho(s) v = v when N^2 = 0."""
-    rows = _derivation_rows(factors, elements, vectors, derivation)
-    return not any(x for row in rows.values() for x in row.values())
-
-
 def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
     """A basis of the block vectors that the signed permutations moves, given
     as (image, sign) lists, fix: the sums of the orbits, up to sign, of the
@@ -528,35 +519,34 @@ def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list
     return sums
 
 
-def _orbit_block(g: int, moves, cache, blocks, checks, derivations, factors) -> tuple[list[int], bool]:
+def _orbit_block(g: int, moves, cache, blocks, derivations, factors) -> tuple[list[int], bool]:
     """[dim V^H, then dim V^H & ker(s - 1) jointly over each s in turn whose
     derivation is listed] on V, the weight-0 part of the block of the
     factors; whether it was rerun.  The `_echelon_history` of the derivation
-    rows on the orbit sums runs modulo PRIME, and again over Q unless every
-    kernel vector lifts and, combined into a vector on the block elements,
-    passes every check in checks; the rational kernel vectors must pass
-    them too.  Such a vector is an integer combination of orbit sums, so
-    every move fixes it.  The rank mod p is at most the rank over Q, so the
-    last entry bounds the rational kernel from above; verified kernel
-    vectors bound it from below.  Kept in blocks by PRIME and the factors: a
+    rows on the orbit sums, each built once, runs modulo PRIME, and again
+    over Q unless every kernel vector lifts to a c with sum_k row[k] c_k = 0
+    over the integers for every row: that is D_N v = 0 for v = sum_k c_k
+    times the k-th orbit sum.  The rank mod p is at most the rank over Q, so
+    the last entry bounds the rational kernel from above; the lifts that
+    pass bound it from below.  Kept in blocks by PRIME and the factors: a
     block depends on its copies only through (m, exterior)."""
     key = (PRIME, tuple(factors))
     if key not in blocks:
         elements, moved = _block(g, moves, cache, factors)
         sums = _orbit_sums(len(elements), moved)
-        rows_of = lambda n: _derivation_rows(factors, elements, sums, n).values()  # noqa: E731
-        for p in (PRIME, 0):
-            history, pivots = _echelon_history(derivations, rows_of, len(sums), p)
-            # None marks a vector with an entry that has no lift
-            vectors = [_lift(v, p) if p else v for v in _kernel_vectors(pivots, len(sums), p)] if history[-1] else []
-            if None in vectors:
-                continue
-            vectors = [{b: c * e for k, c in v.items() for b, e in sums[k].items()} for v in vectors]
-            if not vectors or all(check(factors, elements, vectors) for check in checks):
-                break
-        else:
-            raise AssertionError("a rational kernel vector is not fixed by every listed generator")
-        blocks[key] = [len(sums)] + history, not p
+        kept = range(len(derivations))
+        rows_of = lru_cache(maxsize=None)(
+            lambda d: list(_derivation_rows(factors, elements, sums, derivations[d]).values())
+        )
+        history, pivots = _echelon_history(kept, rows_of, len(sums), PRIME)
+        # None marks a vector with an entry that has no lift
+        vectors = [_lift(v, PRIME) for v in _kernel_vectors(pivots, len(sums), PRIME)] if history[-1] else []
+        rational = None in vectors or any(
+            sum(x * c.get(k, 0) for k, x in row.items()) for c in vectors for d in kept for row in rows_of(d)
+        )
+        if rational:
+            history = _echelon_history(kept, rows_of, len(sums), 0)[0]
+        blocks[key] = [len(sums)] + history, rational
     return blocks[key]
 
 
@@ -633,14 +623,13 @@ def _product_sum(terms) -> dict:
 @lru_cache(maxsize=4)
 def _oracle_setup(kind: GammaType, g: int) -> tuple:
     """After asserting the matrix facts that keep the route to weight 0 (see
-    the module docstring) on N = s - 1 for each listed unipotent s: the
-    moves, those of `monomial_moves` and then every other listed signed
-    permutation; the `_block` cache of monomials and their images, and one
-    of block counts; the exact check D_N v = 0 of each listed unipotent s,
-    each with a cache of its monomial images; and the derivations, N with
-    those caches, of one unipotent generator per H-conjugacy class, the
-    same objects as the check's, so that both share their caches.  The
-    pieces of one genus share them."""
+    the module docstring) on N = s - 1 for each listed unipotent s, and that
+    each such N is +- h N' h^-1 for a kept N' and an h in the group H that
+    `monomial_moves` generates: the moves, those of `monomial_moves` and
+    then every other listed signed permutation; the `_block` cache of
+    monomials and their images, and one of block counts; and the
+    derivations, each kept N with a cache of its monomial images, one per
+    H-conjugacy class.  The pieces of one genus share them."""
     generators = listed_generators(kind, g)
     n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
@@ -659,12 +648,23 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
         raise AssertionError("a listed unipotent generator s has (s - 1)^2 != 0")
     if any(_product_sum([(1, a, b), (-1, b, a)]) not in (h, {key: -x for key, x in h.items()}) for a, b, h in brackets):
         raise AssertionError("a bracket of listed unipotent generators is not +-h_i or +-(h_i - h_j)")
-    derivations = [(a, ({}, {})) for a in n]
-    checks = [partial(_fixed_by_derivation, d) for d in derivations]
-    # the first s; or T_x1 and T_{x1 + y2}, listed after the 2g T_{e_i}
-    kept = derivations[:1] + (derivations[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
+    # the first N; or N_x1 and N_{x1 + y2}, listed after the 2g N_{e_i}
+    kept = n[:1] + (n[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
+    # h N h^-1 for h in H, as entries (i, j, x): a signed permutation takes x
+    # at (i, j) to sign_i sign_j x at (image_i, image_j)
+    orbit = [frozenset((i, j, x) for j, column in a for i, x in column) for a in kept]
+    closed = set(orbit)
+    for a in orbit:
+        for move in monomial_moves(kind, g):
+            b = frozenset((move[i][0], move[j][0], move[i][1] * move[j][1] * x) for i, j, x in a)
+            if b not in closed:
+                closed.add(b)
+                orbit.append(b)
+    for a in n:
+        if not {frozenset((i, j, sign * x) for j, column in a for i, x in column) for sign in (1, -1)} & closed:
+            raise AssertionError("a listed unipotent generator is not +-conjugate to a kept one under H")
     moves = tuple(dict.fromkeys(monomial_moves(kind, g) + tuple(s.move for s in generators if s.move)))
-    return moves, {}, {}, checks, kept
+    return moves, {}, {}, [(a, ({}, {})) for a in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -837,6 +837,26 @@ def test_oracle_sweep_bytes():
     assert _capture(ORACLE_SWEEP_MOVED[1]) == (3, "", "error: orbit-route work 3230208 > cap 2500000\n")
 
 
+# high-genus oracle requests, where g(g + 1) listed transvections of sp
+# (110 at g = 10) and g(g - 1) of o are each certified through a kept one
+HIGH_GENUS_ORACLE = [
+    ["crosscheck-sec6", "--n", "9", "--g", str(g), "--maxdeg", str(maxdeg), "--oracle"]
+    for g, maxdeg in ((4, 30), (8, 18), (10, 14))
+] + [["invariant-oracle", "--type", kind, "--g", "10", "--degrees", "1", "--deg", "4"] for kind in ("sp", "o")]
+# the sha256 of (argv, exit code, stdout, stderr) over them, as the oracle
+# printed them when it checked every listed unipotent on every lifted vector
+HIGH_GENUS_ORACLE_SHA256 = "e661c8141fd69153b09dd51d0b3efe96d90feded683246d7b6325bfdca3a9066"
+
+
+def test_high_genus_oracle_bytes():
+    digest = hashlib.sha256()
+    for argv in HIGH_GENUS_ORACLE:
+        code, out, err = _capture(argv)
+        assert (code, err) == (0, "")
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == HIGH_GENUS_ORACLE_SHA256
+
+
 def test_oracle_seed_defaults_to_zero():
     argv = ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "1,3", "--deg", "4"]
     code, out, _ = _capture(argv)

@@ -671,18 +671,16 @@ def test_factor_wise_image_matches_the_tensor_product():
     assert 0 < fixed < 300
 
 
-def listed_checks(kind, g):
-    """Each listed unipotent generator with the oracle's exact check of it,
-    D_N v = 0, in the order of `_oracle_setup`'s checks; every listed signed
-    permutation is among the setup's moves, whose orbit sums certify it."""
+def kept_derivations(kind, g):
+    """Each kept generator with the oracle's derivation of N = s - 1, in the
+    order of `_oracle_setup`'s derivations; every listed signed permutation
+    is among the setup's moves, whose orbit sums certify it."""
     generators = generator_matrices(kind, g)
-    unipotent = [a for a in generators if signed_permutation(a) is None]
-    moves, _, _, checks, _ = invariants._oracle_setup(kind, g)
-    assert len(checks) == len(unipotent)
-    for a, check in zip(unipotent, checks):
-        assert check.func is invariants._fixed_by_derivation and check.args[0][0] == _n_columns(a)
+    moves, _, _, derivations = invariants._oracle_setup(kind, g)
+    kept = kept_generators(kind, g)
+    assert [n for n, _ in derivations] == [_n_columns(a) for a in kept]
     assert {signed_permutation(a) for a in generators} - {None} <= set(moves)
-    return list(zip(unipotent, checks))
+    return list(zip(kept, derivations))
 
 
 @pytest.mark.parametrize("kind", [GammaType.SYMPLECTIC, GammaType.ORTHOGONAL])
@@ -731,34 +729,56 @@ def test_negated_orbit_is_dropped():
     assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(2, (1,)), 4) == (0, (0, 0), "modp")
 
 
-def oracle_kernel_vectors(kind, g, factors):
-    """The kernel vectors that the oracle checks on the block of the factors,
-    keyed by block element: those of the kept derivations on the orbit sums,
-    lifted; none for the orthogonal kind at g = 1, where no block is
-    listed."""
-    if kind is GammaType.ORTHOGONAL and g == 1:
-        return []
-    moves, _, _, _, kept = invariants._oracle_setup(kind, g)
-    found = []
+def oracle_lifts(kind, g, factors):
+    """The block elements of the factors, their orbit sums and the lifted
+    kernel vectors, on the orbit sums, that the oracle checks there; none
+    for the orthogonal kind at g = 1, where no block is listed."""
+    moves, _, _, derivations = invariants._oracle_setup(kind, g)
+    elements, moved = invariants._block(g, moves, {}, factors)
+    sums = invariants._orbit_sums(len(elements), moved)
+    lifts = []
 
-    def record(factors, elements, vectors):
-        found.extend({elements[b]: x for b, x in vector.items()} for vector in vectors)
-        return True
+    def record(vector, p, lift=invariants._lift):
+        lifts.append(lift(vector, p))
+        return lifts[-1]
 
-    invariants._orbit_block(g, moves, {}, {}, [record], kept, factors)
-    return found
+    if derivations:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(invariants, "_lift", record)
+            invariants._orbit_block(g, moves, {}, {}, derivations, factors)
+    return elements, sums, [c for c in lifts if c is not None]
 
 
-def test_exact_check_matches_the_reference_image():
-    # every listed unipotent generator s = 1 + N of both kinds at g = 1..3:
-    # the oracle's verdict, D_N v = 0, is whether the reference image
-    # rho(s) v, applied one factor at a time, equals v; on random integer
-    # vectors over blocks of up to 6 factors, as above, and on the kernel
-    # vectors that the oracle checks on random blocks, most of them invariants
+def row_check(derivation, factors, elements, columns, c):
+    """The oracle's exact check of c: sum_k row[k] c_k = 0 over the integers
+    for every row of the derivation on the columns, sparse vectors on the
+    elements of the block of the factors."""
+    rows = invariants._derivation_rows(factors, elements, columns, derivation)
+    return not any(sum(x * c.get(k, 0) for k, x in row.items()) for row in rows.values())
+
+
+def _combination(elements, columns, c):
+    """sum_k c_k columns[k], keyed by block element."""
+    v = collections.Counter()
+    for k, x in c.items():
+        for b, e in columns[k].items():
+            v[elements[b]] += x * e
+    return {element: x for element, x in v.items() if x}
+
+
+def test_row_check_matches_the_reference_image():
+    # the kept derivations of both kinds at g = 1..3: the row check of c is
+    # whether the reference image rho(s) v, applied one factor at a time,
+    # equals v = sum_k c_k columns[k]; on random combinations of random
+    # integer vectors over blocks of up to 6 factors, as above, and on the
+    # lifts that the oracle checks on random blocks, most of them
+    # invariants.  A lift that passes is fixed by every listed generator:
+    # the conjugacy claim that `_oracle_setup` asserts carries the check to
+    # the unipotents that are not kept
     rng = random.Random(20261019)
     actions = {}
     verdicts = {True: 0, False: 0}
-    moved_and_fixed = 0
+    moved_and_fixed = certified = 0
     for _ in range(300):
         g = rng.randint(1, 3)
         factors = []
@@ -766,32 +786,37 @@ def test_exact_check_matches_the_reference_image():
             exterior = rng.random() < 0.5
             factors.append((rng.randint(1, min(3, 2 * g) if exterior else 3), exterior))
         bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
-        vector = {tuple(map(rng.choice, bases)): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
-        cases = [(factors, {element: c for element, c in vector.items() if c})]
+        elements = list({tuple(map(rng.choice, bases)) for _ in range(rng.randint(1, 6))})
+        columns = [
+            {b: rng.randint(-3, 3) for b in rng.sample(range(len(elements)), rng.randint(1, len(elements)))}
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases = [(factors, elements, columns, {k: rng.randint(-2, 2) for k in range(len(columns))})]
         block = _random_factors(rng, g)
         kind = rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL))
-        cases += [(block, vector) for vector in oracle_kernel_vectors(kind, g, block)]
-        for kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL):
-            for a, check in listed_checks(kind, g):
+        block_elements, sums, lifts = oracle_lifts(kind, g, block)
+        cases += [(block, block_elements, sums, c) for c in lifts]
+        for case_kind in (GammaType.SYMPLECTIC, GammaType.ORTHOGONAL):
+            for a, derivation in kept_derivations(case_kind, g):
                 action = actions.setdefault(a, (sparse_columns(a), ({}, {})))
-                for factors, vector in cases:
-                    elements = list(vector)
-                    verdict = check(factors, elements, [dict(enumerate(vector.values()))])
-                    assert verdict == (_block_apply(action, factors, vector) == vector)
+                for case in cases:
+                    v = _combination(*case[1:])
+                    verdict = row_check(derivation, *case)
+                    assert verdict == (_block_apply(action, case[0], v) == v)
                     verdicts[verdict] += 1
                     moved_and_fixed += verdict and any(
-                        _block_apply(action, factors, {element: 1}) != {element: 1} for element in vector
+                        _block_apply(action, case[0], {element: 1}) != {element: 1} for element in v
                     )
-                # on several vectors at once, the verdict is that on each
-                if len(cases) > 2:
-                    block, vectors = cases[1][0], [v for _, v in cases[1:]]
-                    elements = sorted({element for v in vectors for element in v})
-                    index = {element: b for b, element in enumerate(elements)}
-                    batch = [{index[element]: x for element, x in v.items()} for v in vectors]
-                    assert check(block, elements, batch) == all(check(block, elements, [v]) for v in batch)
-    # both outcomes occur, and some vectors are fixed although the generator
-    # moves one of their elements
-    assert verdicts[True] and verdicts[False] and moved_and_fixed
+        for c in lifts:
+            if all(row_check(derivation, block, block_elements, sums, c) for _, derivation in kept_derivations(kind, g)):
+                v = _combination(block_elements, sums, c)
+                for a in generator_matrices(kind, g):
+                    action = actions.setdefault(a, (sparse_columns(a), ({}, {})))
+                    assert _block_apply(action, block, v) == v
+                certified += 1
+    # both outcomes occur, some vectors are fixed although the generator
+    # moves one of their elements, and some lifts are certified
+    assert verdicts[True] and verdicts[False] and moved_and_fixed and certified
 
 
 def derivation_by_positions(n, mono, exterior):
@@ -1288,23 +1313,56 @@ def test_rank_one_orthogonal_invariant_outside_weight_zero():
 
 
 
+def _kept_twice(kind, g):
+    """The listed generators with T_x2 in the place of T_{x1 + y2}, which
+    stays listed after it: the setup keeps T_x1 and T_x2, one class twice."""
+    generators = listed_generators(kind, g)
+    return generators[: 2 * g] + (generators[1],) + generators[2 * g :]
+
+
 @pytest.mark.parametrize(
-    "kind, count",
-    [(GammaType.ORTHOGONAL, (1, (2, 1), "modp")), (GammaType.SYMPLECTIC, (0, (1, 0, 0), "modp"))],
-    ids=["o", "sp"],
+    "kind, g, listed, moves",
+    [
+        (GammaType.SYMPLECTIC, 2, _kept_twice, monomial_moves),
+        # the swap and sign flip of the first pair alone: no h takes E_12 to E_21
+        (GammaType.ORTHOGONAL, 2, listed_generators, lambda kind, g: monomial_moves(kind, g)[:2]),
+        # the transvection along x_1 + x_2 + x_3 appended
+        (
+            GammaType.SYMPLECTIC,
+            3,
+            lambda kind, g: listed_generators(kind, g)
+            + (Generator(_n_columns(transvection([1, 1, 1, 0, 0, 0], form_for_kind(kind, g))), None),),
+            monomial_moves,
+        ),
+    ],
+    ids=["sp-kept-twice", "o-without-pair-permutations", "sp-x1+x2+x3"],
 )
-def test_rational_rerun_is_certified(monkeypatch, kind, count):
-    # Sym^4 V at g = 2 with no derivation rows eliminated: the kernel is all
-    # of V_0^H, whose orbit sums lift and fail the exact check, which still
-    # takes D_N of every listed unipotent s, and fail it again over Q, where
-    # the count would otherwise read dim V_0^H
+def test_setup_rejects_a_listed_unipotent_outside_the_kept_classes(monkeypatch, kind, g, listed, moves):
+    # the conjugacy claim, that every listed unipotent is +- a conjugate of
+    # a kept one under H, is asserted by the setup before any block is
+    # counted; without it a kept derivation too few would raise the count
+    monkeypatch.setattr(invariants, "listed_generators", listed)
+    monkeypatch.setattr(invariants, "monomial_moves", moves)
+    monkeypatch.setattr(invariants, "_oracle_setup", invariants._oracle_setup.__wrapped__)
+    monkeypatch.setattr(invariants, "_orbit_block", lambda *args: pytest.fail("a block was counted"))
+    with pytest.raises(AssertionError, match="not \\+-conjugate to a kept one"):
+        brute_force_invariant_dim(kind, GradedVCopies(g, (2,)), 8)
+
+
+def test_a_lift_that_fails_its_rows_reruns_over_q(monkeypatch):
+    # Sym^4 V at g = 2: a lift with one entry off by 1 is not annihilated by
+    # the rows of E_12, so the block is eliminated again over Q, exactly
     copies = GradedVCopies(2, (2,))
-    assert brute_force_invariant_dim(kind, copies, 8) == count
-    setup = invariants._oracle_setup.__wrapped__(kind, 2)
-    empty = [([], ({}, {}))] * len(setup[-1])
-    monkeypatch.setattr(invariants, "_oracle_setup", lambda kind, g: setup[:-1] + (empty,))
-    with pytest.raises(AssertionError, match="not fixed by every listed generator"):
-        brute_force_invariant_dim(kind, copies, 8)
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (2, 1), "modp")
+    lift = invariants._lift
+
+    def off_by_one(vector, p):
+        c = lift(vector, p)
+        return {**c, min(c): c[min(c)] + 1}
+
+    monkeypatch.setattr(invariants, "_oracle_setup", invariants._oracle_setup.__wrapped__)
+    monkeypatch.setattr(invariants, "_lift", off_by_one)
+    assert brute_force_invariant_dim(GammaType.ORTHOGONAL, copies, 8) == (1, (2, 1), "rational")
 
 
 def test_orbit_certificate_falls_back_to_rational(monkeypatch):
