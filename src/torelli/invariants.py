@@ -23,7 +23,8 @@ finite group H inside the generated group, the one that the moves of
 listed ones that move x_1, whose products give every other listed one, and
 for the symplectic kind H = (Z/4)^g x| S_g contains J.  H permutes the
 block's basis up to sign, so V^H is spanned by the sums of the orbits that
-no element of H negates.  Every other listed generator s is unipotent:
+no element of H negates; the walk over an orbit applies each move to each
+element it reaches, factor by factor.  Every other listed generator s is unipotent:
 N = s - 1 squares to 0, so rho(s) = exp(D) for the derivation D that N
 induces, and rho(s) - 1 = D U, with U = 1 + D/2! + ... invertible over Q
 and modulo PRIME (D^j = 0 past the degree, at most 2000).  So the rows of
@@ -130,13 +131,7 @@ def go_shifted_degrees(n: int, max_degree: int) -> list[int]:
     """Positive degrees 4m - n up to max_degree."""
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
-    out = []
-    m = 1
-    while 4 * m - n <= max_degree:
-        if 4 * m - n > 0:
-            out.append(4 * m - n)
-        m += 1
-    return out
+    return list(range(4 - n % 4, max_degree + 1, 4))
 
 
 def stable_pair_degrees(n: int, max_degree: int) -> list[tuple[int, int]]:
@@ -180,12 +175,7 @@ def matchings_count(k: int) -> int:
     """Perfect matchings of k points: (k-1)!! for k even, 0 for k odd."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k % 2 == 1:
-        return 0
-    out = 1
-    for odd in range(1, k, 2):
-        out *= odd
-    return out
+    return 0 if k % 2 else math.prod(range(1, k, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +402,13 @@ def _signed_image(move: tuple[tuple[int, int], ...], mono: tuple[int, ...], exte
     return tuple(image), -1 if odd % 2 else 1
 
 
-def _block(g: int, moves, cache: dict, factors) -> tuple[list[tuple], list]:
+def _block(g: int, cache: dict, factors) -> list[tuple]:
     """The weight-0 basis elements of the block of the factors (m, exterior),
     one exponent vector per factor, in the order of the product, the first
-    factor outermost; and each move on them as image index and sign lists.
-    Every factor but the last ranges over its monomials grouped by weight,
-    pruned by the |w|_1 that the later factors can still cancel, and the
-    last takes the opposite weight.  An element's image under a move is the
-    `_signed_image` of each of its factors, and its sign their product.
-    cache keeps the monomials of each (m, exterior, weight) and the images
-    of each (monomial, exterior) under every move."""
+    factor outermost.  Every factor but the last ranges over its monomials
+    grouped by weight, pruned by the |w|_1 that the later factors can still
+    cancel, and the last takes the opposite weight.  cache keeps the
+    monomials of each (m, exterior, weight)."""
     reach = [min(m, 2 * g - m) if exterior else m for m, exterior in factors]
     states = {(0,) * g: [()]}
     for f, (m, exterior) in enumerate(factors):
@@ -441,19 +428,7 @@ def _block(g: int, moves, cache: dict, factors) -> tuple[list[tuple], list]:
                 gathered.setdefault(target, []).extend(p + (mono,) for p in elements for mono in monos)
         states = gathered
     # the order of the product is the reverse order of the exponent vectors
-    elements = sorted(states.get((0,) * g, ()), reverse=True)
-    index = {element: k for k, element in enumerate(elements)}
-    moved = [([], []) for _ in moves]
-    for element in elements:
-        parts = []
-        for mono, (_, exterior) in zip(element, factors):
-            if (mono, exterior) not in cache:
-                cache[mono, exterior] = [_signed_image(move, mono, exterior) for move in moves]
-            parts.append(cache[mono, exterior])
-        for k, (images, signs) in enumerate(moved):
-            images.append(index[tuple(part[k][0] for part in parts)])
-            signs.append(math.prod(part[k][1] for part in parts))
-    return elements, moved
+    return sorted(states.get((0,) * g, ()), reverse=True)
 
 
 def _derivation_image(n, mono: tuple[int, ...], exterior: bool) -> dict[tuple[int, ...], int]:
@@ -495,21 +470,31 @@ def _derivation_rows(factors, elements, columns: Sequence[Column], derivation) -
     return rows
 
 
-def _orbit_sums(size: int, moves: Sequence[tuple[list[int], list[int]]]) -> list[Column]:
-    """A basis of the block vectors that the signed permutations moves, given
-    as (image, sign) lists, fix: the sums of the orbits, up to sign, of the
-    basis elements that reach none with both signs, which some element of
-    the group they generate would negate.  Every edge of a kept orbit is
-    checked, so each sum is fixed exactly by each move."""
-    sign = [0] * size
+def _orbit_sums(factors, elements: Sequence[tuple], moves, cache: dict) -> list[Column]:
+    """A basis of the vectors on the elements, of the block of the factors,
+    that the signed permutations moves fix: the sums of the orbits, up to
+    sign, of the elements that reach none with both signs, which some element
+    of the group they generate would negate.  A move takes an element to the
+    `_signed_image` of each of its factors, and its sign is their product;
+    cache keeps the images of each (monomial, exterior) under every move.
+    Every edge of a kept orbit is checked, so each sum is fixed exactly by
+    each move."""
+    index = {element: b for b, element in enumerate(elements)}
+    sign = [0] * len(elements)
     sums = []
-    for root in range(size):
+    for root in range(len(elements)):
         if sign[root]:
             continue
         sign[root], orbit, live = 1, [root], True
         for b in orbit:
-            for image, move_sign in moves:
-                c, x = image[b], move_sign[b] * sign[b]
+            parts = []
+            for mono, (_, exterior) in zip(elements[b], factors):
+                if (mono, exterior) not in cache:
+                    cache[mono, exterior] = [_signed_image(move, mono, exterior) for move in moves]
+                parts.append(cache[mono, exterior])
+            for k in range(len(moves)):
+                c = index[tuple(part[k][0] for part in parts)]
+                x = math.prod(part[k][1] for part in parts) * sign[b]
                 if not sign[c]:
                     sign[c] = x
                     orbit.append(c)
@@ -532,8 +517,8 @@ def _orbit_block(g: int, moves, cache, blocks, derivations, factors) -> tuple[li
     block depends on its copies only through (m, exterior)."""
     key = (PRIME, tuple(factors))
     if key not in blocks:
-        elements, moved = _block(g, moves, cache, factors)
-        sums = _orbit_sums(len(elements), moved)
+        elements = _block(g, cache, factors)
+        sums = _orbit_sums(factors, elements, moves, cache)
         kept = range(len(derivations))
         rows_of = lru_cache(maxsize=None)(
             lambda d: list(_derivation_rows(factors, elements, sums, derivations[d]).values())
@@ -625,11 +610,13 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     """After asserting the matrix facts that keep the route to weight 0 (see
     the module docstring) on N = s - 1 for each listed unipotent s, and that
     each such N is +- h N' h^-1 for a kept N' and an h in the group H that
-    `monomial_moves` generates: the moves, those of `monomial_moves` and
-    then every other listed signed permutation; the `_block` cache of
-    monomials and their images, and one of block counts; and the
-    derivations, each kept N with a cache of its monomial images, one per
-    H-conjugacy class.  The pieces of one genus share them."""
+    `monomial_moves` generates, by closing the kept N under conjugation
+    until every listed N or -N is reached: the moves, those of
+    `monomial_moves` and then every other listed signed permutation; the
+    cache of `_block`'s monomials and `_orbit_sums`' images, and one of
+    block counts; and the derivations, each kept N with a cache of its
+    monomial images, one per H-conjugacy class.  The pieces of one genus
+    share them."""
     generators = listed_generators(kind, g)
     n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
@@ -651,18 +638,23 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     # the first N; or N_x1 and N_{x1 + y2}, listed after the 2g N_{e_i}
     kept = n[:1] + (n[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
     # h N h^-1 for h in H, as entries (i, j, x): a signed permutation takes x
-    # at (i, j) to sign_i sign_j x at (image_i, image_j)
+    # at (i, j) to sign_i sign_j x at (image_i, image_j); the closure stops
+    # once it has reached every listed N, or -N
     orbit = [frozenset((i, j, x) for j, column in a for i, x in column) for a in kept]
     closed = set(orbit)
+    missing = {frozenset((i, j, x) for j, column in a for i, x in column) for a in n} - closed
+    missing -= {frozenset((i, j, -x) for i, j, x in a) for a in orbit}
     for a in orbit:
+        if not missing:
+            break
         for move in monomial_moves(kind, g):
             b = frozenset((move[i][0], move[j][0], move[i][1] * move[j][1] * x) for i, j, x in a)
             if b not in closed:
                 closed.add(b)
                 orbit.append(b)
-    for a in n:
-        if not {frozenset((i, j, sign * x) for j, column in a for i, x in column) for sign in (1, -1)} & closed:
-            raise AssertionError("a listed unipotent generator is not +-conjugate to a kept one under H")
+                missing -= {b, frozenset((i, j, -x) for i, j, x in b)}
+    if missing:
+        raise AssertionError("a listed unipotent generator is not +-conjugate to a kept one under H")
     moves = tuple(dict.fromkeys(monomial_moves(kind, g) + tuple(s.move for s in generators if s.move)))
     return moves, {}, {}, [(a, ({}, {})) for a in kept]
 

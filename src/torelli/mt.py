@@ -142,20 +142,13 @@ def kappa_ll_pairs(n: int, max_degree: int) -> list[tuple[int, int, int]]:
     """
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
-    lo = cover_generator_index_set(n).start
-    pairs = []
-    a = lo
-    while 4 * (a + a) - 2 * n <= max_degree:
-        b = a
-        while True:
-            degree = 4 * (a + b) - 2 * n
-            if degree > max_degree:
-                break
-            if degree > 0:
-                pairs.append((a, b, degree))
-            b += 1
-        a += 1
-    return pairs
+    top = (max_degree + 2 * n) // 4  # the largest a + b of degree <= max_degree
+    return [
+        (a, b, 4 * (a + b) - 2 * n)
+        for a in range(cover_generator_index_set(n).start, top // 2 + 1)
+        for b in range(a, top - a + 1)
+        if 4 * (a + b) > 2 * n
+    ]
 
 
 def pair_degree_counts(n: int, max_degree: int) -> list[tuple[int, int]]:

@@ -816,19 +816,28 @@ ORACLE_SWEEP_MOVED = (
 ORACLE_SWEEP_SHA256 = "285489b4fb9f5079012e56425e144f8b930e96290acd5ccbac3aa378b9a589bf"
 
 
+def _digest(requests):
+    """The sha256 of (argv, exit code, stdout, stderr) over the requests, and
+    each request's (exit code, stdout, stderr)."""
+    results = [_capture(argv) for argv in requests]
+    digest = hashlib.sha256()
+    for argv, result in zip(requests, results):
+        digest.update(json.dumps([argv, *result]).encode())
+    return digest.hexdigest(), results
+
+
 def test_oracle_sweep_bytes():
     requests = _oracle_sweep()
     assert len(requests) == 258
-    digest = hashlib.sha256()
-    for argv in requests:
-        code, out, err = _capture(argv)
+    unmoved = [argv for argv in requests if tuple(argv) not in ORACLE_SWEEP_MOVED]
+    digest, results = _digest(unmoved)
+    assert digest == ORACLE_SWEEP_SHA256
+    for code, out, _ in results:
         if code == 0:
             _assert_keys_in_order(out)
-        if tuple(argv) not in ORACLE_SWEEP_MOVED:
-            digest.update(json.dumps([argv, code, out, err]).encode())
-    assert digest.hexdigest() == ORACLE_SWEEP_SHA256
     # answered, every degree agreeing
     code, out, err = _capture(ORACLE_SWEEP_MOVED[0])
+    _assert_keys_in_order(out)
     rows = json.loads(out)["table"]
     assert (code, err, len(rows)) == (0, "", 41)
     assert all(row["agree"] and row["oracle"] == row["stable"] for row in rows)
@@ -849,12 +858,28 @@ HIGH_GENUS_ORACLE_SHA256 = "e661c8141fd69153b09dd51d0b3efe96d90feded683246d7b632
 
 
 def test_high_genus_oracle_bytes():
-    digest = hashlib.sha256()
-    for argv in HIGH_GENUS_ORACLE:
-        code, out, err = _capture(argv)
-        assert (code, err) == (0, "")
-        digest.update(json.dumps([argv, code, out, err]).encode())
-    assert digest.hexdigest() == HIGH_GENUS_ORACLE_SHA256
+    digest, results = _digest(HIGH_GENUS_ORACLE)
+    assert digest == HIGH_GENUS_ORACLE_SHA256
+    assert all((code, err) == (0, "") for code, _, err in results)
+
+
+# orthogonal requests past g = 3 with invariants to count: a crosscheck at
+# g = 4 and single pieces at g = 5, 6 and 10
+ORTHOGONAL_ORACLE = [
+    "crosscheck-sec6 --n 8 --g 4 --maxdeg 30 --oracle".split(),
+    "invariant-oracle --type o --g 5 --degrees 1,2 --deg 8".split(),
+    "invariant-oracle --type o --g 6 --degrees 2 --deg 8".split(),
+    "invariant-oracle --type o --g 10 --degrees 2 --deg 4".split(),
+]
+# the sha256 of (argv, exit code, stdout, stderr) over them, as the oracle
+# printed them when its conjugacy closure ran until the orbit was exhausted
+ORTHOGONAL_ORACLE_SHA256 = "f4c3c7543760ea7de4af08aa3f3a42b1d7a380897d3825cd2da221cc91c50f63"
+
+
+def test_orthogonal_oracle_bytes():
+    digest, results = _digest(ORTHOGONAL_ORACLE)
+    assert digest == ORTHOGONAL_ORACLE_SHA256
+    assert all((code, err) == (0, "") for code, _, err in results)
 
 
 def test_oracle_seed_defaults_to_zero():

@@ -609,7 +609,7 @@ def test_weight_zero_enumeration_matches_the_filtered_product():
         factors = _random_factors(rng, g)
         product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
         expected = [element for element in product if not any(block_weight(element, g))]
-        assert invariants._block(g, (), {}, factors)[0] == expected
+        assert invariants._block(g, {}, factors) == expected
         seen.add((not factors, (2 * g, True) in factors, sum(m for m, _ in factors) % 2, bool(expected)))
     assert {(True, False, 0, True), (False, True, 0, True), (False, False, 1, False)} <= seen
 
@@ -619,28 +619,57 @@ def test_weight_zero_single_factors(g):
     # C(m/2 + g - 1, g - 1) elements of Sym^m and C(g, m/2) of Lambda^m
     for m in range(13):
         expected = math.comb(m // 2 + g - 1, g - 1) if m % 2 == 0 else 0
-        assert len(invariants._block(g, (), {}, [(m, False)])[0]) == expected
+        assert len(invariants._block(g, {}, [(m, False)])) == expected
     for m in range(2 * g + 1):
         expected = math.comb(g, m // 2) if m % 2 == 0 else 0
-        assert len(invariants._block(g, (), {}, [(m, True)])[0]) == expected
+        assert len(invariants._block(g, {}, [(m, True)])) == expected
+
+
+def _reference_orbit_sums(size, moved):
+    """The sums of the orbits, up to sign, of size basis elements under the
+    signed permutations moved, as image and sign lists, that no element of
+    the group they generate negates: the (element, sign) pairs that each
+    root reaches, kept when no element comes with both signs."""
+    seen, sums = set(), []
+    for root in range(size):
+        if root in seen:
+            continue
+        signed, frontier = {(root, 1)}, [(root, 1)]
+        while frontier:
+            b, x = frontier.pop()
+            for image, sign in moved:
+                if (image[b], sign[b] * x) not in signed:
+                    signed.add((image[b], sign[b] * x))
+                    frontier.append((image[b], sign[b] * x))
+        seen |= {b for b, _ in signed}
+        if len(signed) == len(dict(signed)):
+            sums.append(dict(signed))
+    return sums
 
 
 def test_move_images_match_the_kronecker_products():
-    # every move on random blocks, by the image and sign of each factor's
-    # monomial carried a factor at a time: on the weight-0 elements the
-    # images that the Kronecker products of the permuted index tuples give
-    # on the full block, at their places among those elements
+    # random blocks under one to three random moves, each applied by the
+    # walk one factor at a time: the orbit sums it keeps, with their signs,
+    # are those of the Kronecker products of the permuted index tuples on
+    # the full block, restricted to the weight-0 elements; orbits are kept
+    # and dropped, and kept ones carry both signs
     rng = random.Random(20261020)
+    kept = dropped = negative = 0
     for _ in range(300):
         g = rng.randint(1, 3)
         factors = _random_factors(rng, g)
-        moves = sorted(_all_moves(g))
+        moves = rng.sample(sorted(_all_moves(g)), rng.randint(1, 3))
         product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
-        expected = _signed_block(moves, factors)
-        elements, moved = invariants._block(g, moves, {}, factors)
+        elements = invariants._block(g, {}, factors)
         index = {element: b for b, element in enumerate(product)}
         at = {index[element]: k for k, element in enumerate(elements)}
-        assert moved == [([at[image[b]] for b in at], [sign[b] for b in at]) for image, sign in expected]
+        moved = [([at[image[b]] for b in at], [sign[b] for b in at]) for image, sign in _signed_block(moves, factors)]
+        sums = invariants._orbit_sums(factors, elements, moves, {})
+        assert sums == _reference_orbit_sums(len(elements), moved)
+        kept += len(sums)
+        dropped += len(elements) - sum(map(len, sums))
+        negative += any(-1 in column.values() for column in sums)
+    assert kept and dropped and negative
 
 
 def test_factor_wise_image_matches_the_tensor_product():
@@ -706,8 +735,8 @@ def test_kept_orbit_sums_are_fixed_by_every_listed_signed_permutation():
         g = rng.randint(1, 3)
         kind = rng.choice((GammaType.SYMPLECTIC, GammaType.ORTHOGONAL))
         factors = _random_factors(rng, g)
-        elements, moved = invariants._block(g, invariants._oracle_setup(kind, g)[0], {}, factors)
-        sums = invariants._orbit_sums(len(elements), moved)
+        elements = invariants._block(g, {}, factors)
+        sums = invariants._orbit_sums(factors, elements, invariants._oracle_setup(kind, g)[0], {})
         signed = [a for a in generator_matrices(kind, g) if signed_permutation(a)]
         for column in sums:
             vector = {elements[b]: x for b, x in column.items()}
@@ -723,9 +752,10 @@ def test_negated_orbit_is_dropped():
     # first pair negates it under o, and J fixes it under sp
     for g in (1, 2, 3):
         for kind, expected in ((GammaType.ORTHOGONAL, []), (GammaType.SYMPLECTIC, [{0: 1}])):
-            elements, moved = invariants._block(g, invariants._oracle_setup(kind, g)[0], {}, [(2 * g, True)])
+            factors = [(2 * g, True)]
+            elements = invariants._block(g, {}, factors)
             assert len(elements) == 1
-            assert invariants._orbit_sums(1, moved) == expected
+            assert invariants._orbit_sums(factors, elements, invariants._oracle_setup(kind, g)[0], {}) == expected
     assert brute_force_invariant_dim(GammaType.ORTHOGONAL, GradedVCopies(2, (1,)), 4) == (0, (0, 0), "modp")
 
 
@@ -734,8 +764,8 @@ def oracle_lifts(kind, g, factors):
     kernel vectors, on the orbit sums, that the oracle checks there; none
     for the orthogonal kind at g = 1, where no block is listed."""
     moves, _, _, derivations = invariants._oracle_setup(kind, g)
-    elements, moved = invariants._block(g, moves, {}, factors)
-    sums = invariants._orbit_sums(len(elements), moved)
+    elements = invariants._block(g, {}, factors)
+    sums = invariants._orbit_sums(factors, elements, moves, {})
     lifts = []
 
     def record(vector, p, lift=invariants._lift):
@@ -1347,6 +1377,23 @@ def test_setup_rejects_a_listed_unipotent_outside_the_kept_classes(monkeypatch, 
     monkeypatch.setattr(invariants, "_orbit_block", lambda *args: pytest.fail("a block was counted"))
     with pytest.raises(AssertionError, match="not \\+-conjugate to a kept one"):
         brute_force_invariant_dim(kind, GradedVCopies(g, (2,)), 8)
+
+
+@pytest.mark.parametrize("kind, processed", [(GammaType.ORTHOGONAL, 47), (GammaType.SYMPLECTIC, 216)])
+def test_conjugacy_closure_stops_once_every_listed_unipotent_is_reached(monkeypatch, kind, processed):
+    # at g = 10 the H-orbit of the kept N has 360 conjugates for o and 380
+    # for sp; the closure asks for monomial_moves once for each conjugate
+    # that it processes, and once more for the setup's moves, and it stops
+    # when the last listed N, or -N, has been reached
+    calls = []
+
+    def counted(kind, g):
+        calls.append((kind, g))
+        return monomial_moves(kind, g)
+
+    monkeypatch.setattr(invariants, "monomial_moves", counted)
+    invariants._oracle_setup.__wrapped__(kind, 10)
+    assert len(calls) == processed + 1
 
 
 def test_a_lift_that_fails_its_rows_reruns_over_q(monkeypatch):
