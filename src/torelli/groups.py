@@ -3,11 +3,11 @@
 Basis convention: coordinates (a_1..a_g, b_1..b_g) against a hyperbolic basis
 x_1..x_g, y_1..y_g, with the pairing matrix J = [[0, I], [s*I, 0]] for
 s = +1 (orthogonal) or s = -1 (symplectic).  Membership is the exact integer
-identity A^T J A = J, read as N^T J + J N + N^T J N = 0 for N = A - 1: J is
-a signed permutation, so each nonzero of N costs one row of N.  The
-generators are listed sparsely, a unipotent 1 + N by the columns of N and a
-signed permutation by the image and sign of each basis vector, and products
-are taken on columns.  The quadratic refinement of a vector is
+identity A^T J A = J, read on the nonzero entries of N = A - 1 as N^T J +
+J N + N^T J N = 0: J is a signed permutation, so each costs one row of N; a
+signed permutation A, listed by the image and sign of each basis vector, is
+checked pair by pair.  A unipotent 1 + N is listed by the columns of N, and
+products are taken on columns.  The quadratic refinement of a vector is
 q(v) = sum a_i b_i, read modulo the dimension-dependent subgroup: 0 for n
 even, all of Z for n in {1, 3, 7}, and 2Z otherwise.
 """
@@ -71,15 +71,13 @@ def form_for_kind(kind: GammaType, g: int) -> GroupForm:
     return GroupForm(g, 1 if kind is GammaType.ORTHOGONAL else -1)
 
 
-def _preserves_form(columns: dict[int, dict[int, int]], form: GroupForm) -> bool:
-    """Exact check of A^T J A = J, for A by its sparse columns {row: entry},
-    by index, wherever they are not those of 1: with N = A - 1, that is N^T J
-    + J N + N^T J N = 0.  J is a signed permutation, J[r][pi(r)] = sigma(r)
-    with pi(r) = r +- g, so each N_ij gives sigma(i) N_ij to (N^T
-    J)[j][pi(i)], sigma(pi(i)) N_ij to (J N)[pi(i)][j] and sigma(i) N_ij
-    times row pi(i) of N to row j of N^T J N."""
+def _preserves_form(n: Sequence[tuple[int, int, int]], form: GroupForm) -> bool:
+    """Exact check of A^T J A = J, for N = A - 1 by its nonzero entries (i,
+    j, N_ij): that is N^T J + J N + N^T J N = 0.  J is a signed permutation,
+    J[r][pi(r)] = sigma(r) with pi(r) = r +- g, so each N_ij gives sigma(i)
+    N_ij to (N^T J)[j][pi(i)], sigma(pi(i)) N_ij to (J N)[pi(i)][j] and
+    sigma(i) N_ij times row pi(i) of N to row j of N^T J N."""
     g = form.g
-    n = [(i, j, x - (i == j)) for j, column in columns.items() for i, x in {j: 0, **column}.items() if x != (i == j)]
     rows: dict = {}
     for i, j, x in n:
         rows.setdefault(i, []).append((j, x))
@@ -94,12 +92,25 @@ def _preserves_form(columns: dict[int, dict[int, int]], form: GroupForm) -> bool
     return not any(defect.values())
 
 
+def _moves_form(move: Move, form: GroupForm) -> bool:
+    """A^T J A = J, exactly, for a signed permutation A by its `Move`: basis
+    vectors pair nonzero only within a hyperbolic pair, so that is a
+    permutation of the images that takes each pair (x_c, y_c) to a pair, with
+    sign product 1 when x_c lands on an x, or sigma when it lands on a y."""
+    g, size = form.g, 2 * form.g
+    return sorted(r for r, _ in move) == list(range(size)) and all(
+        move[g + c][0] == (r + g) % size and x * move[g + c][1] == (1 if r < g else form.sign)
+        for c, (r, x) in enumerate(move[:g])
+    )
+
+
 def is_in_group(a: Matrix, form: GroupForm) -> bool:
     """Exact check of A^T J A = J, on the nonzeros of N = A - 1."""
     size = 2 * form.g
     if len(a) != size or any(len(row) != size for row in a):
         raise ValueError("matrix size does not match the form")
-    return _preserves_form({j: {i: row[j] for i, row in enumerate(a) if row[j]} for j in range(size)}, form)
+    n = [(i, j, x - (i == j)) for i, row in enumerate(a) for j, x in enumerate(row) if x != (i == j)]
+    return _preserves_form(n, form)
 
 
 def _reduce(value: int, modulus: QuadraticModulus) -> int:
@@ -180,22 +191,11 @@ def _transvection(v: dict[int, int], form: GroupForm) -> Columns:
     return tuple((c, tuple((r, x * y) for r, y in support)) for c, x in sorted(columns.items()))
 
 
-def _moved_columns(s: Generator) -> dict[int, dict[int, int]]:
-    """The sparse columns {row: entry} of a generator's matrix, by index,
-    that are not those of 1."""
-    if s.move:
-        return {c: {r: x} for c, (r, x) in enumerate(s.move) if (r, x) != (c, 1)}
-    columns = {j: {j: 1} for j, _ in s.n}
-    for j, column in s.n:
-        for i, x in column:
-            columns[j][i] = columns[j].get(i, 0) + x
-    return columns
-
-
 @lru_cache(maxsize=None)
 def listed_generators(kind: GammaType, g: int) -> tuple[Generator, ...]:
     """A fixed, deterministic generator list; every element is verified
-    against the defining equation (and the quadratic filter for theta)."""
+    against the defining equation, a unipotent on the entries of its N and a
+    signed permutation pair by pair (and the quadratic filter for theta)."""
     form = form_for_kind(kind, g)
     size = 2 * g
     if kind in (GammaType.SYMPLECTIC, GammaType.THETA):
@@ -214,7 +214,10 @@ def listed_generators(kind: GammaType, g: int) -> tuple[Generator, ...]:
                 else Generator(tuple((j, tuple((i, 2 * x) for i, x in column)) for j, column in s.n), None)
                 for s in gens
             ]
-            gens = [s for s in gens + squares if _columns_refine_to_zero(_moved_columns(s).values(), g, QuadraticModulus.MOD2)]
+            # 1 + N has the column e_j + N_j at each j that N moves, N_jj = 0;
+            # a signed permutation has one nonzero per column, refining to 0
+            mod2 = QuadraticModulus.MOD2
+            gens = [s for s in gens + squares if _columns_refine_to_zero([{j: 1, **dict(c)} for j, c in s.n], g, mod2)]
     else:
         gens, identity = [], [(c, 1) for c in range(size)]
         for i in range(g):
@@ -229,7 +232,10 @@ def listed_generators(kind: GammaType, g: int) -> tuple[Generator, ...]:
             move = list(identity)
             move[i], move[j], move[g + i], move[g + j] = (j, 1), (i, 1), (g + j, 1), (g + i, 1)
             gens.append(Generator((), tuple(move)))
-    if not all(_preserves_form(_moved_columns(s), form) for s in gens):
+    if not all(
+        _moves_form(s.move, form) if s.move else _preserves_form([(i, j, x) for j, c in s.n for i, x in c], form)
+        for s in gens
+    ):
         raise AssertionError("generator fails the defining equation")
     return tuple(gens)
 

@@ -610,13 +610,13 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     """After asserting the matrix facts that keep the route to weight 0 (see
     the module docstring) on N = s - 1 for each listed unipotent s, and that
     each such N is +- h N' h^-1 for a kept N' and an h in the group H that
-    `monomial_moves` generates, by closing the kept N under conjugation
-    until every listed N or -N is reached: the moves, those of
-    `monomial_moves` and then every other listed signed permutation; the
-    cache of `_block`'s monomials and `_orbit_sums`' images, and one of
-    block counts; and the derivations, each kept N with a cache of its
-    monomial images, one per H-conjugacy class.  The pieces of one genus
-    share them."""
+    `monomial_moves` generates, by closing the kept N up to sign (one key
+    for N and -N) under conjugation until every listed N is reached: the
+    moves, those of `monomial_moves` and then every other listed signed
+    permutation; the cache of `_block`'s monomials and `_orbit_sums`'
+    images, and one of block counts; and the derivations, each kept N with
+    a cache of its monomial images, one per H-conjugacy class.  The pieces
+    of one genus share them."""
     generators = listed_generators(kind, g)
     n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
@@ -638,21 +638,25 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     # the first N; or N_x1 and N_{x1 + y2}, listed after the 2g N_{e_i}
     kept = n[:1] + (n[2 * g : 2 * g + 1] if kind is GammaType.SYMPLECTIC else [])
     # h N h^-1 for h in H, as entries (i, j, x): a signed permutation takes x
-    # at (i, j) to sign_i sign_j x at (image_i, image_j); the closure stops
-    # once it has reached every listed N, or -N
-    orbit = [frozenset((i, j, x) for j, column in a for i, x in column) for a in kept]
+    # at (i, j) to sign_i sign_j x at (image_i, image_j).  N and -N share
+    # one key, their sorted entries with the first one positive; the
+    # closure stops once it has reached every listed N, or -N
+    def sign_free(entries: list) -> tuple:
+        entries.sort()
+        return tuple([(i, j, -x) for i, j, x in entries] if entries and entries[0][2] < 0 else entries)
+
+    orbit = [sign_free([(i, j, x) for j, column in a for i, x in column]) for a in kept]
     closed = set(orbit)
-    missing = {frozenset((i, j, x) for j, column in a for i, x in column) for a in n} - closed
-    missing -= {frozenset((i, j, -x) for i, j, x in a) for a in orbit}
+    missing = {sign_free([(i, j, x) for j, column in a for i, x in column]) for a in n} - closed
     for a in orbit:
         if not missing:
             break
         for move in monomial_moves(kind, g):
-            b = frozenset((move[i][0], move[j][0], move[i][1] * move[j][1] * x) for i, j, x in a)
+            b = sign_free([(move[i][0], move[j][0], move[i][1] * move[j][1] * x) for i, j, x in a])
             if b not in closed:
                 closed.add(b)
                 orbit.append(b)
-                missing -= {b, frozenset((i, j, -x) for i, j, x in b)}
+                missing.discard(b)
     if missing:
         raise AssertionError("a listed unipotent generator is not +-conjugate to a kept one under H")
     moves = tuple(dict.fromkeys(monomial_moves(kind, g) + tuple(s.move for s in generators if s.move)))

@@ -882,6 +882,26 @@ def test_orthogonal_oracle_bytes():
     assert all((code, err) == (0, "") for code, _, err in results)
 
 
+# group-sample of every kind at every genus up to the cap, three seeds each,
+# words of 50 generators: every listed generator and the membership check
+GROUP_SAMPLE = [
+    ["group-sample", "--type", kind, "--g", str(g), "--seed", str(seed), "--len", "50"]
+    for kind in ("sp", "o", "theta")
+    for g in range(1, 11)
+    for seed in (1, 2, 3)
+]
+# the sha256 of (argv, exit code, stdout, stderr) over them, as printed when
+# the generators were checked on the columns of each matrix
+GROUP_SAMPLE_SHA256 = "4a5d35a88b3351c39bc42617e474bc50353f3d2667c3b5052cb87e0e8b509895"
+
+
+def test_group_sample_bytes():
+    digest, results = _digest(GROUP_SAMPLE)
+    assert digest == GROUP_SAMPLE_SHA256
+    assert len(results) == 90
+    assert all((code, err) == (0, "") for code, _, err in results)
+
+
 def test_oracle_seed_defaults_to_zero():
     argv = ["invariant-oracle", "--type", "sp", "--g", "1", "--degrees", "1,3", "--deg", "4"]
     code, out, _ = _capture(argv)

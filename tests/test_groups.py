@@ -11,6 +11,7 @@ from torelli import groups
 from torelli.cli import GENUS_CAP
 from torelli.groups import (
     GammaType,
+    Generator,
     GroupForm,
     QuadraticModulus,
     form_for_kind,
@@ -69,10 +70,10 @@ def _n_columns(a):
 
 
 def test_form_identity_on_n_matches_dense_products():
-    # A^T J A = J read as N^T J + J N + N^T J N = 0 on the nonzeros of N =
-    # A - 1, given only the columns that N moves, against the dense
-    # products: sparse perturbations of I and of random signed
-    # permutations, g <= 4, both forms.  Members come from the
+    # A^T J A = J read as N^T J + J N + N^T J N = 0 on the nonzero entries
+    # (i, j, N_ij) of N = A - 1, against the dense products: sparse
+    # perturbations of I and of random signed permutations, g <= 4, both
+    # forms.  Members come from the
     # perturbations that are transvections, the listed E_ij and the signed
     # permutations that keep the hyperbolic pairs, with matching signs;
     # non-members from the rest
@@ -110,12 +111,80 @@ def test_form_identity_on_n_matches_dense_products():
             for _ in range(rng.randint(1, 3)):
                 a[rng.randrange(size)][rng.randrange(size)] += rng.choice((-2, -1, 1, 2))
         expected = dense_is_in_group(a, form)
-        # the columns of a that are not those of 1, by index
-        moved = {j: {r: a[r][j] for r in range(size) if a[r][j]} for j, _ in _n_columns(a)}
-        assert groups._preserves_form(moved, form) is expected
+        entries = [(i, j, x) for j, column in _n_columns(a) for i, x in column]
+        assert groups._preserves_form(entries, form) is expected
         assert is_in_group(a, form) is expected
         verdicts[expected] += 1
     assert min(verdicts.values()) >= 400
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pair_check_matches_dense_products_on_every_signed_permutation(g, sign):
+    # every permutation of the 2g basis vectors with every sign pattern,
+    # against the dense A^T J A = J; for A = P D, with D the diagonal of
+    # signs, that is D (P^T J P) D, entry (c, d) of P^T J P times s_c s_d
+    size, form = 2 * g, GroupForm(g, sign)
+    j, members = form.matrix, 0
+    for images in itertools.permutations(range(size)):
+        p = [[int(images[c] == r) for c in range(size)] for r in range(size)]
+        m = mat_mul(mat_mul(mat_transpose(p), j), p)
+        for signs in itertools.product((1, -1), repeat=size):
+            expected = all(signs[c] * signs[d] * m[c][d] == j[c][d] for c in range(size) for d in range(size))
+            assert groups._moves_form(tuple(zip(images, signs)), form) is expected
+            members += expected
+    # pair permutations, a swap or not within each pair, and a sign on each
+    # x_c that fixes the one on its partner
+    assert members == math.factorial(g) * 4**g
+
+
+@pytest.mark.parametrize("kind", list(GammaType))
+def test_pair_check_rejects_wrong_lengths_and_repeated_images(kind):
+    form = form_for_kind(kind, 2)
+    j_move = tuple(((c + 2) % 4, 1 if c >= 2 else form.sign) for c in range(4))
+    assert groups._moves_form(j_move, form)
+    # too short, too long, and x_1 and x_2 both on the pair of x_1
+    for move in (j_move[:3], j_move + ((0, 1),), ((2, 1), (2, 1), (0, form.sign), (0, form.sign))):
+        assert not groups._moves_form(move, form)
+
+
+def _mutated(monkeypatch, mutate):
+    """Route every generator that `listed_generators` builds through mutate,
+    which takes and returns (n, move)."""
+    build = groups.Generator
+    monkeypatch.setattr(groups, "Generator", lambda n, move: build(*mutate(n, move)))
+
+
+@pytest.mark.parametrize(
+    "kind, g, target, mutant",
+    [
+        # the swap of the first pair, with y_1 sent to -x_1
+        (GammaType.ORTHOGONAL, 2, ((2, 1), (1, 1), (0, 1), (3, 1)), ((2, 1), (1, 1), (0, -1), (3, 1))),
+        # J with x_1 sent to +y_1
+        (GammaType.SYMPLECTIC, 2, ((2, -1), (3, -1), (0, 1), (1, 1)), ((2, 1), (3, -1), (0, 1), (1, 1))),
+        (GammaType.THETA, 1, ((1, -1), (0, 1)), ((1, -1), (0, -1))),
+    ],
+    ids=["o-swap", "sp-J", "theta-J"],
+)
+def test_a_signed_permutation_with_a_wrong_sign_is_rejected(monkeypatch, kind, g, target, mutant):
+    assert Generator((), target) in listed_generators.__wrapped__(kind, g)
+    _mutated(monkeypatch, lambda n, move: (n, mutant if move == target else move))
+    with pytest.raises(AssertionError, match="generator fails the defining equation"):
+        listed_generators.__wrapped__(kind, g)
+
+
+@pytest.mark.parametrize("kind", [GammaType.SYMPLECTIC, GammaType.THETA, GammaType.ORTHOGONAL])
+def test_a_unipotent_with_one_entry_changed_is_rejected(monkeypatch, kind):
+    # the last entry of the first listed N with more than one entry, negated:
+    # T_{x1 + y2} for sp and theta, E_12 for o.  (1 + cN is in the group for
+    # every c when N has one entry, as T_x1's does)
+    unipotents = [s.n for s in listed_generators.__wrapped__(kind, 2) if s.move is None]
+    first = next(n for n in unipotents if sum(len(column) for _, column in n) > 1)
+    *rest, (j, column) = first
+    changed = (*rest, (j, column[:-1] + ((column[-1][0], -column[-1][1]),)))
+    _mutated(monkeypatch, lambda n, move: (changed if n == first else n, move))
+    with pytest.raises(AssertionError, match="generator fails the defining equation"):
+        listed_generators.__wrapped__(kind, 2)
 
 
 @settings(max_examples=300, deadline=None)
