@@ -78,7 +78,7 @@ class RootSystem(
         columns = [[root[i] for root in self.simple_roots] for i in range(self.g)]
         inverse = invert_fraction_matrix(columns)
         scale = math.lcm(*(x.denominator for row in inverse for x in row))
-        return tuple(tuple(int(x * scale) for x in row) for row in inverse)
+        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in inverse)
 
     @cached_property
     def coordinate_columns(self) -> tuple[Vector, ...]:

@@ -80,7 +80,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Sequence
@@ -297,9 +296,9 @@ def _exponent_vectors(dim: int, m: int, exterior: bool) -> tuple[tuple[int, ...]
     return tuple(tuple(map(b.count, range(dim))) for b in combos(range(dim), m))
 
 
-def rational_reconstruction(a: int, p: int) -> Fraction | None:
-    """The fraction n/d with |n|, d <= sqrt(p / 2) and n = a * d mod p, or
-    None when there is none (it is unique when it exists)."""
+def rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:
+    """The reduced pair (n, d), d > 0, with |n|, d <= sqrt(p / 2) and n = a * d
+    mod p, or None when there is none (it is unique when it exists)."""
     bound = math.isqrt(p // 2)
     r0, r1 = p, a % p
     t0, t1 = 0, 1
@@ -310,7 +309,7 @@ def rational_reconstruction(a: int, p: int) -> Fraction | None:
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _lift(vector: Column, p: int) -> Column | None:
@@ -322,8 +321,8 @@ def _lift(vector: Column, p: int) -> Column | None:
         if q is None:
             return None
         lifted[k] = q
-    scale = math.lcm(*(q.denominator for q in lifted.values()))
-    return {k: int(q * scale) for k, q in lifted.items()}
+    scale = math.lcm(*(d for _, d in lifted.values()))
+    return {k: n * (scale // d) for k, (n, d) in lifted.items()}
 
 
 def _echelon_history(groups, rows_of: Callable, size: int, p: int) -> tuple[list[int], dict]:
@@ -621,11 +620,11 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     n = [s.n for s in generators if s.move is None]
     if kind is GammaType.SYMPLECTIC:  # [N_xi, N_yi] = +-h_i; the T_{e_i} are listed first
         brackets = [(n[i], n[g + i], {(i, i): 1, (g + i, g + i): -1}) for i in range(g)]
-    else:  # [N_ij, N_ji] = +-(h_i - h_j); the E_ij are listed in the order of (i, j)
+    else:  # [N_ij, N_ji] = +-(h_i - h_j) = -[N_ji, N_ij], i < j; the E_ij are listed in the order of (i, j)
         index = {pair: k for k, pair in enumerate((i, j) for i in range(g) for j in range(g) if i != j)}
         brackets = [
             (n[k], n[index[j, i]], {(i, i): 1, (g + i, g + i): -1, (j, j): -1, (g + j, g + j): 1})
-            for (i, j), k in index.items()
+            for (i, j), k in index.items() if i < j
         ]
         swap = [(c, 1) for c in range(2 * g)]
         swap[0], swap[g] = (g, 1), (0, 1)

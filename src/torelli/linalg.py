@@ -1,25 +1,37 @@
 """Exact integer and rational matrix helpers, on one sparse elimination.
 
 Matrices are lists (or tuples) of rows.  `_insert_row` reduces sparse rows
-into an echelon form whose pivot rows are monic, modulo a prime p or over Q
-when p is 0, and `_kernel_vectors` reads the kernel off it.  The invariant
-oracle runs it modulo p and over Q; `kernel_basis` and
-`invert_fraction_matrix` run it over Q.
+into an echelon form whose pivot rows are monic modulo a prime p, and over Q,
+when p is 0, primitive integer rows that a row is reduced against by
+cross-multiplication (E. H. Bareiss, Math. Comp. 22, 1968); `_kernel_vectors`
+reads the kernel off it.  The invariant oracle runs it modulo p and over Q;
+`kernel_basis` and `invert_fraction_matrix` run it over Q, and build a
+`Fraction` only for each entry they return.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 Column = dict[int, int]  # sparse column: row index -> nonzero entry
 
 
+def _cross(row: Column, q: int, f: int) -> int:
+    """Scale the row by q / g in place, g = gcd(q, f), and return f / g: that
+    multiple of a pivot row with pivot q then cancels the entry f."""
+    g = math.gcd(q, f)
+    if q != g:
+        for k in row:
+            row[k] *= q // g
+    return f // g
+
+
 def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
-    """Reduce a row against the pivot rows (each monic in its pivot column,
-    with no entry to the left of it) and keep it as a new pivot row if
-    anything is left: modulo p, or over Q when p is 0.  Modulo p, entries are
-    reduced only once they lead."""
+    """Reduce a row against the pivot rows (none with an entry left of its
+    pivot) and keep what is left as a new pivot row: modulo p, monic, with
+    entries reduced only once they lead; or over Q, divided by its content."""
     row = dict(row)
     while row:
         c = min(row)
@@ -28,14 +40,16 @@ def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
             continue
         pivot_row = pivots.get(c)
         if pivot_row is None:
-            inverse = pow(f, -1, p) if p else 1 / Fraction(f)
-            new = {c: 1}
+            unit = pow(f, -1, p) if p else math.gcd(f, *row.values())
+            new = {c: 1 if p else f // unit}
             for k, x in row.items():
-                x = x * inverse % p if p else x * inverse
+                x = x * unit % p if p else x // unit
                 if x:
                     new[k] = x
             pivots[c] = new
             return
+        if not p:
+            f = _cross(row, pivot_row[c], f)
         get = row.get
         for k, y in pivot_row.items():
             if k != c:
@@ -45,12 +59,14 @@ def _insert_row(pivots: dict[int, Column], row: Column, p: int) -> None:
 def _kernel_vectors(pivots: dict[int, Column], size: int, p: int) -> list[Column]:
     """One kernel vector per free column, in column order: 1 there, 0 on the
     other free columns, read off the reduced echelon form, modulo p or over Q
-    when p is 0."""
+    when p is 0, dividing by a row's pivot only as each entry is returned."""
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         # the pivot rows to the right are already reduced: own pivot plus free columns
         for k in [k for k in row if k != c and k in pivots]:
             f = row.pop(k)
+            if not p:
+                f = _cross(row, pivots[k][k], f)
             for j, y in pivots[k].items():
                 if j != k:
                     x = row.get(j, 0) - f * y
@@ -63,14 +79,16 @@ def _kernel_vectors(pivots: dict[int, Column], size: int, p: int) -> list[Column
     for c, row in pivots.items():
         for k, x in row.items():
             if k != c:
-                vectors[k][c] = -x % p if p else -x
+                vectors[k][c] = -x % p if p else Fraction(-x, row[c])
     return list(vectors.values())
 
 
 def _rational_echelon(rows) -> dict[int, Column]:
+    """The echelon form over Q of int or Fraction rows, cleared of denominators."""
     pivots: dict[int, Column] = {}
     for row in rows:
-        _insert_row(pivots, {j: x for j, x in enumerate(row) if x}, 0)
+        scale = math.lcm(*(x.denominator for x in row))
+        _insert_row(pivots, {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}, 0)
     return pivots
 
 
@@ -85,12 +103,12 @@ def kernel_basis(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
 
 
 def invert_fraction_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse; raises on a singular input.  The pivots of [a | I] lie
+    """Exact inverse; raises on a singular input.  The pivots of [a | -I] lie
     in its first n columns exactly when a is invertible, and then the kernel
-    vector of free column n + j is (-a^-1 e_j, e_j)."""
+    vector of free column n + j is (a^-1 e_j, e_j)."""
     n = len(a)
-    pivots = _rational_echelon([*row] + [int(i == j) for j in range(n)] for i, row in enumerate(a))
+    pivots = _rational_echelon([*row] + [-int(i == j) for j in range(n)] for i, row in enumerate(a))
     if max(pivots, default=-1) >= n:
         raise ValueError("singular matrix")
-    vectors = _kernel_vectors(pivots, 2 * n, 0)
-    return [[Fraction(-v.get(i, 0)) for v in vectors] for i in range(n)]
+    vectors, zero = _kernel_vectors(pivots, 2 * n, 0), Fraction(0)
+    return [[v.get(i, zero) for v in vectors] for i in range(n)]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import torelli
 from torelli import groups, invariants
+from torelli.borel import representation_bound
 from torelli.cli import (
     _FORMAT_ARGUMENT,
     _SUBCOMMANDS,
@@ -900,6 +901,29 @@ def test_group_sample_bytes():
     assert digest == GROUP_SAMPLE_SHA256
     assert len(results) == 90
     assert all((code, err) == (0, "") for code, _, err in results)
+
+
+# borel-constant of both families at every rank and k = 0..3, with qmax one
+# above the proved bound and at 2000: 496 requests
+BOREL_REQUESTS = [
+    ["borel-constant", "--family", family, "--g", str(g), "--k", str(k), "--qmax", str(q)]
+    for family in ("C", "D")
+    for g in range(2, 33)
+    for k in range(4)
+    for q in sorted({max(representation_bound(family, g, k) + 1, 0), 2000})
+]
+# the sha256 of f"{code}\n{stdout}{stderr}" over them, as printed when the
+# inverse simple-root matrix was eliminated in Fraction arithmetic
+BOREL_SHA256 = "5b1be14c81080a73784150ec7437a851fe7fb02f31731a3dd32f1bd2d066fd7c"
+
+
+def test_borel_constant_bytes():
+    assert len(BOREL_REQUESTS) == 496
+    digest = hashlib.sha256()
+    for argv in BOREL_REQUESTS:
+        code, out, err = _capture(argv)
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == BOREL_SHA256
 
 
 def test_oracle_seed_defaults_to_zero():

@@ -1235,14 +1235,15 @@ def test_rational_reconstruction_round_trip():
     bound = math.isqrt(p // 2)
     for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-7, 12), Fraction(bound, bound - 1)):
         residue = q.numerator * pow(q.denominator, -1, p) % p
-        assert invariants.rational_reconstruction(residue, p) == q
+        assert invariants.rational_reconstruction(residue, p) == (q.numerator, q.denominator)
 
 
 def test_rational_reconstruction_none():
     # modulo 13 the bound is 2: 0, +-1, +-2 and +-1/2 are 0, 1, 12, 2, 11, 7
-    # and 6; no fraction that small is 5 mod 13
+    # and 6; no fraction that small is 5 mod 13.  Each comes back as the
+    # reduced pair (n, d), d > 0
     assert [invariants.rational_reconstruction(a, 13) for a in (0, 1, 12, 2, 11, 7, 6)] == [
-        Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2),
+        (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
     ]
     assert [a for a in range(13) if invariants.rational_reconstruction(a, 13) is None] == [3, 4, 5, 8, 9, 10]
 

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torelli import linalg
 from torelli.linalg import invert_fraction_matrix, kernel_basis
 
 
@@ -233,3 +236,61 @@ def test_kernel_basis_matches_the_bareiss_reference():
     assert kernel_basis([[0], [0]]) == [[1]]
     assert kernel_basis([[0], [3]]) == []
 
+
+# -- the same properties on drawn matrices: int or Fraction entries, with
+# zero rows and rows that combine earlier ones, so that singular matrices
+# and negative or non-unit pivots all occur
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 6))),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    m = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("dense", "dense", "dense", "zero", "combination")))
+        if kind == "zero":
+            m.append([draw(st.sampled_from((0, Fraction(0))))] * cols)
+        elif kind == "combination" and m:
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            x, y = draw(_entries), draw(_entries)
+            m.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            m.append([draw(_entries) for _ in range(cols)])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rational_pivot_rows_are_primitive_integer_rows(m):
+    pivots = linalg._rational_echelon(m)
+    assert len(pivots) == rank(m)
+    for c, row in pivots.items():
+        assert min(row) == c and all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_kernel_basis_matches_the_reference_on_drawn_matrices(m):
+    basis = kernel_basis(m)
+    assert basis == bareiss_kernel_basis(m)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(square=True))
+def test_inverse_on_drawn_matrices(a):
+    n = len(a)
+    if rank(a) < n:
+        with pytest.raises(ValueError, match="singular matrix"):
+            invert_fraction_matrix(a)
+        return
+    inv = invert_fraction_matrix(a)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert mat_equal(mat_mul(a, inv), identity_matrix(n))
