@@ -27,7 +27,8 @@ by L, the lcm of its denominators.  So every coordinate, top sum and height
 is L times its rational value, an integer, and since L > 0 every comparison
 between them is the same as between the rational values.  Every positive
 root has at most two nonzero entries, and the tables take the coordinates
-of the roots from those alone.
+of the roots from those alone.  `root_system` builds every table once, as
+a field of the record, and caches the record per family and rank.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import invert_fraction_matrix
@@ -48,42 +50,30 @@ def _top_sums(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(sorted(values, reverse=True), initial=0))
 
 
-class RootSystem(
-    NamedTuple(
-        "RootSystem",
-        [
-            ("family", str),  # "C" | "D"
-            ("g", int),
-            ("positive_roots", tuple[Vector, ...]),
-            ("simple_roots", tuple[Vector, ...]),
-            ("rho", Vector),
-        ],
-    )
-):
-    """A root system and its coordinate tables.  No ``__slots__``: each table
-    is computed once per instance and kept in the instance ``__dict__``,
-    which is all that can be set on it."""
+class RootSystem(NamedTuple):
+    """A root system and its coordinate tables, all built by `root_system`.
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    coordinate_rows: the rows f_r of the inverse simple-root matrix, scaled
+    by L, the lcm of its denominators, so that f_r(v) is L times the
+    coefficient of the r-th simple root in v; coordinate_columns[i][r] =
+    f_r(e_i); root_values[r][j] = f_r of the j-th positive root, and
+    root_heights[j] its height, the sum of its coordinates; top_sums[r][q]:
+    the largest value of f_r on a sum of q distinct positive roots, which is
+    the sum of its q largest values on them; top_heights[q] the same for
+    the height."""
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def coordinate_rows(self) -> tuple[Vector, ...]:
-        """Rows f_r of the inverse simple-root matrix, scaled by L, the lcm
-        of its denominators: f_r(v) is L times the coefficient of the r-th
-        simple root in v."""
-        columns = [[root[i] for root in self.simple_roots] for i in range(self.g)]
-        inverse = invert_fraction_matrix(columns)
-        scale = math.lcm(*(x.denominator for row in inverse for x in row))
-        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in inverse)
-
-    @cached_property
-    def coordinate_columns(self) -> tuple[Vector, ...]:
-        """coordinate_columns[i][r] = f_r(e_i)."""
-        return tuple(zip(*self.coordinate_rows))
+    family: str  # "C" | "D"
+    g: int
+    positive_roots: tuple[Vector, ...]
+    simple_roots: tuple[Vector, ...]
+    rho: Vector
+    coordinate_rows: tuple[Vector, ...]
+    coordinate_columns: tuple[Vector, ...]
+    rho_coordinates: Vector
+    root_values: tuple[Vector, ...]
+    root_heights: Vector
+    top_sums: tuple[tuple[int, ...], ...]
+    top_heights: tuple[int, ...]
 
     def coordinates(self, v: Sequence[int | Fraction]) -> list[int | Fraction]:
         """[f_r(v) for each r], one column per nonzero entry of v."""
@@ -92,32 +82,6 @@ class RootSystem(
             if x:
                 out = [a + x * c for a, c in zip(out, column)]
         return out
-
-    @cached_property
-    def rho_coordinates(self) -> Vector:
-        return tuple(self.coordinates(self.rho))
-
-    @cached_property
-    def root_values(self) -> tuple[Vector, ...]:
-        """root_values[r][j]: f_r of the j-th positive root, from its at most
-        two nonzero entries."""
-        return tuple(zip(*map(self.coordinates, self.positive_roots)))
-
-    @cached_property
-    def root_heights(self) -> Vector:
-        """The height of each positive root, the sum of its coordinates f_r."""
-        return tuple(map(sum, zip(*self.root_values)))
-
-    @cached_property
-    def top_sums(self) -> tuple[tuple[int, ...], ...]:
-        """top_sums[r][q]: the largest value of f_r on a sum of q distinct
-        positive roots, which is the sum of its q largest values on them."""
-        return tuple(_top_sums(values) for values in self.root_values)
-
-    @cached_property
-    def top_heights(self) -> tuple[int, ...]:
-        """The same for the height."""
-        return _top_sums(self.root_heights)
 
 
 @lru_cache(maxsize=None)
@@ -131,23 +95,36 @@ def root_system(family: str, g: int) -> RootSystem:
         """a_i + sign a_j."""
         return tuple((k == i) + sign * (k == j) for k in range(g))
 
-    positive = [root(i, j, sign) for i in range(g) for j in range(i + 1, g) for sign in (1, -1)]
-    simple = [root(i, i + 1, -1) for i in range(g - 1)]
+    pairs = [(i, j, sign) for i in range(g) for j in range(i + 1, g) for sign in (1, -1)]
+    simple = tuple(root(i, i + 1, -1) for i in range(g - 1))
     if family == "C":
-        positive += [root(i, i, 1) for i in range(g)]
-        simple.append(root(g - 1, g - 1, 1))
+        pairs += [(i, i, 1) for i in range(g)]
+        simple += (root(g - 1, g - 1, 1),)
         rho = tuple(g - i for i in range(g))
         expected = g * g
     else:
-        simple.append(root(g - 2, g - 1, 1))
+        simple += (root(g - 2, g - 1, 1),)
         rho = tuple(g - i - 1 for i in range(g))
         expected = g * (g - 1)
+    positive = tuple(root(*pair) for pair in pairs)
     if len(positive) != expected:
         raise AssertionError("positive root count mismatch")
     double_rho = tuple(2 * x for x in rho)
     if tuple(map(sum, zip(*positive))) != double_rho:
         raise AssertionError("2*rho must equal the sum of the positive roots")
-    rs = RootSystem(family, g, tuple(positive), tuple(simple), rho)
+    inverse = invert_fraction_matrix([[root[i] for root in simple] for i in range(g)])
+    scale = math.lcm(*(x.denominator for row in inverse for x in row))
+    rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in inverse)
+    columns = tuple(zip(*rows))
+    # f(a_i + sign a_j) = f(e_i) + sign f(e_j), and f(2 a_i) = 2 f(e_i)
+    values = [tuple(a + sign * b for a, b in zip(columns[i], columns[j])) for i, j, sign in pairs]
+    heights = tuple(map(sum, values))
+    root_values = tuple(zip(*values))
+    rho_coordinates = tuple(sum(map(mul, row, rho)) for row in rows)
+    top_sums, top_heights = tuple(map(_top_sums, root_values)), _top_sums(heights)
+    rs = RootSystem(
+        family, g, positive, simple, rho, rows, columns, rho_coordinates, root_values, heights, top_sums, top_heights
+    )
     for root in positive:
         if not is_positive_combination(root, rs):
             raise AssertionError("positive root outside the simple cone")

@@ -81,7 +81,7 @@ import itertools
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, neg
 from typing import Callable, NamedTuple, Sequence
 
 from .graded import free_graded_commutative_series
@@ -288,14 +288,6 @@ def _check_work_cap(work: int) -> None:
         raise OracleCapExceeded(f"orbit-route work {work} > cap {WORK_CAP}")
 
 
-@lru_cache(maxsize=64)
-def _exponent_vectors(dim: int, m: int, exterior: bool) -> tuple[tuple[int, ...], ...]:
-    """The basis of Sym^m, or (exterior) Lambda^m, of a dim-dimensional space
-    as exponent vectors, in the order of their sorted index tuples."""
-    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
-    return tuple(tuple(map(b.count, range(dim))) for b in combos(range(dim), m))
-
-
 def rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:
     """The reduced pair (n, d), d > 0, with |n|, d <= sqrt(p / 2) and n = a * d
     mod p, or None when there is none (it is unique when it exists)."""
@@ -360,14 +352,23 @@ class OracleResult(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _weights(g: int, m: int, exterior: bool) -> tuple[tuple[int, ...], ...]:
-    """The weights of the basis of Sym^m, or (exterior) Lambda^m, of V: per
-    hyperbolic pair, the x_i exponent minus the y_i exponent."""
-    return tuple({tuple(map(sub, e[:g], e[g:])) for e in _exponent_vectors(2 * g, m, exterior)})
+    """The weights of Sym^m, or (exterior) Lambda^m, of V, per hyperbolic
+    pair the x_i exponent minus the y_i exponent: the w with |w|_1 <= m and
+    of the parity of m, and for Lambda^m every entry in {-1, 0, 1} and
+    (m - |w|_1) / 2 <= the number of zero entries, so that the rest of the
+    degree fits in distinct pairs x_i y_i (`_weight_monomials`)."""
+    out = []
+    for size in range(m % 2, m + 1, 2):  # |w|_1, split into |w_i| by an index tuple
+        if exterior and (m - size) // 2 > g - size:
+            continue
+        for b in (itertools.combinations if exterior else itertools.combinations_with_replacement)(range(g), size):
+            out += itertools.product(*[(k, -k) if k else (0,) for k in map(b.count, range(g))])
+    return tuple(out)
 
 
 def _weight_monomials(g: int, m: int, exterior: bool, weight: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The basis elements of Sym^m, or (exterior) Lambda^m, of the weight, in
-    the order of `_exponent_vectors`: pair i carries max(w_i, 0) x_i and
+    the order of their sorted index tuples: pair i carries max(w_i, 0) x_i and
     max(-w_i, 0) y_i, and the rest of the degree goes in whole pairs x_i y_i,
     any pairs for Sym^m and distinct ones of weight 0 for Lambda^m."""
     s, odd = divmod(m - sum(map(abs, weight)), 2)
@@ -647,10 +648,11 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
     orbit = [sign_free([(i, j, x) for j, column in a for i, x in column]) for a in kept]
     closed = set(orbit)
     missing = {sign_free([(i, j, x) for j, column in a for i, x in column]) for a in n} - closed
+    moves = monomial_moves(kind, g)
     for a in orbit:
         if not missing:
             break
-        for move in monomial_moves(kind, g):
+        for move in moves:
             b = sign_free([(move[i][0], move[j][0], move[i][1] * move[j][1] * x) for i, j, x in a])
             if b not in closed:
                 closed.add(b)
@@ -658,7 +660,7 @@ def _oracle_setup(kind: GammaType, g: int) -> tuple:
                 missing.discard(b)
     if missing:
         raise AssertionError("a listed unipotent generator is not +-conjugate to a kept one under H")
-    moves = tuple(dict.fromkeys(monomial_moves(kind, g) + tuple(s.move for s in generators if s.move)))
+    moves = tuple(dict.fromkeys(moves + tuple(s.move for s in generators if s.move)))
     return moves, {}, {}, [(a, ({}, {})) for a in kept]
 
 

@@ -769,7 +769,6 @@ def _clear_oracle_caches():
     runs cold whatever ran before it."""
     for cached in (
         invariants._oracle_setup,
-        invariants._exponent_vectors,
         invariants._weights,
         groups.listed_generators,
         groups.monomial_moves,

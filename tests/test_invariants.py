@@ -455,12 +455,20 @@ def _squares_to_zero(a):
     return True
 
 
+@lru_cache(maxsize=64)
+def _exponent_vectors(dim, m, exterior):
+    """The basis of Sym^m, or (exterior) Lambda^m, of a dim-dimensional space
+    as exponent vectors, in the order of their sorted index tuples."""
+    combos = itertools.combinations if exterior else itertools.combinations_with_replacement
+    return tuple(tuple(map(b.count, range(dim))) for b in combos(range(dim), m))
+
+
 @lru_cache(maxsize=None)
 def _power_columns(a, m, exterior):
     """Sparse columns of Lambda^m(a) (exterior) or Sym^m(a), on the basis of
     `_exponent_vectors`; a is a tuple of rows, and the columns are shared by
     every piece that asks for them."""
-    basis = invariants._exponent_vectors(len(a), m, exterior)
+    basis = _exponent_vectors(len(a), m, exterior)
     index = {b: i for i, b in enumerate(basis)}
     columns = sparse_columns(a)
     return [{index[b]: c for b, c in _monomial_image(columns, src, exterior).items()} for src in basis]
@@ -571,7 +579,7 @@ def test_permutation_path_matches_the_power_columns(g):
     for move in moves:
         for m, exterior in _powers(g):
             columns = _power_columns(_signed_matrix(move), m, exterior)
-            basis = invariants._exponent_vectors(2 * g, m, exterior)
+            basis = _exponent_vectors(2 * g, m, exterior)
             index = {mono: k for k, mono in enumerate(basis)}
             images = [invariants._signed_image(move, mono, exterior) for mono in basis]
             assert [{index[image]: sign} for image, sign in images] == columns
@@ -607,7 +615,7 @@ def test_weight_zero_enumeration_matches_the_filtered_product():
     for _ in range(400):
         g = rng.randint(1, 3)
         factors = _random_factors(rng, g)
-        product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
+        product = list(itertools.product(*[_exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
         expected = [element for element in product if not any(block_weight(element, g))]
         assert invariants._block(g, {}, factors) == expected
         seen.add((not factors, (2 * g, True) in factors, sum(m for m, _ in factors) % 2, bool(expected)))
@@ -623,6 +631,22 @@ def test_weight_zero_single_factors(g):
     for m in range(2 * g + 1):
         expected = math.comb(g, m // 2) if m % 2 == 0 else 0
         assert len(invariants._block(g, {}, [(m, True)])) == expected
+
+
+@pytest.mark.parametrize("exterior", [False, True], ids=["sym", "ext"])
+@pytest.mark.parametrize("g", (1, 2, 3, 4))
+def test_weights_are_those_of_the_listed_basis(g, exterior):
+    # the weight rule against the weights of every basis element, and each
+    # weight's monomials against the basis elements of that weight
+    for m in range(9):
+        basis = _exponent_vectors(2 * g, m, exterior)
+        by_weight = collections.defaultdict(list)
+        for mono in basis:
+            by_weight[tuple(x - y for x, y in zip(mono[:g], mono[g:]))].append(mono)
+        weights = invariants._weights(g, m, exterior)
+        assert len(weights) == len(set(weights)) and set(weights) == set(by_weight), m
+        for w in weights:
+            assert invariants._weight_monomials(g, m, exterior, w) == by_weight[w], (m, w)
 
 
 def _reference_orbit_sums(size, moved):
@@ -659,7 +683,7 @@ def test_move_images_match_the_kronecker_products():
         g = rng.randint(1, 3)
         factors = _random_factors(rng, g)
         moves = rng.sample(sorted(_all_moves(g)), rng.randint(1, 3))
-        product = list(itertools.product(*[invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
+        product = list(itertools.product(*[_exponent_vectors(2 * g, m, exterior) for m, exterior in factors]))
         elements = invariants._block(g, {}, factors)
         index = {element: b for b, element in enumerate(product)}
         at = {index[element]: k for k, element in enumerate(elements)}
@@ -685,7 +709,7 @@ def test_factor_wise_image_matches_the_tensor_product():
         for _ in range(rng.randint(1, 6)):
             exterior = rng.random() < 0.5
             factors.append((rng.randint(1, min(3, 2 * g) if exterior else 3), exterior))
-        bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
+        bases = [_exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
         vector = {tuple(map(rng.choice, bases)): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
         vector = {element: c for element, c in vector.items() if c}
         expected = {}
@@ -815,7 +839,7 @@ def test_row_check_matches_the_reference_image():
         for _ in range(rng.randint(1, 6)):
             exterior = rng.random() < 0.5
             factors.append((rng.randint(1, min(3, 2 * g) if exterior else 3), exterior))
-        bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
+        bases = [_exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
         elements = list({tuple(map(rng.choice, bases)) for _ in range(rng.randint(1, 6))})
         columns = [
             {b: rng.randint(-3, 3) for b in rng.sample(range(len(elements)), rng.randint(1, len(elements)))}
@@ -1094,7 +1118,7 @@ def kernel_invariant_dim(kind, copies, degree):
     vectors, rational = [], False
     for alloc in _allocations(copies, degree):
         factors = [(m, d % 2 == 1) for m, d in zip(alloc, copies.copy_degrees) if m]
-        bases = [invariants._exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
+        bases = [_exponent_vectors(2 * g, m, exterior) for m, exterior in factors]
         elements = list(itertools.product(*bases))
         columns = [_kron_columns([_power_columns(a, m, exterior) for m, exterior in factors]) for a in generators]
         block_history, block_rational, block_vectors = _block_kernel_history(columns)
@@ -1154,7 +1178,7 @@ def test_transvections_act_as_the_exponential_of_their_derivation(g):
         for factors in TRANSVECTION_BLOCKS:
             if any(exterior and m > 2 * g for m, exterior in factors):
                 continue
-            elements = list(itertools.product(*[invariants._exponent_vectors(2 * g, *factor) for factor in factors]))
+            elements = list(itertools.product(*[_exponent_vectors(2 * g, *factor) for factor in factors]))
             index = {element: b for b, element in enumerate(elements)}
             columns = [{b: 1} for b in range(len(elements))]
             rows = invariants._derivation_rows(factors, elements, columns, derivation)
@@ -1383,19 +1407,24 @@ def test_setup_rejects_a_listed_unipotent_outside_the_kept_classes(monkeypatch, 
 @pytest.mark.parametrize("kind, processed", [(GammaType.ORTHOGONAL, 36), (GammaType.SYMPLECTIC, 216)])
 def test_conjugacy_closure_stops_once_every_listed_unipotent_is_reached(monkeypatch, kind, processed):
     # at g = 10 the H-orbit of the kept N, with N and -N as one key, has 180
-    # keys for o (360 conjugates) and 380 for sp; the closure asks for
-    # monomial_moves once for each key that it processes, and once more for
-    # the setup's moves, and it stops when the last listed N, or -N, has
+    # keys for o (360 conjugates) and 380 for sp; the setup asks for
+    # monomial_moves once, the closure runs through them once for each key
+    # that it processes, and it stops when the last listed N, or -N, has
     # been reached
-    calls = []
+    calls, passes = [], []
+
+    class Counted(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
 
     def counted(kind, g):
         calls.append((kind, g))
-        return monomial_moves(kind, g)
+        return Counted(monomial_moves(kind, g))
 
     monkeypatch.setattr(invariants, "monomial_moves", counted)
     invariants._oracle_setup.__wrapped__(kind, 10)
-    assert len(calls) == processed + 1
+    assert len(calls) == 1 and len(passes) == processed
 
 
 def test_a_lift_that_fails_its_rows_reruns_over_q(monkeypatch):

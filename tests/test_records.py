@@ -106,6 +106,9 @@ def test_validating_records_keep_their_messages(message):
 
 
 def test_root_system_tables_are_computed_once_per_instance(monkeypatch):
+    # every table is a field, built in one pass by root_system: the top
+    # sums of the g simple-root coordinates and the top heights, g + 1
+    # calls, and none when a constant reads them
     calls = []
     top_sums = borel._top_sums
 
@@ -115,35 +118,12 @@ def test_root_system_tables_are_computed_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(borel, "_top_sums", counted)
     rs = root_system.__wrapped__("C", 3)
-    table = rs.top_sums
-    assert len(calls) == 3  # one per simple-root coordinate
-    assert rs.top_sums is table
-    assert len(calls) == 3
-    other = root_system.__wrapped__("C", 3)
-    assert other.top_sums == table and other.top_sums is not table
-    assert len(calls) == 6
-    # under them, the root values (one coordinate vector per positive root)
-    # and the root heights, which the top sums and the top heights read
-    assert rs.top_heights is rs.top_heights
-    assert len(calls) == 7
-    coordinates = []
-    original = borel.RootSystem.coordinates
-
-    def counted_coordinates(self, v):
-        coordinates.append(1)
-        return original(self, v)
-
-    monkeypatch.setattr(borel.RootSystem, "coordinates", counted_coordinates)
-    third = root_system.__wrapped__("C", 3)
-    coordinates.clear()  # past the cone test of each positive root
-    values, heights = third.root_values, third.root_heights
-    assert len(coordinates) == len(third.positive_roots)
-    assert third.top_sums == table and third.top_heights == rs.top_heights
-    assert third.root_values is values and third.root_heights is heights
-    assert len(coordinates) == len(third.positive_roots)
-    assert values == rs.root_values and values is not rs.root_values
-    assert heights == rs.root_heights and heights is not rs.root_heights
-    # the cached tables take no part in equality or hashing
+    assert len(calls) == 4
+    assert not hasattr(rs, "__dict__")
+    borel.borel_constant_rep(rs, 1, 8)
+    assert len(calls) == 4
     fresh = root_system.__wrapped__("C", 3)
+    assert len(calls) == 8
     assert rs == fresh and hash(rs) == hash(fresh)
+    assert rs.top_sums == fresh.top_sums and rs.top_sums is not fresh.top_sums
     assert root_system("C", 3) is root_system("C", 3)
