@@ -37,7 +37,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import invert_fraction_matrix
@@ -93,7 +93,10 @@ def root_system(family: str, g: int) -> RootSystem:
 
     def root(i: int, j: int, sign: int) -> Vector:
         """a_i + sign a_j."""
-        return tuple((k == i) + sign * (k == j) for k in range(g))
+        v = [0] * g
+        v[i] += 1
+        v[j] += sign
+        return tuple(v)
 
     pairs = [(i, j, sign) for i in range(g) for j in range(i + 1, g) for sign in (1, -1)]
     simple = tuple(root(i, i + 1, -1) for i in range(g - 1))
@@ -117,7 +120,7 @@ def root_system(family: str, g: int) -> RootSystem:
     rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in inverse)
     columns = tuple(zip(*rows))
     # f(a_i + sign a_j) = f(e_i) + sign f(e_j), and f(2 a_i) = 2 f(e_i)
-    values = [tuple(a + sign * b for a, b in zip(columns[i], columns[j])) for i, j, sign in pairs]
+    values = [tuple(map(add if sign > 0 else sub, columns[i], columns[j])) for i, j, sign in pairs]
     heights = tuple(map(sum, values))
     root_values = tuple(zip(*values))
     rho_coordinates = tuple(sum(map(mul, row, rho)) for row in rows)

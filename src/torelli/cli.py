@@ -17,8 +17,8 @@ n always means the half-dimension (a 2n-manifold is specified by n).
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -422,8 +422,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# one encoder for every call: building one costs more than a one-row table
-_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# one encoder for every request, built at import with the arguments that
+# JSONEncoder(separators=(",", ":"), check_circular=False).encode would build
+# a new one with on each call: no cycle markers, the default's TypeError,
+# ASCII strings, no indent, no key sorting, no skipped keys, NaN allowed
+_ENCODE = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True)
+
+
+def _encode(value) -> str:
+    return "".join(_ENCODE(value, 0))
 
 
 def _emit(envelope: dict, table: Table, fmt: str, out) -> None:
@@ -440,16 +447,16 @@ def _emit(envelope: dict, table: Table, fmt: str, out) -> None:
         items = names * (rows + 1)
         for j, name in enumerate(names, width):
             items[j::width] = table[name]
-        text = _ENCODER.encode(items)[1:-1].split(",")
+        text = _encode(items)[1:-1].split(",")
         if len(text) != len(items):
-            text = [_ENCODER.encode(v) for v in items]
+            text = [_encode(v) for v in items]
         parts = [""] * (2 * width * rows)
         parts[1::2] = text[width:]
         for j, key in enumerate(text[:width]):
             # a row's first key follows "},{", the close of the row before
             parts[2 * j :: 2 * width] = [("},{" if j == 0 else ",") + key + ":"] * rows
         body = "[" + "".join(parts)[2:] + "}]" if rows else "[]"
-        out.write(f'{_ENCODER.encode(envelope)[:-1]},"table":{body}}}\n')
+        out.write(f'{_encode(envelope)[:-1]},"table":{body}}}\n')
         return
     import csv  # only here, so that a JSON request never loads it
 

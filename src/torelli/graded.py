@@ -406,21 +406,16 @@ class WeightedPolynomial:
         return f"WeightedPolynomial({format_polynomial(self)!r})"
 
 
-def format_rational(x: Scalar) -> str:
-    """Canonical num/den rendering, e.g. 3 -> "3/1"."""
-    f = _as_fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def format_polynomial(poly: WeightedPolynomial) -> str:
-    """Deterministic rendering; monomials sorted lexicographically."""
+    """Deterministic rendering, each coefficient as "num/den"; monomials
+    sorted lexicographically."""
     if poly.is_zero():
         return "0/1"
+    names = [name for name, _ in poly.variables]
     pieces = []
-    for exps in sorted(poly.terms):
-        c = poly.terms[exps]
-        factors = [format_rational(c)]
-        for (name, _), e in zip(poly.variables, exps):
+    for exps, c in sorted(poly.terms.items()):
+        factors = [f"{c.numerator}/{c.denominator}"]
+        for name, e in zip(names, exps):
             if e == 1:
                 factors.append(name)
             elif e > 1:

@@ -152,11 +152,12 @@ def _exp_of_scaled_newton(symbol: str, scalars: list[tuple[int, int]]) -> list[W
 
 
 def multiplicative_sequence(
-    coefficients: tuple[Fraction, ...], count: int
+    coefficients: tuple[int | Fraction, ...], count: int
 ) -> list[WeightedPolynomial]:
     """K_0 .. K_count of the even series with the given u-coefficients.
 
-    ``coefficients[j]`` is the u^j coefficient (u = x^2) and must start with 1.
+    ``coefficients[j]`` is the u^j coefficient (u = x^2), an int or a
+    Fraction, and must start with 1.
     K_i is returned in Pontryagin variables p_1..p_count, with p_j of weight
     4j; only p_1..p_i occur in it.  K is the exp of the termwise product of
     two log derivatives, m c_m of the coefficients and Q_m of the total
@@ -166,7 +167,11 @@ def multiplicative_sequence(
         raise ValueError("count must be nonnegative")
     if not coefficients or coefficients[0] != 1:
         raise ValueError("the series must have constant term 1")
-    pairs = [(x.numerator, x.denominator) for x in map(Fraction, coefficients[: count + 1])]
+    pairs = []
+    for x in coefficients[: count + 1]:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+        pairs.append((x.numerator, x.denominator))
     powers, d = _scaled_log_derivative(pairs, count)
     return _exp_of_scaled_newton("p", [_reduced((-1) ** (m - 1) * d[m], powers[m]) for m in range(1, count + 1)])
 

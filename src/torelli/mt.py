@@ -13,6 +13,7 @@ tests compare the series with a convolution over that list.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .graded import HilbertSeries, free_graded_commutative_series
@@ -111,8 +112,8 @@ def _kappa_degree_counts(n: int, max_degree: int) -> dict[int, int]:
         raise ValueError("need n >= 1 and max_degree >= 0")
     c = free_graded_commutative_series(
         ((4 * j, 1) for j in cover_generator_index_set(n)), max_degree + 2 * n
-    )
-    return {d: c[d] + c[d + 2 * n] for d in range(1, max_degree + 1)}
+    ).coefficients
+    return dict(zip(range(1, max_degree + 1), map(add, c[1 : max_degree + 1], c[2 * n + 1 :])))
 
 
 def mt_series(n: int, max_degree: int) -> HilbertSeries:

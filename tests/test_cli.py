@@ -23,6 +23,7 @@ from torelli.cli import (
     SHIPPED_INVOCATIONS,
     _build_parser,
     _emit,
+    _encode,
     _read_plain,
     main,
     run,
@@ -569,6 +570,51 @@ def test_emit_matches_the_row_dict_reference(table):
         _emit(envelope, table, fmt, out)
         _reference_emit({**envelope, "table": reference}, fmt, expected)
         assert out.getvalue() == expected.getvalue()
+
+
+# envelopes as run builds them, and deeper: big ints, bools, null and the
+# strings above inside lists, tuples and parameter dicts
+_JSON_VALUES = st.recursive(
+    st.integers(-(2**200), 2**200) | st.booleans() | st.none() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({"command": _TEXT, "parameters": st.dictionaries(_TEXT, _JSON_VALUES)}), _JSON_VALUES)
+@example({"command": 'a,"b"\\c', "parameters": {"n": 2**70, "x": None, "é": [True, False]}}, "€,\n")
+def test_module_encoder_matches_json_dumps(envelope, value):
+    for v in (envelope, value):
+        assert _encode(v) == json.dumps(v, separators=(",", ":"))
+
+
+@pytest.fixture
+def no_json_encoder_class(monkeypatch):
+    """json.JSONEncoder's encode and iterencode raise: what passes encodes
+    through the module's one C encoder."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request called JSONEncoder")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+
+
+@pytest.mark.parametrize("argv", SHIPPED_INVOCATIONS, ids=lambda a: a[0])
+def test_requests_build_no_json_encoder(argv, no_json_encoder_class):
+    code, out, _ = _capture(argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{argv[0]}.json").read_bytes()
+
+
+def test_cell_by_cell_route_builds_no_json_encoder(no_json_encoder_class):
+    # a comma in a cell sends the table to one encoder call per item
+    out = io.StringIO()
+    _emit({"command": "c"}, {"a": ["x,y", 2**64]}, "json", out)
+    assert out.getvalue() == '{"command":"c","table":[{"a":"x,y"},{"a":18446744073709551616}]}\n'
 
 
 # one request per series subcommand near SERIES_CAP, and the largest

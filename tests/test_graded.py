@@ -10,7 +10,6 @@ from torelli.graded import (
     HilbertSeries,
     WeightedPolynomial,
     format_polynomial,
-    format_rational,
     free_graded_commutative_series,
     series_pointwise_equal,
 )
@@ -345,10 +344,11 @@ def test_polynomial_not_hashable():
         hash(x)
 
 
-def test_format_rational():
-    assert format_rational(3) == "3/1"
-    assert format_rational(Fraction(-7, 2)) == "-7/2"
-    assert format_rational(Fraction(0)) == "0/1"
+def test_format_polynomial_renders_constants_as_fractions():
+    assert format_polynomial(WeightedPolynomial.constant(3)) == "3/1"
+    assert format_polynomial(WeightedPolynomial.constant(Fraction(-7, 2))) == "-7/2"
+    assert format_polynomial(WeightedPolynomial.constant(Fraction(0))) == "0/1"
+    assert format_polynomial(WeightedPolynomial((("x", 1),), {(1,): 0})) == "0/1"
 
 
 def test_format_polynomial_deterministic():

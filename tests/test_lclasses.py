@@ -540,6 +540,41 @@ def test_multiplicative_sequence_rejects_bad_series():
         multiplicative_sequence((Fraction(1),), 256)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.lists(st.integers(-1000, 1000), max_size=9))
+def test_int_coefficients_match_equal_fractions(count, tail):
+    # an int is read as its own numerator over 1, as the equal Fraction is
+    ints = (1, *tail)
+    want = multiplicative_sequence(tuple(map(Fraction, ints)), count)
+    assert multiplicative_sequence(ints, count) == want
+    mixed = tuple(Fraction(c) if j % 2 else c for j, c in enumerate(ints))
+    assert multiplicative_sequence(mixed, count) == want
+
+
+@pytest.mark.parametrize(
+    "coefficients, name",
+    [((1.0,), "float"), ((1, 0.5), "float"), ((Fraction(1), "1/3"), "str"), ((1, 2, 3.0), "float")],
+)
+def test_multiplicative_sequence_refuses_inexact_coefficients(coefficients, name):
+    with pytest.raises(TypeError, match=f"^expected an exact scalar, got {name}$"):
+        multiplicative_sequence(coefficients, 3)
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1)])
+def test_multiplicative_sequence_value_errors_keep_their_messages(one):
+    with pytest.raises(ValueError, match="^the series must have constant term 1$"):
+        multiplicative_sequence((2 * one,), 3)
+    with pytest.raises(ValueError, match="^the series must have constant term 1$"):
+        multiplicative_sequence((), 3)
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        multiplicative_sequence((one,), -1)
+    with pytest.raises(ValueError, match="^count must be below 256$"):
+        multiplicative_sequence((one,), 256)
+    # the constant term is checked before the types: a str 1 is not 1
+    with pytest.raises(ValueError, match="^the series must have constant term 1$"):
+        multiplicative_sequence(("1", one), 3)
+
 # ---------------------------------------------------------------------------
 # cover generators and the index map
 
